@@ -220,15 +220,19 @@ def _timeless_from_payload(payload: dict) -> object:
 def _identified_preisach_ensemble(
     n: int, seed: int, n_cells: int, h_sat: float, dhmax: float
 ) -> tuple:
-    """Identify N Preisach cores from perturbed JA sets (cached: the
-    FORC measurement behind each identification is the expensive part)."""
-    from repro.preisach.identification import identify_from_ja
+    """Identify N Preisach cores from perturbed JA sets.
 
-    params = perturbed_parameters(n, seed)
-    return tuple(
-        identify_from_ja(p, n_cells=n_cells, h_sat=h_sat, dhmax=dhmax)[0]
-        for p in params
+    One stacked FORC measurement per group of up to 64 cores
+    (:func:`repro.preisach.identification.everett_maps_from_ja`), each
+    core bitwise its own identification.  Cached because campaign
+    workers rebuild the same ensemble for every Preisach cell they
+    serve."""
+    from repro.preisach.identification import identify_models_from_ja
+
+    models, _ = identify_models_from_ja(
+        perturbed_parameters(n, seed), n_cells=n_cells, h_sat=h_sat, dhmax=dhmax
     )
+    return tuple(models)
 
 
 def _make_preisach_models(

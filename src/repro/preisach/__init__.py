@@ -18,8 +18,10 @@ from repro.preisach.identification import (
     EverettMap,
     adaptive_nodes,
     everett_from_ja,
+    everett_maps_from_ja,
     identify_ensemble_from_ja,
     identify_from_ja,
+    identify_models_from_ja,
     weights_from_everett,
 )
 from repro.preisach.model import PreisachModel
@@ -29,7 +31,9 @@ __all__ = [
     "PreisachModel",
     "adaptive_nodes",
     "everett_from_ja",
+    "everett_maps_from_ja",
     "identify_ensemble_from_ja",
     "identify_from_ja",
+    "identify_models_from_ja",
     "weights_from_everett",
 ]

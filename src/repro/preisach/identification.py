@@ -22,12 +22,14 @@ reported (a few percent for the paper's parameters).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from repro.core.model import TimelessJAModel
-from repro.core.sweep import run_sweep
+from repro.core.sweep import run_sweep, waypoint_samples
 from repro.errors import ParameterError
 from repro.ja.parameters import JAParameters
 from repro.preisach.model import PreisachModel
@@ -104,14 +106,53 @@ def adaptive_nodes(
     return nodes
 
 
-def everett_from_ja(
-    params: JAParameters,
+#: Cores measured per stacked FORC pass.  Each core adds ``n_cells``
+#: lanes, and a pass records every lane's whole FORC, so the width caps
+#: identification's transient memory: on the registry's 12-cell grid a
+#: 64-core pass adds ~26 MiB of peak RSS where one 512-core pass adds
+#: ~150 MiB.
+_IDENTIFY_GROUP = 64
+#: Lane-samples per pass (a 16 MiB float64 record).  Fine grids have
+#: long FORCs, so they run fewer cores per pass: 64 cores on
+#: ``identify_ensemble_from_ja``'s default 40-cell, dhmax = 50 grid
+#: would record ~220 MiB per channel.
+_IDENTIFY_LANE_SAMPLES = 2**21
+
+
+def _forc_drive(
+    nodes: np.ndarray, h_sat: float, dhmax: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The FORC family's drive as ``(h, ascent, descent)``.
+
+    ``h`` is ``(samples, n_cells)``: lane ``k`` is the FORC at
+    ``alpha = nodes[k + 1]`` (the bottom node's FORC is a point), with
+    the scalar FORC loop's exact driver samples — the ascent
+    ``[0, +sat, -sat, alpha]``, then the descent ``[alpha, bottom]``
+    whose leading ``alpha`` repeats the ascent's last sample, as a
+    ``reset=False`` re-walk does.  Shorter lanes hold their final
+    field, a no-op for the event discretiser.  ``ascent`` / ``descent``
+    are the per-lane sample counts.
+    """
+    driver_step = dhmax / 4.0  # run_sweep's default driver step
+    ups = [waypoint_samples([0.0, h_sat, -h_sat, a], driver_step) for a in nodes[1:]]
+    downs = [waypoint_samples([a, nodes[0]], driver_step) for a in nodes[1:]]
+    ascent = np.array([len(up) for up in ups])
+    descent = np.array([len(down) for down in downs])
+    h = np.empty(((ascent + descent).max(), len(ups)))
+    for k, lane in enumerate(map(np.concatenate, zip(ups, downs))):
+        h[: len(lane), k] = lane
+        h[len(lane) :, k] = lane[-1]
+    return h, ascent, descent
+
+
+def everett_maps_from_ja(
+    params_seq: Sequence[JAParameters],
     n_cells: int = 40,
     h_sat: float = 20e3,
     dhmax: float = 50.0,
     nodes: np.ndarray | None = None,
-) -> EverettMap:
-    """Measure the Everett map of a JA parameter set via FORCs.
+) -> list[EverettMap]:
+    """Measure the Everett map of every JA parameter set via FORCs.
 
     One FORC per alpha node: saturate negative, ascend the major branch
     to ``alpha``, then descend; the descent *is* the FORC and is sampled
@@ -119,88 +160,105 @@ def everett_from_ja(
     grid (measured to beat the adaptive alternative — see
     :func:`adaptive_nodes`).
 
-    All FORCs are measured in **one batched run**: each alpha node is a
-    lane of a :class:`~repro.batch.engine.BatchTimelessModel` driven by
-    its own per-lane waveform (shorter lanes padded by holding the final
-    field, a no-op for the event discretiser).  Every lane is bitwise
-    identical to the scalar sweep loop this replaces — same driver
-    samples, same kernel operations — so the identified weights are
-    unchanged while the measurement runs one vectorised pass instead of
-    ``n_cells + 1`` Python sweeps.
+    The drive depends only on ``(nodes, h_sat, dhmax)``, so it is built
+    once and tiled: each group of up to ``_IDENTIFY_GROUP`` cores (fewer
+    on grids whose FORC families exceed ``_IDENTIFY_LANE_SAMPLES``) runs
+    as one ``cores x n_cells``-lane
+    :class:`~repro.batch.engine.BatchTimelessModel` on the exact NumPy
+    backend, through the fused ``step_series`` path cut at every
+    distinct ascent length.  ``m(alpha)`` is read from the lanes'
+    normalised state at those cuts and the descents from the recorded
+    magnetisation, so every map is **bitwise** the scalar sweep loop's
+    (``run_sweep`` per FORC, scalar ``np.interp`` per beta node), on
+    any ``REPRO_BACKEND``.
     """
+    params_list = list(params_seq)
+    if not params_list:
+        raise ParameterError("need at least one parameter set to identify")
     if n_cells < 4:
         raise ParameterError(f"n_cells must be >= 4, got {n_cells}")
-    if h_sat <= 0.0:
-        raise ParameterError(f"h_sat must be > 0, got {h_sat!r}")
+    if not (math.isfinite(h_sat) and h_sat > 0.0):
+        raise ParameterError(f"h_sat must be finite and > 0, got {h_sat!r}")
     if nodes is None:
         nodes = np.linspace(-h_sat, h_sat, n_cells + 1)
     else:
-        nodes = np.asarray(nodes, dtype=float)
+        nodes = np.array(nodes, dtype=float)
         if len(nodes) != n_cells + 1:
-            raise ParameterError(
-                f"need {n_cells + 1} nodes, got {len(nodes)}"
-            )
+            raise ParameterError(f"need {n_cells + 1} nodes, got {len(nodes)}")
+        if not np.isfinite(nodes).all():
+            raise ParameterError(f"nodes must be finite, got {nodes!r}")
         if np.any(np.diff(nodes) <= 0):
             raise ParameterError("nodes must strictly increase")
-    n_nodes = len(nodes)
-    values = np.zeros((n_nodes, n_nodes))
+    drive, ascent, descent = _forc_drive(nodes, h_sat, dhmax)
+    width = min(_IDENTIFY_GROUP, max(1, _IDENTIFY_LANE_SAMPLES // drive.size))
+    maps: list[EverettMap] = []
+    for start in range(0, len(params_list), width):
+        group = params_list[start : start + width]
+        maps.extend(_measure_group(group, nodes, drive, ascent, descent, dhmax))
+    return maps
 
+
+def _measure_group(
+    group: list[JAParameters],
+    nodes: np.ndarray,
+    drive: np.ndarray,
+    ascent: np.ndarray,
+    descent: np.ndarray,
+    dhmax: float,
+) -> list[EverettMap]:
+    """One stacked FORC pass over ``group``; lane ``c * n_cells + k`` is
+    core ``c``'s FORC at ``nodes[k + 1]``."""
     from repro.batch.engine import BatchTimelessModel
-    from repro.core.sweep import waypoint_samples
 
-    # Per-lane waveforms: the scalar loop's exact driver samples —
-    # ascent [0, +sat, -sat, alpha], then (for alpha above the bottom
-    # node) the descent [alpha, bottom]; run_sweep's default driver step
-    # is dhmax / 4.  The descent's leading `alpha` sample repeats the
-    # ascent's last one, exactly like the scalar `reset=False` re-walk.
-    driver_step = dhmax / 4.0
-    bottom = float(nodes[0])
-    ascents = []
-    descents = []
-    for i in range(n_nodes):
-        alpha = float(nodes[i])
-        ascents.append(
-            waypoint_samples([0.0, h_sat, -h_sat, alpha], driver_step)
-        )
-        descents.append(
-            waypoint_samples([alpha, bottom], driver_step)
-            if i > 0
-            else np.empty(0)
-        )
-    lane_lengths = [len(a) + len(d) for a, d in zip(ascents, descents)]
-    samples = max(lane_lengths)
-    h_matrix = np.empty((samples, n_nodes))
-    for i, (ascent, descent) in enumerate(zip(ascents, descents)):
-        lane = np.concatenate([ascent, descent])
-        h_matrix[: len(lane), i] = lane
-        h_matrix[len(lane) :, i] = lane[-1]  # hold: no-op padding
+    n_cells = drive.shape[1]
+    # The drive starts at 0 A/m, so the constructor's reset is exactly
+    # run_sweep's reset(h_initial=0.0).
+    batch = BatchTimelessModel(
+        [params for params in group for _ in range(n_cells)],
+        dhmax=dhmax,
+        backend="numpy",
+    )
+    lane_ascent = np.tile(ascent, len(group))
+    m = np.empty((len(drive), batch.n_cores))
+    m_alpha = np.empty(batch.n_cores)
+    done = 0
+    for cut in [*np.unique(ascent), len(drive)]:
+        if cut > done:
+            h = np.tile(drive[done:cut], (1, len(group)))
+            m[done:cut] = batch.step_series(h)[0]
+            done = cut
+        at_alpha = lane_ascent == cut
+        m_alpha[at_alpha] = batch.state.m_total[at_alpha]
+    # The record is m_sat * m_total; the scalar loop's FORC values are
+    # that record over m_sat (which is not always m_total again).
+    m /= batch.params.m_sat
 
-    batch = BatchTimelessModel([params] * n_nodes, dhmax=dhmax)
-    batch.reset(h_initial=h_matrix[0])
-    m_total = np.empty((samples, n_nodes))
-    for s in range(samples):
-        batch.step(h_matrix[s])
-        m_total[s] = batch.state.m_total
-    # Physical magnetisation exactly as the scalar sweep records it
-    # (model.m = m_total * m_sat), so the later /m_sat reproduces the
-    # scalar FORC values bit for bit.
-    m_phys = m_total * params.m_sat
+    spans = [slice(a, a + d) for a, d in zip(ascent, descent)]
+    h_desc = [drive[span, k][::-1] for k, span in enumerate(spans)]
+    maps = []
+    for c in range(len(group)):
+        values = np.zeros((len(nodes), len(nodes)))
+        for k, span in enumerate(spans):
+            lane = c * n_cells + k
+            m_forc = np.interp(nodes[: k + 2], h_desc[k], m[span, lane][::-1])
+            values[k + 1, : k + 2] = 0.5 * (m_alpha[lane] - m_forc)
+        maps.append(EverettMap(nodes=nodes, values=values))
+    return maps
 
-    for i in range(n_nodes):
-        m_alpha = m_total[len(ascents[i]) - 1, i]
-        if i == 0:
-            # alpha at the bottom node: FORC degenerates to a point.
-            values[i, i] = 0.0
-            continue
-        start = len(ascents[i])
-        stop = start + len(descents[i])
-        h_desc = h_matrix[start:stop, i][::-1]
-        m_desc = m_phys[start:stop, i][::-1] / params.m_sat
-        for j in range(i + 1):
-            beta = float(nodes[j])
-            m_forc = float(np.interp(beta, h_desc, m_desc))
-            values[i, j] = 0.5 * (m_alpha - m_forc)
-    return EverettMap(nodes=nodes, values=values)
+
+def everett_from_ja(
+    params: JAParameters,
+    n_cells: int = 40,
+    h_sat: float = 20e3,
+    dhmax: float = 50.0,
+    nodes: np.ndarray | None = None,
+) -> EverettMap:
+    """Measure the Everett map of one JA parameter set via FORCs — the
+    one-core case of :func:`everett_maps_from_ja` (same grid, same
+    bitwise contract)."""
+    return everett_maps_from_ja(
+        [params], n_cells=n_cells, h_sat=h_sat, dhmax=dhmax, nodes=nodes
+    )[0]
 
 
 def weights_from_everett(
@@ -214,17 +272,10 @@ def weights_from_everett(
     """
     nodes = everett.nodes
     e = everett.values
-    n = len(nodes) - 1
-    weights = np.zeros((n, n))
-    for i in range(1, n + 1):  # alpha cell between nodes[i-1], nodes[i]
-        for j in range(i):  # beta cell between nodes[j], nodes[j+1]
-            w = (
-                e[i, j]
-                - e[i - 1, j]
-                - e[i, j + 1]
-                + e[i - 1, j + 1]
-            )
-            weights[i - 1, j] = w
+    # weights[i - 1, j]: alpha cell between nodes[i-1], nodes[i], beta
+    # cell between nodes[j], nodes[j+1]; only j < i lies on the
+    # alpha >= beta half-plane.
+    weights = np.tril(e[1:, :-1] - e[:-1, :-1] - e[1:, 1:] + e[:-1, 1:])
     negative_mass = float(-np.sum(weights[weights < 0.0]))
     total_mass = float(np.sum(np.abs(weights)))
     weights = np.clip(weights, 0.0, None)
@@ -239,6 +290,34 @@ def weights_from_everett(
     return weights, alpha_thresholds, beta_thresholds, clipped
 
 
+def identify_models_from_ja(
+    params_seq: Sequence[JAParameters],
+    n_cells: int = 160,
+    h_sat: float = 20e3,
+    dhmax: float = 50.0,
+) -> tuple[list[PreisachModel], np.ndarray]:
+    """Identify one Preisach model per JA parameter set.
+
+    Returns ``(models, clipped_fractions)``: the Everett maps come from
+    one stacked :func:`everett_maps_from_ja` measurement, and each
+    model's ``m_sat`` is its source parameter set's.
+    """
+    params_list = list(params_seq)
+    maps = everett_maps_from_ja(
+        params_list, n_cells=n_cells, h_sat=h_sat, dhmax=dhmax
+    )
+    models, clipped = [], []
+    for params, everett in zip(params_list, maps):
+        weights, alpha_thresholds, beta_thresholds, fraction = (
+            weights_from_everett(everett)
+        )
+        models.append(
+            PreisachModel(weights, alpha_thresholds, beta_thresholds, params.m_sat)
+        )
+        clipped.append(fraction)
+    return models, np.array(clipped)
+
+
 def identify_from_ja(
     params: JAParameters,
     n_cells: int = 160,
@@ -249,23 +328,14 @@ def identify_from_ja(
 
     Returns ``(model, clipped_fraction)``.
     """
-    everett = everett_from_ja(
-        params, n_cells=n_cells, h_sat=h_sat, dhmax=dhmax
+    models, clipped = identify_models_from_ja(
+        [params], n_cells=n_cells, h_sat=h_sat, dhmax=dhmax
     )
-    weights, alpha_thresholds, beta_thresholds, clipped = weights_from_everett(
-        everett
-    )
-    model = PreisachModel(
-        weights=weights,
-        alpha_thresholds=alpha_thresholds,
-        beta_thresholds=beta_thresholds,
-        m_sat=params.m_sat,
-    )
-    return model, clipped
+    return models[0], float(clipped[0])
 
 
 def identify_ensemble_from_ja(
-    params_seq,
+    params_seq: Sequence[JAParameters],
     n_cells: int = 40,
     h_sat: float = 20e3,
     dhmax: float = 50.0,
@@ -276,23 +346,13 @@ def identify_ensemble_from_ja(
     :class:`repro.batch.preisach.BatchPreisachModel` with one lane per
     input parameter set (all sharing the ``n_cells`` grid shape, as the
     lockstep relay tensor requires) and ``clipped_fractions`` records
-    each lane's clipped non-Preisach Everett mass.  Each identification
-    internally measures its FORC family as one batched run.
+    each lane's clipped non-Preisach Everett mass.  The whole ensemble's
+    FORCs are measured in stacked passes (:func:`everett_maps_from_ja`),
+    and every lane is bitwise the core identified on its own.
     """
     from repro.batch.preisach import BatchPreisachModel
 
-    params_list = list(params_seq)
-    if not params_list:
-        raise ParameterError("need at least one parameter set to identify")
-    models = []
-    clipped_fractions = []
-    for params in params_list:
-        model, clipped = identify_from_ja(
-            params, n_cells=n_cells, h_sat=h_sat, dhmax=dhmax
-        )
-        models.append(model)
-        clipped_fractions.append(clipped)
-    return (
-        BatchPreisachModel.from_scalar_models(models),
-        np.array(clipped_fractions),
+    models, clipped = identify_models_from_ja(
+        params_seq, n_cells=n_cells, h_sat=h_sat, dhmax=dhmax
     )
+    return BatchPreisachModel.from_scalar_models(models), clipped

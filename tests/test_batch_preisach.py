@@ -8,16 +8,31 @@ Also covers the batched Everett identification, which must match the
 scalar FORC loop it replaced exactly.
 """
 
+import functools
+
 import numpy as np
 import pytest
 
+from repro.batch.engine import BatchTimelessModel
 from repro.batch.preisach import BatchPreisachModel
 from repro.batch.sweep import run_batch_series
 from repro.core.model import TimelessJAModel
 from repro.core.sweep import run_sweep, waypoint_samples
 from repro.errors import ParameterError
 from repro.ja.parameters import PAPER_PARAMETERS
-from repro.preisach import everett_from_ja, identify_ensemble_from_ja, identify_from_ja
+from repro.models.registry import (
+    _identified_preisach_ensemble,
+    _make_preisach_models,
+    perturbed_parameters,
+)
+from repro.preisach import (
+    adaptive_nodes,
+    everett_from_ja,
+    everett_maps_from_ja,
+    identification,
+    identify_ensemble_from_ja,
+    identify_from_ja,
+)
 from repro.preisach.model import PreisachModel
 
 
@@ -166,6 +181,42 @@ class TestValidation:
             batch.step(np.nan)
 
 
+def scalar_forc_everett(params, nodes, h_sat, dhmax) -> np.ndarray:
+    """The scalar FORC loop the stacked measurement replaced: one
+    ``run_sweep`` per alpha node, one scalar ``np.interp`` per beta node."""
+    values = np.zeros((len(nodes), len(nodes)))
+    for i in range(1, len(nodes)):
+        alpha = float(nodes[i])
+        model = TimelessJAModel(params, dhmax=dhmax)
+        run_sweep(model, [0.0, h_sat, -h_sat, alpha])
+        m_alpha = model.m_normalised
+        descent = run_sweep(model, [alpha, float(nodes[0])], reset=False)
+        h_desc = descent.h[::-1]
+        m_desc = descent.m[::-1] / params.m_sat
+        for j in range(i + 1):
+            m_forc = float(np.interp(float(nodes[j]), h_desc, m_desc))
+            values[i, j] = 0.5 * (m_alpha - m_forc)
+    return values
+
+
+SWEEP_H_SAT, SWEEP_DHMAX = 20e3, 800.0
+
+
+def _sweep_nodes(n_cells: int, adaptive: bool) -> np.ndarray:
+    if adaptive:
+        return adaptive_nodes(PAPER_PARAMETERS, n_cells, SWEEP_H_SAT, SWEEP_DHMAX)
+    return np.linspace(-SWEEP_H_SAT, SWEEP_H_SAT, n_cells + 1)
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_core(seed: int, core: int, n_cells: int, adaptive: bool):
+    """Scalar reference of core ``core`` of ``perturbed_parameters(.,
+    seed)`` (the draw of core k does not depend on the ensemble size)."""
+    params = perturbed_parameters(core + 1, seed)[core]
+    nodes = _sweep_nodes(n_cells, adaptive)
+    return scalar_forc_everett(params, nodes, SWEEP_H_SAT, SWEEP_DHMAX)
+
+
 class TestBatchedIdentification:
     def test_everett_matches_scalar_forc_loop(self):
         """The batched FORC measurement reproduces the scalar sweep
@@ -174,28 +225,34 @@ class TestBatchedIdentification:
         batched = everett_from_ja(
             PAPER_PARAMETERS, n_cells=n_cells, h_sat=h_sat, dhmax=dhmax
         )
-
         nodes = np.linspace(-h_sat, h_sat, n_cells + 1)
-        values = np.zeros((len(nodes), len(nodes)))
-        for i in range(len(nodes)):
-            alpha = float(nodes[i])
-            model = TimelessJAModel(PAPER_PARAMETERS, dhmax=dhmax)
-            run_sweep(model, [0.0, h_sat, -h_sat, alpha])
-            m_alpha = model.m_normalised
-            if i == 0:
-                continue
-            descent = run_sweep(model, [alpha, float(nodes[0])], reset=False)
-            h_desc = descent.h[::-1]
-            m_desc = descent.m[::-1] / PAPER_PARAMETERS.m_sat
-            for j in range(i + 1):
-                m_forc = float(np.interp(float(nodes[j]), h_desc, m_desc))
-                values[i, j] = 0.5 * (m_alpha - m_forc)
+        reference = scalar_forc_everett(PAPER_PARAMETERS, nodes, h_sat, dhmax)
+        assert np.array_equal(batched.values, reference)
 
-        assert np.array_equal(batched.values, values)
+    @pytest.mark.parametrize("adaptive", [False, True], ids=["uniform", "adaptive"])
+    @pytest.mark.parametrize("n_cells", [4, 8, 12])
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_stacked_everett_matches_scalar_forc_loop(
+        self, monkeypatch, seed, n, n_cells, adaptive
+    ):
+        """Property sweep: every core of a stacked measurement equals its
+        own scalar FORC loop, across pass boundaries (groups of 2, so
+        n = 5 runs three passes) and on uniform and adaptive grids."""
+        monkeypatch.setattr(identification, "_IDENTIFY_GROUP", 2)
+        maps = everett_maps_from_ja(
+            perturbed_parameters(n, seed),
+            n_cells=n_cells,
+            h_sat=SWEEP_H_SAT,
+            dhmax=SWEEP_DHMAX,
+            nodes=_sweep_nodes(n_cells, adaptive) if adaptive else None,
+        )
+        assert len(maps) == n
+        for core, everett in enumerate(maps):
+            reference = _reference_core(seed, core, n_cells, adaptive)
+            assert np.array_equal(everett.values, reference), core
 
     def test_identify_ensemble_stacks_per_params(self):
-        from repro.models import perturbed_parameters
-
         params = perturbed_parameters(3, seed=5)
         batch, clipped = identify_ensemble_from_ja(
             params, n_cells=8, h_sat=20e3, dhmax=800.0
@@ -203,8 +260,42 @@ class TestBatchedIdentification:
         assert batch.n_cores == 3
         assert clipped.shape == (3,)
         assert (clipped >= 0.0).all()
-        # lane 0 equals a direct identification of params[0]
-        direct, _ = identify_from_ja(
-            params[0], n_cells=8, h_sat=20e3, dhmax=800.0
-        )
-        assert np.array_equal(batch.weights[0], direct.weights)
+        # every lane equals a direct identification of its params
+        for lane, p in enumerate(params):
+            direct, direct_clipped = identify_from_ja(
+                p, n_cells=8, h_sat=20e3, dhmax=800.0
+            )
+            assert np.array_equal(batch.weights[lane], direct.weights), lane
+            assert batch.m_sat[lane] == direct.m_sat
+            assert clipped[lane] == direct_clipped
+
+    @pytest.mark.parametrize(
+        "n, constant, value, passes",
+        [
+            (70, None, None, 2),  # ceil(70 / 64) on the registry grid
+            (5, "_IDENTIFY_GROUP", 2, 3),
+            (3, "_IDENTIFY_LANE_SAMPLES", 1, 3),  # floor: one core a pass
+        ],
+    )
+    def test_cold_registry_build_runs_one_pass_per_group(
+        self, monkeypatch, n, constant, value, passes
+    ):
+        """A cold registry build constructs one timeless batch per group
+        of cores, never one per core."""
+        if constant is not None:
+            monkeypatch.setattr(identification, constant, value)
+        built = []
+        init = BatchTimelessModel.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(BatchTimelessModel, "__init__", counting_init)
+        _identified_preisach_ensemble.cache_clear()
+        try:
+            models = _make_preisach_models(n, seed=3)
+        finally:
+            _identified_preisach_ensemble.cache_clear()
+        assert len(models) == n
+        assert len(built) == passes

@@ -6,6 +6,7 @@ import pytest
 from repro.errors import ParameterError
 from repro.ja.parameters import PAPER_PARAMETERS
 from repro.preisach import (
+    EverettMap,
     PreisachModel,
     everett_from_ja,
     identify_from_ja,
@@ -152,6 +153,31 @@ class TestIdentification:
                 assert e[i, j] >= -1e-6
         assert e[n - 1, 0] > 0.5  # full triangle ~ saturation magnitude
 
+    def test_weights_match_second_difference_loop(self):
+        """The sliced mixed second difference equals the per-cell loop,
+        bit for bit, including the clipped negative mass."""
+        rng = np.random.default_rng(3)
+        nodes = np.linspace(-1.0, 1.0, 10)
+        values = np.tril(rng.normal(size=(10, 10)))
+        weights, alpha_thr, beta_thr, clipped = weights_from_everett(
+            EverettMap(nodes=nodes, values=values)
+        )
+        loop = np.zeros((9, 9))
+        for i in range(1, 10):
+            for j in range(i):
+                loop[i - 1, j] = (
+                    values[i, j]
+                    - values[i - 1, j]
+                    - values[i, j + 1]
+                    + values[i - 1, j + 1]
+                )
+        negative = float(-np.sum(loop[loop < 0.0]))
+        assert negative > 0.0
+        assert clipped == negative / float(np.sum(np.abs(loop)))
+        assert np.array_equal(weights, np.clip(loop, 0.0, None))
+        assert np.array_equal(alpha_thr, nodes[1:])
+        assert np.array_equal(beta_thr, nodes[:-1])
+
     def test_weights_match_everett_total(self):
         everett = everett_from_ja(
             PAPER_PARAMETERS, n_cells=20, h_sat=20e3, dhmax=200.0
@@ -194,3 +220,18 @@ class TestIdentification:
                 n_cells=10,
                 nodes=np.linspace(0, 1, 5),
             )
+
+    @pytest.mark.parametrize("h_sat", [float("nan"), float("inf")])
+    def test_non_finite_h_sat_rejected(self, h_sat):
+        with pytest.raises(ParameterError, match="h_sat"):
+            everett_from_ja(PAPER_PARAMETERS, n_cells=10, h_sat=h_sat)
+
+    @pytest.mark.parametrize(
+        "index, value",
+        [(5, float("nan")), (-1, float("inf")), (0, -float("inf"))],
+    )
+    def test_non_finite_nodes_rejected(self, index, value):
+        nodes = np.linspace(-20e3, 20e3, 11)
+        nodes[index] = value
+        with pytest.raises(ParameterError, match="finite"):
+            everett_from_ja(PAPER_PARAMETERS, n_cells=10, nodes=nodes)
