@@ -9,8 +9,10 @@ with.  No speedup bar is asserted — two localhost sockets on one
 machine measure *protocol overhead*, not fleet throughput — but every
 dispatched configuration must be bitwise identical to the
 single-process run, the streamed sweep's peak resident bytes must
-shrink with the chunk size, and the whole trajectory lands in
-``results/BENCH-EXP-B8.json`` on any host, however narrow.
+shrink with the chunk size, opening the fleet must stay under 10 ms
+(a Nagle stall on the handshake costs ~40 ms per agent), and the
+whole trajectory lands in ``results/BENCH-EXP-B8.json`` on any host,
+however narrow.
 """
 
 from repro.experiments import run_experiment
@@ -50,3 +52,8 @@ def test_dispatch_overhead_and_streaming(benchmark, results_dir, bench_json):
 
     # The link probe must produce a sane planning input on localhost.
     assert 0.0 < result.data["link_overhead_s"] < 1.0, result.data
+
+    # Opening the localhost fleet is a few round trips per agent, not
+    # a delayed-ACK stall each (connect + handshake + ping + close).
+    assert result.data["connect_live"], result.data
+    assert result.data["connect_seconds"] < 0.010, result.data

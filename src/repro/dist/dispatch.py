@@ -40,22 +40,21 @@ import logging
 import threading
 import time
 from collections import deque
-from multiprocessing import AuthenticationError
-from multiprocessing.connection import Client
 
 import numpy as np
 
 from repro.batch.sweep import BatchSweepResult
 from repro.dist.protocol import (
+    CONNECT_ERRORS,
+    CONNECT_TIMEOUT_S,
     DEFAULT_AUTHKEY,
     MSG_BLOCK,
     MSG_DONE,
     MSG_ERROR,
-    MSG_PING,
-    MSG_PONG,
     MSG_RUN,
     MSG_SHUTDOWN,
     PROTOCOL_VERSION,
+    connect,
     parse_address,
     recv_message,
     send_message,
@@ -81,9 +80,6 @@ DEFAULT_DEADLINE_S = 600.0
 
 #: Re-dispatches per job after its first attempt.
 DEFAULT_RETRIES = 2
-
-#: Budget for the connect + ping handshake per host.
-CONNECT_TIMEOUT_S = 5.0
 
 
 def shard_digest(spec: ShardSpec) -> "str | None":
@@ -280,8 +276,11 @@ class Dispatcher:
     """A connected fleet of worker agents, reusable across campaigns.
 
     Connections are made (and ping-verified, protocol version included)
-    at construction; unreachable hosts are logged and skipped, and
-    :attr:`n_live` reports the surviving fleet size.  ``run_jobs``
+    at construction, each within ``connect_timeout_s`` for the TCP
+    connect, handshake and ping together; unreachable or silent hosts
+    are logged and skipped, and :attr:`n_live` reports the surviving
+    fleet size.  A host answering another protocol version raises
+    :class:`~repro.errors.DistError`.  ``run_jobs``
     executes a batch of prepared cell jobs across the fleet — the
     digest-keyed dedup table spans the whole batch, so identical shard
     requests from different jobs coalesce onto one wire dispatch.
@@ -353,32 +352,14 @@ class Dispatcher:
 
     def _connect(self, address: str):
         try:
-            conn = Client(
-                parse_address(address), family="AF_INET",
-                authkey=self._authkey,
+            return connect(
+                parse_address(address), self._authkey, self._connect_timeout_s
             )
-        except (OSError, EOFError, AuthenticationError) as exc:
+        except CONNECT_ERRORS as exc:
             _log.warning(
                 "repro.dist worker %s unreachable: %s", address, exc
             )
             return None
-        try:
-            send_message(conn, (MSG_PING,))
-            reply = recv_message(conn, self._connect_timeout_s)
-            if reply[0] != MSG_PONG or reply[1] != PROTOCOL_VERSION:
-                raise DistError(
-                    f"worker {address} answered {reply!r}; expected "
-                    f"('pong', {PROTOCOL_VERSION}) — mismatched protocol "
-                    "versions cannot share a fleet"
-                )
-        except (OSError, EOFError, DistTimeoutError) as exc:
-            _log.warning(
-                "repro.dist worker %s failed the handshake: %s",
-                address, exc,
-            )
-            conn.close()
-            return None
-        return conn
 
     def _drop(self, address: str, conn) -> None:
         if self._workers.get(address) is conn:

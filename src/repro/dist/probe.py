@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import statistics
 import time
-from multiprocessing import AuthenticationError
-from multiprocessing.connection import Client
 
 from repro.dist.protocol import (
+    CONNECT_ERRORS,
     DEFAULT_AUTHKEY,
     MSG_ECHO,
+    connect,
     parse_address,
     recv_message,
     send_message,
@@ -41,9 +41,10 @@ def probe_link_overhead(
     """Median round-trip seconds to one worker agent.
 
     Each repeat sends ``payload_bytes`` of data through the agent's
-    ``echo`` handler and times the full round trip under ``timeout_s``.
-    The median resists one-off scheduler hiccups; raising ``repeats``
-    tightens it.  Unreachable agents raise
+    ``echo`` handler and times the full round trip under ``timeout_s``,
+    which also bounds the connect, handshake and version ping.  The
+    median resists one-off scheduler hiccups; raising ``repeats``
+    tightens it.  Unreachable or silent agents raise
     :class:`~repro.errors.DistError` — the caller decides whether an
     unprobeable host stays in the candidate fleet.
     """
@@ -54,10 +55,8 @@ def probe_link_overhead(
             f"payload_bytes must be >= 1, got {payload_bytes}"
         )
     try:
-        conn = Client(
-            parse_address(address), family="AF_INET", authkey=authkey
-        )
-    except (OSError, EOFError, AuthenticationError) as exc:
+        conn = connect(parse_address(address), authkey, timeout_s)
+    except CONNECT_ERRORS as exc:
         raise DistError(
             f"cannot probe link overhead: worker {address} unreachable "
             f"({exc})"

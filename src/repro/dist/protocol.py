@@ -1,11 +1,21 @@
-"""The repro.dist wire protocol: framing, deadlines, message shapes.
+"""The repro.dist wire protocol: connections, framing, deadlines,
+message shapes.
 
 Transport is the stdlib :mod:`multiprocessing.connection` over TCP —
-``Listener``/``Client`` with an HMAC ``authkey`` handshake, pickling
+its ``Connection`` framing and HMAC ``authkey`` challenge, pickling
 each message whole.  No third-party dependency, and the payloads are
 exactly the picklable spec types the sharded executor already ships
 across fork boundaries (:mod:`repro.parallel.spec`): a worker never
 receives a live model, only the recipe to rebuild one.
+
+Every connection is opened by one helper pair: :func:`connect` on the
+dispatcher side, :func:`accept` on the agent side.  Both switch
+``TCP_NODELAY`` on before the first handshake byte — the protocol is
+small back-to-back writes (the handshake's replies, a ``block`` then
+its ``done``), which Nagle's algorithm would otherwise hold for the
+peer's ~40 ms delayed ACK — and both bound the handshake with a
+kernel receive timeout.  The handshake bytes are the stdlib's own, so
+a stock ``Client``/``Listener`` with the same authkey interoperates.
 
 Message vocabulary (plain tuples, first element the kind):
 
@@ -22,16 +32,25 @@ Message vocabulary (plain tuples, first element the kind):
 ``("shutdown",)``
     Graceful agent stop (no reply; the connection closes).
 
-Every receive in this package goes through :func:`recv_message`, which
-polls with a deadline before touching ``Connection.recv`` — a dead or
-wedged peer surfaces as :class:`~repro.errors.DistTimeoutError`
-instead of a forever-blocked dispatcher (lint rule L005 enforces this
-pattern for all dist code).
+After the handshake every receive in this package goes through
+:func:`recv_message`, which polls with a deadline before touching
+``Connection.recv`` — a dead or wedged peer surfaces as
+:class:`~repro.errors.DistTimeoutError` instead of a forever-blocked
+dispatcher (lint rule L005 enforces this pattern for all dist code).
 """
 
 from __future__ import annotations
 
+import math
+import socket
+import struct
 import time
+from multiprocessing import AuthenticationError
+from multiprocessing.connection import (
+    Connection,
+    answer_challenge,
+    deliver_challenge,
+)
 
 from repro.errors import DistError, DistTimeoutError
 
@@ -69,10 +88,11 @@ MESSAGE_TAGS = frozenset(
 #: Which sibling module(s) must pattern-match each tag (L010 checks
 #: the named files really do).  ``worker`` consumes the dispatcher's
 #: requests; ``dispatch`` consumes the worker's stream; the ``echo``
-#: reply is consumed by both the worker (loopback) and the probe.
+#: reply is consumed by both the worker (loopback) and the probe; the
+#: ``pong`` reply by :func:`connect`, here.
 TAG_HANDLERS = {
     MSG_PING: ("worker",),
-    MSG_PONG: ("dispatch",),
+    MSG_PONG: ("protocol",),
     MSG_ECHO: ("worker", "probe"),
     MSG_RUN: ("worker",),
     MSG_BLOCK: ("dispatch",),
@@ -98,10 +118,19 @@ TAG_HISTORY = {
     ),
 }
 
-#: Default HMAC authkey for the Listener/Client handshake.  Dispatch
-#: and worker agents must agree; deployments sharing a network segment
+#: Default HMAC authkey for the connection handshake.  Dispatch and
+#: worker agents must agree; deployments sharing a network segment
 #: should pass their own secret.
 DEFAULT_AUTHKEY = b"repro-dist"
+
+#: Budget for opening one connection: TCP connect, the HMAC handshake
+#: and (dispatcher side) the version ping.
+CONNECT_TIMEOUT_S = 5.0
+
+#: What :func:`connect` / :func:`accept` raise for a peer that is
+#: unreachable, silent or holds another authkey.  A protocol-version
+#: mismatch is a plain DistError outside this set: it refuses the fleet.
+CONNECT_ERRORS = (OSError, EOFError, AuthenticationError, DistTimeoutError)
 
 #: Upper bound on one poll slice: even "wait forever" receives wake at
 #: this cadence so an agent shutting down can notice promptly.
@@ -174,3 +203,114 @@ def check_message(message, expected_kind: str) -> tuple:
             f"expected a {expected_kind!r} message, got {message[0]!r}"
         )
     return message
+
+
+# -- connections --------------------------------------------------------------
+
+
+def _tune(conn, recv_timeout_s: float) -> None:
+    """Set ``TCP_NODELAY`` and the kernel receive timeout on ``conn``.
+
+    ``SO_RCVTIMEO`` makes a blocking read of the raw descriptor fail
+    with ``EAGAIN`` (``BlockingIOError``) once ``recv_timeout_s``
+    passes without data; ``0`` clears it.  The socket object only
+    borrows the descriptor — ``detach`` hands it back open.
+    """
+    sock = socket.socket(fileno=conn.fileno())
+    try:
+        # Connection reads the descriptor directly, so it must block.
+        sock.setblocking(True)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        # Rounded up: a positive budget must never become 0 (no limit).
+        micros = math.ceil(recv_timeout_s * 1e6)
+        sock.setsockopt(
+            socket.SOL_SOCKET,
+            socket.SO_RCVTIMEO,
+            struct.pack("ll", *divmod(micros, 1_000_000)),
+        )
+    finally:
+        sock.detach()
+
+
+def _handshake(conn, authkey: bytes, timeout_s: float, steps) -> None:
+    """Run the stdlib HMAC challenge ``steps`` on a fresh connection.
+
+    ``TCP_NODELAY`` goes on before the first byte, and each read waits
+    at most ``timeout_s``.  The receive timeout is cleared on success:
+    :func:`recv_message` owns deadlines from then on.
+    """
+    if timeout_s <= 0:
+        raise DistTimeoutError("connect budget spent before the handshake")
+    _tune(conn, timeout_s)
+    try:
+        for step in steps:
+            step(conn, authkey)
+    except BlockingIOError:
+        raise DistTimeoutError(
+            f"peer went silent mid-handshake ({timeout_s:.3g}s read timeout)"
+        ) from None
+    _tune(conn, 0.0)
+
+
+def connect(address: "tuple[str, int]", authkey: bytes, timeout_s: float):
+    """Open one verified connection to a worker agent (dispatcher side).
+
+    The TCP connect, the HMAC handshake (the stdlib's
+    ``answer_challenge`` then ``deliver_challenge``, as a stock
+    ``Client`` runs them) and a ``ping`` that must answer
+    ``("pong", PROTOCOL_VERSION)`` share one ``timeout_s`` budget: each
+    step, and each handshake read, waits at most for what is left of it.
+    A refused, silent or unauthenticated peer raises one of
+    :data:`CONNECT_ERRORS` (expiry is
+    :class:`~repro.errors.DistTimeoutError`); a version mismatch raises
+    :class:`~repro.errors.DistError`.
+    """
+    limit = time.monotonic() + timeout_s
+    try:
+        sock = socket.create_connection(address, timeout=timeout_s)
+    except TimeoutError:
+        raise DistTimeoutError(
+            f"no TCP connection to {format_address(address)} within "
+            f"{timeout_s:.3g}s"
+        ) from None
+    conn = Connection(sock.detach())
+    try:
+        _handshake(
+            conn,
+            authkey,
+            limit - time.monotonic(),
+            (answer_challenge, deliver_challenge),
+        )
+        send_message(conn, (MSG_PING,))
+        reply = recv_message(conn, limit - time.monotonic())
+        if reply[0] != MSG_PONG or reply[1] != PROTOCOL_VERSION:
+            raise DistError(
+                f"worker {format_address(address)} answered {reply!r}; "
+                f"expected ('pong', {PROTOCOL_VERSION}) — mismatched "
+                "protocol versions cannot share a fleet"
+            )
+    except BaseException:
+        conn.close()
+        raise
+    return conn
+
+
+def accept(listener, authkey: bytes, timeout_s: float):
+    """Take one authenticated connection off an agent's listener.
+
+    The listener carries no authkey: the HMAC handshake (the stdlib's
+    ``deliver_challenge`` then ``answer_challenge``, as a stock
+    ``Listener`` runs them) happens here, after ``TCP_NODELAY`` is on,
+    each read bounded by ``timeout_s`` so a client that never speaks
+    cannot wedge the agent.  A failed handshake closes the connection
+    and raises one of :data:`CONNECT_ERRORS`.
+    """
+    conn = listener.accept()
+    try:
+        _handshake(
+            conn, authkey, timeout_s, (deliver_challenge, answer_challenge)
+        )
+    except BaseException:
+        conn.close()
+        raise
+    return conn

@@ -23,10 +23,11 @@ import socket
 import threading
 import traceback
 
-from multiprocessing import AuthenticationError
 from multiprocessing.connection import Listener
 
 from repro.dist.protocol import (
+    CONNECT_ERRORS,
+    CONNECT_TIMEOUT_S,
     DEFAULT_AUTHKEY,
     MSG_BLOCK,
     MSG_DONE,
@@ -37,6 +38,7 @@ from repro.dist.protocol import (
     MSG_RUN,
     MSG_SHUTDOWN,
     PROTOCOL_VERSION,
+    accept,
     format_address,
     recv_message,
     send_message,
@@ -60,7 +62,10 @@ class WorkerAgent:
         port: int = 0,
         authkey: bytes = DEFAULT_AUTHKEY,
     ) -> None:
-        self._listener = Listener((host, port), family="AF_INET", authkey=authkey)
+        # No authkey on the listener: protocol.accept runs the HMAC
+        # handshake itself, after TCP_NODELAY is on.
+        self._listener = Listener((host, port), family="AF_INET")
+        self._authkey = authkey
         # Cached at bind time: the listener forgets its address on
         # close, and stop() must stay idempotent.
         self._address = self._listener.address
@@ -122,7 +127,8 @@ class WorkerAgent:
     def __enter__(self) -> "WorkerAgent":
         # A bound-but-unserved listener accepts TCP connects into the
         # backlog and then never answers the authkey handshake — a
-        # client would block forever — so entering the context serves.
+        # client would wait out its whole connect budget — so entering
+        # the context serves.
         return self.start()
 
     def __exit__(self, *exc_info) -> None:
@@ -134,12 +140,18 @@ class WorkerAgent:
         """Accept → handle, until :meth:`stop` closes the listener."""
         while not self._closed.is_set():
             try:
-                conn = self._listener.accept()
-            except (OSError, EOFError, AuthenticationError):
+                conn = accept(
+                    self._listener, self._authkey, CONNECT_TIMEOUT_S
+                )
+            except CONNECT_ERRORS as exc:
                 # Listener closed (stop()), or a client failed the
-                # authkey handshake — keep serving in the latter case.
+                # handshake — keep serving in the latter case.
                 if self._closed.is_set():
                     return
+                _log.warning(
+                    "repro.dist agent %s rejected a connection: %s",
+                    self.address, exc,
+                )
                 continue
             with self._conn_lock:
                 self._active_conn = conn
@@ -198,7 +210,8 @@ class WorkerAgent:
         except (EOFError, OSError):
             raise
         except Exception as exc:  # noqa: BLE001 - forwarded to dispatcher
-            _log.warning("shard %s failed worker-side: %s", digest[:12], exc)
+            # %.12s: the digest is None on undigestable payload routes.
+            _log.warning("shard %.12s failed worker-side: %s", digest, exc)
             try:
                 send_message(
                     conn,

@@ -18,7 +18,11 @@ socket directions, block reassembly) from real network latency:
   lane blocks buy;
 * **link overhead** — the measured echo round-trip per agent
   (:func:`~repro.dist.probe.probe_link_overhead`), the number the
-  planner's ``link_overhead_s`` pricing axis consumes.
+  planner's ``link_overhead_s`` pricing axis consumes;
+* **connect** — opening the fleet: ``Dispatcher(hosts)`` connect,
+  handshake and ping per agent, then close.  The median over the
+  repeats; with ``TCP_NODELAY`` it is a few round trips, without it
+  a ~40 ms delayed-ACK stall per agent.
 
 Correctness rides along: every dispatched configuration must reproduce
 the single-process result bitwise — dispatch is a transport, never a
@@ -27,6 +31,7 @@ numerics change.
 
 from __future__ import annotations
 
+import statistics
 import time
 
 import numpy as np
@@ -117,6 +122,15 @@ def run(
             for address in hosts
         }
 
+        # -- connect: open the fleet (handshake + ping), then close ----
+        connect_samples, connect_live = [], True
+        for _ in range(max(1, repeats)):
+            start = time.perf_counter()
+            with Dispatcher(hosts) as dispatcher:
+                connect_live &= dispatcher.n_live == n_agents
+            connect_samples.append(time.perf_counter() - start)
+        connect_seconds = statistics.median(connect_samples)
+
         # -- dispatched, unchunked -------------------------------------
         dispatched_seconds, dispatched = _timed(
             lambda: run_distributed(
@@ -163,6 +177,7 @@ def run(
         {"op": "pooled", "n": n_cores, "seconds": pooled_seconds},
         {"op": "dispatched", "n": n_cores, "seconds": dispatched_seconds},
         {"op": "link_probe", "n": n_agents, "seconds": median_link},
+        {"op": "connect", "n": n_agents, "seconds": connect_seconds},
     ] + [
         {key: row[key] for key in ("op", "n", "seconds")}
         for row in chunk_rows
@@ -180,6 +195,7 @@ def run(
                   "yes" if _bitwise(single, pooled) else "NO")
     table.add_row("dispatched", "-", dispatched_seconds, "-",
                   "yes" if _bitwise(single, dispatched) else "NO")
+    table.add_row("connect", "-", connect_seconds, "-", "-")
     for row in chunk_rows:
         table.add_row(
             row["op"],
@@ -195,6 +211,8 @@ def run(
         f"measured link overhead (echo round trip, localhost): "
         f"{median_link * 1e3:.3f} ms median over {n_agents} agent(s) — "
         "the planner's link_overhead_s pricing input",
+        f"opening the fleet (connect + handshake + ping + close, "
+        f"{n_agents} agent(s)): {connect_seconds * 1e3:.3f} ms median",
         f"dispatch vs local pool: {dispatch_overhead:+.3f} s at "
         f"N = {n_cores} (localhost sockets isolate protocol cost; a "
         "real fleet trades this against remote cores)",
@@ -216,6 +234,8 @@ def run(
         "pooled_seconds": pooled_seconds,
         "dispatched_seconds": dispatched_seconds,
         "dispatch_overhead_seconds": dispatch_overhead,
+        "connect_seconds": connect_seconds,
+        "connect_live": connect_live,
         "link_overheads": link_overheads,
         "link_overhead_s": median_link,
         "chunk_rows": chunk_rows,

@@ -42,6 +42,9 @@ KNOWN_CONSTRUCTORS: "dict[str, str]" = {
     "multiprocessing.connection.Client": "Client",
     "connection.Client": "Client",
     "Client": "Client",
+    # repro.dist opens every connection through this helper pair.
+    "repro.dist.protocol.connect": "Client",
+    "repro.dist.protocol.accept": "Client",
     "multiprocessing.Pool": "Pool",
     "Pool": "Pool",
     "threading.Condition": "Condition",

@@ -11,9 +11,9 @@ numerics change.
 
 import dataclasses
 import logging
+import socket
 import threading
 
-import numpy as np
 import pytest
 
 from repro.batch.sweep import run_batch_series
@@ -28,6 +28,7 @@ from repro.dist import (
     shard_digest,
 )
 from repro.dist.protocol import (
+    connect,
     format_address,
     parse_address,
     recv_message,
@@ -303,6 +304,23 @@ class TestRunDistributed:
             with pytest.raises(DistError, match="failed\\s+worker-side"):
                 dispatcher.run_jobs([job])
 
+    def test_undigestable_failing_shard_keeps_the_agent_serving(self):
+        """A worker-side failure on a shard whose digest is ``None`` (an
+        undigestable payload route) is forwarded like any other, and
+        the agent keeps answering ``ping`` afterwards."""
+        ensemble = EnsembleSpec(family="timeless", n_cores=N_CORES)
+        job = prepare_job(ensemble, _drive(), 1, 1)
+        job.specs[0] = dataclasses.replace(
+            job.specs[0], ensemble=None, payload={1: "bogus"}
+        )
+        assert shard_digest(job.specs[0]) is None
+        with WorkerAgent() as agent:
+            with Dispatcher([agent.address], deadline_s=30.0) as dispatcher:
+                with pytest.raises(DistError, match="KeyError"):
+                    dispatcher.run_jobs([job])
+            with Dispatcher([agent.address]) as dispatcher:
+                assert dispatcher.n_live == 1
+
     def test_retries_exhausted_drains_locally(self, caplog):
         agent = WorkerAgent().start()
         try:
@@ -323,6 +341,117 @@ class TestRunDistributed:
             )
         finally:
             agent.stop()
+
+
+def _finishes_within(seconds, fn) -> dict:
+    """``fn``'s outcome (``value`` or ``error``), run on a daemon thread
+    so a call that blocks forever fails the test instead of hanging it."""
+    outcome = {}
+
+    def run():
+        try:
+            outcome["value"] = fn()
+        except Exception as exc:  # noqa: BLE001 - handed to the test
+            outcome["error"] = exc
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), f"still blocked after {seconds}s"
+    return outcome
+
+
+def _sockopt(conn, level, option, *buflen):
+    """Read one socket option off a connection's descriptor (a dup)."""
+    with socket.fromfd(
+        conn.fileno(), socket.AF_INET, socket.SOCK_STREAM
+    ) as sock:
+        return sock.getsockopt(level, option, *buflen)
+
+
+class TestConnections:
+    def test_nodelay_on_both_ends_of_every_connection(self):
+        with WorkerAgent() as a, WorkerAgent() as b:
+            with Dispatcher([a.address, b.address]) as dispatcher:
+                assert dispatcher.n_live == 2
+                for conn in dispatcher._workers.values():
+                    assert _sockopt(
+                        conn, socket.IPPROTO_TCP, socket.TCP_NODELAY
+                    )
+                    # The handshake's receive timeout is cleared after
+                    # it: recv_message owns deadlines from then on.
+                    timeval = _sockopt(
+                        conn, socket.SOL_SOCKET, socket.SO_RCVTIMEO, 16
+                    )
+                    assert timeval == bytes(16)
+                # The pong came back, so each agent holds its accepted
+                # connection by now.
+                for agent in (a, b):
+                    assert _sockopt(
+                        agent._active_conn,
+                        socket.IPPROTO_TCP,
+                        socket.TCP_NODELAY,
+                    )
+
+    def test_connect_interoperates_with_a_stock_listener(self):
+        """The dispatcher side runs the stdlib handshake bytes, so an
+        agent on a stock authkey ``Listener`` still answers it."""
+        from multiprocessing.connection import Listener
+
+        received = []
+        with Listener(
+            ("127.0.0.1", 0), family="AF_INET", authkey=DEFAULT_AUTHKEY
+        ) as listener:
+
+            def serve_one():
+                with listener.accept() as conn:
+                    received.append(recv_message(conn, 5.0))
+                    send_message(conn, ("pong", PROTOCOL_VERSION))
+
+            thread = threading.Thread(target=serve_one, daemon=True)
+            thread.start()
+            conn = connect(listener.address, DEFAULT_AUTHKEY, 5.0)
+            conn.close()
+            thread.join(5.0)
+        assert not thread.is_alive()
+        assert received == [("ping",)]
+
+    def test_wrong_authkey_dispatcher_is_refused(self, fleet):
+        with Dispatcher(fleet[:1], authkey=b"wrong") as dispatcher:
+            assert dispatcher.n_live == 0
+        with Dispatcher(fleet[:1]) as dispatcher:
+            assert dispatcher.n_live == 1
+
+    def test_silent_listener_cannot_block_connect_or_probe(self):
+        """``connect_timeout_s`` covers the TCP connect and the
+        handshake, not just the ping: a listener that accepts and never
+        speaks costs one budget, then the host is skipped."""
+        with socket.create_server(("127.0.0.1", 0)) as silent:
+            address = format_address(silent.getsockname())
+            outcome = _finishes_within(
+                2.0, lambda: Dispatcher([address], connect_timeout_s=0.5)
+            )
+            with outcome["value"] as dispatcher:
+                assert dispatcher.n_live == 0
+            outcome = _finishes_within(
+                2.0, lambda: probe_link_overhead(address, timeout_s=0.5)
+            )
+            assert isinstance(outcome.get("error"), DistError), outcome
+
+    def test_silent_client_cannot_wedge_the_agent(self, monkeypatch):
+        monkeypatch.setattr("repro.dist.worker.CONNECT_TIMEOUT_S", 0.3)
+        with WorkerAgent() as agent:
+            with socket.create_connection(
+                parse_address(agent.address), timeout=5.0
+            ) as silent:
+                # The challenge arriving proves the agent is now stuck
+                # in this connection's handshake.
+                assert silent.recv(64)
+                outcome = _finishes_within(
+                    2.0, lambda: Dispatcher([agent.address])
+                )
+                with outcome["value"] as dispatcher:
+                    assert dispatcher.n_live == 1
 
 
 class TestProbe:

@@ -128,6 +128,31 @@ def test_l006_reports_path_leak_and_never_released():
     assert len(violations) == 3
 
 
+def test_l006_tracks_the_dist_connection_helpers(tmp_path):
+    """``repro.dist.protocol.connect``/``accept`` open connections the
+    way ``Client`` does, so a handle from either must be released."""
+    package = tmp_path / "repro" / "dist"
+    package.mkdir(parents=True)
+    (package / "leaky.py").write_text(
+        "from repro.dist.protocol import accept, connect\n"
+        "\n\n"
+        "def dial(address, authkey):\n"
+        "    conn = connect(address, authkey, 1.0)\n"
+        "    conn.send_bytes(b'hello')\n"
+        "\n\n"
+        "def serve_one(listener, authkey):\n"
+        "    conn = accept(listener, authkey)\n"
+        "    try:\n"
+        "        conn.send_bytes(b'hello')\n"
+        "    finally:\n"
+        "        conn.close()\n"
+    )
+    violations = rules_hit([tmp_path], select=["L006"])[0]
+    assert len(violations) == 1
+    assert "Client handle 'conn'" in violations[0].message
+    assert violations[0].line == 5
+
+
 def test_l007_reports_foreign_raise_and_silent_swallow():
     violations = rules_hit([FIXTURES / "l007_bad"], select=["L007"])[0]
     messages = "\n".join(v.message for v in violations)
