@@ -6,9 +6,10 @@
 the PR 3 bitwise rule), the same :class:`~repro.parallel.spec.ShardSpec`
 payloads, but each shard travels to a :class:`~repro.dist.worker.
 WorkerAgent` over TCP and its result streams back as bounded lane
-blocks (:mod:`repro.parallel.blocks`).  Reassembly writes every block
-into full-width output buffers by absolute lane range — idempotent, so
-a re-dispatched shard simply rewrites its (bitwise identical) columns —
+blocks (:mod:`repro.parallel.blocks`).  Every block lands in the job's
+:class:`~repro.parallel.blocks.ShardAssembly` — the same assembly the
+local routes write through — by absolute lane range: idempotent, so a
+re-dispatched shard simply rewrites its (bitwise identical) columns,
 and the finished :class:`~repro.batch.sweep.BatchSweepResult` is
 bitwise identical to the single-process run.
 
@@ -29,9 +30,11 @@ Robustness model:
   dies mid-campaign) degrades to the local executor with a logged
   warning, never an error.
 
-Worker-*side* exceptions (a failed rebuild, a schema drift) are
-deterministic — they are raised as :class:`~repro.errors.DistError`
-rather than retried.
+Any other failure of a job — worker-side (a failed rebuild, a schema
+drift) or dispatcher-side (a stream that breaks the protocol, a block
+the assembly or the byte budget rejects) — is deterministic: the job
+fails rather than retries, and ``run_jobs`` raises
+:class:`~repro.errors.DistError` naming the shard.
 """
 
 from __future__ import annotations
@@ -40,8 +43,7 @@ import logging
 import threading
 import time
 from collections import deque
-
-import numpy as np
+from functools import partial
 
 from repro.batch.sweep import BatchSweepResult
 from repro.dist.protocol import (
@@ -60,11 +62,7 @@ from repro.dist.protocol import (
     send_message,
 )
 from repro.errors import DistError, DistTimeoutError, ParameterError
-from repro.parallel.blocks import (
-    BlockBudget,
-    iter_shard_blocks,
-    merge_shard_counters,
-)
+from repro.parallel.blocks import BlockBudget, ShardAssembly, drain_shard
 from repro.parallel.executor import (
     _apply_plan_backend,
     _resolve_drive,
@@ -131,76 +129,6 @@ class _WorkerFailure(DistError):
     re-dispatching would fail identically, so it is never retried)."""
 
 
-class _Assembly:
-    """Full-width output buffers one job's streamed blocks land in.
-
-    Writes are by absolute lane range into disjoint column slices, so
-    concurrent worker threads never touch overlapping memory and a
-    retried shard's rewrite is a no-op by value.  Counters commit per
-    shard only when that shard's stream completes — a half-streamed
-    attempt leaves no counter residue behind.
-    """
-
-    def __init__(self, job) -> None:
-        self.job = job
-        wide = (len(job.h_full), job.n_total)
-        self.m = np.empty(wide, dtype=np.float64)
-        self.b = np.empty(wide, dtype=np.float64)
-        self.updated = np.empty(wide, dtype=np.bool_)
-        self.extras = {
-            key: np.empty(wide, dtype=dtype)
-            for key, dtype in job.extras_schema.items()
-        }
-        self._shard_counters: dict = {}
-
-    def write_block(self, block) -> None:
-        expected = self.job.extras_schema
-        if sorted(block.extras) != sorted(expected):
-            raise ParameterError(
-                f"family {self.job.family!r} lanes [{block.start}, "
-                f"{block.stop}) recorded extras {sorted(block.extras)}, "
-                f"expected {sorted(expected)}; the schema (registry "
-                "declaration or pre-run probe) is stale"
-            )
-        self.m[:, block.start : block.stop] = block.m
-        self.b[:, block.start : block.stop] = block.b
-        self.updated[:, block.start : block.stop] = block.updated
-        for key, values in block.extras.items():
-            if values.dtype != np.dtype(expected[key]):
-                raise ParameterError(
-                    f"family {self.job.family!r} recorded {key!r} extras "
-                    f"as {values.dtype}, but the schema declares "
-                    f"{np.dtype(expected[key])}; the schema is stale"
-                )
-            self.extras[key][:, block.start : block.stop] = values
-
-    def commit_shard(self, start, stop, counters, widths) -> None:
-        self._shard_counters[(start, stop)] = merge_shard_counters(
-            counters, widths
-        )
-
-    def result(self) -> BatchSweepResult:
-        ordered, widths = [], []
-        for spec in self.job.specs:
-            key = (spec.start, spec.stop)
-            if key not in self._shard_counters:
-                raise DistError(
-                    f"shard [{spec.start}, {spec.stop}) never completed; "
-                    "the campaign result is incomplete"
-                )
-            ordered.append(self._shard_counters[key])
-            widths.append(spec.width)
-        return BatchSweepResult(
-            h=self.job.h_full,
-            m=self.m,
-            b=self.b,
-            updated=self.updated,
-            extras=self.extras,
-            counters=merge_shard_counters(ordered, widths),
-            family=self.job.family,
-        )
-
-
 class _WireJob:
     """One deduped wire request: a spec plus every sink awaiting it."""
 
@@ -209,7 +137,7 @@ class _WireJob:
     def __init__(self, spec: ShardSpec, digest: "str | None") -> None:
         self.spec = spec
         self.digest = digest
-        self.sinks: list[_Assembly] = []
+        self.sinks: list[ShardAssembly] = []
         self.attempts = 0
 
 
@@ -227,7 +155,7 @@ class _CampaignState:
         self._pending = deque(jobs)
         self._outstanding = len(jobs)
         self._retries = retries
-        self.failures: list[tuple[_WireJob, str]] = []
+        self.failures: list[tuple[_WireJob, str, str]] = []
         self.exhausted: list[_WireJob] = []
 
     def next_job(self) -> "_WireJob | None":
@@ -256,9 +184,9 @@ class _CampaignState:
                 self._pending.append(job)
             self._cond.notify_all()
 
-    def fail(self, job: _WireJob, message: str) -> None:
+    def fail(self, job: _WireJob, side: str, message: str) -> None:
         with self._cond:
-            self.failures.append((job, message))
+            self.failures.append((job, side, message))
             self._outstanding -= 1
             self._cond.notify_all()
 
@@ -378,10 +306,11 @@ class Dispatcher:
         thread per live connection drains it.  Shards left over when
         the whole fleet has died (or a job ran out of re-dispatches)
         drain through the local block runner with a logged warning —
-        the campaign completes, bitwise identical, just slower.
-        Worker-side exceptions raise :class:`~repro.errors.DistError`.
+        the campaign completes, bitwise identical, just slower.  A
+        failed job raises :class:`~repro.errors.DistError` naming its
+        shard and the original error.
         """
-        assemblies = [_Assembly(job) for job in jobs]
+        assemblies = [ShardAssembly(job) for job in jobs]
         table: dict = {}
         wire_jobs: list[_WireJob] = []
         coalesced = 0
@@ -418,10 +347,10 @@ class Dispatcher:
             thread.join()
         leftovers = state.abandoned() + state.exhausted
         if state.failures:
-            job, message = state.failures[0]
+            job, side, message = state.failures[0]
             raise DistError(
                 f"shard [{job.spec.start}, {job.spec.stop}) failed "
-                f"worker-side ({len(state.failures)} failure(s) total):\n"
+                f"{side} ({len(state.failures)} failure(s) total):\n"
                 f"{message}"
             )
         if leftovers:
@@ -435,7 +364,12 @@ class Dispatcher:
         return [assembly.result() for assembly in assemblies]
 
     def _serve(self, address: str, conn, state: _CampaignState) -> None:
-        """One connection's serving loop: pull, dispatch, stream."""
+        """One connection's serving loop: pull, dispatch, stream.
+
+        Every exception settles the job it hit — requeued after a lost
+        connection, failed otherwise — so ``run_jobs`` never waits on a
+        job a dead thread still holds.
+        """
         while True:
             wire = state.next_job()
             if wire is None:
@@ -443,7 +377,7 @@ class Dispatcher:
             try:
                 self._dispatch_one(conn, wire)
             except _WorkerFailure as exc:
-                state.fail(wire, str(exc))
+                state.fail(wire, "worker-side", str(exc))
             except (EOFError, OSError, DistTimeoutError) as exc:
                 _log.warning(
                     "worker %s lost mid-job (%s: %s); requeueing shard "
@@ -454,35 +388,47 @@ class Dispatcher:
                 state.requeue(wire)
                 self._drop(address, conn)
                 return
+            except Exception as exc:
+                # A broken stream, a rejected block, an oversize block:
+                # deterministic, so the job fails.  The connection may
+                # still carry the rest of the stream, so it retires.
+                _log.warning(
+                    "shard [%d, %d) failed on worker %s (%s: %s)",
+                    wire.spec.start, wire.spec.stop,
+                    address, type(exc).__name__, exc,
+                    exc_info=True,
+                )
+                state.fail(
+                    wire, "dispatcher-side", f"{type(exc).__name__}: {exc}"
+                )
+                self._drop(address, conn)
+                return
             else:
                 state.complete(wire)
 
     def _dispatch_one(self, conn, wire: _WireJob) -> None:
-        """Send one request; stream its blocks under the job deadline."""
-        spec = wire.spec
+        """Send one request; land its blocks under the job deadline."""
         limit = (
             None
             if self.deadline_s is None
             else time.monotonic() + self.deadline_s
         )
-        send_message(conn, (MSG_RUN, wire.digest, spec))
-        counters, widths, covered = [], [], 0
+        send_message(conn, (MSG_RUN, wire.digest, wire.spec))
+        blocks = self._receive(conn, wire.spec, limit)
+        land = partial(self._land, wire)
+        self._commit(wire, drain_shard(wire.spec, land, blocks))
+
+    @staticmethod
+    def _receive(conn, spec: ShardSpec, limit: "float | None"):
+        """Yield one shard's lane blocks off ``conn`` until its ``done``."""
+        covered = 0
         while True:
             remaining = None if limit is None else limit - time.monotonic()
             message = recv_message(conn, remaining)
             kind = message[0]
             if kind == MSG_BLOCK:
-                block = message[2]
-                nbytes = block.nbytes
-                self.budget.acquire(nbytes)
-                try:
-                    for sink in wire.sinks:
-                        sink.write_block(block)
-                finally:
-                    self.budget.release(nbytes)
-                counters.append(block.counters)
-                widths.append(block.width)
-                covered += block.width
+                covered += message[2].width
+                yield message[2]
             elif kind == MSG_DONE:
                 if covered != spec.width:
                     raise DistError(
@@ -490,8 +436,6 @@ class Dispatcher:
                         f"{covered} lanes but declared done at width "
                         f"{spec.width}"
                     )
-                for sink in wire.sinks:
-                    sink.commit_shard(spec.start, spec.stop, counters, widths)
                 return
             elif kind == MSG_ERROR:
                 raise _WorkerFailure(message[2])
@@ -501,22 +445,25 @@ class Dispatcher:
                     f"[{spec.start}, {spec.stop})"
                 )
 
-    def _run_local(self, wire: _WireJob) -> None:
-        """Local drain: same block generator, no socket."""
-        spec = wire.spec
-        counters, widths = [], []
-        for block in iter_shard_blocks(spec):
-            nbytes = block.nbytes
-            self.budget.acquire(nbytes)
-            try:
-                for sink in wire.sinks:
-                    sink.write_block(block)
-            finally:
-                self.budget.release(nbytes)
-            counters.append(block.counters)
-            widths.append(block.width)
+    def _land(self, wire: _WireJob, block) -> None:
+        """Write one block into every assembly awaiting it, holding its
+        bytes against the budget meanwhile."""
+        nbytes = block.nbytes
+        self.budget.acquire(nbytes)
+        try:
+            for sink in wire.sinks:
+                sink.write_block(block)
+        finally:
+            self.budget.release(nbytes)
+
+    @staticmethod
+    def _commit(wire: _WireJob, counters) -> None:
         for sink in wire.sinks:
-            sink.commit_shard(spec.start, spec.stop, counters, widths)
+            sink.commit_shard(wire.spec.start, wire.spec.stop, counters)
+
+    def _run_local(self, wire: _WireJob) -> None:
+        """Local drain: same block generator, same assembly, no socket."""
+        self._commit(wire, drain_shard(wire.spec, partial(self._land, wire)))
 
 
 def run_distributed(

@@ -157,6 +157,14 @@ class WorkerAgent:
                 self._active_conn = conn
             try:
                 self._handle(conn)
+            except (EOFError, OSError) as exc:
+                # The dispatcher hung up mid-stream (it retires a
+                # connection whose job failed or timed out): that ends
+                # this connection, never the agent.
+                _log.warning(
+                    "repro.dist agent %s lost its dispatcher: %s",
+                    self.address, exc,
+                )
             finally:
                 with self._conn_lock:
                     self._active_conn = None

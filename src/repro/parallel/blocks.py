@@ -1,4 +1,4 @@
-"""Bounded lane-block streaming for shard execution.
+"""Lane blocks and the one result assembly every shard route shares.
 
 A :class:`~repro.parallel.spec.ShardSpec` normally materialises its
 whole ``(samples, width)`` result before anything downstream sees it.
@@ -6,16 +6,18 @@ At million-lane scale that buffer is the memory ceiling, so this module
 splits a shard's *result* axis into contiguous **lane blocks**: the
 shard's sub-ensemble is built once, then each block re-shards it
 (``batch.shard(a, b)`` — a freshly reset sub-batch, bitwise per lane,
-the PR 3 guarantee) and runs only that column range.  Concatenating the
-blocks back in lane order is the same column concatenation the sharded
-executor already relies on, so chunked execution is **bitwise
+the PR 3 guarantee) and runs only that column range.  Writing the
+blocks back by absolute lane range is the same column reassembly the
+sharded executor relies on, so chunked execution is **bitwise
 identical** to the unchunked shard run.
 
-One code path serves both transports: the local executor's serial and
-pooled paths iterate the same :func:`iter_shard_blocks` generator the
-:mod:`repro.dist` workers stream over sockets, and
-:class:`BlockBudget` gives any consumer a hard ceiling on resident
-result-buffer bytes (with a high-water mark for the tests to pin).
+Blocks travel differently per route — handed over in process, written
+into the pool's shared memory, or streamed over a :mod:`repro.dist`
+socket — but every route runs them through :func:`iter_shard_blocks`
+and lands them through :class:`ShardAssembly`, the one owner of the
+output layout and of the extras-schema check.  :class:`BlockBudget`
+gives any consumer a hard ceiling on resident result-buffer bytes (with
+a high-water mark for the tests to pin).
 """
 
 from __future__ import annotations
@@ -91,24 +93,6 @@ def plan_lane_blocks(
     ]
 
 
-def run_spec(spec: ShardSpec) -> BatchSweepResult:
-    """One shard, in whatever process this runs in — with the spec's
-    lane-thread count pinned for exactly the duration of the run, so a
-    plan's thread choice never leaks into unrelated work (and pooled
-    shards, which always carry ``threads=1``, explicitly pin the
-    children single-threaded rather than trusting ambient state).
-
-    A spec carrying ``chunk_lanes`` runs through the block generator
-    and reassembles — bitwise identical, bounded transient buffers.
-    """
-    from repro.backend import thread_limit
-
-    if spec.chunk_lanes is None:
-        with thread_limit(spec.threads):
-            return run_batch_series(spec.build_batch(), spec.build_samples())
-    return assemble_blocks(spec, iter_shard_blocks(spec))
-
-
 def iter_shard_blocks(spec: ShardSpec):
     """Yield a shard's result as :class:`LaneBlock`\\ s in lane order.
 
@@ -120,6 +104,10 @@ def iter_shard_blocks(spec: ShardSpec):
     pins ``thread_limit(spec.threads)`` for exactly its own duration —
     the limit never spans a ``yield``, so consumer code between blocks
     runs under ambient threading.
+
+    ``batch.shard`` is not part of the batch protocol, so a family
+    without it cannot be cut into several blocks: that raises
+    :class:`~repro.errors.ParameterError` before any block runs.
     """
     from repro.backend import thread_limit
 
@@ -141,6 +129,12 @@ def iter_shard_blocks(spec: ShardSpec):
             counters=part.counters,
         )
         return
+    if not callable(getattr(batch, "shard", None)):
+        raise ParameterError(
+            f"family {spec.family!r} cannot run with chunk_lanes="
+            f"{spec.chunk_lanes}: its batch has no shard(start, stop) "
+            "method to cut lane blocks with"
+        )
     for a, b in bounds:
         ra, rb = a - spec.start, b - spec.start
         sub = batch.shard(ra, rb)
@@ -158,34 +152,113 @@ def iter_shard_blocks(spec: ShardSpec):
         )
 
 
-def assemble_blocks(spec: ShardSpec, blocks) -> BatchSweepResult:
-    """Reassemble a shard's streamed blocks into the shard result.
+def drain_shard(spec: ShardSpec, write, blocks=None) -> dict[str, np.ndarray]:
+    """Hand one shard's lane blocks to ``write`` as they arrive, and
+    return the shard's merged counters for
+    :meth:`ShardAssembly.commit_shard`.
 
-    Lane-order column concatenation — the executor's bitwise reassembly
-    argument, applied one level down.  ``h`` is the shard-local sample
-    array itself (what :func:`repro.batch.sweep.run_batch_series` would
-    have recorded for the unchunked run).
+    ``blocks`` defaults to running the shard in this process
+    (:func:`iter_shard_blocks`) — the local drain behind the serial
+    fallback, pool workers and the dispatcher's leftovers; the
+    dispatcher passes the blocks arriving off the wire instead.
     """
-    parts = list(blocks)
-    if not parts:
-        raise ParameterError(
-            f"shard [{spec.start}, {spec.stop}) streamed no blocks"
+    if blocks is None:
+        blocks = iter_shard_blocks(spec)
+    counters, widths = [], []
+    for block in blocks:
+        write(block)
+        counters.append(block.counters)
+        widths.append(block.width)
+    return merge_shard_counters(counters, widths)
+
+
+def _private(channel: str, shape, dtype) -> np.ndarray:
+    return np.empty(shape, dtype=dtype)
+
+
+class ShardAssembly:
+    """The full-width output buffers one job's lane blocks land in.
+
+    The one place that knows a sharded run's output layout — ``m`` and
+    ``b`` float64, ``updated`` bool, each extras channel at its schema
+    dtype — and the one place that checks a block against the job's
+    extras schema.  Every route writes through it: the serial fallback
+    and the dispatcher's leftovers via :func:`drain_shard`, pool
+    workers over shared-memory views of the parent's buffers, and the
+    dispatcher with blocks off the wire.
+
+    Writes go by absolute lane range into disjoint column slices, so
+    concurrent writers never overlap and a retried shard's rewrite is a
+    no-op by value.  Counters commit per shard, once its stream has
+    completed, so a half-streamed attempt leaves no residue.
+
+    ``job`` supplies ``family``, ``extras_schema`` and ``shape``
+    (``(samples, lanes)``); :meth:`result` also reads its ``h_full``
+    and ``specs``.  ``allocate(channel, shape, dtype)`` makes each
+    buffer (default: private ``np.empty``).
+    """
+
+    def __init__(self, job, allocate=_private) -> None:
+        self.job = job
+        self.m = allocate("m", job.shape, np.float64)
+        self.b = allocate("b", job.shape, np.float64)
+        self.updated = allocate("updated", job.shape, np.bool_)
+        self.extras = {
+            key: allocate(f"extras.{key}", job.shape, np.dtype(dtype))
+            for key, dtype in job.extras_schema.items()
+        }
+        self._counters: dict = {}
+
+    def write_block(self, block: LaneBlock) -> None:
+        """Write one block's columns, after checking its extras — names
+        and dtypes — against the schema the buffers were laid out from.
+        Drift is an error, never a silently coerced column."""
+        recorded = {key: values.dtype for key, values in block.extras.items()}
+        expected = {key: values.dtype for key, values in self.extras.items()}
+        if recorded != expected:
+            raise ParameterError(
+                f"family {self.job.family!r} lanes [{block.start}, "
+                f"{block.stop}) recorded extras {_describe(recorded)}, "
+                f"expected {_describe(expected)}; the schema (registry "
+                "declaration or pre-run probe) is stale"
+            )
+        lanes = slice(block.start, block.stop)
+        self.m[:, lanes] = block.m
+        self.b[:, lanes] = block.b
+        self.updated[:, lanes] = block.updated
+        for key, values in block.extras.items():
+            self.extras[key][:, lanes] = values
+
+    def commit_shard(self, start: int, stop: int, counters) -> None:
+        self._counters[(start, stop)] = counters
+
+    def result(self, copy: bool = False) -> BatchSweepResult:
+        """The assembled run; ``copy`` detaches it from buffers that do
+        not outlive this call (the pool's shared memory)."""
+        ordered = []
+        for spec in self.job.specs:
+            if (spec.start, spec.stop) not in self._counters:
+                raise ParameterError(
+                    f"shard [{spec.start}, {spec.stop}) never completed; "
+                    "the assembled result would be incomplete"
+                )
+            ordered.append(self._counters[(spec.start, spec.stop)])
+        take = np.array if copy else np.asarray
+        return BatchSweepResult(
+            h=self.job.h_full,
+            m=take(self.m),
+            b=take(self.b),
+            updated=take(self.updated),
+            extras={key: take(values) for key, values in self.extras.items()},
+            counters=merge_shard_counters(
+                ordered, [spec.width for spec in self.job.specs]
+            ),
+            family=self.job.family,
         )
-    keys = sorted(parts[0].extras)
-    return BatchSweepResult(
-        h=np.asarray(spec.build_samples(), dtype=float),
-        m=np.concatenate([p.m for p in parts], axis=1),
-        b=np.concatenate([p.b for p in parts], axis=1),
-        updated=np.concatenate([p.updated for p in parts], axis=1),
-        extras={
-            key: np.concatenate([p.extras[key] for p in parts], axis=1)
-            for key in keys
-        },
-        counters=merge_shard_counters(
-            [p.counters for p in parts], [p.width for p in parts]
-        ),
-        family=spec.family,
-    )
+
+
+def _describe(schema: dict) -> list:
+    return sorted((key, str(dtype)) for key, dtype in schema.items())
 
 
 def merge_shard_counters(

@@ -8,18 +8,21 @@ worker pool, and reassembles a
 :class:`~repro.batch.sweep.BatchSweepResult` that is **bitwise
 identical** to the single-process run: every lane's computation is
 independent and the batch engines are bitwise per lane, so splitting
-the lane axis and concatenating the columns back cannot change a single
+the lane axis and writing the columns back cannot change a single
 bit — of ``h``/``m``/``b``/``updated``, the extras channels, or the
 per-core counters.
 
 Workers never receive live models (see :mod:`repro.parallel.spec`) and
-never pickle trajectories back: the parent allocates one shared-memory
-block per per-sample output channel and each worker writes its column
-range in place.  Only the per-core counters — tiny ``(width,)`` arrays
-whose key set a family may even grow mid-run — return through the
-worker result.  ``n_workers=1`` (or a single planned shard) falls back
-to a serial in-process loop over the same shard specs — same code
-path, no processes, no shared memory.
+never pickle trajectories back.  Every route lands its lane blocks in
+one :class:`~repro.parallel.blocks.ShardAssembly`; for the pool, the
+parent lays that assembly's buffers out in shared memory and each
+worker writes its column range through views of the same segments.
+Shared memory is only the pool's buffer — the layout, the schema check
+and the result belong to the assembly.  Only the per-core counters —
+tiny ``(width,)`` arrays whose key set a family may even grow mid-run —
+return through the worker result.  ``n_workers=1`` (or a single planned
+shard) runs the same shard specs in process, through the same
+assembly, with no processes and no shared memory.
 
 The ``REPRO_PARALLEL_MAX_WORKERS`` environment variable caps the
 effective worker count regardless of what callers request (CI runners
@@ -39,11 +42,7 @@ from repro.batch.sweep import BatchSweepResult
 from repro.errors import ParameterError
 from repro.models.protocol import is_batch_model
 from repro.models.registry import get_family
-from repro.parallel.blocks import (
-    iter_shard_blocks,
-    merge_shard_counters,
-    run_spec,
-)
+from repro.parallel.blocks import ShardAssembly, drain_shard
 from repro.parallel.plan import plan_shards
 from repro.parallel.spec import DriveSpec, EnsembleSpec, ShardSpec
 
@@ -84,130 +83,21 @@ def resolve_workers(n_workers: int | None = None) -> int:
     return workers
 
 
-@dataclass(frozen=True)
-class _Block:
-    """One shared-memory output array, described picklably."""
-
-    shm_name: str
-    shape: tuple[int, ...]
-    dtype: str
-
-    def attach(self) -> tuple[shared_memory.SharedMemory, np.ndarray]:
-        """Worker-side attach, without resource-tracker registration.
-
-        The parent owns (creates, unlinks, and tracks) every segment;
-        an attach that registers it again confuses the tracker into
-        "leaked shared_memory" warnings or spurious unlinks at shutdown
-        (CPython gh-82300 — Python 3.13 grew ``track=False`` for
-        exactly this).  Workers are single-threaded, so temporarily
-        silencing the register hook is safe on 3.11/3.12 too.
-        """
-        original = resource_tracker.register
-        resource_tracker.register = lambda *args, **kwargs: None
-        try:
-            shm = shared_memory.SharedMemory(name=self.shm_name)
-        finally:
-            resource_tracker.register = original
-        return shm, np.ndarray(self.shape, dtype=self.dtype, buffer=shm.buf)
-
-
-@dataclass(frozen=True)
-class _OutputLayout:
-    """The shared output schema of one sharded run.
-
-    Only the per-sample channels live in shared memory; per-core
-    counters are tiny ``(width,)`` arrays and travel back in the worker
-    return value instead — which also means the counter key set never
-    has to be known before the run (a conforming family may register a
-    counter lazily mid-run, the contract
-    :func:`repro.batch.sweep.run_batch_series` supports).
-    """
-
-    m: _Block
-    b: _Block
-    updated: _Block
-    extras: dict[str, _Block]
-
-
+@dataclass(frozen=True, eq=False)
 class _CellJob:
-    """One sharded run, planned: specs, schema, and (later) buffers."""
+    """One sharded run, planned: full-width drive, shard specs, and the
+    extras schema its :class:`ShardAssembly` lays the buffers out by."""
 
-    def __init__(
-        self,
-        family: str,
-        n_total: int,
-        h_full: np.ndarray,
-        specs: list[ShardSpec],
-        extras_schema: "dict[str, np.dtype]",
-    ) -> None:
-        self.family = family
-        self.n_total = n_total
-        self.h_full = h_full
-        self.specs = specs
-        self.extras_schema = extras_schema
-        self.extras_keys = tuple(sorted(extras_schema))
-        self.layout: _OutputLayout | None = None
-        self._shm: dict[str, shared_memory.SharedMemory] = {}
+    family: str
+    n_total: int
+    h_full: np.ndarray
+    specs: list[ShardSpec]
+    extras_schema: "dict[str, np.dtype]"
 
-    # -- shared-memory lifecycle ------------------------------------------
-
-    def _alloc(self, shape: tuple[int, ...], dtype) -> _Block:
-        nbytes = int(np.prod(shape)) * np.dtype(dtype).itemsize
-        shm = shared_memory.SharedMemory(create=True, size=max(nbytes, 1))
-        self._shm[shm.name] = shm
-        return _Block(shm.name, shape, np.dtype(dtype).str)
-
-    def allocate(self) -> None:
-        samples = len(self.h_full)
-        wide = (samples, self.n_total)
-        # Extras blocks allocate from each channel's schema dtype (probed
-        # from the live batch, or declared by the family registry record):
-        # a hard-coded float64 block would silently coerce the integer and
-        # boolean channels the in-process executor preserves.
-        self.layout = _OutputLayout(
-            m=self._alloc(wide, np.float64),
-            b=self._alloc(wide, np.float64),
-            updated=self._alloc(wide, np.bool_),
-            extras={
-                key: self._alloc(wide, dtype)
-                for key, dtype in self.extras_schema.items()
-            },
-        )
-
-    def assemble(self, metas) -> BatchSweepResult:
-        """Copy the shared buffers out into an ordinary result (reusing
-        the creation handles — no second attach, no extra tracker
-        registration); counters come from the worker metadata."""
-        layout = self.layout
-
-        def copy_out(block: _Block) -> np.ndarray:
-            shm = self._shm[block.shm_name]
-            return np.ndarray(
-                block.shape, dtype=block.dtype, buffer=shm.buf
-            ).copy()
-
-        return BatchSweepResult(
-            h=self.h_full,
-            m=copy_out(layout.m),
-            b=copy_out(layout.b),
-            updated=copy_out(layout.updated),
-            extras={k: copy_out(v) for k, v in layout.extras.items()},
-            counters=merge_shard_counters(
-                [meta[3] for meta in metas],
-                [spec.width for spec in self.specs],
-            ),
-            family=self.family,
-        )
-
-    def release(self) -> None:
-        for shm in self._shm.values():
-            shm.close()
-            try:
-                shm.unlink()
-            except FileNotFoundError:  # pragma: no cover - double release
-                pass
-        self._shm = {}
-        self.layout = None
+    @property
+    def shape(self) -> tuple[int, int]:
+        """Every output channel's full-width ``(samples, lanes)``."""
+        return (len(self.h_full), self.n_total)
 
 
 def _extras_schema(source) -> "dict[str, np.dtype]":
@@ -244,9 +134,10 @@ def prepare_job(
 
     ``threads`` is stamped into every :class:`ShardSpec` so whichever
     process runs a shard pins that lane-thread count for its duration
-    (see :func:`repro.parallel.blocks.run_spec`); callers enforce the
-    oversubscription rule before it gets here (:func:`run_sharded`
-    clamps plans to ``workers x threads <= available_cpus()``).
+    (see :func:`repro.parallel.blocks.iter_shard_blocks`); callers
+    enforce the oversubscription rule before it gets here
+    (:func:`run_sharded` clamps plans to ``workers x threads <=
+    available_cpus()``).
     ``chunk_lanes`` likewise travels inside each spec: the executing
     process streams its shard in lane blocks at most that wide
     (:mod:`repro.parallel.blocks`) instead of materialising the whole
@@ -344,157 +235,106 @@ def _resolve_drive(
     return drive, built
 
 
-# The shard runner itself lives in repro.parallel.blocks (one code
-# path whether a shard streams over shared memory or a repro.dist
-# socket); the historic private name stays importable for callers that
-# grew up against the executor.
-_run_spec = run_spec
-
-
-def _recorded_extras_schema(extras: "dict[str, np.ndarray]") -> tuple:
-    """A shard's recorded extras as sorted ``(name, dtype-str)`` pairs —
-    the shape both executor paths compare against the pre-run schema."""
-    return tuple(sorted((key, value.dtype.str) for key, value in extras.items()))
-
-
-def _check_extras_schema(job: _CellJob, start: int, stop: int, recorded) -> None:
-    """Key *and* dtype drift between the planned schema and what a shard
-    actually recorded is an error, not a silently coerced buffer."""
-    expected = tuple(
-        sorted(
-            (key, np.dtype(dtype).str)
-            for key, dtype in job.extras_schema.items()
-        )
-    )
-    if tuple(recorded) != expected:
-        raise ParameterError(
-            f"shard [{start}, {stop}) of family {job.family!r} recorded "
-            f"extras {list(recorded)}, expected {list(expected)}; the "
-            "schema (registry declaration or pre-run probe) is stale"
-        )
-
-
 def run_job_serial(job: _CellJob) -> BatchSweepResult:
-    """The n_workers=1 fallback: same shard specs, no processes, no
-    shared memory — plain column concatenation."""
-    parts = [run_spec(spec) for spec in job.specs]
-    for spec, part in zip(job.specs, parts):
-        # The same schema check the pooled path applies in _worker.
-        _check_extras_schema(
-            job, spec.start, spec.stop, _recorded_extras_schema(part.extras)
-        )
-    return BatchSweepResult(
-        h=job.h_full,
-        m=np.concatenate([p.m for p in parts], axis=1),
-        b=np.concatenate([p.b for p in parts], axis=1),
-        updated=np.concatenate([p.updated for p in parts], axis=1),
-        extras={
-            key: np.concatenate([p.extras[key] for p in parts], axis=1)
-            for key in job.extras_keys
-        },
-        counters=merge_shard_counters(
-            [p.counters for p in parts], [spec.width for spec in job.specs]
-        ),
-        family=job.family,
-    )
+    """The n_workers=1 fallback: the same shard specs, run in this
+    process, every lane block landing straight in one assembly."""
+    assembly = ShardAssembly(job)
+    for spec in job.specs:
+        counters = drain_shard(spec, assembly.write_block)
+        assembly.commit_shard(spec.start, spec.stop, counters)
+    return assembly.result()
 
 
-def _worker(task: tuple[ShardSpec, _OutputLayout]):
-    """Pool entry point: rebuild, run, write columns into shared memory.
+@dataclass(frozen=True)
+class _Segments:
+    """One job's shared output buffers, described picklably: what a
+    pool task carries instead of arrays."""
 
-    The shard streams through :func:`repro.parallel.blocks.
-    iter_shard_blocks` — one block for an unchunked spec (the historic
-    path, unchanged), several bounded blocks when the spec carries
-    ``chunk_lanes`` — and every block's columns land in the shared
-    buffers as soon as they exist, so a chunked worker never holds more
-    than one block of result data.
-    """
-    spec, layout = task
-    attached: dict[str, tuple[shared_memory.SharedMemory, np.ndarray]] = {}
+    family: str
+    extras_schema: "dict[str, np.dtype]"
+    shape: tuple[int, int]
+    names: "dict[str, str]"  # assembly channel -> shared-memory name
 
-    def view(block: _Block) -> np.ndarray:
-        if block.shm_name not in attached:
-            attached[block.shm_name] = block.attach()
-        return attached[block.shm_name][1]
+    def attach(self, handles: list) -> ShardAssembly:
+        """Worker side: an assembly over views of the parent's segments.
 
-    recorded = None
-    block_counters: list[dict[str, np.ndarray]] = []
-    widths: list[int] = []
+        Attaches skip resource-tracker registration.  The parent owns
+        (creates, unlinks, and tracks) every segment; an attach that
+        registers it again confuses the tracker into "leaked
+        shared_memory" warnings or spurious unlinks at shutdown
+        (CPython gh-82300 — Python 3.13 grew ``track=False`` for
+        exactly this).  Workers are single-threaded, so temporarily
+        silencing the register hook is safe on 3.11/3.12 too.
+        """
+
+        def view(channel, shape, dtype):
+            original = resource_tracker.register
+            resource_tracker.register = lambda *args, **kwargs: None
+            try:
+                shm = shared_memory.SharedMemory(name=self.names[channel])
+            finally:
+                resource_tracker.register = original
+            handles.append(shm)
+            return np.ndarray(shape, dtype=dtype, buffer=shm.buf)
+
+        return ShardAssembly(self, view)
+
+
+def _shared_assembly(job: _CellJob, owned: list):
+    """Parent side: an assembly whose buffers live in shared memory this
+    process creates (``owned`` collects the handles to release), plus
+    the :class:`_Segments` its pool tasks carry."""
+    names: dict[str, str] = {}
+
+    def create(channel, shape, dtype):
+        nbytes = int(np.prod(shape)) * np.dtype(dtype).itemsize
+        shm = shared_memory.SharedMemory(create=True, size=max(nbytes, 1))
+        owned.append(shm)
+        names[channel] = shm.name
+        return np.ndarray(shape, dtype=dtype, buffer=shm.buf)
+
+    assembly = ShardAssembly(job, create)
+    return assembly, _Segments(job.family, job.extras_schema, job.shape, names)
+
+
+def _worker(task: "tuple[ShardSpec, _Segments]"):
+    """Pool entry point: rebuild and run one shard, writing every lane
+    block into the parent's shared buffers as soon as it exists (a
+    chunked worker never holds more than one block of result data);
+    returns the shard's counters."""
+    spec, segments = task
+    handles: list = []
     try:
-        for blk in iter_shard_blocks(spec):
-            schema = _recorded_extras_schema(blk.extras)
-            if recorded is None:
-                recorded = schema
-            elif schema != recorded:
-                raise ParameterError(
-                    f"family {spec.family!r} shard [{spec.start}, "
-                    f"{spec.stop}) drifted its extras schema between lane "
-                    f"blocks: {list(schema)} != {list(recorded)}"
-                )
-            view(layout.m)[:, blk.start : blk.stop] = blk.m
-            view(layout.b)[:, blk.start : blk.stop] = blk.b
-            view(layout.updated)[:, blk.start : blk.stop] = blk.updated
-            for key, block in layout.extras.items():
-                if key not in blk.extras:
-                    raise ParameterError(
-                        f"family {spec.family!r} recorded no {key!r} extras "
-                        f"channel (got {sorted(blk.extras)}); the registry "
-                        "schema is stale"
-                    )
-                values = blk.extras[key]
-                if values.dtype.str != block.dtype:
-                    raise ParameterError(
-                        f"family {spec.family!r} recorded {key!r} extras as "
-                        f"{values.dtype}, but the shared buffer was allocated "
-                        f"as {np.dtype(block.dtype)}; the schema (registry "
-                        "declaration or pre-run probe) is stale"
-                    )
-                view(block)[:, blk.start : blk.stop] = values
-            block_counters.append(blk.counters)
-            widths.append(blk.width)
+        return drain_shard(spec, segments.attach(handles).write_block)
     finally:
-        for shm, _ in attached.values():
+        for shm in handles:
             shm.close()
-    return (
-        spec.start,
-        spec.stop,
-        recorded,
-        merge_shard_counters(block_counters, widths),
-    )
-
-
-def _check_meta(job: _CellJob, metas) -> None:
-    """Workers report which extras (names and dtypes) they recorded;
-    any schema drift is an error, not a silently half-written buffer."""
-    for start, stop, recorded, _ in metas:
-        _check_extras_schema(job, start, stop, recorded)
 
 
 def execute_jobs_pooled(pool, jobs: "list[_CellJob]") -> list[BatchSweepResult]:
     """Run every job's shards on one pool and assemble per job.
 
-    The single shared allocate → map → check → assemble → release
+    The single shared lay out → map → commit → copy out → release
     sequence behind both :func:`run_sharded` (one job) and
     :func:`repro.parallel.grid.run_scenario_grid` (a chunk of cells).
-    Buffers are always released, success or not.
+    Shared memory is always released, success or not.
     """
+    owned: list = []
     try:
-        tasks = []
+        assemblies, tasks = [], []
         for job in jobs:
-            job.allocate()
-            tasks.extend((spec, job.layout) for spec in job.specs)
-        metas = pool.map(_worker, tasks)
-        results = []
-        cursor = 0
-        for job in jobs:
-            take = metas[cursor : cursor + len(job.specs)]
-            cursor += len(job.specs)
-            _check_meta(job, take)
-            results.append(job.assemble(take))
-        return results
+            assembly, segments = _shared_assembly(job, owned)
+            assemblies.append(assembly)
+            tasks.extend((spec, segments) for spec in job.specs)
+        counters = iter(pool.map(_worker, tasks))
+        for job, assembly in zip(jobs, assemblies):
+            for spec in job.specs:
+                assembly.commit_shard(spec.start, spec.stop, next(counters))
+        return [assembly.result(copy=True) for assembly in assemblies]
     finally:
-        for job in jobs:
-            job.release()
+        for shm in owned:
+            shm.close()
+            shm.unlink()
 
 
 def _apply_plan_backend(source, backend_name: str):

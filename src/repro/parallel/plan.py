@@ -4,7 +4,7 @@ The planner is pure arithmetic, separated from the executor so its
 invariants are trivially testable: shards are contiguous, ordered,
 non-overlapping, cover ``[0, n_cores)`` exactly, and differ in width by
 at most one lane.  Lane order is what makes sharded reassembly a plain
-column concatenation — and therefore bitwise trivial.
+column write by lane range — and therefore bitwise trivial.
 """
 
 from __future__ import annotations

@@ -43,10 +43,11 @@ _COUNTER_PREFIX = "counter__"
 def _frozen(result: BatchSweepResult) -> BatchSweepResult:
     """A read-only view of one result, safe to hand to many clients.
 
-    All columns except ``h`` are freshly allocated by the executors
-    (shared-memory copy-out or concatenation), so freezing them in
-    place is safe; ``h`` may alias the caller's own sample array, so it
-    is copied before freezing rather than mutating the caller's flags.
+    All columns except ``h`` are freshly allocated by the run's
+    :class:`~repro.parallel.blocks.ShardAssembly` (its own buffers, or
+    a copy out of the pool's shared memory), so freezing them in place
+    is safe; ``h`` may alias the caller's own sample array, so it is
+    copied before freezing rather than mutating the caller's flags.
     """
 
     def freeze(arr: np.ndarray) -> np.ndarray:

@@ -14,6 +14,7 @@ import logging
 import socket
 import threading
 
+import numpy as np
 import pytest
 
 from repro.batch.sweep import run_batch_series
@@ -28,6 +29,7 @@ from repro.dist import (
     shard_digest,
 )
 from repro.dist.protocol import (
+    MSG_DONE,
     connect,
     format_address,
     parse_address,
@@ -43,8 +45,7 @@ from repro.parallel import (
     run_scenario_grid,
     run_sharded,
 )
-from repro.parallel.blocks import assemble_blocks, run_spec
-from repro.parallel.executor import prepare_job
+from repro.parallel.executor import prepare_job, run_job_serial
 from repro.sched import CostModel, ExecutionPlan, enumerate_candidates
 from repro.scenarios import scenario_samples
 
@@ -119,9 +120,9 @@ class TestLaneBlocks:
             chunk_lanes=chunk_lanes,
         )
         (spec,) = job.specs
-        reassembled = assemble_blocks(spec, iter_shard_blocks(spec))
-        assert_results_bitwise_equal(reference_result(), reassembled)
-        assert_results_bitwise_equal(reference_result(), run_spec(spec))
+        blocks = [(b.start, b.stop) for b in iter_shard_blocks(spec)]
+        assert blocks == plan_lane_blocks(0, N_CORES, chunk_lanes)
+        assert_results_bitwise_equal(reference_result(), run_job_serial(job))
 
     def test_budget_tracks_peak_and_rejects_oversize(self):
         budget = BlockBudget(100)
@@ -196,22 +197,16 @@ class TestShardDigest:
 
 
 class TestRunDistributed:
-    @pytest.mark.parametrize("n_workers,chunk_lanes", [
-        (None, None),   # one shard per host, unchunked
-        (3, None),      # uneven: 3 shards over 2 hosts
-        (3, 2),         # uneven + streamed lane blocks
-    ])
-    def test_bitwise_identical_to_single_process(
-        self, fleet, n_workers, chunk_lanes
-    ):
+    def test_bitwise_identical_to_single_process(self, fleet):
+        """A scenario recipe, one shard per host.  Uneven splits and
+        chunked streams, per family, are pinned route by route in
+        ``test_shard_routes.py``."""
         result = run_distributed(
             EnsembleSpec(family="timeless", n_cores=N_CORES),
             scenario="major-loop",
             h_max=H_MAX,
             driver_step=STEP,
             hosts=fleet,
-            n_workers=n_workers,
-            chunk_lanes=chunk_lanes,
         )
         assert_results_bitwise_equal(reference_result(), result)
 
@@ -341,6 +336,54 @@ class TestRunDistributed:
             )
         finally:
             agent.stop()
+
+
+class _DoneWithoutBlocksAgent(WorkerAgent):
+    """Declares every shard done without streaming a single block."""
+
+    def _run(self, conn, digest, spec) -> None:
+        send_message(conn, (MSG_DONE, digest, 0))
+
+
+class TestSettledFailures:
+    def test_dispatcher_side_failure_raises_instead_of_hanging(self):
+        """An error the serving thread does not retry — here a ``done``
+        that covered no lanes — fails its job: ``run_jobs`` raises with
+        the shard and the original message instead of waiting forever
+        on a job a dead thread still held."""
+        ensemble = EnsembleSpec(family="timeless", n_cores=N_CORES)
+        job = prepare_job(ensemble, _drive(), 3, 1)
+        with _DoneWithoutBlocksAgent() as bad, WorkerAgent() as good:
+            with Dispatcher(
+                [bad.address, good.address], deadline_s=30.0
+            ) as dispatcher:
+                outcome = _finishes_within(
+                    5.0, lambda: dispatcher.run_jobs([job])
+                )
+                # The broken stream's connection retired with its job.
+                assert dispatcher.n_live == 1
+        error = outcome.get("error")
+        assert isinstance(error, DistError), outcome
+        assert "shard [0, 3) failed dispatcher-side" in str(error)
+        assert "streamed 0 lanes but declared done" in str(error)
+
+    def test_agent_outlives_a_dispatcher_hanging_up_mid_stream(self):
+        """A failed job retires its connection while the agent is still
+        streaming blocks into it; the agent drops that connection and
+        keeps serving."""
+        ensemble = EnsembleSpec(family="timeless", n_cores=32)
+        job = prepare_job(ensemble, _drive(), 1, 1, chunk_lanes=1)
+        stale = dataclasses.replace(
+            job, extras_schema={"bogus": np.dtype(np.int32)}
+        )
+        with WorkerAgent() as agent:
+            with Dispatcher([agent.address], deadline_s=30.0) as dispatcher:
+                with pytest.raises(DistError, match="bogus.*stale"):
+                    dispatcher.run_jobs([stale])
+            with Dispatcher([agent.address]) as dispatcher:
+                assert dispatcher.n_live == 1
+                (result,) = dispatcher.run_jobs([job])
+        assert_results_bitwise_equal(reference_result(32), result)
 
 
 def _finishes_within(seconds, fn) -> dict:

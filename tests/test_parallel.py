@@ -1,10 +1,11 @@
 """Sharded multi-process executor: planning, specs, bitwise equivalence.
 
-The load-bearing suite is :class:`TestShardEquivalence`: for every
-registered model family, the sharded run — uneven lane splits, real
-pool workers, shared-memory reassembly — must reproduce the
+The load-bearing equivalence suite is ``test_shard_routes.py``: every
+route, chunked or not, for every registered family, must reproduce the
 single-process :func:`repro.batch.sweep.run_batch_series` result array
-for array, including extras/counters keys and dtypes.  Bitwise, not
+for array, including extras/counters keys and dtypes.  This module pins
+what that grid does not cross — planning, specs, counter merging,
+fused composition per backend, plans and grids.  Bitwise, not
 approximately: sharding is a transport optimisation, never a numerics
 change.
 """
@@ -221,7 +222,7 @@ class TestCounterMerge:
         """Counters registered by only some shards (lazily appearing
         keys) merge over the union, zero-filled where absent — the
         sharded analogue of run_batch_series' lazy-counter support."""
-        from repro.parallel.executor import merge_shard_counters
+        from repro.parallel.blocks import merge_shard_counters
 
         merged = merge_shard_counters(
             [
@@ -315,22 +316,9 @@ class TestShardConstruction:
 
 @pytest.mark.parametrize("name", FAMILY_NAMES)
 class TestShardEquivalence:
-    """The tentpole contract: sharded == single-process, bitwise."""
-
-    def test_pool_uneven_split_per_core_drive(self, name):
-        """N = 7 lanes over 3 real pool workers, per-core FORC drive
-        (2-D samples exercise column slicing on both sides)."""
-        family = get_family(name)
-        batch = family.make_batch(N_CORES, seed=0)
-        h = scenario_samples(
-            "forc-family",
-            family.h_scale,
-            family.h_scale / 40.0,
-            n_cores=N_CORES,
-        )
-        reference = run_batch_series(batch, h)
-        sharded = run_sharded(batch, h, n_workers=N_WORKERS)
-        assert_results_bitwise_equal(reference, sharded)
+    """Sharded == single-process, bitwise, on the drives and sources the
+    route suite (``test_shard_routes.py``) does not cross: a shared 1-D
+    drive and the registry-recipe rebuild."""
 
     def test_serial_fallback_shared_drive(self, name):
         """n_workers=1: same shard specs, no processes, still bitwise."""
@@ -607,10 +595,8 @@ class TestExecutionPlanPlumbing:
         drive = DriveSpec(samples=np.zeros(4))
         serial_job = prepare_job(spec, drive, 1, 1, threads=2)
         assert [s.threads for s in serial_job.specs] == [2]
-        serial_job.release()
         pooled_job = prepare_job(spec, drive, 3, 1, threads=1)
         assert [s.threads for s in pooled_job.specs] == [1, 1, 1]
-        pooled_job.release()
 
     def test_apply_plan_backend_spec_is_repinned_copy(self):
         from repro.parallel.executor import _apply_plan_backend
@@ -871,38 +857,45 @@ def dtype_extras_family():
 
 
 class TestShardedExtrasDtypes:
-    def test_pooled_round_trip_preserves_probed_dtypes(
+    """int32/bool extras round-trip every route bitwise; that pin lives
+    in ``test_shard_routes.py``, which gives this family a ``shard``."""
+
+    def test_chunking_a_family_without_shard_is_a_parameter_error(
         self, dtype_extras_family
     ):
-        """The satellite pin: int32/bool extras survive the pooled
-        shared-memory path exactly as the in-process executor records
-        them — values and dtypes, over an uneven 7-lanes/3-workers
-        split."""
+        """``shard`` is not in the batch protocol.  Chunking a family
+        that lacks it raises a ParameterError naming the family and
+        ``chunk_lanes`` before any block runs, on every local route,
+        and reaches a dispatcher as the agent's forwarded error."""
         if "fork" not in multiprocessing.get_all_start_methods():
             pytest.skip("needs the fork start method (registry is inherited)")
-        batch = dtype_extras_family.make_batch(N_CORES)
-        h = np.array([1.0, 2.0, 3.0, 4.0])
-        reference = run_batch_series(batch, h)
-        assert reference.extras["event_count"].dtype == np.int32
-        assert reference.extras["armed"].dtype == np.bool_
-        sharded = run_sharded(
-            dtype_extras_family.make_batch(N_CORES),
-            h,
-            n_workers=N_WORKERS,
-            mp_context="fork",
-        )
-        assert_results_bitwise_equal(reference, sharded)
+        from repro.dist import WorkerAgent, run_distributed
+        from repro.errors import DistError
+        from repro.service import WorkerPool
 
-    def test_serial_round_trip_preserves_probed_dtypes(
-        self, dtype_extras_family
-    ):
-        batch = dtype_extras_family.make_batch(5)
+        batch = dtype_extras_family.make_batch(N_CORES)
         h = np.array([1.0, 2.0, 3.0])
-        reference = run_batch_series(batch, h)
-        sharded = run_sharded(
-            dtype_extras_family.make_batch(5), h, n_workers=1
+        expected = "'dtype-shard-test' cannot run with chunk_lanes=2"
+        with pytest.raises(ParameterError, match=expected):
+            run_sharded(batch, h, n_workers=1, chunk_lanes=2)
+        with pytest.raises(ParameterError, match=expected):
+            run_sharded(
+                batch, h, n_workers=N_WORKERS, mp_context="fork",
+                chunk_lanes=2,
+            )
+        with WorkerPool(2, mp_context="fork") as pool:
+            with pytest.raises(ParameterError, match=expected):
+                run_sharded(batch, h, pool=pool, chunk_lanes=2)
+        with WorkerAgent() as agent:
+            with pytest.raises(DistError, match=expected):
+                run_distributed(
+                    batch, h, hosts=[agent.address], chunk_lanes=2
+                )
+        # One block per shard needs no cut, so it still runs.
+        assert_results_bitwise_equal(
+            run_batch_series(batch, h),
+            run_sharded(batch, h, n_workers=1, chunk_lanes=N_CORES),
         )
-        assert_results_bitwise_equal(reference, sharded)
 
     def test_registry_schema_route_allocates_declared_dtypes(
         self, dtype_extras_family
@@ -910,6 +903,7 @@ class TestShardedExtrasDtypes:
         """An EnsembleSpec source has no live batch to probe: the
         registry-declared (name, dtype) entries are the allocation
         schema."""
+        from repro.parallel.blocks import ShardAssembly
         from repro.parallel.executor import _extras_schema, prepare_job
 
         spec = EnsembleSpec(family=dtype_extras_family.name, n_cores=4)
@@ -924,9 +918,6 @@ class TestShardedExtrasDtypes:
             n_workers=2,
             min_shard=1,
         )
-        try:
-            job.allocate()
-            assert job.layout.extras["event_count"].dtype == "<i4"
-            assert job.layout.extras["armed"].dtype == "|b1"
-        finally:
-            job.release()
+        assembly = ShardAssembly(job)
+        assert assembly.extras["event_count"].dtype == np.int32
+        assert assembly.extras["armed"].dtype == np.bool_
