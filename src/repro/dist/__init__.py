@@ -21,8 +21,17 @@ either side of the wire::
 :func:`repro.batch.sweep.run_batch_series` run.  Robustness is built
 in: per-job deadlines, dead-worker requeue onto survivors, digest-
 keyed request dedup, and graceful local fallback when no worker is
-reachable.  ``run_sharded(..., hosts=[...])`` and multi-host
-:class:`~repro.sched.planner.ExecutionPlan` candidates route here.
+reachable (the :class:`Dispatcher` drains every shard locally).
+
+Every entry point reaches the fleet through the same route resolver
+and job runner (:func:`repro.parallel.executor.resolve_route`,
+:func:`repro.parallel.grid.job_runner`): ``run_sharded(...,
+hosts=[...])``, ``run_scenario_grid(..., hosts=[...])`` and a
+multi-host :class:`~repro.sched.planner.ExecutionPlan` (a candidate of
+``enumerate_candidates(..., hosts=...)``) given to either as ``plan=``.
+``plan="auto"`` never places shards on hosts, so it is rejected next to
+``hosts=``.  :func:`run_distributed` is where the fleet's ``authkey``,
+deadlines, retries and buffer ceiling are set.
 """
 
 from repro.dist.dispatch import (

@@ -1,12 +1,18 @@
 """Multi-host shard dispatch: campaigns over a fleet of worker agents.
 
 :func:`run_distributed` is the socket-transport sibling of
-:func:`repro.parallel.executor.run_sharded`: the same
-``prepare_job`` planning (full-ensemble driver-step resolution first —
-the PR 3 bitwise rule), the same :class:`~repro.parallel.spec.ShardSpec`
+:func:`repro.parallel.executor.run_sharded`, on the same route
+resolver (:func:`~repro.parallel.executor.resolve_route`) and job
+runner (:func:`~repro.parallel.grid.job_runner`): the same
+full-ensemble driver-step resolution first (the bitwise rule), the
+same ``prepare_job`` planning and :class:`~repro.parallel.spec.ShardSpec`
 payloads, but each shard travels to a :class:`~repro.dist.worker.
 WorkerAgent` over TCP and its result streams back as bounded lane
-blocks (:mod:`repro.parallel.blocks`).  Every block lands in the job's
+blocks (:mod:`repro.parallel.blocks`).  ``run_sharded(hosts=...)``,
+``run_scenario_grid(hosts=...)`` and an
+:class:`~repro.sched.planner.ExecutionPlan` carrying ``hosts`` reach
+the same :class:`Dispatcher`; only :func:`run_distributed` sets its
+authkey, deadlines and buffer ceiling.  Every block lands in the job's
 :class:`~repro.parallel.blocks.ShardAssembly` — the same assembly the
 local routes write through — by absolute lane range: idempotent, so a
 re-dispatched shard simply rewrites its (bitwise identical) columns,
@@ -28,7 +34,8 @@ Robustness model:
   many sinks, mirroring the service layer's future table;
 * **graceful degradation** — zero reachable workers (or a fleet that
   dies mid-campaign) degrades to the local executor with a logged
-  warning, never an error.
+  warning, never an error: :meth:`Dispatcher.run_jobs` drains every
+  shard no live worker took through the local block runner.
 
 Any other failure of a job — worker-side (a failed rebuild, a schema
 drift) or dispatcher-side (a stream that breaks the protocol, a block
@@ -64,10 +71,10 @@ from repro.dist.protocol import (
 from repro.errors import DistError, DistTimeoutError, ParameterError
 from repro.parallel.blocks import BlockBudget, ShardAssembly, drain_shard
 from repro.parallel.executor import (
-    _apply_plan_backend,
+    _ensemble_lanes,
     _resolve_drive,
-    prepare_job,
-    run_job_serial,
+    resolve_route,
+    run_single,
 )
 from repro.parallel.spec import ShardSpec
 
@@ -236,6 +243,11 @@ class Dispatcher:
             conn = self._connect(address)
             if conn is not None:
                 self._workers[address] = conn
+        if not self._workers:
+            _log.warning(
+                "no repro.dist worker reachable at %s; degrading to the "
+                "local executor", ", ".join(hosts),
+            )
 
     @property
     def n_live(self) -> int:
@@ -473,12 +485,10 @@ def run_distributed(
     scenario: "str | None" = None,
     h_max: "float | None" = None,
     driver_step: "float | None" = None,
-    drive=None,
     hosts,
     n_workers: "int | None" = None,
     min_shard: int = 1,
     chunk_lanes: "int | None" = None,
-    plan=None,
     deadline_s: "float | None" = DEFAULT_DEADLINE_S,
     retries: int = DEFAULT_RETRIES,
     max_buffer_bytes: "int | None" = None,
@@ -488,77 +498,43 @@ def run_distributed(
     """Run one ensemble drive sharded across remote worker agents.
 
     The multi-host sibling of
-    :func:`repro.parallel.executor.run_sharded`: ``source`` and the
-    drive arguments mean exactly the same thing (including the
-    full-ensemble driver-step resolution — the step is resolved here,
-    *before* sharding, so remote shards can never re-derive a different
-    ladder), and the returned result is bitwise identical to the
-    single-process :func:`repro.batch.sweep.run_batch_series`.
+    :func:`repro.parallel.executor.run_sharded`, on the same route
+    resolver and job runner: ``source`` and the drive arguments mean
+    exactly the same thing (including the full-ensemble driver-step
+    resolution — the step is resolved *before* sharding, so remote
+    shards can never re-derive a different ladder), and the returned
+    result is bitwise identical to the single-process
+    :func:`repro.batch.sweep.run_batch_series`.
 
     ``hosts`` lists ``"host:port"`` worker-agent addresses.
     ``n_workers`` names the shard count (default: one per host) —
     uneven splits are fine, surviving workers drain the queue.
-    ``chunk_lanes`` streams each shard in bounded lane blocks;
-    ``max_buffer_bytes`` puts a hard back-pressure ceiling on the
-    dispatcher's in-flight block bytes.  ``deadline_s`` / ``retries``
-    bound each job's wall clock and its re-dispatch budget.  ``plan``
-    accepts a resolved :class:`~repro.sched.planner.ExecutionPlan`
-    (the ``run_sharded(plan=...)`` routing path); its backend is
-    applied and its ``n_workers`` names the shard count.
+    ``chunk_lanes`` streams each shard in bounded lane blocks.
 
-    Zero reachable workers degrades to the local serial executor with
-    a logged warning — never an error.
+    This is where the fleet's :class:`Dispatcher` options are set:
+    ``authkey`` (the only way to reach agents started with
+    ``--authkey``), ``deadline_s`` / ``retries`` (each job's wall clock
+    and re-dispatch budget), ``max_buffer_bytes`` (a hard back-pressure
+    ceiling on the dispatcher's in-flight block bytes) and
+    ``connect_timeout_s``.  To dispatch a calibrated plan, pass an
+    :class:`~repro.sched.planner.ExecutionPlan` that carries ``hosts``
+    to ``run_sharded(plan=...)`` or ``run_scenario_grid(plan=...)``.
+
+    Zero reachable workers degrades to the local executor with a
+    logged warning — never an error.
     """
-    if not hosts:
-        raise ParameterError(
-            "run_distributed needs at least one 'host:port' worker address"
-        )
-    if drive is None:
-        drive, built = _resolve_drive(
-            source, h_samples, scenario, h_max, driver_step
-        )
-        if built is not None:
-            source = built
-    elif h_samples is not None or scenario is not None:
-        raise ParameterError(
-            "pass either drive= or h_samples/scenario arguments, not both"
-        )
-    restore_backend = lambda: None  # noqa: E731 - trivial default restore
-    if plan is not None:
-        from repro.sched.planner import ExecutionPlan
-
-        if not isinstance(plan, ExecutionPlan):
-            raise ParameterError(
-                "run_distributed takes a resolved ExecutionPlan; use "
-                "run_sharded(plan='auto', hosts=...) for auto-planning"
-            )
-        if n_workers is not None:
-            raise ParameterError(
-                "pass either plan= or n_workers=, not both: a plan owns "
-                "the shard count"
-            )
-        n_shards = plan.n_workers
-        source, restore_backend = _apply_plan_backend(source, plan.backend)
-    else:
-        n_shards = len(hosts) if n_workers is None else n_workers
-    try:
-        job = prepare_job(
-            source, drive, n_shards, min_shard, chunk_lanes=chunk_lanes
-        )
-    finally:
-        restore_backend()
-    with Dispatcher(
-        hosts,
+    settle = resolve_route(
+        lanes=_ensemble_lanes(source), min_shard=min_shard,
+        n_workers=n_workers, hosts=hosts,
+    )
+    drive, source = _resolve_drive(
+        source, h_samples, scenario, h_max, driver_step
+    )
+    return run_single(
+        settle, source, drive, min_shard, chunk_lanes,
         authkey=authkey,
         deadline_s=deadline_s,
         retries=retries,
         max_buffer_bytes=max_buffer_bytes,
         connect_timeout_s=connect_timeout_s,
-    ) as dispatcher:
-        if dispatcher.n_live == 0:
-            _log.warning(
-                "no repro.dist worker reachable at %s; degrading to the "
-                "local executor", ", ".join(hosts),
-            )
-            return run_job_serial(job)
-        return dispatcher.run_jobs([job])[0]
+    )

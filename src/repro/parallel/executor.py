@@ -24,6 +24,14 @@ return through the worker result.  ``n_workers=1`` (or a single planned
 shard) runs the same shard specs in process, through the same
 assembly, with no processes and no shared memory.
 
+Which of those routes a call takes is decided in one place.
+:func:`resolve_route` checks the route arguments of every entry point
+(``plan``, ``n_workers``, ``mp_context``, ``pool``, ``hosts``, a
+service's pool and cache) and returns the :class:`Route`: the
+transport, the shard count, the lane threads and the backend.
+:func:`repro.parallel.grid.job_runner` opens that transport and runs
+the prepared jobs on it.
+
 The ``REPRO_PARALLEL_MAX_WORKERS`` environment variable caps the
 effective worker count regardless of what callers request (CI runners
 set it to stay within their core allowance).
@@ -32,8 +40,10 @@ set it to stay within their core allowance).
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from multiprocessing import get_context, resource_tracker, shared_memory
+from functools import partial
+from multiprocessing import resource_tracker, shared_memory
 
 import numpy as np
 
@@ -100,6 +110,16 @@ class _CellJob:
         return (len(self.h_full), self.n_total)
 
 
+def _ensemble_lanes(source) -> int:
+    """The lane count of anything the executor shards."""
+    if is_batch_model(source) or isinstance(source, EnsembleSpec):
+        return source.n_cores
+    raise ParameterError(
+        "run_sharded needs a BatchHysteresisModel or an EnsembleSpec, "
+        f"got {type(source).__name__}"
+    )
+
+
 def _extras_schema(source) -> "dict[str, np.dtype]":
     """Extras channel schema ``{name: dtype}``: probed from a live
     batch, else declared by the family registry record.  Extras are
@@ -136,24 +156,17 @@ def prepare_job(
     process runs a shard pins that lane-thread count for its duration
     (see :func:`repro.parallel.blocks.iter_shard_blocks`); callers
     enforce the oversubscription rule before it gets here
-    (:func:`run_sharded` clamps plans to ``workers x threads <=
+    (:func:`resolve_route` clamps plans to ``workers x threads <=
     available_cpus()``).
     ``chunk_lanes`` likewise travels inside each spec: the executing
     process streams its shard in lane blocks at most that wide
     (:mod:`repro.parallel.blocks`) instead of materialising the whole
     shard result at once.
     """
-    if is_batch_model(source):
-        family, n_total = source.family, source.n_cores
-    elif isinstance(source, EnsembleSpec):
-        if source.backend is None:
-            source = replace(source, backend=resolve_backend(None).name)
-        family, n_total = source.family, source.n_cores
-    else:
-        raise ParameterError(
-            "run_sharded needs a BatchHysteresisModel or an EnsembleSpec, "
-            f"got {type(source).__name__}"
-        )
+    n_total = _ensemble_lanes(source)
+    family = source.family
+    if isinstance(source, EnsembleSpec) and source.backend is None:
+        source = replace(source, backend=resolve_backend(None).name)
     h_full = drive.full_samples(n_total)
 
     bounds = plan_shards(n_total, n_workers, min_shard)
@@ -204,35 +217,32 @@ def _resolve_drive(
     scenario: str | None,
     h_max: float | None,
     driver_step: float | None,
-) -> "tuple[DriveSpec, object | None]":
+) -> "tuple[DriveSpec, object]":
     """Build the DriveSpec, resolving the driver step *before* sharding
     (a shard's own ``driver_step_hint`` may differ from the full
     ensemble's, which would break bitwise equality).
 
-    Returns ``(drive, built_batch)``: when an :class:`EnsembleSpec`
-    recipe had to be materialised just for its hint, the built batch
-    comes back so the caller can shard it directly instead of paying
-    the construction a second time.
+    Returns ``(drive, source)``: when an :class:`EnsembleSpec` recipe
+    had to be materialised just for its hint, the built batch comes
+    back as the source, so it is sharded directly (payload route)
+    instead of every worker paying the construction again.
     """
     if (h_samples is None) == (scenario is None):
         raise ParameterError(
             "run_sharded needs exactly one of h_samples / scenario"
         )
     if h_samples is not None:
-        return DriveSpec(samples=np.asarray(h_samples, dtype=float)), None
+        return DriveSpec(samples=np.asarray(h_samples, dtype=float)), source
     if h_max is None:
         raise ParameterError(f"scenario {scenario!r} needs h_max")
-    built = None
     if driver_step is None:
-        if is_batch_model(source):
-            driver_step = source.driver_step_hint()
-        else:
-            built = source.build_batch()
-            driver_step = built.driver_step_hint()
+        if not is_batch_model(source):
+            source = source.build_batch()
+        driver_step = source.driver_step_hint()
     drive = DriveSpec(
         scenario=scenario, h_max=float(h_max), driver_step=float(driver_step)
     )
-    return drive, built
+    return drive, source
 
 
 def run_job_serial(job: _CellJob) -> BatchSweepResult:
@@ -315,9 +325,10 @@ def execute_jobs_pooled(pool, jobs: "list[_CellJob]") -> list[BatchSweepResult]:
     """Run every job's shards on one pool and assemble per job.
 
     The single shared lay out → map → commit → copy out → release
-    sequence behind both :func:`run_sharded` (one job) and
-    :func:`repro.parallel.grid.run_scenario_grid` (a chunk of cells).
-    Shared memory is always released, success or not.
+    sequence behind every fork-pool transport: the one-shot pool of
+    :func:`repro.parallel.grid.job_runner` and a warm
+    :class:`~repro.service.pool.WorkerPool`.  Shared memory is always
+    released, success or not.
     """
     owned: list = []
     try:
@@ -337,21 +348,218 @@ def execute_jobs_pooled(pool, jobs: "list[_CellJob]") -> list[BatchSweepResult]:
             shm.unlink()
 
 
-def _apply_plan_backend(source, backend_name: str):
-    """Move ``source`` onto the plan's backend; returns the (possibly
-    new) source and a zero-argument restore callable.
+@dataclass(frozen=True)
+class Route:
+    """Which transport runs one call's prepared jobs, and how wide.
 
-    An :class:`EnsembleSpec` is immutable — a re-pinned copy comes back
-    and nothing needs restoring.  A live batch is switched in place via
-    its ``use_backend`` hook and switched back by the restore callable
-    once its shard payloads (which carry the backend name) are cut, so
-    the caller's batch never observably changes backend.
+    ``workers`` is the shard count every job is cut into, and so the
+    one-shot pool's width; a local route with one shard runs in this
+    process.  ``threads`` is the lane-thread count each shard pins, and
+    ``backend`` the backend every source is pinned to (``None``: each
+    keeps its own).  The transport is the ``hosts`` fleet when set,
+    else the caller's live ``pool``, else a one-shot pool of
+    ``mp_context``.  :func:`resolve_route` builds routes and
+    :func:`repro.parallel.grid.job_runner` runs them.
     """
-    if is_batch_model(source):
+
+    workers: int
+    threads: int = 1
+    backend: "str | None" = None
+    pool: object = None
+    hosts: "tuple[str, ...]" = ()
+    mp_context: "str | None" = None
+
+
+def resolve_route(
+    plan=None,
+    *,
+    lanes: int,
+    min_shard: int = 1,
+    n_workers: "int | None" = None,
+    mp_context: "str | None" = None,
+    pool=None,
+    hosts=None,
+    backend: "str | None" = None,
+    cache_backend: "str | None" = None,
+):
+    """Check one call's route arguments and decide its route.
+
+    The one place where :func:`run_sharded`,
+    :func:`~repro.parallel.grid.run_scenario_grid`,
+    :func:`~repro.dist.dispatch.run_distributed` and
+    :class:`~repro.service.api.HysteresisService` decide how their jobs
+    run.  ``pool`` is a live :class:`~repro.service.pool.WorkerPool`
+    (the caller's, or a service's); ``backend`` is an explicit
+    ``backend=`` argument; ``cache_backend`` names the backend a result
+    cache keys the results by, so no plan may move them off it.  Every
+    conflict between these arguments, and a ``plan`` that is neither
+    ``"auto"`` nor an :class:`~repro.sched.planner.ExecutionPlan` on a
+    known backend, raises :class:`~repro.errors.ParameterError` here,
+    before the caller reads a cache, forks a pool or connects.
+
+    Returns ``settle(price) -> Route``.  Under ``plan="auto"``,
+    ``settle`` takes its plan from ``price(warm_pool=..., backend=...)``:
+    priced spin-up-free when a live pool runs the jobs, and pinned to
+    ``cache_backend``.  So a cached caller prices only its misses, once
+    it knows them.  Every other route is decided here, and ``price`` is
+    never called.  The pool width passes through
+    :func:`resolve_workers` and the live pool's width.  A plan's lane
+    threads are clamped so ``workers x threads <= available_cpus()``.
+    ``workers`` ends as the number of shards
+    :func:`~repro.parallel.plan.plan_shards` cuts ``lanes`` into.  An
+    ``ExecutionPlan`` carrying ``hosts`` dispatches to them, just like
+    ``hosts=``, and its ``n_workers`` names the shard count.
+    """
+    auto = isinstance(plan, str) and plan == "auto"
+    explicit = None if plan is None or auto else plan
+    if explicit is not None:
+        # Lazy import: repro.sched sits above the executor in the layer
+        # stack, and plan=None callers never pay for (or depend on) it.
+        from repro.sched.planner import ExecutionPlan
+
+        if not isinstance(explicit, ExecutionPlan):
+            raise ParameterError(
+                f"plan must be an ExecutionPlan or 'auto', got {plan!r}"
+            )
+    if hosts is not None and not hosts:
+        raise ParameterError(
+            "hosts= needs at least one 'host:port' worker address"
+        )
+    if hosts is not None and plan is not None:
+        raise ParameterError(
+            "pass either hosts= or plan=, not both: auto-planning never "
+            "places shards on hosts.  Pass hosts= without plan=, or an "
+            "ExecutionPlan that carries the hosts (e.g. a candidate from "
+            "enumerate_candidates(..., hosts=...)); run_sharded and "
+            "run_scenario_grid both dispatch such a plan"
+        )
+    fleet = tuple(hosts) if hosts is not None else (
+        explicit.hosts if explicit is not None else ()
+    )
+    if fleet and (pool is not None or mp_context is not None):
+        raise ParameterError(
+            "hosts= and hosted plans dispatch over repro.dist sockets; a "
+            "local pool (pool=, service= or mp_context=) cannot run "
+            "remote shards"
+        )
+    if pool is not None and n_workers is not None:
+        raise ParameterError(
+            "pass either a live pool (pool= / service=) or n_workers=, "
+            "not both: a live pool owns the pool width"
+        )
+    if pool is not None and mp_context is not None:
+        raise ParameterError(
+            "mp_context applies to a one-shot pool; a live pool (pool= / "
+            "service=) already carries its start method"
+        )
+    backend_is_pin = auto and cache_backend is not None
+    if plan is not None and (
+        n_workers is not None or (backend is not None and not backend_is_pin)
+    ):
+        raise ParameterError(
+            "pass either plan= or n_workers= / backend=, not both: a plan "
+            "owns the pool width and the backend"
+        )
+    if explicit is not None and cache_backend is not None:
+        if resolve_backend(explicit.backend).name != cache_backend:
+            raise ParameterError(
+                "cache keys include the backend: plan backend "
+                f"{explicit.backend!r} conflicts with the cached "
+                f"backend {cache_backend!r}"
+            )
+
+    def shape(chosen) -> Route:
+        if fleet:
+            # Remote shards: the plan's count, else one per host.
+            wanted = (
+                chosen.n_workers if chosen is not None
+                else len(fleet) if n_workers is None else n_workers
+            )
+        elif chosen is None:
+            wanted = pool.n_workers if pool is not None else resolve_workers(
+                n_workers
+            )
+        else:
+            wanted = resolve_workers(chosen.n_workers)
+            if pool is not None:
+                wanted = min(wanted, pool.n_workers)
+        threads = 1 if chosen is None else max(
+            1, min(chosen.threads_per_worker, available_cpus() // wanted)
+        )
+        return Route(
+            workers=len(plan_shards(lanes, wanted, min_shard)),
+            threads=threads,
+            backend=None if chosen is None else resolve_backend(
+                chosen.backend
+            ).name,
+            pool=pool,
+            hosts=fleet,
+            mp_context=mp_context,
+        )
+
+    if auto:
+        warm_pool = pool is not None
+        return lambda price: shape(
+            price(warm_pool=warm_pool, backend=cache_backend)
+        )
+    route = shape(explicit)
+    return lambda price: route
+
+
+@contextmanager
+def backend_pinned(source, backend_name: "str | None"):
+    """``source`` on ``backend_name`` for the block (``None``: as is).
+
+    An :class:`EnsembleSpec` is immutable, so a re-pinned copy is
+    yielded.  A live batch is switched in place via its ``use_backend``
+    hook and switched back on exit, once its shard payloads (which carry
+    the backend name) are cut, so the caller's batch never observably
+    changes backend.  A batch without the hook has no backend to pin,
+    as in :meth:`EnsembleSpec.build_batch`.
+    """
+    if backend_name is None:
+        yield source
+    elif isinstance(source, EnsembleSpec):
+        yield replace(source, backend=backend_name)
+    elif hasattr(source, "use_backend"):
         previous = source.backend
         source.use_backend(backend_name)
-        return source, lambda: source.use_backend(previous)
-    return replace(source, backend=backend_name), lambda: None
+        try:
+            yield source
+        finally:
+            source.use_backend(previous)
+    else:
+        yield source
+
+
+def _price_run(source, drive, min_shard, **pricing):
+    """``plan="auto"`` for one run: the cheapest calibrated plan."""
+    # Lazy import: repro.sched sits above the executor in the layer
+    # stack, and plan=None callers never pay for (or depend on) it.
+    from repro.sched.planner import plan_for
+
+    return plan_for(source, drive, min_shard=min_shard, **pricing)
+
+
+def run_single(
+    settle, source, drive, min_shard, chunk_lanes=None, **dispatcher_options
+) -> BatchSweepResult:
+    """Run one drive on a route from :func:`resolve_route`: settle it,
+    cut the job on the route's backend and run it on the route's
+    transport.  ``dispatcher_options`` reach a hosted route's
+    :class:`~repro.dist.dispatch.Dispatcher`."""
+    route = settle(partial(_price_run, source, drive, min_shard))
+    with backend_pinned(source, route.backend) as pinned:
+        job = prepare_job(
+            pinned, drive, route.workers, min_shard, route.threads,
+            chunk_lanes=chunk_lanes,
+        )
+    # The runner sits beside the grid's chunk loop, and the grid
+    # imports this module.
+    from repro.parallel.grid import job_runner
+
+    with job_runner(route, **dispatcher_options) as run:
+        return run([job])[0]
 
 
 def run_sharded(
@@ -404,7 +612,9 @@ def run_sharded(
         always clamped to this host: the pool width passes through
         :func:`resolve_workers` (environment cap included) and
         ``threads_per_worker`` is reduced so ``workers × threads``
-        never exceeds the CPU affinity.
+        never exceeds the CPU affinity.  An ``ExecutionPlan`` that
+        carries ``hosts`` dispatches over them instead, cutting its
+        ``n_workers`` shards (with ``pool=`` that is a conflict).
     pool:
         A live :class:`~repro.service.pool.WorkerPool` to run the
         shards on instead of spinning up (and tearing down) a one-shot
@@ -424,107 +634,23 @@ def run_sharded(
         A sequence of ``"host:port"`` worker-agent addresses
         (:mod:`repro.dist`): the run dispatches over the sockets
         instead of a local pool, streaming the same lane blocks over
-        the wire.  Mutually exclusive with ``pool=`` / ``mp_context=``;
-        when no listed host is reachable the run degrades to the local
-        executor with a logged warning.  A resolved plan carrying
-        ``hosts`` routes here too.
+        the wire, with ``n_workers`` shards (default: one per host).
+        Mutually exclusive with ``pool=`` / ``mp_context=`` and with
+        any ``plan=`` (``plan="auto"`` never places shards on hosts;
+        put the hosts in an ``ExecutionPlan`` instead).  When no listed
+        host is reachable the run degrades to the local executor with a
+        logged warning.  :func:`repro.dist.dispatch.run_distributed`
+        runs the same route with the fleet's authkey, deadlines and
+        buffer ceiling.
 
     Returns the same :class:`~repro.batch.sweep.BatchSweepResult` the
     single-process executor produces — bitwise, lane order preserved.
     """
-    if hosts is not None:
-        if pool is not None or mp_context is not None:
-            raise ParameterError(
-                "hosts= dispatches over repro.dist sockets; a local "
-                "pool= / mp_context= cannot run remote shards"
-            )
-        # Lazy import: repro.dist sits above the executor in the layer
-        # stack, and host-less callers never pay for (or depend on) it.
-        from repro.dist.dispatch import run_distributed
-
-        return run_distributed(
-            source,
-            h_samples,
-            scenario=scenario,
-            h_max=h_max,
-            driver_step=driver_step,
-            hosts=hosts,
-            n_workers=n_workers,
-            min_shard=min_shard,
-            plan=plan,
-            chunk_lanes=chunk_lanes,
-        )
-    if pool is not None:
-        if n_workers is not None:
-            raise ParameterError(
-                "pass either pool= or n_workers=, not both: a live pool "
-                "owns the pool width"
-            )
-        if mp_context is not None:
-            raise ParameterError(
-                "mp_context applies to the one-shot pool run_sharded "
-                "creates; a live pool already carries its start method"
-            )
-    drive, built = _resolve_drive(
+    settle = resolve_route(
+        plan, lanes=_ensemble_lanes(source), min_shard=min_shard,
+        n_workers=n_workers, mp_context=mp_context, pool=pool, hosts=hosts,
+    )
+    drive, source = _resolve_drive(
         source, h_samples, scenario, h_max, driver_step
     )
-    if built is not None:
-        # The recipe was materialised for its driver-step hint; shard
-        # the built batch directly (payload route) rather than making
-        # every worker rebuild the whole ensemble again.
-        source = built
-    if plan is not None:
-        if n_workers is not None:
-            raise ParameterError(
-                "pass either plan= or n_workers=, not both: a plan owns "
-                "the pool width"
-            )
-        # Lazy import: repro.sched sits above the executor in the layer
-        # stack, and plan=None callers never pay for (or depend on) it.
-        from repro.sched.planner import resolve_plan
-
-        chosen = resolve_plan(
-            plan, source, drive, min_shard=min_shard,
-            warm_pool=pool is not None,
-        )
-        if chosen.hosts:
-            # A multi-host placement plan: the dispatcher owns the run
-            # (drive already resolved at full ensemble width above).
-            from repro.dist.dispatch import run_distributed
-
-            return run_distributed(
-                source,
-                drive=drive,
-                hosts=chosen.hosts,
-                plan=chosen,
-                min_shard=min_shard,
-                chunk_lanes=chunk_lanes,
-            )
-        workers = resolve_workers(chosen.n_workers)
-        if pool is not None:
-            workers = min(workers, pool.n_workers)
-        threads = max(
-            1, min(chosen.threads_per_worker, available_cpus() // workers)
-        )
-        source, restore_backend = _apply_plan_backend(source, chosen.backend)
-        try:
-            job = prepare_job(
-                source, drive, workers, min_shard, threads,
-                chunk_lanes=chunk_lanes,
-            )
-        finally:
-            restore_backend()
-    else:
-        workers = pool.n_workers if pool is not None else resolve_workers(
-            n_workers
-        )
-        job = prepare_job(
-            source, drive, workers, min_shard, chunk_lanes=chunk_lanes
-        )
-    if workers == 1 or len(job.specs) == 1:
-        return run_job_serial(job)
-    if pool is not None:
-        return pool.execute([job])[0]
-    ctx = get_context(mp_context)
-    with ctx.Pool(processes=min(workers, len(job.specs))) as one_shot:
-        return execute_jobs_pooled(one_shot, [job])[0]
+    return run_single(settle, source, drive, min_shard, chunk_lanes)

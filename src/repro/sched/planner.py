@@ -54,9 +54,11 @@ class ExecutionPlan:
 
     ``hosts`` is the multi-host placement axis: a tuple of
     ``"host:port"`` :mod:`repro.dist` worker-agent addresses.  Empty
-    (default) means local execution; non-empty routes the run through
-    :func:`repro.dist.dispatch.run_distributed`, with ``n_workers``
-    naming the *shard count* to cut across those hosts.  Placement
+    (default) means local execution; non-empty dispatches the run to
+    those hosts from ``run_sharded`` and ``run_scenario_grid`` alike (a
+    :class:`~repro.dist.dispatch.Dispatcher` through the executor's one
+    job runner), with ``n_workers`` naming the *shard count* to cut
+    across those hosts.  Placement
     travels inside the plan — the executors grow no new tuning knobs —
     and remote shards always run single-threaded (the fork-safety rule,
     one layer out).
@@ -431,14 +433,15 @@ def resolve_plan(
     min_shard: int = 1,
     warm_pool: bool = False,
 ) -> ExecutionPlan:
-    """Normalise the executor's ``plan=`` argument.
+    """Normalise a ``plan=`` argument for one run.
 
     ``"auto"`` plans from the persisted calibration; an
     :class:`ExecutionPlan` passes through unchanged (hand-written plans
     are first-class — the benchmarks race them against ``"auto"``).
-    ``warm_pool`` reaches the auto path only: the executor sets it when
-    a live pool is attached, so auto plans stop pricing a spin-up the
-    caller already paid.
+    ``warm_pool`` reaches the auto path only: set it when a live pool
+    is attached, so auto plans stop pricing a spin-up the caller
+    already paid.  The executors check and price their ``plan=`` in
+    :func:`repro.parallel.executor.resolve_route`.
     """
     if isinstance(plan, ExecutionPlan):
         return plan

@@ -23,7 +23,12 @@ Because cache keys include the backend name, auto-planning under the
 service is **backend-pinned**: the planner may trade pool width and
 lane threads (priced spin-up-free — the pool is already warm), but the
 backend axis is fixed by the request.  numpy's bitwise tier and
-numba's rtol tier never cross-serve.
+numba's rtol tier never cross-serve.  The service holds no plan code of
+its own: its warm pool and its backend pin are inputs to the
+executor's route resolver
+(:func:`~repro.parallel.executor.resolve_route`), which checks a
+request's ``plan`` before the cache is read, so a bad plan raises on a
+hit exactly as on a miss.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from typing import AsyncIterator, Sequence
 from repro.backend import resolve_backend
 from repro.batch.sweep import BatchSweepResult
 from repro.errors import ParameterError
-from repro.parallel.executor import run_sharded
+from repro.parallel.executor import resolve_route, run_single
 from repro.parallel.spec import DriveSpec, EnsembleSpec
 from repro.service.cache import ResultCache
 from repro.service.digest import spec_digest
@@ -121,7 +126,8 @@ class HysteresisService:
         """
         self._check_open()
         digest = self.digest_for(spec, drive)
-        return self._fetch(digest, spec, drive, plan, min_shard)
+        settle = self._route(plan, spec.n_cores, min_shard, spec.backend)
+        return self._fetch(digest, spec, drive, settle, min_shard)
 
     # -- async front door ---------------------------------------------
 
@@ -136,13 +142,14 @@ class HysteresisService:
     ) -> "asyncio.Future[BatchSweepResult]":
         """Submit one request; returns an ``asyncio`` future.
 
-        The digest is computed eagerly (spec validation errors surface
-        at the call site, not inside the future); the cache lookup and
-        any compute run on a dispatch thread.  Identical in-flight
-        submissions coalesce onto one computation.
+        The digest and the route are checked eagerly (spec and plan
+        errors surface at the call site, not inside the future); the
+        cache lookup and any compute run on a dispatch thread.
+        Identical in-flight submissions coalesce onto one computation.
         """
         self._check_open()
         digest = self.digest_for(spec, drive)
+        settle = self._route(plan, spec.n_cores, min_shard, spec.backend)
         if loop is None:
             try:
                 loop = asyncio.get_running_loop()
@@ -154,7 +161,7 @@ class HysteresisService:
                 ) from None
         return loop.run_in_executor(
             self._dispatch,
-            partial(self._fetch, digest, spec, drive, plan, min_shard),
+            partial(self._fetch, digest, spec, drive, settle, min_shard),
         )
 
     async def stream_grid(
@@ -183,6 +190,7 @@ class HysteresisService:
 
         self._check_open()
         backend_name = resolve_backend(backend).name
+        settle = self._route(plan, n_cores, min_shard, backend_name)
         planned = _plan_cells(
             list(families), list(scenarios), list(h_max_values), n_cores,
             seed, driver_step, backend_name,
@@ -194,8 +202,7 @@ class HysteresisService:
             digest = self.digest_for(spec, drive)
             result = await loop.run_in_executor(
                 self._dispatch,
-                partial(self._fetch, digest, source, drive, plan, min_shard,
-                        spec),
+                partial(self._fetch, digest, source, drive, settle, min_shard),
             )
             return GridCell(*key, result)
 
@@ -214,15 +221,26 @@ class HysteresisService:
                 "this HysteresisService is closed; construct a new one"
             )
 
+    def _route(self, plan, lanes, min_shard, backend):
+        """Check a request's plan against the warm pool and the cache's
+        backend pin (:func:`~repro.parallel.executor.resolve_route`)."""
+        return resolve_route(
+            plan,
+            lanes=lanes,
+            min_shard=min_shard,
+            pool=self.pool,
+            cache_backend=resolve_backend(backend).name,
+        )
+
     def _fetch(
-        self, digest, source, drive, plan, min_shard, spec=None
+        self, digest, source, drive, settle, min_shard
     ) -> BatchSweepResult:
         """Cache hit, coalesced wait, or compute-and-insert.
 
         ``source`` is what the executor runs (an
         :class:`~repro.parallel.spec.EnsembleSpec` or an already-built
-        batch); ``spec`` is the digestable recipe when ``source`` is a
-        live batch (the grid's pre-built route).
+        batch, the grid's pre-built route); ``settle`` is the request's
+        checked route, priced only on a miss.
         """
         hit = self.cache.get(digest)
         if hit is not None:
@@ -241,9 +259,7 @@ class HysteresisService:
             return fut.result()
         try:
             result = self.cache.put(
-                digest,
-                self._compute(source, drive, plan, min_shard,
-                              spec if spec is not None else source),
+                digest, run_single(settle, source, drive, min_shard)
             )
             fut.set_result(result)
             return result
@@ -253,41 +269,6 @@ class HysteresisService:
         finally:
             with self._inflight_lock:
                 self._inflight.pop(digest, None)
-
-    def _compute(self, source, drive, plan, min_shard, spec):
-        """One warm-pool computation, backend-pinned when auto-planned."""
-        if plan == "auto":
-            from repro.sched.planner import plan_for
-
-            backend_name = resolve_backend(
-                spec.backend if isinstance(spec, EnsembleSpec) else None
-            ).name
-            plan = plan_for(
-                source, drive, min_shard=min_shard, warm_pool=True,
-                backend=backend_name,
-            )
-        elif plan is not None:
-            backend_name = resolve_backend(
-                spec.backend if isinstance(spec, EnsembleSpec) else None
-            ).name
-            if resolve_backend(plan.backend).name != backend_name:
-                raise ParameterError(
-                    "cache keys include the backend: plan backend "
-                    f"{plan.backend!r} conflicts with the request's "
-                    f"backend {backend_name!r}"
-                )
-        kwargs = dict(min_shard=min_shard, pool=self.pool)
-        if plan is not None:
-            kwargs["plan"] = plan
-        if drive.scenario is not None:
-            return run_sharded(
-                source,
-                scenario=drive.scenario,
-                h_max=drive.h_max,
-                driver_step=drive.driver_step,
-                **kwargs,
-            )
-        return run_sharded(source, drive.samples, **kwargs)
 
     # -- lifecycle ----------------------------------------------------
 

@@ -226,15 +226,6 @@ class TestRunDistributed:
             for record in caplog.records
         )
 
-    def test_empty_hosts_rejected(self):
-        with pytest.raises(ParameterError, match="at least one"):
-            run_distributed(
-                EnsembleSpec(family="timeless", n_cores=N_CORES),
-                scenario="major-loop",
-                h_max=H_MAX,
-                hosts=[],
-            )
-
     def test_killed_worker_requeues_onto_survivor(self, caplog):
         agent_a = WorkerAgent().start()
         agent_b = WorkerAgent().start()
@@ -533,16 +524,6 @@ class TestExecutorRouting:
         )
         assert_results_bitwise_equal(reference_result(), result)
 
-    def test_hosts_excludes_local_pool_arguments(self, fleet):
-        with pytest.raises(ParameterError, match="remote shards"):
-            run_sharded(
-                EnsembleSpec(family="timeless", n_cores=N_CORES),
-                scenario="major-loop",
-                h_max=H_MAX,
-                hosts=fleet,
-                mp_context="spawn",
-            )
-
     def test_chunked_serial_run_is_bitwise_identical(self):
         result = run_sharded(
             EnsembleSpec(family="timeless", n_cores=N_CORES),
@@ -583,18 +564,6 @@ class TestGridRouting:
         for ours, theirs in zip(local, hosted):
             assert ours.key == theirs.key
             assert_results_bitwise_equal(ours.result, theirs.result)
-
-    def test_grid_hosts_excludes_plan_and_service(self, fleet):
-        kwargs = dict(
-            families=["timeless"],
-            scenarios=["major-loop"],
-            h_max_values=[H_MAX],
-            n_cores=4,
-        )
-        with pytest.raises(ParameterError, match="run_sharded"):
-            run_scenario_grid(**kwargs, hosts=fleet, plan="auto")
-        with pytest.raises(ParameterError):
-            run_scenario_grid(**kwargs, hosts=fleet, mp_context="spawn")
 
 
 class TestPlannerPlacement:

@@ -494,21 +494,6 @@ class TestExecutionPlanPlumbing:
             "minor-loop-ladder", family.h_scale, family.h_scale / 40.0
         )
 
-    def test_plan_and_n_workers_mutually_exclusive(self):
-        batch = get_family("timeless").make_batch(2, seed=0)
-        with pytest.raises(ParameterError, match="plan"):
-            run_sharded(
-                batch,
-                np.zeros(3),
-                n_workers=2,
-                plan=ExecutionPlan(backend="numpy"),
-            )
-
-    def test_invalid_plan_value_rejected(self):
-        batch = get_family("timeless").make_batch(2, seed=0)
-        with pytest.raises(ParameterError, match="plan must be"):
-            run_sharded(batch, np.zeros(3), plan="fast")
-
     def test_explicit_plan_matches_unplanned_run(self):
         """A hand plan through plan= is bitwise the same run as the
         explicit n_workers knob it replaces — pooled and serial."""
@@ -598,24 +583,24 @@ class TestExecutionPlanPlumbing:
         pooled_job = prepare_job(spec, drive, 3, 1, threads=1)
         assert [s.threads for s in pooled_job.specs] == [1, 1, 1]
 
-    def test_apply_plan_backend_spec_is_repinned_copy(self):
-        from repro.parallel.executor import _apply_plan_backend
+    def test_backend_pinned_spec_is_repinned_copy(self):
+        from repro.parallel.executor import backend_pinned
 
         spec = EnsembleSpec(family="timeless", n_cores=4, seed=0)
-        replaced, restore = _apply_plan_backend(spec, "numpy")
-        assert replaced.backend == "numpy"
+        with backend_pinned(spec, "numpy") as replaced:
+            assert replaced.backend == "numpy"
         assert spec.backend is None  # the original spec is untouched
-        restore()  # no-op for immutable specs
+        with backend_pinned(spec, None) as same:
+            assert same is spec
 
-    def test_apply_plan_backend_live_batch_restores(self):
-        from repro.parallel.executor import _apply_plan_backend
+    def test_backend_pinned_live_batch_restores(self):
+        from repro.parallel.executor import backend_pinned
 
         batch = get_family("timeless").make_batch(3, seed=0)
         previous = batch.backend
-        replaced, restore = _apply_plan_backend(batch, "numpy")
-        assert replaced is batch
-        assert batch.backend.name == "numpy"
-        restore()
+        with backend_pinned(batch, "numpy") as replaced:
+            assert replaced is batch
+            assert batch.backend.name == "numpy"
         assert batch.backend is previous
 
 
@@ -704,27 +689,6 @@ class TestScenarioGrid:
         for _, spec, source, _ in cells:
             assert spec.backend == "numpy"
             assert source.backend == "numpy"
-
-    def test_plan_conflicts_with_explicit_knobs(self):
-        plan = ExecutionPlan(backend="numpy")
-        kwargs = dict(n_cores=2, driver_step=250.0)
-        with pytest.raises(ParameterError, match="plan"):
-            run_scenario_grid(
-                ["timeless"], ["major-loop"], [1e3],
-                n_workers=2, plan=plan, **kwargs,
-            )
-        with pytest.raises(ParameterError, match="plan"):
-            run_scenario_grid(
-                ["timeless"], ["major-loop"], [1e3],
-                backend="numpy", plan=plan, **kwargs,
-            )
-
-    def test_invalid_plan_value_rejected(self):
-        with pytest.raises(ParameterError, match="plan must be"):
-            run_scenario_grid(
-                ["timeless"], ["major-loop"], [1e3],
-                n_cores=2, driver_step=250.0, plan="fast",
-            )
 
     def test_explicit_plan_matches_unplanned_grid(self):
         kwargs = dict(n_cores=3, seed=1, driver_step=250.0)

@@ -142,28 +142,6 @@ class TestWorkerPool:
         with pytest.raises(ParameterError, match="closed"):
             pool.execute([])
 
-    def test_pool_excludes_explicit_width_and_context(self):
-        spec, drive = small_workload("timeless")
-        with WorkerPool(1) as pool:
-            with pytest.raises(ParameterError, match="pool width"):
-                run_sharded(
-                    spec,
-                    scenario=drive.scenario,
-                    h_max=drive.h_max,
-                    driver_step=drive.driver_step,
-                    pool=pool,
-                    n_workers=2,
-                )
-            with pytest.raises(ParameterError, match="start method"):
-                run_sharded(
-                    spec,
-                    scenario=drive.scenario,
-                    h_max=drive.h_max,
-                    driver_step=drive.driver_step,
-                    pool=pool,
-                    mp_context="spawn",
-                )
-
 
 class TestResultCache:
     def _result(self, family="timeless", n_cores=3, seed=1):
@@ -313,16 +291,6 @@ class TestHysteresisService:
             ("timeless", "major-loop", family.h_scale),
         ]
 
-    def test_plan_backend_conflict_rejected(self):
-        from repro.sched.planner import ExecutionPlan
-
-        spec, drive = small_workload("timeless")
-        with HysteresisService(1) as service:
-            with pytest.raises(ParameterError, match="backend"):
-                service.run(
-                    spec, drive, plan=ExecutionPlan(backend="no-such")
-                )
-
     def test_closed_service_rejects_requests(self):
         spec, drive = small_workload("timeless")
         service = HysteresisService(1)
@@ -412,19 +380,6 @@ class TestGridService:
         assert [c.key for c in serviced] == [c.key for c in plain]
         for one, two in zip(serviced, plain):
             assert_bitwise(two.result, one.result)
-
-    def test_service_excludes_workers_and_context(self):
-        with HysteresisService(1) as service:
-            with pytest.raises(ParameterError, match="pool width"):
-                run_scenario_grid(
-                    ["timeless"], ["major-loop"], [1e4], 2,
-                    service=service, n_workers=2,
-                )
-            with pytest.raises(ParameterError, match="start method"):
-                run_scenario_grid(
-                    ["timeless"], ["major-loop"], [1e4], 2,
-                    service=service, mp_context="spawn",
-                )
 
 
 class TestServiceExperimentSmoke:

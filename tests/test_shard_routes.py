@@ -10,18 +10,31 @@ lane chunking, for every registered family plus a family with int32 and
 bool extras, and checks the assembled result bit for bit against the
 single-process :func:`repro.batch.sweep.run_batch_series`.
 
+The scenario grid gets the same treatment: each grid route (in
+process, one-shot fork pool, a service cold and then fully cached, two
+in-process agents, a hosted plan, an unreachable fleet) runs one cell
+per chunk over a duplicated amplitude, with and without lane chunking,
+and every cell is checked bit for bit.  One table then pins every
+route-argument conflict of every entry point: each raises
+``ParameterError`` before a cache is read, a pool forks or a connection
+opens.
+
 The routes are case functions crossed with the families, in the
 cross-strategy idiom of probdiffeq's solver tests: a new route or a new
 family is covered with one line.
 """
 
 import dataclasses
+import functools
+import logging
 import multiprocessing
+import multiprocessing.context
 import os
 
 import numpy as np
 import pytest
 
+from repro.backend import resolve_backend
 from repro.batch.sweep import run_batch_series
 from repro.dist import Dispatcher, WorkerAgent, run_distributed
 from repro.errors import DistError, ParameterError
@@ -32,7 +45,12 @@ from repro.models.registry import (
     register_family,
     unregister_family,
 )
-from repro.parallel import DriveSpec, run_sharded
+from repro.parallel import (
+    DriveSpec,
+    EnsembleSpec,
+    run_scenario_grid,
+    run_sharded,
+)
 from repro.parallel.blocks import LaneBlock, ShardAssembly
 from repro.parallel.executor import (
     execute_jobs_pooled,
@@ -40,7 +58,8 @@ from repro.parallel.executor import (
     run_job_serial,
 )
 from repro.scenarios import scenario_samples
-from repro.service import WorkerPool
+from repro.sched import ExecutionPlan
+from repro.service import HysteresisService, ResultCache, WorkerPool
 
 from test_parallel import DtypeExtrasShardedBatch, assert_results_bitwise_equal
 
@@ -239,3 +258,314 @@ class TestExtrasSchemaCheck:
                 r".*ParameterError.*bogus",
             ):
                 dispatcher.run_jobs([stale_job()])
+
+
+# -- grid routes: (chunk_lanes, request) -> list[GridCell] -----------------
+
+#: One scenario with per-core drives; the first amplitude is requested
+#: twice, so every grid also collapses a duplicate cell.
+GRID_SCENARIO = "forc-family"
+GRID_H_MAX = [5e3, 1e4, 5e3]
+GRID_STEP = 500.0
+
+
+def grid(chunk_lanes, **route):
+    return run_scenario_grid(
+        FAMILY_NAMES, [GRID_SCENARIO], GRID_H_MAX, N_CORES,
+        driver_step=GRID_STEP, chunk_cells=1, chunk_lanes=chunk_lanes,
+        **route,
+    )
+
+
+@pytest.fixture(scope="module")
+def grid_service(dtype_family):
+    with HysteresisService(N_SHARDS, mp_context="fork", warm=False) as svc:
+        yield svc
+
+
+def grid_serial(chunk_lanes, request):
+    return grid(chunk_lanes, n_workers=1)
+
+
+def grid_fork_pool(chunk_lanes, request):
+    return grid(chunk_lanes, n_workers=N_SHARDS, mp_context="fork")
+
+
+def grid_service_cold_then_cached(chunk_lanes, request):
+    service = request.getfixturevalue("grid_service")
+    service.cache.clear()
+    cold = grid(chunk_lanes, service=service)
+    misses = service.cache.stats["misses"]
+    cached = grid(chunk_lanes, service=service)
+    assert service.cache.stats["misses"] == misses
+    for first, second in zip(cold, cached):
+        assert second.result is first.result  # the same frozen entries
+    return cached
+
+
+def grid_dispatched(chunk_lanes, request):
+    hosts = request.getfixturevalue("fleet")
+    return grid(chunk_lanes, hosts=hosts, n_workers=N_SHARDS)
+
+
+def grid_hosted_plan(chunk_lanes, request):
+    hosts = request.getfixturevalue("fleet")
+    plan = ExecutionPlan(
+        backend=resolve_backend(None).name, n_workers=N_SHARDS,
+        hosts=tuple(hosts),
+    )
+    return grid(chunk_lanes, plan=plan)
+
+
+def grid_unreachable_fleet(chunk_lanes, request):
+    caplog = request.getfixturevalue("caplog")
+    with caplog.at_level(logging.WARNING, logger="repro.dist.dispatch"):
+        cells = grid(chunk_lanes, hosts=[UNREACHABLE])
+    assert any(
+        "degrading to the local executor" in record.message
+        for record in caplog.records
+    )
+    return cells
+
+
+GRID_ROUTES = {
+    "serial": grid_serial,
+    "fork-pool": grid_fork_pool,
+    "service": grid_service_cold_then_cached,
+    "dispatched": grid_dispatched,
+    "hosted-plan": grid_hosted_plan,
+    "unreachable": grid_unreachable_fleet,
+}
+
+
+@pytest.mark.parametrize("chunk_lanes", [None, 2])
+@pytest.mark.parametrize("route", list(GRID_ROUTES))
+def test_grid_route_matches_single_process(route, chunk_lanes, request):
+    cells = GRID_ROUTES[route](chunk_lanes, request)
+    assert [cell.key for cell in cells] == [
+        (name, GRID_SCENARIO, h_max)
+        for name in FAMILY_NAMES
+        for h_max in GRID_H_MAX
+    ]
+    # The duplicated amplitude is served the same result object.
+    for name in FAMILY_NAMES:
+        first, _, again = [c for c in cells if c.family == name]
+        assert again.result is first.result
+    for cell in cells:
+        reference = run_batch_series(
+            EnsembleSpec(cell.family, N_CORES).build_batch(),
+            scenario_samples(
+                GRID_SCENARIO, cell.h_max, GRID_STEP, n_cores=N_CORES
+            ),
+        )
+        assert_results_bitwise_equal(reference, cell.result)
+
+
+def test_grid_dispatches_a_hosted_plan(fleet, monkeypatch):
+    """A plan carrying hosts sends the grid to them, as it does from
+    ``run_sharded``, instead of running it on a local pool."""
+    calls = []
+    real_run_jobs = Dispatcher.run_jobs
+
+    def counting_run_jobs(self, jobs):
+        calls.append(len(jobs))
+        return real_run_jobs(self, jobs)
+
+    monkeypatch.setattr(Dispatcher, "run_jobs", counting_run_jobs)
+    plan = ExecutionPlan(
+        backend=resolve_backend(None).name, n_workers=2, hosts=tuple(fleet)
+    )
+    kwargs = dict(
+        families=["timeless"], scenarios=["major-loop"], h_max_values=[8e3],
+        n_cores=4, driver_step=400.0,
+    )
+    hosted = run_scenario_grid(**kwargs, plan=plan)
+    assert calls == [1]
+    local = run_scenario_grid(**kwargs, n_workers=1)
+    assert_results_bitwise_equal(local[0].result, hosted[0].result)
+
+
+def test_auto_plan_with_hosts_names_what_works(fleet):
+    """``plan="auto"`` never places shards on hosts, so the pair is
+    rejected, and the message points at what does dispatch a plan."""
+    with pytest.raises(ParameterError) as raised:
+        run_sharded(
+            EnsembleSpec("timeless", 4), scenario="major-loop", h_max=8e3,
+            driver_step=400.0, plan="auto", hosts=fleet,
+        )
+    message = str(raised.value)
+    assert "plan='auto', hosts" not in message
+    assert "ExecutionPlan that carries the hosts" in message
+    assert "hosts= without plan=" in message
+
+
+class TestPlanCheckedOnHitAndMiss:
+    """A bad plan raises whether or not the cache holds the result."""
+
+    @pytest.fixture
+    def service(self):
+        with HysteresisService(1, warm=False) as svc:
+            yield svc
+
+    def test_service_run(self, service):
+        spec = EnsembleSpec("timeless", 4)
+        cached = DriveSpec(scenario="major-loop", h_max=8e3, driver_step=400.0)
+        missing = DriveSpec(scenario="major-loop", h_max=4e3, driver_step=400.0)
+        service.run(spec, cached)
+        for drive in (cached, missing):
+            with pytest.raises(ParameterError, match="plan must be"):
+                service.run(spec, drive, plan="fast")
+
+    @pytest.mark.parametrize(
+        "plan, match",
+        [("fast", "plan must be"),
+         (ExecutionPlan(backend="numba-missing"), "backend")],
+    )
+    def test_grid_through_a_service(self, service, plan, match):
+        kwargs = dict(
+            families=["timeless"], scenarios=["major-loop"], n_cores=4,
+            driver_step=400.0, service=service,
+        )
+        run_scenario_grid(h_max_values=[8e3], **kwargs)
+        for h_values in ([8e3], [4e3]):  # every cell cached, then a miss
+            with pytest.raises(ParameterError, match=match):
+                run_scenario_grid(h_max_values=h_values, plan=plan, **kwargs)
+
+
+# -- every route-argument conflict, raised before any work -----------------
+
+#: Stand-ins the table swaps for the live pool and service.
+POOL, SERVICE = "<live WorkerPool>", "<live HysteresisService>"
+
+PLAN = ExecutionPlan(backend="numpy", n_workers=2)
+HOSTED = ExecutionPlan(backend="numpy", n_workers=2, hosts=(UNREACHABLE,))
+FLEET = [UNREACHABLE]
+
+
+def call_run_sharded(**route):
+    return run_sharded(
+        EnsembleSpec("timeless", 4), scenario="major-loop", h_max=8e3,
+        driver_step=400.0, **route,
+    )
+
+
+def call_grid(**route):
+    return run_scenario_grid(
+        ["timeless"], ["major-loop"], [8e3], 4, driver_step=400.0, **route
+    )
+
+
+def call_run_distributed(**route):
+    return run_distributed(
+        EnsembleSpec("timeless", 4), scenario="major-loop", h_max=8e3,
+        driver_step=400.0, **route,
+    )
+
+
+def service_entry(method):
+    def call(service, **route):
+        drive = DriveSpec(scenario="major-loop", h_max=8e3, driver_step=400.0)
+        return getattr(service, method)(
+            EnsembleSpec("timeless", 4), drive, **route
+        )
+
+    return call
+
+
+ENTRY_POINTS = {
+    "run_sharded": call_run_sharded,
+    "run_scenario_grid": call_grid,
+    "run_distributed": call_run_distributed,
+    "service.run": service_entry("run"),
+    "service.submit": service_entry("submit"),
+}
+
+CONFLICTS = [
+    ("run_sharded", dict(plan="fast"), "plan must be"),
+    ("run_sharded", dict(plan=PLAN, n_workers=2), "plan"),
+    ("run_sharded", dict(plan=ExecutionPlan(backend="no-such")), "backend"),
+    ("run_sharded", dict(hosts=[]), "at least one"),
+    ("run_sharded", dict(hosts=FLEET, plan="auto"), "hosts= or plan="),
+    ("run_sharded", dict(hosts=FLEET, plan=PLAN), "hosts= or plan="),
+    ("run_sharded", dict(hosts=FLEET, mp_context="fork"), "remote shards"),
+    ("run_sharded", dict(hosts=FLEET, pool=POOL), "remote shards"),
+    ("run_sharded", dict(plan=HOSTED, pool=POOL), "remote shards"),
+    ("run_sharded", dict(plan=HOSTED, mp_context="fork"), "remote shards"),
+    ("run_sharded", dict(pool=POOL, n_workers=2), "pool width"),
+    ("run_sharded", dict(pool=POOL, mp_context="fork"), "start method"),
+    ("run_scenario_grid", dict(plan="fast"), "plan must be"),
+    ("run_scenario_grid", dict(plan=PLAN, n_workers=2), "plan"),
+    ("run_scenario_grid", dict(plan=PLAN, backend="numpy"), "plan"),
+    ("run_scenario_grid", dict(plan="auto", backend="numpy"), "plan"),
+    ("run_scenario_grid", dict(hosts=FLEET, plan="auto"), "run_sharded"),
+    ("run_scenario_grid", dict(hosts=FLEET, mp_context="fork"),
+     "remote shards"),
+    ("run_scenario_grid", dict(hosts=FLEET, service=SERVICE),
+     "remote shards"),
+    ("run_scenario_grid", dict(plan=HOSTED, service=SERVICE),
+     "remote shards"),
+    ("run_scenario_grid", dict(service=SERVICE, n_workers=2), "pool width"),
+    ("run_scenario_grid", dict(service=SERVICE, mp_context="fork"),
+     "start method"),
+    ("run_scenario_grid", dict(service=SERVICE, plan="fast"), "plan must be"),
+    ("run_scenario_grid",
+     dict(service=SERVICE, plan=ExecutionPlan(backend="numba-missing")),
+     "backend"),
+    ("run_scenario_grid", dict(service=SERVICE, plan=PLAN, backend="numpy"),
+     "plan"),
+    ("run_distributed", dict(hosts=[]), "at least one"),
+    ("service.run", dict(plan="fast"), "plan must be"),
+    ("service.run", dict(plan=HOSTED), "remote shards"),
+    ("service.run", dict(plan=ExecutionPlan(backend="no-such")), "backend"),
+    ("service.submit", dict(plan="fast"), "plan must be"),
+]
+
+
+@pytest.fixture
+def nothing_runs(monkeypatch):
+    """Fail any pool fork, connection, cache read or pool run."""
+
+    def forbid(what):
+        def fail(*args, **kwargs):
+            raise AssertionError(f"{what} before the route was checked")
+
+        return fail
+
+    monkeypatch.setattr(
+        multiprocessing.context.BaseContext, "Pool", forbid("a pool fork")
+    )
+    monkeypatch.setattr(Dispatcher, "__init__", forbid("a connection"))
+    monkeypatch.setattr(ResultCache, "get", forbid("a cache read"))
+    monkeypatch.setattr(WorkerPool, "execute", forbid("a pool run"))
+
+
+def conflict_id(entry, route) -> str:
+    def label(key, value):
+        if isinstance(value, ExecutionPlan):
+            return "hosted-plan" if value.hosts else f"plan={value.backend}"
+        if value in (POOL, SERVICE) or isinstance(value, list):
+            return key if value else f"{key}=[]"
+        return f"{key}={value}"
+
+    return "-".join([entry] + [label(*item) for item in route.items()])
+
+
+@pytest.mark.parametrize(
+    "entry, route, match",
+    CONFLICTS,
+    ids=[conflict_id(entry, route) for entry, route, _ in CONFLICTS],
+)
+def test_route_conflict_raises_before_any_work(
+    entry, route, match, nothing_runs
+):
+    with HysteresisService(1, warm=False) as service:
+        live = {POOL: service.pool, SERVICE: service}
+        route = {
+            key: live[value] if value in (POOL, SERVICE) else value
+            for key, value in route.items()
+        }
+        call = ENTRY_POINTS[entry]
+        if entry.startswith("service."):
+            call = functools.partial(call, service)
+        with pytest.raises(ParameterError, match=match):
+            call(**route)
