@@ -10,8 +10,6 @@ file with ``REPRO_BACKEND=numba``).  Also regenerates EXP-B4 end to
 end into ``results/EXP-B4.txt``.
 """
 
-import time
-
 import numpy as np
 import pytest
 
@@ -23,7 +21,7 @@ from repro.experiments.backend_fused import (
     make_timeless_batch,
     max_relative_deviation,
 )
-from repro.experiments.runner import results_header
+from repro.experiments.runner import measure, results_header
 from repro.scenarios import scenario_samples
 
 N_CORES = 256
@@ -50,8 +48,7 @@ def test_fused_speedup_over_per_sample(benchmark, results_dir):
 
     loop_batch = make_timeless_batch(N_CORES, backend="numpy")
     per_sample_seconds = min(
-        _timed(lambda: run_batch_series(loop_batch, h, fused=False))[0]
-        for _ in range(2)
+        measure(lambda: run_batch_series(loop_batch, h, fused=False), 2)[0]
     )
     reference = run_batch_series(loop_batch, h, fused=False)
 
@@ -77,12 +74,6 @@ def test_fused_speedup_over_per_sample(benchmark, results_dir):
     assert speedup >= 2.0, report
 
 
-def _timed(fn):
-    start = time.perf_counter()
-    value = fn()
-    return time.perf_counter() - start, value
-
-
 def test_numba_fused_speedup(results_dir):
     """The JIT leg: skipped (not failed) when numba is not installed,
     matching the sharded bench's worker-count skip pattern."""
@@ -95,13 +86,17 @@ def test_numba_fused_speedup(results_dir):
     backend = get_backend("numba")
     h = _drive()
     numba_batch = make_timeless_batch(N_CORES, backend="numba")
-    run_batch_series(numba_batch, h)  # JIT warm-up outside the timing
-    numba_seconds, fused = _timed(lambda: run_batch_series(numba_batch, h))
+    # One untimed call compiles the JIT kernels outside the timing.
+    numba_samples, fused = measure(
+        lambda: run_batch_series(numba_batch, h), 1, warmup=1
+    )
+    numba_seconds = min(numba_samples)
 
     loop_batch = make_timeless_batch(N_CORES, backend="numpy")
-    per_sample_seconds, reference = _timed(
-        lambda: run_batch_series(loop_batch, h, fused=False)
+    per_sample_samples, reference = measure(
+        lambda: run_batch_series(loop_batch, h, fused=False), 1
     )
+    per_sample_seconds = min(per_sample_samples)
 
     speedup = per_sample_seconds / max(numba_seconds, 1e-12)
     deviation = max_relative_deviation(reference, fused)

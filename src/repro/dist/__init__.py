@@ -25,13 +25,14 @@ reachable (the :class:`Dispatcher` drains every shard locally).
 
 Every entry point reaches the fleet through the same route resolver
 and job runner (:func:`repro.parallel.executor.resolve_route`,
-:func:`repro.parallel.grid.job_runner`): ``run_sharded(...,
-hosts=[...])``, ``run_scenario_grid(..., hosts=[...])`` and a
-multi-host :class:`~repro.sched.planner.ExecutionPlan` (a candidate of
-``enumerate_candidates(..., hosts=...)``) given to either as ``plan=``.
-``plan="auto"`` never places shards on hosts, so it is rejected next to
-``hosts=``.  :func:`run_distributed` is where the fleet's ``authkey``,
-deadlines, retries and buffer ceiling are set.
+:func:`repro.parallel.grid.job_runner`).  ``hosts=`` is the one way to
+dispatch: ``run_sharded(..., hosts=[...])``,
+``run_scenario_grid(..., hosts=[...])`` and :func:`run_distributed`
+take it, with ``n_workers=`` as the shard count, and none of them
+takes a ``plan=`` next to it.  :func:`run_distributed` is where the
+fleet's ``authkey``, deadlines, retries and buffer ceiling are set.
+:func:`probe_link_overhead` measures one agent's round trip for
+EXP-B8 and the benchmark's fleet trace.
 """
 
 from repro.dist.dispatch import (
@@ -41,7 +42,7 @@ from repro.dist.dispatch import (
     run_distributed,
     shard_digest,
 )
-from repro.dist.probe import probe_hosts, probe_link_overhead
+from repro.dist.probe import probe_link_overhead
 from repro.dist.protocol import DEFAULT_AUTHKEY, PROTOCOL_VERSION
 from repro.dist.worker import WorkerAgent
 
@@ -52,7 +53,6 @@ __all__ = [
     "PROTOCOL_VERSION",
     "Dispatcher",
     "WorkerAgent",
-    "probe_hosts",
     "probe_link_overhead",
     "run_distributed",
     "shard_digest",

@@ -8,11 +8,11 @@ full-ensemble driver-step resolution first (the bitwise rule), the
 same ``prepare_job`` planning and :class:`~repro.parallel.spec.ShardSpec`
 payloads, but each shard travels to a :class:`~repro.dist.worker.
 WorkerAgent` over TCP and its result streams back as bounded lane
-blocks (:mod:`repro.parallel.blocks`).  ``run_sharded(hosts=...)``,
-``run_scenario_grid(hosts=...)`` and an
-:class:`~repro.sched.planner.ExecutionPlan` carrying ``hosts`` reach
-the same :class:`Dispatcher`; only :func:`run_distributed` sets its
-authkey, deadlines and buffer ceiling.  Every block lands in the job's
+blocks (:mod:`repro.parallel.blocks`).  ``run_sharded(hosts=...)`` and
+``run_scenario_grid(hosts=...)`` reach the same :class:`Dispatcher`;
+``hosts=`` is the one way to dispatch, and only
+:func:`run_distributed` sets its authkey, deadlines and buffer
+ceiling.  Every block lands in the job's
 :class:`~repro.parallel.blocks.ShardAssembly` — the same assembly the
 local routes write through — by absolute lane range: idempotent, so a
 re-dispatched shard simply rewrites its (bitwise identical) columns,
@@ -487,7 +487,6 @@ def run_distributed(
     driver_step: "float | None" = None,
     hosts,
     n_workers: "int | None" = None,
-    min_shard: int = 1,
     chunk_lanes: "int | None" = None,
     deadline_s: "float | None" = DEFAULT_DEADLINE_S,
     retries: int = DEFAULT_RETRIES,
@@ -516,22 +515,21 @@ def run_distributed(
     ``--authkey``), ``deadline_s`` / ``retries`` (each job's wall clock
     and re-dispatch budget), ``max_buffer_bytes`` (a hard back-pressure
     ceiling on the dispatcher's in-flight block bytes) and
-    ``connect_timeout_s``.  To dispatch a calibrated plan, pass an
-    :class:`~repro.sched.planner.ExecutionPlan` that carries ``hosts``
-    to ``run_sharded(plan=...)`` or ``run_scenario_grid(plan=...)``.
+    ``connect_timeout_s``.  ``run_sharded(hosts=...)`` and
+    ``run_scenario_grid(hosts=...)`` dispatch with the defaults of these
+    options.  No plan reaches the fleet: ``hosts=`` takes no ``plan=``.
 
     Zero reachable workers degrades to the local executor with a
     logged warning — never an error.
     """
     settle = resolve_route(
-        lanes=_ensemble_lanes(source), min_shard=min_shard,
-        n_workers=n_workers, hosts=hosts,
+        lanes=_ensemble_lanes(source), n_workers=n_workers, hosts=hosts
     )
     drive, source = _resolve_drive(
         source, h_samples, scenario, h_max, driver_step
     )
     return run_single(
-        settle, source, drive, min_shard, chunk_lanes,
+        settle, source, drive, chunk_lanes,
         authkey=authkey,
         deadline_s=deadline_s,
         retries=retries,

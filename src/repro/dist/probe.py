@@ -1,13 +1,12 @@
-"""Link-overhead measurement for multi-host planning.
+"""Link-overhead measurement: what one round trip to an agent costs.
 
-The planner prices a remote shard as *compute on that host* plus the
-cost of moving the request out and the result blocks back
-(:func:`repro.sched.planner.enumerate_candidates`'s
-``link_overhead_s``).  That link cost is measured, not guessed:
-:func:`probe_link_overhead` round-trips a representative payload
-through a worker agent's ``echo`` handler and reports the median
-wall-clock seconds — pickling, both socket directions, and unpickling
-included, because every dispatched shard pays all of them.
+Every dispatched shard pays for moving its request out and its result
+blocks back.  :func:`probe_link_overhead` measures that cost: it
+round-trips a representative payload through a worker agent's
+``echo`` handler and reports the median wall-clock seconds —
+pickling, both socket directions, and unpickling included.  EXP-B8
+reports it as its link row (``link_overhead_s``), and the benchmark's
+fleet workload traces it per agent.
 """
 
 from __future__ import annotations
@@ -45,8 +44,7 @@ def probe_link_overhead(
     which also bounds the connect, handshake and version ping.  The
     median resists one-off scheduler hiccups; raising ``repeats``
     tightens it.  Unreachable or silent agents raise
-    :class:`~repro.errors.DistError` — the caller decides whether an
-    unprobeable host stays in the candidate fleet.
+    :class:`~repro.errors.DistError`.
     """
     if repeats < 1:
         raise ParameterError(f"repeats must be >= 1, got {repeats}")
@@ -76,28 +74,3 @@ def probe_link_overhead(
         return statistics.median(samples)
     finally:
         conn.close()
-
-
-def probe_hosts(
-    hosts,
-    *,
-    authkey: bytes = DEFAULT_AUTHKEY,
-    payload_bytes: int = DEFAULT_PAYLOAD_BYTES,
-    repeats: int = 5,
-    timeout_s: float = 5.0,
-) -> "dict[str, float]":
-    """Link overhead per reachable host; unreachable hosts are omitted
-    (their absence, not an exception, is the planning signal)."""
-    overheads: dict[str, float] = {}
-    for address in hosts:
-        try:
-            overheads[address] = probe_link_overhead(
-                address,
-                authkey=authkey,
-                payload_bytes=payload_bytes,
-                repeats=repeats,
-                timeout_s=timeout_s,
-            )
-        except DistError:
-            continue
-    return overheads

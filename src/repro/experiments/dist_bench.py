@@ -17,8 +17,8 @@ socket directions, block reassembly) from real network latency:
   BlockBudget` high-water mark): the memory/latency trade the streamed
   lane blocks buy;
 * **link overhead** — the measured echo round-trip per agent
-  (:func:`~repro.dist.probe.probe_link_overhead`), the number the
-  planner's ``link_overhead_s`` pricing axis consumes;
+  (:func:`~repro.dist.probe.probe_link_overhead`): what every
+  dispatched shard pays at least once (``link_overhead_s``);
 * **connect** — opening the fleet: ``Dispatcher(hosts)`` connect,
   handshake and ping per agent, then close.  The median over the
   repeats; with ``TCP_NODELAY`` it is a few round trips, without it
@@ -39,6 +39,7 @@ import numpy as np
 from repro.backend import resolve_backend
 from repro.batch.sweep import run_batch_series
 from repro.experiments.registry import ExperimentResult, register
+from repro.experiments.runner import measure
 from repro.io.table import TextTable
 from repro.models.registry import list_families
 from repro.parallel import available_cpus, resolve_workers, run_sharded
@@ -47,16 +48,6 @@ from repro.parallel.spec import DriveSpec, EnsembleSpec
 
 EXPERIMENT_ID = "EXP-B8"
 TITLE = "Multi-host dispatch: wire overhead and streamed lane blocks"
-
-
-def _timed(fn, repeats: int = 1):
-    """Best-of-repeats wall time plus the last return value."""
-    best, value = float("inf"), None
-    for _ in range(max(1, repeats)):
-        start = time.perf_counter()
-        value = fn()
-        best = min(best, time.perf_counter() - start)
-    return best, value
 
 
 def _bitwise(reference, other) -> bool:
@@ -95,13 +86,13 @@ def run(
     workers = resolve_workers(min(n_agents, available_cpus()))
 
     # -- the in-process references -------------------------------------
-    single_seconds, single = _timed(
+    single_samples, single = measure(
         lambda: run_batch_series(
             spec.build_batch(), drive.full_samples(n_cores)
         ),
         repeats,
     )
-    pooled_seconds, pooled = _timed(
+    pooled_samples, pooled = measure(
         lambda: run_sharded(
             spec,
             scenario=scenario,
@@ -111,12 +102,13 @@ def run(
         ),
         repeats,
     )
+    single_seconds, pooled_seconds = min(single_samples), min(pooled_samples)
 
     agents = [WorkerAgent().start() for _ in range(n_agents)]
     try:
         hosts = [agent.address for agent in agents]
 
-        # -- link overhead: the planner's pricing input ----------------
+        # -- link overhead: one echo round trip per agent -------------
         link_overheads = {
             address: probe_link_overhead(address, repeats=repeats)
             for address in hosts
@@ -132,7 +124,7 @@ def run(
         connect_seconds = statistics.median(connect_samples)
 
         # -- dispatched, unchunked -------------------------------------
-        dispatched_seconds, dispatched = _timed(
+        dispatched_samples, dispatched = measure(
             lambda: run_distributed(
                 spec,
                 scenario=scenario,
@@ -143,6 +135,7 @@ def run(
             ),
             repeats,
         )
+        dispatched_seconds = min(dispatched_samples)
 
         # -- chunk-size sweep over one shared fleet --------------------
         chunk_rows: list[dict] = []
@@ -151,17 +144,17 @@ def run(
                 continue
             with Dispatcher(hosts) as dispatcher:
                 job = prepare_job(
-                    spec, drive, n_agents, 1, chunk_lanes=chunk_lanes
+                    spec, drive, n_agents, chunk_lanes=chunk_lanes
                 )
-                seconds, results = _timed(
-                    lambda: dispatcher.run_jobs([job])
+                seconds, results = measure(
+                    lambda: dispatcher.run_jobs([job]), 1
                 )
                 chunk_rows.append(
                     {
                         "op": f"dispatch_chunk_{chunk_lanes or 'none'}",
                         "n": n_cores,
                         "chunk_lanes": chunk_lanes,
-                        "seconds": seconds,
+                        "seconds": min(seconds),
                         "peak_bytes": dispatcher.budget.peak,
                         "bitwise": _bitwise(single, results[0]),
                     }
@@ -210,7 +203,7 @@ def run(
     result.notes = [
         f"measured link overhead (echo round trip, localhost): "
         f"{median_link * 1e3:.3f} ms median over {n_agents} agent(s) — "
-        "the planner's link_overhead_s pricing input",
+        "what every dispatched shard pays at least once",
         f"opening the fleet (connect + handshake + ping + close, "
         f"{n_agents} agent(s)): {connect_seconds * 1e3:.3f} ms median",
         f"dispatch vs local pool: {dispatch_overhead:+.3f} s at "

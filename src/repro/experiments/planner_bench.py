@@ -30,8 +30,6 @@ checks structure and correctness only — single-CPU CI timing is noise.
 
 from __future__ import annotations
 
-import time
-
 from repro.backend import (
     get_backend,
     has_threading,
@@ -43,6 +41,7 @@ from repro.experiments.backend_fused import (
     max_relative_deviation,
 )
 from repro.experiments.registry import ExperimentResult, register
+from repro.experiments.runner import measure
 from repro.io.table import TextTable
 from repro.models.registry import list_families
 from repro.parallel import available_cpus, resolve_workers, run_sharded
@@ -81,14 +80,12 @@ def _shape(plan: ExecutionPlan) -> tuple:
 def _timed_run(spec: EnsembleSpec, h, plan: ExecutionPlan, repeats: int):
     """Best-of-repeats wall time of ``run_sharded(spec, h, plan=plan)``
     (one untimed warm-up on JIT backends), plus the last result."""
-    if not get_backend(plan.backend).exact:
-        run_sharded(spec, h, plan=plan)  # JIT warm-up, untimed
-    best, result = float("inf"), None
-    for _ in range(max(1, repeats)):
-        start = time.perf_counter()
-        result = run_sharded(spec, h, plan=plan)
-        best = min(best, time.perf_counter() - start)
-    return best, result
+    seconds, result = measure(
+        lambda: run_sharded(spec, h, plan=plan),
+        repeats,
+        warmup=0 if get_backend(plan.backend).exact else 1,
+    )
+    return min(seconds), result
 
 
 @register(EXPERIMENT_ID, TITLE)

@@ -18,6 +18,7 @@ import json
 import os
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,25 @@ from repro.backend import BACKEND_ENV, list_backends, resolve_backend
 from repro.errors import ExperimentError
 from repro.experiments.registry import list_experiments, run_experiment
 from repro.io.csvio import write_bh_csv
+
+
+def measure(fn, repeats: int, warmup: int = 0):
+    """Time ``fn()`` over ``repeats`` calls after ``warmup`` untimed ones.
+
+    Returns ``(seconds, value)``: the wall time of every timed call, in
+    call order (at least one), and the last call's return value.  The
+    caller reduces the samples, e.g. ``min(seconds)`` for a best-of
+    figure.  ``warmup`` calls absorb one-time costs such as JIT
+    compilation.
+    """
+    for _ in range(warmup):
+        fn()
+    seconds, value = [], None
+    for _ in range(max(1, repeats)):
+        start = time.perf_counter()
+        value = fn()
+        seconds.append(time.perf_counter() - start)
+    return seconds, value
 
 
 def results_header(

@@ -28,12 +28,11 @@ hit).
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from repro.backend import list_backends, resolve_backend
 from repro.experiments.registry import ExperimentResult, register
+from repro.experiments.runner import measure
 from repro.io.table import TextTable
 from repro.models.registry import list_families
 from repro.parallel import available_cpus, resolve_workers, run_sharded
@@ -42,16 +41,6 @@ from repro.parallel.spec import DriveSpec, EnsembleSpec
 
 EXPERIMENT_ID = "EXP-B7"
 TITLE = "Warm-pool service: submission latency and cache throughput"
-
-
-def _timed(fn, repeats: int = 1):
-    """Best-of-repeats wall time plus the last return value."""
-    best, value = float("inf"), None
-    for _ in range(max(1, repeats)):
-        start = time.perf_counter()
-        value = fn()
-        best = min(best, time.perf_counter() - start)
-    return best, value
 
 
 @register(EXPERIMENT_ID, TITLE)
@@ -86,7 +75,7 @@ def run(
     )
 
     # -- cold submissions: a fresh one-shot pool per call --------------
-    cold_seconds, cold_result = _timed(
+    cold_samples, cold_result = measure(
         lambda: run_sharded(
             spec,
             scenario=scenario,
@@ -96,6 +85,7 @@ def run(
         ),
         repeats,
     )
+    cold_seconds = min(cold_samples)
 
     rows: list[dict] = []
     with HysteresisService(workers) as service:
@@ -106,14 +96,16 @@ def run(
             service.cache.clear()
             return service.run(spec, drive)
 
-        warm_seconds, warm_result = _timed(warm, repeats)
+        warm_samples, warm_result = measure(warm, repeats)
+        warm_seconds = min(warm_samples)
         service.cache.clear()  # the miss timing must be a real miss
-        miss_seconds, _ = _timed(lambda: service.run(spec, drive))
+        miss_seconds = min(measure(lambda: service.run(spec, drive), 1)[0])
 
         # -- cache hits: every repeat after the first is served --------
-        hit_total, _ = _timed(
-            lambda: [service.run(spec, drive) for _ in range(hit_requests)]
-        )
+        hit_total = min(measure(
+            lambda: [service.run(spec, drive) for _ in range(hit_requests)],
+            1,
+        )[0])
         hit_seconds = hit_total / hit_requests
 
         # -- the repeated grid ----------------------------------------
@@ -132,8 +124,9 @@ def run(
             )
 
         service.cache.clear()
-        pass1_seconds, cells1 = _timed(grid_pass)
-        pass2_seconds, cells2 = _timed(grid_pass)
+        pass1_samples, cells1 = measure(grid_pass, 1)
+        pass2_samples, cells2 = measure(grid_pass, 1)
+        pass1_seconds, pass2_seconds = min(pass1_samples), min(pass2_samples)
         stats = service.cache.stats
 
     exact = resolve_backend(None).exact

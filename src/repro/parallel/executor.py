@@ -140,7 +140,6 @@ def prepare_job(
     source,
     drive: DriveSpec,
     n_workers: int,
-    min_shard: int,
     threads: int = 1,
     chunk_lanes: int | None = None,
 ) -> _CellJob:
@@ -169,7 +168,7 @@ def prepare_job(
         source = replace(source, backend=resolve_backend(None).name)
     h_full = drive.full_samples(n_total)
 
-    bounds = plan_shards(n_total, n_workers, min_shard)
+    bounds = plan_shards(n_total, n_workers)
     specs = []
     for start, stop in bounds:
         if h_full.ndim == 2:
@@ -374,7 +373,6 @@ def resolve_route(
     plan=None,
     *,
     lanes: int,
-    min_shard: int = 1,
     n_workers: "int | None" = None,
     mp_context: "str | None" = None,
     pool=None,
@@ -406,9 +404,9 @@ def resolve_route(
     :func:`resolve_workers` and the live pool's width.  A plan's lane
     threads are clamped so ``workers x threads <= available_cpus()``.
     ``workers`` ends as the number of shards
-    :func:`~repro.parallel.plan.plan_shards` cuts ``lanes`` into.  An
-    ``ExecutionPlan`` carrying ``hosts`` dispatches to them, just like
-    ``hosts=``, and its ``n_workers`` names the shard count.
+    :func:`~repro.parallel.plan.plan_shards` cuts ``lanes`` into.
+    ``hosts=`` is the one way to dispatch: it takes no plan, and
+    ``n_workers`` names its shard count (default: one per host).
     """
     auto = isinstance(plan, str) and plan == "auto"
     explicit = None if plan is None or auto else plan
@@ -427,20 +425,15 @@ def resolve_route(
         )
     if hosts is not None and plan is not None:
         raise ParameterError(
-            "pass either hosts= or plan=, not both: auto-planning never "
-            "places shards on hosts.  Pass hosts= without plan=, or an "
-            "ExecutionPlan that carries the hosts (e.g. a candidate from "
-            "enumerate_candidates(..., hosts=...)); run_sharded and "
-            "run_scenario_grid both dispatch such a plan"
+            "pass either hosts= or plan=, not both: a plan only places "
+            "shards on this host.  Pass hosts= without plan=, with "
+            "n_workers= as the shard count; run_sharded, "
+            "run_scenario_grid and run_distributed all dispatch that way"
         )
-    fleet = tuple(hosts) if hosts is not None else (
-        explicit.hosts if explicit is not None else ()
-    )
-    if fleet and (pool is not None or mp_context is not None):
+    if hosts is not None and (pool is not None or mp_context is not None):
         raise ParameterError(
-            "hosts= and hosted plans dispatch over repro.dist sockets; a "
-            "local pool (pool=, service= or mp_context=) cannot run "
-            "remote shards"
+            "hosts= dispatches over repro.dist sockets; a local pool "
+            "(pool=, service= or mp_context=) cannot run remote shards"
         )
     if pool is not None and n_workers is not None:
         raise ParameterError(
@@ -469,12 +462,8 @@ def resolve_route(
             )
 
     def shape(chosen) -> Route:
-        if fleet:
-            # Remote shards: the plan's count, else one per host.
-            wanted = (
-                chosen.n_workers if chosen is not None
-                else len(fleet) if n_workers is None else n_workers
-            )
+        if hosts is not None:
+            wanted = len(hosts) if n_workers is None else n_workers
         elif chosen is None:
             wanted = pool.n_workers if pool is not None else resolve_workers(
                 n_workers
@@ -487,13 +476,13 @@ def resolve_route(
             1, min(chosen.threads_per_worker, available_cpus() // wanted)
         )
         return Route(
-            workers=len(plan_shards(lanes, wanted, min_shard)),
+            workers=len(plan_shards(lanes, wanted)),
             threads=threads,
             backend=None if chosen is None else resolve_backend(
                 chosen.backend
             ).name,
             pool=pool,
-            hosts=fleet,
+            hosts=() if hosts is None else tuple(hosts),
             mp_context=mp_context,
         )
 
@@ -532,26 +521,26 @@ def backend_pinned(source, backend_name: "str | None"):
         yield source
 
 
-def _price_run(source, drive, min_shard, **pricing):
+def _price_run(source, drive, **pricing):
     """``plan="auto"`` for one run: the cheapest calibrated plan."""
     # Lazy import: repro.sched sits above the executor in the layer
     # stack, and plan=None callers never pay for (or depend on) it.
     from repro.sched.planner import plan_for
 
-    return plan_for(source, drive, min_shard=min_shard, **pricing)
+    return plan_for(source, drive, **pricing)
 
 
 def run_single(
-    settle, source, drive, min_shard, chunk_lanes=None, **dispatcher_options
+    settle, source, drive, chunk_lanes=None, **dispatcher_options
 ) -> BatchSweepResult:
     """Run one drive on a route from :func:`resolve_route`: settle it,
     cut the job on the route's backend and run it on the route's
-    transport.  ``dispatcher_options`` reach a hosted route's
+    transport.  ``dispatcher_options`` reach a ``hosts=`` route's
     :class:`~repro.dist.dispatch.Dispatcher`."""
-    route = settle(partial(_price_run, source, drive, min_shard))
+    route = settle(partial(_price_run, source, drive))
     with backend_pinned(source, route.backend) as pinned:
         job = prepare_job(
-            pinned, drive, route.workers, min_shard, route.threads,
+            pinned, drive, route.workers, route.threads,
             chunk_lanes=chunk_lanes,
         )
     # The runner sits beside the grid's chunk loop, and the grid
@@ -570,7 +559,6 @@ def run_sharded(
     h_max: float | None = None,
     driver_step: float | None = None,
     n_workers: int | None = None,
-    min_shard: int = 1,
     mp_context: str | None = None,
     plan=None,
     pool=None,
@@ -595,10 +583,9 @@ def run_sharded(
     n_workers:
         Pool width; defaults to the available CPUs and is always capped
         by the ``REPRO_PARALLEL_MAX_WORKERS`` environment variable.
-        ``1`` selects the serial in-process fallback.
-    min_shard:
-        Smallest worthwhile shard width; fewer lanes per shard than
-        this and the planner reduces the shard count instead.
+        ``1`` selects the serial in-process fallback.  The lanes are
+        cut into ``min(n_workers, lanes)`` near-equal shards
+        (:func:`~repro.parallel.plan.plan_shards`).
     mp_context:
         ``multiprocessing`` start method (``"fork"``, ``"spawn"``, ...);
         default: the platform default.
@@ -612,9 +599,8 @@ def run_sharded(
         always clamped to this host: the pool width passes through
         :func:`resolve_workers` (environment cap included) and
         ``threads_per_worker`` is reduced so ``workers × threads``
-        never exceeds the CPU affinity.  An ``ExecutionPlan`` that
-        carries ``hosts`` dispatches over them instead, cutting its
-        ``n_workers`` shards (with ``pool=`` that is a conflict).
+        never exceeds the CPU affinity.  A plan always runs on this
+        host; it takes no ``hosts``.
     pool:
         A live :class:`~repro.service.pool.WorkerPool` to run the
         shards on instead of spinning up (and tearing down) a one-shot
@@ -636,10 +622,9 @@ def run_sharded(
         instead of a local pool, streaming the same lane blocks over
         the wire, with ``n_workers`` shards (default: one per host).
         Mutually exclusive with ``pool=`` / ``mp_context=`` and with
-        any ``plan=`` (``plan="auto"`` never places shards on hosts;
-        put the hosts in an ``ExecutionPlan`` instead).  When no listed
-        host is reachable the run degrades to the local executor with a
-        logged warning.  :func:`repro.dist.dispatch.run_distributed`
+        any ``plan=``: ``hosts=`` is the one way to dispatch.  When no
+        listed host is reachable the run degrades to the local executor
+        with a logged warning.  :func:`repro.dist.dispatch.run_distributed`
         runs the same route with the fleet's authkey, deadlines and
         buffer ceiling.
 
@@ -647,10 +632,10 @@ def run_sharded(
     single-process executor produces — bitwise, lane order preserved.
     """
     settle = resolve_route(
-        plan, lanes=_ensemble_lanes(source), min_shard=min_shard,
-        n_workers=n_workers, mp_context=mp_context, pool=pool, hosts=hosts,
+        plan, lanes=_ensemble_lanes(source), n_workers=n_workers,
+        mp_context=mp_context, pool=pool, hosts=hosts,
     )
     drive, source = _resolve_drive(
         source, h_samples, scenario, h_max, driver_step
     )
-    return run_single(settle, source, drive, min_shard, chunk_lanes)
+    return run_single(settle, source, drive, chunk_lanes)

@@ -13,7 +13,8 @@ identical to running that cell alone through
 The grid has one body for every route.  It checks its route arguments
 (:func:`repro.parallel.executor.resolve_route`), plans and **dedupes**
 the cells once, takes a service's cache hits out, runs the rest in
-chunks through :func:`job_runner`, and caches what it computed.
+chunks of :data:`CHUNK_CELLS` through :func:`job_runner`, and caches
+what it computed.
 Callers composing ``h_max_values`` from overlapping sources (a default
 ladder plus a spot-check list) pay for each unique
 ``(family, scenario, h_max)`` cell once; duplicates are served the same
@@ -52,6 +53,12 @@ from repro.parallel.executor import (
 from repro.parallel.spec import DriveSpec, EnsembleSpec
 
 _log = logging.getLogger(__name__)
+
+#: Cells prepared and run per transport call.  It bounds how many cells
+#: hold live sample matrices and output buffers at once, so a large
+#: grid streams through the pool or fleet chunk by chunk instead of
+#: materialising every cell up front.
+CHUNK_CELLS = 8
 
 
 @dataclass(frozen=True)
@@ -174,7 +181,7 @@ def job_runner(route, **dispatcher_options):
             yield partial(execute_jobs_pooled, pool)
 
 
-def _price_cells(todo, n_cores, min_shard, **pricing):
+def _price_cells(todo, n_cores, **pricing):
     """``plan="auto"`` for a grid: one plan for every cell still to run,
     each priced by its drive length from a single-lane build of its
     scenario (row counts depend on h_max and driver_step, not on the
@@ -187,7 +194,7 @@ def _price_cells(todo, n_cores, min_shard, **pricing):
         (key[0], n_cores, len(drive.full_samples(1)))
         for key, _, _, drive in todo
     ]
-    return plan_grid(workloads, min_shard=min_shard, **pricing)
+    return plan_grid(workloads, **pricing)
 
 
 def run_scenario_grid(
@@ -200,8 +207,6 @@ def run_scenario_grid(
     driver_step: float | None = None,
     backend: str | None = None,
     n_workers: int | None = None,
-    min_shard: int = 1,
-    chunk_cells: int = 8,
     mp_context: str | None = None,
     plan=None,
     service=None,
@@ -220,10 +225,8 @@ def run_scenario_grid(
     :class:`~repro.parallel.spec.EnsembleSpec`, so a mid-campaign
     environment change cannot split one grid across backends (cells
     are prepared lazily, chunk by chunk, long after this call starts).
-    ``chunk_cells`` bounds how many cells hold live sample matrices
-    and output buffers at once — large grids stream through the
-    transport chunk by chunk instead of materialising every cell up
-    front.
+    Cells run :data:`CHUNK_CELLS` at a time, which bounds how many of
+    them hold live sample matrices and output buffers at once.
 
     Duplicate ``(family, scenario, h_max)`` combinations are collapsed
     before planning: each unique cell is computed once and every
@@ -238,8 +241,6 @@ def run_scenario_grid(
     plan owns the backend and pool-width axes, so it is mutually
     exclusive with ``backend`` / ``n_workers``, and it is clamped to
     this host exactly as in :func:`~repro.parallel.executor.run_sharded`.
-    An ``ExecutionPlan`` that carries ``hosts`` dispatches the grid to
-    them, cutting each cell into its ``n_workers`` shards.
 
     ``service`` routes the grid through a live
     :class:`~repro.service.api.HysteresisService`: unique cells are
@@ -247,13 +248,12 @@ def run_scenario_grid(
     are planned (spin-up-free — the service's pool is already warm) and
     computed on the service's persistent pool, and fresh results are
     cached for the next campaign.  The service owns the pool, so
-    ``n_workers`` / ``mp_context`` / ``hosts`` (or a plan carrying
-    hosts) are mutually exclusive with it; and because the backend is
-    part of the cache key (numpy's bitwise tier and numba's rtol tier
-    must never cross-serve), ``plan="auto"`` under a service prices
-    only the width/thread axes — the backend pins to ``backend`` (or
-    the environment default) before lookup — and an explicit plan on
-    another backend is rejected.
+    ``n_workers`` / ``mp_context`` / ``hosts`` are mutually exclusive
+    with it; and because the backend is part of the cache key (numpy's
+    bitwise tier and numba's rtol tier must never cross-serve),
+    ``plan="auto"`` under a service prices only the width/thread axes —
+    the backend pins to ``backend`` (or the environment default) before
+    lookup — and an explicit plan on another backend is rejected.
 
     ``chunk_lanes`` streams every cell's shards in bounded lane blocks
     (:mod:`repro.parallel.blocks`) — bitwise-neutral, memory-bounded.
@@ -263,7 +263,9 @@ def run_scenario_grid(
     table spans each chunk), ``n_workers`` names the per-cell shard
     count (default: one per host), and an unreachable fleet degrades
     to the local executor with a logged warning.  ``hosts`` takes no
-    ``plan``: ``plan="auto"`` never places shards on hosts.
+    ``plan``: it is the one way to dispatch, and
+    :func:`~repro.dist.dispatch.run_distributed` is where a fleet's
+    authkey, deadlines and buffer ceiling are set.
 
     Returns one :class:`GridCell` per combination, in
     ``families × scenarios × h_max_values`` order.
@@ -272,13 +274,10 @@ def run_scenario_grid(
         raise ParameterError(
             "run_scenario_grid needs at least one family, scenario and h_max"
         )
-    if chunk_cells < 1:
-        raise ParameterError(f"chunk_cells must be >= 1, got {chunk_cells}")
     backend_name = resolve_backend(backend).name
     settle = resolve_route(
         plan,
         lanes=n_cores,
-        min_shard=min_shard,
         n_workers=n_workers,
         mp_context=mp_context,
         pool=None if service is None else service.pool,
@@ -308,16 +307,16 @@ def run_scenario_grid(
             len(unique),
         )
     if todo:
-        route = settle(partial(_price_cells, todo, n_cores, min_shard))
+        route = settle(partial(_price_cells, todo, n_cores))
         with job_runner(route) as run:
-            for offset in range(0, len(todo), chunk_cells):
-                chunk = todo[offset : offset + chunk_cells]
+            for offset in range(0, len(todo), CHUNK_CELLS):
+                chunk = todo[offset : offset + CHUNK_CELLS]
                 jobs = []
                 for _, _, source, drive in chunk:
                     with backend_pinned(source, route.backend) as pinned:
                         jobs.append(prepare_job(
-                            pinned, drive, route.workers, min_shard,
-                            route.threads, chunk_lanes=chunk_lanes,
+                            pinned, drive, route.workers, route.threads,
+                            chunk_lanes=chunk_lanes,
                         ))
                 for (key, digest, _, _), result in zip(chunk, run(jobs)):
                     # A cached grid hands the *frozen* cache entry onward,

@@ -12,25 +12,18 @@ from __future__ import annotations
 from repro.errors import ParameterError
 
 
-def plan_shards(
-    n_cores: int, n_workers: int, min_shard: int = 1
-) -> list[tuple[int, int]]:
+def plan_shards(n_cores: int, n_workers: int) -> list[tuple[int, int]]:
     """Contiguous lane ranges ``[(start, stop), ...]`` for a worker pool.
 
-    At most ``n_workers`` shards are produced, never more than
-    ``n_cores``, and never so many that a shard would fall below
-    ``min_shard`` lanes (small ensembles are not worth forking for —
-    the per-worker fixed cost would dominate).  Widths are balanced:
-    ``n_cores`` is split into near-equal parts, the remainder spread
-    over the leading shards.
+    ``min(n_workers, n_cores)`` shards are produced, so no shard is
+    ever empty.  Widths are balanced: ``n_cores`` is split into
+    near-equal parts, the remainder spread over the leading shards.
     """
     if n_cores < 1:
         raise ParameterError(f"n_cores must be >= 1, got {n_cores}")
     if n_workers < 1:
         raise ParameterError(f"n_workers must be >= 1, got {n_workers}")
-    if min_shard < 1:
-        raise ParameterError(f"min_shard must be >= 1, got {min_shard}")
-    n_shards = min(n_workers, n_cores, max(1, n_cores // min_shard))
+    n_shards = min(n_workers, n_cores)
     base, extra = divmod(n_cores, n_shards)
     bounds: list[tuple[int, int]] = []
     start = 0

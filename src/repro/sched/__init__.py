@@ -37,7 +37,6 @@ from repro.sched.planner import (
     enumerate_candidates,
     plan_for,
     plan_grid,
-    resolve_plan,
 )
 
 __all__ = [
@@ -54,6 +53,5 @@ __all__ = [
     "get_calibration",
     "plan_for",
     "plan_grid",
-    "resolve_plan",
     "run_calibration",
 ]

@@ -141,7 +141,7 @@ class CostModel:
 
     def predict_sharded(
         self, family: str, backend: str, lanes: int, samples: int,
-        n_workers: int, min_shard: int = 1, warm_pool: bool = False,
+        n_workers: int, warm_pool: bool = False,
     ) -> "float | None":
         """Predicted seconds for a pooled sharded run: pool spin-up plus
         the widest shard's compute (the makespan; shards run threads=1
@@ -158,7 +158,7 @@ class CostModel:
         fit = self.fit_for(family, backend, threads=1)
         if fit is None:
             return None
-        shards = plan_shards(lanes, n_workers, min_shard=min_shard)
+        shards = plan_shards(lanes, n_workers)
         widest = max(stop - start for start, stop in shards)
         overhead = (
             0.0

@@ -52,16 +52,9 @@ class ExecutionPlan:
     worker.  ``predicted_seconds`` and ``calibration_id`` document how
     the planner priced this plan (``None`` on hand-written plans).
 
-    ``hosts`` is the multi-host placement axis: a tuple of
-    ``"host:port"`` :mod:`repro.dist` worker-agent addresses.  Empty
-    (default) means local execution; non-empty dispatches the run to
-    those hosts from ``run_sharded`` and ``run_scenario_grid`` alike (a
-    :class:`~repro.dist.dispatch.Dispatcher` through the executor's one
-    job runner), with ``n_workers`` naming the *shard count* to cut
-    across those hosts.  Placement
-    travels inside the plan — the executors grow no new tuning knobs —
-    and remote shards always run single-threaded (the fork-safety rule,
-    one layer out).
+    A plan always runs on this host.  Worker agents are reached with
+    ``hosts=`` instead, which takes no plan (see
+    :func:`repro.parallel.executor.resolve_route`).
     """
 
     backend: str
@@ -70,17 +63,8 @@ class ExecutionPlan:
     predicted_seconds: "float | None" = None
     calibration_id: "str | None" = None
     source: str = "manual"
-    hosts: "tuple[str, ...]" = ()
 
     def __post_init__(self) -> None:
-        if not isinstance(self.hosts, tuple):
-            object.__setattr__(self, "hosts", tuple(self.hosts))
-        if self.hosts and self.threads_per_worker > 1:
-            raise ParameterError(
-                "multi-host plans run remote shards single-threaded; "
-                f"got threads_per_worker={self.threads_per_worker} with "
-                f"hosts={self.hosts}"
-            )
         if self.n_workers < 1:
             raise ParameterError(
                 f"plan n_workers must be >= 1, got {self.n_workers}"
@@ -105,10 +89,9 @@ class ExecutionPlan:
             if self.predicted_seconds is not None
             else ""
         )
-        placement = f" @{len(self.hosts)}h" if self.hosts else ""
         return (
             f"{self.backend} x{self.n_workers}w/{self.threads_per_worker}t"
-            f"{placement}{cost}"
+            f"{cost}"
         )
 
 
@@ -170,20 +153,17 @@ def enumerate_candidates(
     family: str,
     lanes: int,
     samples: int,
-    max_workers: "int | None" = None,
-    min_shard: int = 1,
     warm_pool: bool = False,
     backend: "str | None" = None,
-    hosts: "Sequence[str] | None" = None,
-    link_overhead_s: float = 0.0,
-    host_models: "dict[str, CostModel] | None" = None,
 ) -> "list[ExecutionPlan]":
     """Every executable candidate plan, priced, cheapest first.
 
     Candidates span each calibrated backend × (serial, threaded at each
     calibrated thread count, pooled at each ladder width), constrained
-    by the oversubscription and fork-safety rules above.  Combinations
-    the calibration never probed are skipped, not guessed.
+    by the oversubscription and fork-safety rules above.  Pool widths
+    stop at :func:`~repro.parallel.executor.resolve_workers`: the
+    available CPUs, capped by ``REPRO_PARALLEL_MAX_WORKERS``.
+    Combinations the calibration never probed are skipped, not guessed.
 
     ``warm_pool=True`` prices pooled candidates without the spin-up
     overhead (see :meth:`CostModel.predict_sharded`): with a live
@@ -193,23 +173,12 @@ def enumerate_candidates(
     ``backend`` pins the backend axis to that one backend — the
     service layer's cache keys make the backend semantic, so planning
     under a cache may only trade the width/thread axes.
-
-    ``hosts`` grows the candidate set along the placement axis: for
-    each backend a multi-host plan cutting one shard per listed
-    :mod:`repro.dist` worker agent, priced per host from that host's
-    calibrated cost model (``host_models``, keyed by address; hosts
-    without an entry price on the local model — the honest default for
-    homogeneous fleets) plus ``link_overhead_s`` per dispatched shard
-    — the measured request/stream round-trip cost
-    (:func:`repro.dist.probe.probe_link_overhead`).  Remote shards are
-    already-running agents, so no pool spin-up is priced, and the local
-    oversubscription cap never constrains remote placement.
     """
     from repro.backend import max_threads
     from repro.parallel.executor import available_cpus, resolve_workers
 
     cpus = available_cpus()
-    cap = resolve_workers(max_workers)
+    cap = resolve_workers()
     pinned = backend
     backends = model.backends(family)
     if pinned is not None:
@@ -251,8 +220,7 @@ def enumerate_candidates(
             if workers <= 1:
                 continue
             seconds = model.predict_sharded(
-                family, backend, lanes, samples, workers, min_shard,
-                warm_pool=warm_pool,
+                family, backend, lanes, samples, workers, warm_pool=warm_pool
             )
             if seconds is None:
                 continue
@@ -266,23 +234,6 @@ def enumerate_candidates(
                     source="auto",
                 )
             )
-        if hosts:
-            seconds = _price_distributed(
-                model, family, backend, lanes, samples, tuple(hosts),
-                min_shard, link_overhead_s, host_models,
-            )
-            if seconds is not None:
-                candidates.append(
-                    ExecutionPlan(
-                        backend=backend,
-                        n_workers=len(hosts),
-                        threads_per_worker=1,
-                        predicted_seconds=seconds,
-                        calibration_id=model.calibration_id,
-                        source="auto-dist",
-                        hosts=tuple(hosts),
-                    )
-                )
     if not candidates:
         raise ParameterError(
             f"the calibration has no probes for family {family!r}"
@@ -292,50 +243,11 @@ def enumerate_candidates(
     return sorted(candidates, key=lambda plan: plan.predicted_seconds)
 
 
-def _price_distributed(
-    model: CostModel,
-    family: str,
-    backend: str,
-    lanes: int,
-    samples: int,
-    hosts: "tuple[str, ...]",
-    min_shard: int,
-    link_overhead_s: float,
-    host_models: "dict[str, CostModel] | None",
-) -> "float | None":
-    """Makespan of one shard per host, each priced on its host's model.
-
-    Shards come from the same :func:`~repro.parallel.plan.plan_shards`
-    decomposition the dispatcher cuts; shard ``i`` prices on host ``i``
-    (the dispatcher's lane-ordered assignment when every host is up).
-    Each dispatched shard additionally pays the measured link overhead
-    once — request pickle out, result blocks back.  ``None`` when any
-    involved model lacks a fit for this family × backend (unprobed
-    placements are skipped, not guessed — the PR 6 rule).
-    """
-    from repro.parallel.plan import plan_shards
-
-    shards = plan_shards(lanes, len(hosts), min_shard=min_shard)
-    per_host = [0.0] * len(hosts)
-    for i, (start, stop) in enumerate(shards):
-        host = hosts[i % len(hosts)]
-        host_model = (host_models or {}).get(host, model)
-        seconds = host_model.predict_single(
-            family, backend, stop - start, samples
-        )
-        if seconds is None:
-            return None
-        per_host[i % len(hosts)] += seconds + link_overhead_s
-    return max(per_host)
-
-
 def plan_for(
     source,
     drive=None,
     samples: "int | None" = None,
     calibration: "Calibration | None" = None,
-    max_workers: "int | None" = None,
-    min_shard: int = 1,
     warm_pool: bool = False,
     backend: "str | None" = None,
 ) -> ExecutionPlan:
@@ -353,16 +265,13 @@ def plan_for(
         calibration = get_calibration()
     model = CostModel.from_calibration(calibration)
     return enumerate_candidates(
-        model, family, lanes, n_samples, max_workers, min_shard,
-        warm_pool=warm_pool, backend=backend,
+        model, family, lanes, n_samples, warm_pool=warm_pool, backend=backend
     )[0]
 
 
 def plan_grid(
     workloads: Sequence[tuple],
     calibration: "Calibration | None" = None,
-    max_workers: "int | None" = None,
-    min_shard: int = 1,
     warm_pool: bool = False,
     backend: "str | None" = None,
 ) -> ExecutionPlan:
@@ -394,8 +303,7 @@ def plan_grid(
         cell = {
             (p.backend, p.n_workers, p.threads_per_worker): p.predicted_seconds
             for p in enumerate_candidates(
-                model, family, int(lanes), int(samples), max_workers,
-                min_shard, warm_pool=warm_pool,
+                model, family, int(lanes), int(samples), warm_pool=warm_pool
             )
         }
         per_cell.append(cell)
@@ -421,39 +329,4 @@ def plan_grid(
         predicted_seconds=totals[(backend, workers, threads)],
         calibration_id=model.calibration_id,
         source="auto-grid",
-    )
-
-
-def resolve_plan(
-    plan,
-    source,
-    drive=None,
-    samples: "int | None" = None,
-    max_workers: "int | None" = None,
-    min_shard: int = 1,
-    warm_pool: bool = False,
-) -> ExecutionPlan:
-    """Normalise a ``plan=`` argument for one run.
-
-    ``"auto"`` plans from the persisted calibration; an
-    :class:`ExecutionPlan` passes through unchanged (hand-written plans
-    are first-class — the benchmarks race them against ``"auto"``).
-    ``warm_pool`` reaches the auto path only: set it when a live pool
-    is attached, so auto plans stop pricing a spin-up the caller
-    already paid.  The executors check and price their ``plan=`` in
-    :func:`repro.parallel.executor.resolve_route`.
-    """
-    if isinstance(plan, ExecutionPlan):
-        return plan
-    if plan == "auto":
-        return plan_for(
-            source,
-            drive,
-            samples=samples,
-            max_workers=max_workers,
-            min_shard=min_shard,
-            warm_pool=warm_pool,
-        )
-    raise ParameterError(
-        f"plan must be an ExecutionPlan or 'auto', got {plan!r}"
     )

@@ -58,10 +58,10 @@ class HysteresisService:
 
     Parameters
     ----------
-    n_workers / mp_context / warm:
+    n_workers / mp_context:
         Forwarded to :class:`~repro.service.pool.WorkerPool`; the pool
-        is created (and its kernels warmed) at construction, so the
-        first request already runs warm.
+        is created (its JIT kernels always pre-warmed) at construction,
+        so the first request already runs warm.
     cache_entries:
         In-memory LRU capacity of the result cache.
     cache_dir:
@@ -80,7 +80,6 @@ class HysteresisService:
         n_workers: "int | None" = None,
         *,
         mp_context: "str | None" = None,
-        warm: bool = True,
         cache_entries: int = 128,
         cache_dir: "Path | str | None" = None,
         dispatch_threads: int = 2,
@@ -89,7 +88,7 @@ class HysteresisService:
             raise ParameterError(
                 f"dispatch_threads must be >= 1, got {dispatch_threads}"
             )
-        self.pool = WorkerPool(n_workers, mp_context=mp_context, warm=warm)
+        self.pool = WorkerPool(n_workers, mp_context=mp_context)
         self.cache = ResultCache(cache_entries, spill_dir=cache_dir)
         self._dispatch = concurrent.futures.ThreadPoolExecutor(
             max_workers=dispatch_threads, thread_name_prefix="hysteresis"
@@ -112,7 +111,6 @@ class HysteresisService:
         drive: DriveSpec,
         *,
         plan=None,
-        min_shard: int = 1,
     ) -> BatchSweepResult:
         """One request, synchronously: cache hit or warm-pool compute.
 
@@ -126,8 +124,8 @@ class HysteresisService:
         """
         self._check_open()
         digest = self.digest_for(spec, drive)
-        settle = self._route(plan, spec.n_cores, min_shard, spec.backend)
-        return self._fetch(digest, spec, drive, settle, min_shard)
+        settle = self._route(plan, spec.n_cores, spec.backend)
+        return self._fetch(digest, spec, drive, settle)
 
     # -- async front door ---------------------------------------------
 
@@ -137,8 +135,6 @@ class HysteresisService:
         drive: DriveSpec,
         *,
         plan=None,
-        min_shard: int = 1,
-        loop: "asyncio.AbstractEventLoop | None" = None,
     ) -> "asyncio.Future[BatchSweepResult]":
         """Submit one request; returns an ``asyncio`` future.
 
@@ -146,22 +142,21 @@ class HysteresisService:
         errors surface at the call site, not inside the future); the
         cache lookup and any compute run on a dispatch thread.
         Identical in-flight submissions coalesce onto one computation.
+        Call it from a running event loop; synchronous callers use
+        :meth:`run`.
         """
         self._check_open()
         digest = self.digest_for(spec, drive)
-        settle = self._route(plan, spec.n_cores, min_shard, spec.backend)
-        if loop is None:
-            try:
-                loop = asyncio.get_running_loop()
-            except RuntimeError:
-                raise ParameterError(
-                    "HysteresisService.submit needs a running event loop "
-                    "(or an explicit loop=); synchronous callers should "
-                    "use HysteresisService.run"
-                ) from None
+        settle = self._route(plan, spec.n_cores, spec.backend)
+        try:
+            loop = asyncio.get_running_loop()
+        except RuntimeError:
+            raise ParameterError(
+                "HysteresisService.submit needs a running event loop; "
+                "synchronous callers should use HysteresisService.run"
+            ) from None
         return loop.run_in_executor(
-            self._dispatch,
-            partial(self._fetch, digest, spec, drive, settle, min_shard),
+            self._dispatch, partial(self._fetch, digest, spec, drive, settle)
         )
 
     async def stream_grid(
@@ -175,7 +170,6 @@ class HysteresisService:
         driver_step: "float | None" = None,
         backend: "str | None" = None,
         plan=None,
-        min_shard: int = 1,
     ) -> AsyncIterator:
         """Yield :class:`~repro.parallel.grid.GridCell`\\ s as they land.
 
@@ -190,7 +184,7 @@ class HysteresisService:
 
         self._check_open()
         backend_name = resolve_backend(backend).name
-        settle = self._route(plan, n_cores, min_shard, backend_name)
+        settle = self._route(plan, n_cores, backend_name)
         planned = _plan_cells(
             list(families), list(scenarios), list(h_max_values), n_cores,
             seed, driver_step, backend_name,
@@ -202,7 +196,7 @@ class HysteresisService:
             digest = self.digest_for(spec, drive)
             result = await loop.run_in_executor(
                 self._dispatch,
-                partial(self._fetch, digest, source, drive, settle, min_shard),
+                partial(self._fetch, digest, source, drive, settle),
             )
             return GridCell(*key, result)
 
@@ -221,20 +215,17 @@ class HysteresisService:
                 "this HysteresisService is closed; construct a new one"
             )
 
-    def _route(self, plan, lanes, min_shard, backend):
+    def _route(self, plan, lanes, backend):
         """Check a request's plan against the warm pool and the cache's
         backend pin (:func:`~repro.parallel.executor.resolve_route`)."""
         return resolve_route(
             plan,
             lanes=lanes,
-            min_shard=min_shard,
             pool=self.pool,
             cache_backend=resolve_backend(backend).name,
         )
 
-    def _fetch(
-        self, digest, source, drive, settle, min_shard
-    ) -> BatchSweepResult:
+    def _fetch(self, digest, source, drive, settle) -> BatchSweepResult:
         """Cache hit, coalesced wait, or compute-and-insert.
 
         ``source`` is what the executor runs (an
@@ -258,9 +249,7 @@ class HysteresisService:
             # its frozen cache entry rather than duplicating the work.
             return fut.result()
         try:
-            result = self.cache.put(
-                digest, run_single(settle, source, drive, min_shard)
-            )
+            result = self.cache.put(digest, run_single(settle, source, drive))
             fut.set_result(result)
             return result
         except BaseException as exc:
@@ -274,7 +263,9 @@ class HysteresisService:
 
     def close(self) -> None:
         """Shut the dispatch threads and worker pool down.  Idempotent;
-        the cache (and any disk spill) stays readable afterwards."""
+        the cache (and any disk spill) stays readable afterwards.  A
+        request already running on the pool (a synchronous :meth:`run`
+        on another thread) lands before the workers are terminated."""
         if self._closed:
             return
         self._closed = True

@@ -19,7 +19,9 @@ Execution through a live pool is serialised by an internal lock: the
 async front-end (:mod:`repro.service.api`) may dispatch from several
 threads, and ``multiprocessing.Pool.map`` calls must not interleave
 shard batches from different jobs.  Parallelism comes from the shards
-inside each job, not from overlapping jobs.
+inside each job, not from overlapping jobs.  :meth:`WorkerPool.close`
+takes the same lock, so it waits for an in-flight run to land (and
+release its shared memory) before the workers are terminated.
 """
 
 from __future__ import annotations
@@ -91,10 +93,10 @@ class WorkerPool:
         Linux) is what makes pre-warmed JIT kernels heritable; under
         ``spawn`` workers start cold and the warm-up only helps the
         parent's own serial runs.
-    warm:
-        Pre-compile every registered fused JIT kernel in the parent
-        before forking (:func:`prewarm_fused_kernels`).  A no-op when
-        only the numpy backend is registered.
+
+    Every registered fused JIT kernel is compiled in the parent before
+    the fork (:func:`prewarm_fused_kernels`); with only the numpy
+    backend registered there is nothing to compile.
     """
 
     def __init__(
@@ -102,11 +104,10 @@ class WorkerPool:
         n_workers: "int | None" = None,
         *,
         mp_context: "str | None" = None,
-        warm: bool = True,
     ) -> None:
         self.n_workers = resolve_workers(n_workers)
         self._ctx = get_context(mp_context)
-        self.warmed = prewarm_fused_kernels() if warm else ()
+        self.warmed = prewarm_fused_kernels()
         # Warm-up above MUST precede the fork below: Pool() is where
         # the children snapshot the parent's (warmed) JIT caches.
         self._pool = (
@@ -128,24 +129,29 @@ class WorkerPool:
     def execute(self, jobs: list) -> list:
         """Run prepared jobs (see ``repro.parallel.executor``) on this
         pool and return their assembled results, one per job."""
-        if self._closed:
-            raise ParameterError(
-                "this WorkerPool is closed; construct a new one"
-            )
-        if self._pool is None:
-            return [run_job_serial(job) for job in jobs]
         with self._lock:
-            return execute_jobs_pooled(self._pool, jobs)
+            if self._closed:
+                raise ParameterError(
+                    "this WorkerPool is closed; construct a new one"
+                )
+            if self._pool is not None:
+                return execute_jobs_pooled(self._pool, jobs)
+        return [run_job_serial(job) for job in jobs]
 
     def close(self) -> None:
-        """Tear the workers down.  Idempotent."""
-        if self._closed:
-            return
-        self._closed = True
-        if self._pool is not None:
-            self._pool.terminate()
-            self._pool.join()
-            self._pool = None
+        """Tear the workers down.  Idempotent.
+
+        Waits for an in-flight :meth:`execute` to finish first: its
+        ``Pool.map`` would never return from terminated workers, and
+        its shared memory would never be released."""
+        with self._lock:
+            if self._closed:
+                return
+            self._closed = True
+            pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.terminate()
+            pool.join()
 
     def __enter__(self) -> "WorkerPool":
         return self

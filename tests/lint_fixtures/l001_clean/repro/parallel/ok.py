@@ -7,8 +7,8 @@ from repro.errors import ParameterError  # foundation: fine
 
 def plan_hook(plan):
     # The documented lazy cycle break — allowlisted in repro.lint.layers.
-    from repro.sched.planner import resolve_plan
+    from repro.sched.planner import plan_for
 
     if plan is None:
         raise ParameterError("no plan")
-    return resolve_plan, run_batch_series
+    return plan_for, run_batch_series

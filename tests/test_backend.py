@@ -508,9 +508,7 @@ class TestSelectionSurfaces:
     def test_prepare_job_pins_unresolved_spec_backend(self, monkeypatch):
         monkeypatch.delenv(BACKEND_ENV, raising=False)
         spec = EnsembleSpec(family="timeless", n_cores=4)
-        job = prepare_job(
-            spec, DriveSpec(samples=drive()), n_workers=2, min_shard=1
-        )
+        job = prepare_job(spec, DriveSpec(samples=drive()), n_workers=2)
         backends = {shard.ensemble.backend for shard in job.specs}
         assert backends == {"numpy"}
 
@@ -518,7 +516,7 @@ class TestSelectionSurfaces:
         batch = get_family("timeless").make_batch(5, backend="numpy")
         h = drive()
         single = run_batch_series(batch, h)
-        sharded = run_sharded(batch, h, n_workers=1, min_shard=1)
+        sharded = run_sharded(batch, h, n_workers=1)
         assert np.array_equal(single.m, sharded.m)
         assert np.array_equal(single.b, sharded.b)
         for key in single.counters:

@@ -23,7 +23,6 @@ from repro.dist import (
     PROTOCOL_VERSION,
     Dispatcher,
     WorkerAgent,
-    probe_hosts,
     probe_link_overhead,
     run_distributed,
     shard_digest,
@@ -46,11 +45,9 @@ from repro.parallel import (
     run_sharded,
 )
 from repro.parallel.executor import prepare_job, run_job_serial
-from repro.sched import CostModel, ExecutionPlan, enumerate_candidates
 from repro.scenarios import scenario_samples
 
 from test_parallel import assert_results_bitwise_equal
-from test_sched import synthetic_calibration
 
 #: The deliberately awkward geometry: 7 lanes, 3 shards, 2 hosts.
 N_CORES = 7
@@ -115,7 +112,6 @@ class TestLaneBlocks:
         job = prepare_job(
             ensemble,
             _drive(),
-            1,
             1,
             chunk_lanes=chunk_lanes,
         )
@@ -182,7 +178,7 @@ def _drive():
 class TestShardDigest:
     def test_execution_shape_never_changes_the_digest(self):
         ensemble = EnsembleSpec(family="timeless", n_cores=N_CORES)
-        job = prepare_job(ensemble, _drive(), 1, 1)
+        job = prepare_job(ensemble, _drive(), 1)
         (spec,) = job.specs
         base = shard_digest(spec)
         assert base is not None
@@ -191,7 +187,7 @@ class TestShardDigest:
 
     def test_lane_range_changes_the_digest(self):
         ensemble = EnsembleSpec(family="timeless", n_cores=N_CORES)
-        job = prepare_job(ensemble, _drive(), 3, 1)
+        job = prepare_job(ensemble, _drive(), 3)
         digests = [shard_digest(spec) for spec in job.specs]
         assert len(set(digests)) == len(digests)
 
@@ -231,7 +227,7 @@ class TestRunDistributed:
         agent_b = WorkerAgent().start()
         try:
             ensemble = EnsembleSpec(family="timeless", n_cores=N_CORES)
-            job = prepare_job(ensemble, _drive(), 3, 1, chunk_lanes=2)
+            job = prepare_job(ensemble, _drive(), 3, chunk_lanes=2)
             with caplog.at_level(
                 logging.WARNING, logger="repro.dist.dispatch"
             ):
@@ -255,7 +251,7 @@ class TestRunDistributed:
 
     def test_streamed_blocks_respect_buffer_ceiling(self, fleet):
         ensemble = EnsembleSpec(family="timeless", n_cores=N_CORES)
-        job = prepare_job(ensemble, _drive(), 2, 1, chunk_lanes=1)
+        job = prepare_job(ensemble, _drive(), 2, chunk_lanes=1)
         sample_count = len(job.h_full)
         # Generous enough for one single-lane block, far below the
         # full (samples, 7) result buffer.
@@ -267,7 +263,7 @@ class TestRunDistributed:
 
     def test_identical_shard_requests_coalesce(self, fleet, caplog):
         ensemble = EnsembleSpec(family="timeless", n_cores=N_CORES)
-        jobs = [prepare_job(ensemble, _drive(), 2, 1) for _ in range(2)]
+        jobs = [prepare_job(ensemble, _drive(), 2) for _ in range(2)]
         with caplog.at_level(logging.INFO, logger="repro.dist.dispatch"):
             with Dispatcher(fleet) as dispatcher:
                 results = dispatcher.run_jobs(jobs)
@@ -280,7 +276,7 @@ class TestRunDistributed:
 
     def test_worker_side_error_raises_dist_error(self, fleet):
         ensemble = EnsembleSpec(family="timeless", n_cores=N_CORES)
-        job = prepare_job(ensemble, _drive(), 1, 1)
+        job = prepare_job(ensemble, _drive(), 1)
         # Corrupt the rebuild route: deterministic worker-side failure,
         # which must surface as DistError — never a retry.
         job.specs[0] = dataclasses.replace(
@@ -295,7 +291,7 @@ class TestRunDistributed:
         undigestable payload route) is forwarded like any other, and
         the agent keeps answering ``ping`` afterwards."""
         ensemble = EnsembleSpec(family="timeless", n_cores=N_CORES)
-        job = prepare_job(ensemble, _drive(), 1, 1)
+        job = prepare_job(ensemble, _drive(), 1)
         job.specs[0] = dataclasses.replace(
             job.specs[0], ensemble=None, payload={1: "bogus"}
         )
@@ -311,7 +307,7 @@ class TestRunDistributed:
         agent = WorkerAgent().start()
         try:
             ensemble = EnsembleSpec(family="timeless", n_cores=N_CORES)
-            job = prepare_job(ensemble, _drive(), 1, 1)
+            job = prepare_job(ensemble, _drive(), 1)
             with caplog.at_level(
                 logging.WARNING, logger="repro.dist.dispatch"
             ):
@@ -343,7 +339,7 @@ class TestSettledFailures:
         the shard and the original message instead of waiting forever
         on a job a dead thread still held."""
         ensemble = EnsembleSpec(family="timeless", n_cores=N_CORES)
-        job = prepare_job(ensemble, _drive(), 3, 1)
+        job = prepare_job(ensemble, _drive(), 3)
         with _DoneWithoutBlocksAgent() as bad, WorkerAgent() as good:
             with Dispatcher(
                 [bad.address, good.address], deadline_s=30.0
@@ -363,7 +359,7 @@ class TestSettledFailures:
         streaming blocks into it; the agent drops that connection and
         keeps serving."""
         ensemble = EnsembleSpec(family="timeless", n_cores=32)
-        job = prepare_job(ensemble, _drive(), 1, 1, chunk_lanes=1)
+        job = prepare_job(ensemble, _drive(), 1, chunk_lanes=1)
         stale = dataclasses.replace(
             job, extras_schema={"bogus": np.dtype(np.int32)}
         )
@@ -493,13 +489,6 @@ class TestProbe:
         overhead = probe_link_overhead(fleet[0], repeats=3)
         assert 0.0 < overhead < 5.0
 
-    def test_probe_hosts_omits_unreachable(self, fleet):
-        overheads = probe_hosts(
-            [fleet[0], "127.0.0.1:9"], repeats=2, timeout_s=1.0
-        )
-        assert set(overheads) == {fleet[0]}
-        assert overheads[fleet[0]] > 0.0
-
     def test_probe_validates_parameters(self, fleet):
         with pytest.raises(ParameterError):
             probe_link_overhead(fleet[0], repeats=0)
@@ -535,19 +524,6 @@ class TestExecutorRouting:
         )
         assert_results_bitwise_equal(reference_result(), result)
 
-    def test_hosted_plan_routes_through_dispatch(self, fleet):
-        plan = ExecutionPlan(
-            backend="numpy", n_workers=3, hosts=tuple(fleet)
-        )
-        result = run_sharded(
-            EnsembleSpec(family="timeless", n_cores=N_CORES),
-            scenario="major-loop",
-            h_max=H_MAX,
-            driver_step=STEP,
-            plan=plan,
-        )
-        assert_results_bitwise_equal(reference_result(), result)
-
 
 class TestGridRouting:
     def test_grid_over_hosts_matches_local_grid(self, fleet):
@@ -564,82 +540,6 @@ class TestGridRouting:
         for ours, theirs in zip(local, hosted):
             assert ours.key == theirs.key
             assert_results_bitwise_equal(ours.result, theirs.result)
-
-
-class TestPlannerPlacement:
-    def test_plan_validates_host_thread_exclusivity(self):
-        with pytest.raises(ParameterError, match="single-threaded"):
-            ExecutionPlan(
-                backend="numpy",
-                n_workers=2,
-                threads_per_worker=2,
-                hosts=("a:1", "b:2"),
-            )
-
-    def test_describe_names_the_placement(self):
-        plan = ExecutionPlan(backend="numpy", n_workers=2, hosts=("a:1", "b:2"))
-        assert plan.describe().endswith("@2h")
-
-    def test_candidates_include_priced_distributed_plan(self):
-        model = CostModel.from_calibration(synthetic_calibration())
-        hosts = ("10.0.0.5:7501", "10.0.0.6:7501")
-        candidates = enumerate_candidates(
-            model, "timeless", lanes=64, samples=256, hosts=hosts
-        )
-        dist_plans = [c for c in candidates if c.source == "auto-dist"]
-        assert len(dist_plans) >= 1
-        plan = dist_plans[0]
-        assert plan.hosts == hosts
-        assert plan.n_workers == len(hosts)
-        assert plan.threads_per_worker == 1
-        assert plan.predicted_seconds is not None
-
-    def test_link_overhead_raises_the_distributed_price(self):
-        model = CostModel.from_calibration(synthetic_calibration())
-        hosts = ("10.0.0.5:7501", "10.0.0.6:7501")
-
-        def dist_price(link_overhead_s):
-            candidates = enumerate_candidates(
-                model, "timeless", lanes=64, samples=256,
-                hosts=hosts, link_overhead_s=link_overhead_s,
-            )
-            (plan,) = [c for c in candidates if c.source == "auto-dist"]
-            return plan.predicted_seconds
-
-        assert dist_price(10.0) > dist_price(0.0)
-        # A slow enough link makes local plans win outright.
-        slow = enumerate_candidates(
-            model, "timeless", lanes=64, samples=256,
-            hosts=hosts, link_overhead_s=1e6,
-        )
-        assert slow[0].source != "auto-dist"
-
-    def test_per_host_models_price_heterogeneous_fleets(self):
-        local = CostModel.from_calibration(synthetic_calibration())
-        slow = CostModel.from_calibration(
-            synthetic_calibration(coeffs={("numpy", 1): (1e-3, 1e-4)})
-        )
-        hosts = ("fast:1", "slow:2")
-
-        def makespan(host_models):
-            candidates = enumerate_candidates(
-                local, "timeless", lanes=64, samples=256,
-                hosts=hosts, host_models=host_models,
-            )
-            (plan,) = [c for c in candidates if c.source == "auto-dist"]
-            return plan.predicted_seconds
-
-        assert makespan({"slow:2": slow}) > makespan(None)
-
-    def test_unpriceable_placement_is_skipped_not_guessed(self):
-        # The model only knows numpy: a fleet is priced per backend, so
-        # every candidate that does appear must carry a real price.
-        model = CostModel.from_calibration(synthetic_calibration())
-        candidates = enumerate_candidates(
-            model, "timeless", lanes=64, samples=256,
-            hosts=("a:1",), host_models={"a:1": model},
-        )
-        assert all(c.predicted_seconds is not None for c in candidates)
 
 
 class TestWorkerAgent:

@@ -90,6 +90,6 @@ def test_dispatch_smoke(fleet):
         assert dispatcher.n_live == 2, hosts
         fleet[0][0].kill()
         fleet[0][0].wait()
-        job = prepare_job(spec, drive, 2, 1)
+        job = prepare_job(spec, drive, 2)
         (requeued,) = dispatcher.run_jobs([job])
     assert_results_bitwise_equal(serial, requeued)

@@ -160,7 +160,11 @@ class TestTimelessArchitecture:
 
 
 class TestIntegArchitecture:
-    def test_counts_negative_slope_evaluations(self):
+    @pytest.fixture(scope="class")
+    def loose_integ(self):
+        """The loose-tolerance 'INTEG solve (10 kA/m triangle, 12.5 ms,
+        ``residual_tol=1e-4``), solved once for every test that reads
+        it: ``(architecture, result)``."""
         wave = TriangularWave(10e3, 10e-3)
         arch = IntegJAArchitecture(PAPER_PARAMETERS, wave)
         solver = TransientSolver(
@@ -171,7 +175,10 @@ class TestIntegArchitecture:
                 newton=NewtonOptions(residual_tol=1e-4),
             ),
         )
-        solver.run(t_stop=12.5e-3)
+        return arch, solver.run(t_stop=12.5e-3)
+
+    def test_counts_negative_slope_evaluations(self, loose_integ):
+        arch, _ = loose_integ
         assert arch.negative_slope_evaluations > 0
 
     def test_tight_tolerance_gives_up(self):
@@ -186,7 +193,7 @@ class TestIntegArchitecture:
         assert result.report.gave_up
         assert result.report.newton_failures > 0
 
-    def test_loose_tolerance_completes_with_more_work(self):
+    def test_loose_tolerance_completes_with_more_work(self, loose_integ):
         wave = TriangularWave(10e3, 10e-3)
         timeless = TimelessJAArchitecture(PAPER_PARAMETERS, wave, dhmax=100.0)
         solver_t = TransientSolver(
@@ -194,16 +201,7 @@ class TestIntegArchitecture:
         )
         result_t = solver_t.run(t_stop=12.5e-3)
 
-        integ = IntegJAArchitecture(PAPER_PARAMETERS, wave)
-        solver_i = TransientSolver(
-            integ.system,
-            SolverOptions(
-                dt_initial=1e-6,
-                dt_max=5e-5,
-                newton=NewtonOptions(residual_tol=1e-4),
-            ),
-        )
-        result_i = solver_i.run(t_stop=12.5e-3)
+        _, result_i = loose_integ
         assert not result_i.report.gave_up
         # The paper's "long simulation times": at least 10x the steps.
         assert (

@@ -67,11 +67,11 @@ def assert_results_bitwise_equal(reference, other) -> None:
 
 class TestPlanShards:
     @pytest.mark.parametrize(
-        "n_cores,n_workers,min_shard",
-        [(7, 3, 1), (512, 4, 1), (5, 8, 1), (16, 4, 8), (1, 1, 1), (9, 2, 4)],
+        "n_cores,n_workers",
+        [(7, 3), (512, 4), (5, 8), (16, 4), (1, 1), (9, 2)],
     )
-    def test_contiguous_ordered_exact_cover(self, n_cores, n_workers, min_shard):
-        bounds = plan_shards(n_cores, n_workers, min_shard)
+    def test_contiguous_ordered_exact_cover(self, n_cores, n_workers):
+        bounds = plan_shards(n_cores, n_workers)
         assert bounds[0][0] == 0 and bounds[-1][1] == n_cores
         for (_, stop), (start, _) in zip(bounds, bounds[1:]):
             assert stop == start  # contiguous, ordered, non-overlapping
@@ -82,42 +82,33 @@ class TestPlanShards:
     def test_uneven_split_shape(self):
         assert plan_shards(7, 3) == [(0, 3), (3, 5), (5, 7)]
 
-    def test_min_shard_reduces_shard_count(self):
-        assert plan_shards(16, 8, min_shard=8) == [(0, 8), (8, 16)]
-        assert plan_shards(3, 8, min_shard=8) == [(0, 3)]
-
     def test_never_more_shards_than_cores(self):
         assert len(plan_shards(2, 16)) == 2
 
-    @pytest.mark.parametrize("bad", [(0, 1, 1), (4, 0, 1), (4, 2, 0)])
+    @pytest.mark.parametrize("bad", [(0, 1), (4, 0)])
     def test_invalid_arguments_rejected(self, bad):
         with pytest.raises(ParameterError):
             plan_shards(*bad)
 
     def test_property_sweep(self):
-        """Every invariant, over the whole (n_cores, n_workers,
-        min_shard) grid the executors and the cost model rely on —
-        plan_shards is pure arithmetic, so exhaustive beats sampled."""
+        """Every invariant, over the whole (n_cores, n_workers) grid the
+        executors and the cost model rely on — plan_shards is pure
+        arithmetic, so exhaustive beats sampled."""
         for n_cores in (1, 2, 3, 5, 7, 8, 16, 31, 64, 129, 512):
             for n_workers in (1, 2, 3, 4, 7, 8, 16, 33):
-                for min_shard in (1, 2, 4, 9, 100):
-                    bounds = plan_shards(n_cores, n_workers, min_shard)
-                    label = (n_cores, n_workers, min_shard)
-                    # contiguous, ordered, exact cover of [0, n_cores)
-                    assert bounds[0][0] == 0, label
-                    assert bounds[-1][1] == n_cores, label
-                    for (_, stop), (start, _) in zip(bounds, bounds[1:]):
-                        assert stop == start, label
-                    widths = [stop - start for start, stop in bounds]
-                    # every shard non-empty, balanced to within one lane
-                    assert min(widths) >= 1, label
-                    assert max(widths) - min(widths) <= 1, label
-                    # never more shards than workers or lanes
-                    assert len(bounds) <= min(n_workers, n_cores), label
-                    # the min_shard floor: splitting never produces a
-                    # shard below it (a single shard may be the whole
-                    # ensemble, however small)
-                    assert len(bounds) == 1 or min(widths) >= min_shard, label
+                bounds = plan_shards(n_cores, n_workers)
+                label = (n_cores, n_workers)
+                # contiguous, ordered, exact cover of [0, n_cores)
+                assert bounds[0][0] == 0, label
+                assert bounds[-1][1] == n_cores, label
+                for (_, stop), (start, _) in zip(bounds, bounds[1:]):
+                    assert stop == start, label
+                widths = [stop - start for start, stop in bounds]
+                # every shard non-empty, balanced to within one lane
+                assert min(widths) >= 1, label
+                assert max(widths) - min(widths) <= 1, label
+                # one shard per worker, never more shards than lanes
+                assert len(bounds) == min(n_workers, n_cores), label
 
 
 class TestSpecs:
@@ -445,14 +436,6 @@ class TestRunShardedValidation:
         with pytest.raises(ParameterError):
             run_sharded(object(), np.zeros(3))
 
-    def test_min_shard_collapses_to_serial(self):
-        """A tiny ensemble with a large min_shard never forks."""
-        family = get_family("timeless")
-        batch = family.make_batch(3, seed=0)
-        h = scenario_samples("major-loop", family.h_scale, 250.0)
-        reference = run_batch_series(batch, h)
-        sharded = run_sharded(batch, h, n_workers=4, min_shard=8)
-        assert_results_bitwise_equal(reference, sharded)
 
 
 def write_synthetic_calibration(path) -> None:
@@ -539,10 +522,10 @@ class TestExecutionPlanPlumbing:
         seen = []
         real_prepare = executor.prepare_job
 
-        def spying_prepare(source, drive, n_workers, min_shard, threads=1,
+        def spying_prepare(source, drive, n_workers, threads=1,
                            chunk_lanes=None):
             seen.append((n_workers, threads))
-            return real_prepare(source, drive, n_workers, min_shard, threads,
+            return real_prepare(source, drive, n_workers, threads,
                                 chunk_lanes=chunk_lanes)
 
         monkeypatch.setattr(executor, "prepare_job", spying_prepare)
@@ -578,9 +561,9 @@ class TestExecutionPlanPlumbing:
 
         spec = EnsembleSpec(family="timeless", n_cores=6, seed=0)
         drive = DriveSpec(samples=np.zeros(4))
-        serial_job = prepare_job(spec, drive, 1, 1, threads=2)
+        serial_job = prepare_job(spec, drive, 1, threads=2)
         assert [s.threads for s in serial_job.specs] == [2]
-        pooled_job = prepare_job(spec, drive, 3, 1, threads=1)
+        pooled_job = prepare_job(spec, drive, 3, threads=1)
         assert [s.threads for s in pooled_job.specs] == [1, 1, 1]
 
     def test_backend_pinned_spec_is_repinned_copy(self):
@@ -605,7 +588,11 @@ class TestExecutionPlanPlumbing:
 
 
 class TestScenarioGrid:
-    def test_grid_cells_match_single_process(self):
+    def test_grid_cells_match_single_process(self, monkeypatch):
+        import repro.parallel.grid as grid_mod
+
+        # Fewer cells per chunk than the 8 cells: chunking runs.
+        monkeypatch.setattr(grid_mod, "CHUNK_CELLS", 3)
         families = ["timeless", "time-domain"]
         scenarios = ["major-loop", "harmonic"]
         amplitudes = [5e3, 10e3]
@@ -617,7 +604,6 @@ class TestScenarioGrid:
             seed=2,
             driver_step=200.0,
             n_workers=2,
-            chunk_cells=3,  # smaller than the 8 cells: chunking runs
         )
         assert [c.key for c in cells] == [
             (f, s, h)
@@ -634,8 +620,11 @@ class TestScenarioGrid:
                 run_batch_series(batch, h), cell.result
             )
 
-    def test_serial_grid_matches_pooled(self):
-        kwargs = dict(n_cores=3, seed=1, driver_step=250.0, chunk_cells=2)
+    def test_serial_grid_matches_pooled(self, monkeypatch):
+        import repro.parallel.grid as grid_mod
+
+        monkeypatch.setattr(grid_mod, "CHUNK_CELLS", 2)
+        kwargs = dict(n_cores=3, seed=1, driver_step=250.0)
         pooled = run_scenario_grid(
             ["timeless"], ["major-loop", "inrush"], [5e3], n_workers=2, **kwargs
         )
@@ -880,7 +869,6 @@ class TestShardedExtrasDtypes:
             spec,
             DriveSpec(samples=np.array([1.0, 2.0])),
             n_workers=2,
-            min_shard=1,
         )
         assembly = ShardAssembly(job)
         assert assembly.extras["event_count"].dtype == np.int32

@@ -43,7 +43,6 @@ from repro.sched import (
     get_calibration,
     plan_for,
     plan_grid,
-    resolve_plan,
     run_calibration,
 )
 from repro.sched import calibration as calibration_module
@@ -498,7 +497,10 @@ class TestPlanFor:
         assert plan.threads_per_worker == 4
         assert plan.source == "auto"
 
-    def test_respects_max_workers_cap(self, wide_host):
+    def test_respects_max_workers_cap(self, wide_host, monkeypatch):
+        """The width cap is the executor's: REPRO_PARALLEL_MAX_WORKERS
+        bounds the pooled candidates on an 8-CPU host."""
+        monkeypatch.setenv("REPRO_PARALLEL_MAX_WORKERS", "2")
         plan = plan_for(
             self.SPEC,
             samples=4096,
@@ -507,9 +509,22 @@ class TestPlanFor:
                 pool_base=1e-3,
                 pool_per_worker=1e-4,
             ),
-            max_workers=2,
         )
-        assert plan.n_workers <= 2
+        assert plan.n_workers == 2
+
+    def test_auto_uses_persisted_calibration(
+        self, tmp_path, monkeypatch, wide_host
+    ):
+        target = tmp_path / "cal.json"
+        synthetic_calibration(
+            coeffs={("numpy", 1): (1e-7, 1e-4)},
+            pool_base=1e-3,
+            pool_per_worker=1e-4,
+        ).save(target)
+        monkeypatch.setenv(CALIBRATION_ENV, str(target))
+        plan = plan_for(self.SPEC, samples=4096)
+        assert plan.source == "auto"
+        assert plan.n_workers == 8
 
 
 class TestPlanGrid:
@@ -564,34 +579,6 @@ class TestPlanGrid:
     def test_empty_grid_rejected(self):
         with pytest.raises(ParameterError, match="at least one workload"):
             plan_grid([], calibration=synthetic_calibration())
-
-
-class TestResolvePlan:
-    def test_execution_plan_passes_through(self):
-        plan = ExecutionPlan(backend="numpy", n_workers=2)
-        spec = EnsembleSpec(family="timeless", n_cores=4, seed=0)
-        assert resolve_plan(plan, spec, samples=10) is plan
-
-    def test_auto_uses_persisted_calibration(
-        self, tmp_path, monkeypatch, wide_host
-    ):
-        target = tmp_path / "cal.json"
-        synthetic_calibration(
-            coeffs={("numpy", 1): (1e-7, 1e-4)},
-            pool_base=1e-3,
-            pool_per_worker=1e-4,
-        ).save(target)
-        monkeypatch.setenv(CALIBRATION_ENV, str(target))
-        spec = EnsembleSpec(family="timeless", n_cores=64, seed=0)
-        plan = resolve_plan("auto", spec, samples=4096)
-        assert plan.source == "auto"
-        assert plan.n_workers == 8
-
-    @pytest.mark.parametrize("bad", ["fast", 3, True])
-    def test_other_values_rejected(self, bad):
-        spec = EnsembleSpec(family="timeless", n_cores=4, seed=0)
-        with pytest.raises(ParameterError, match="plan must be"):
-            resolve_plan(bad, spec, samples=10)
 
 
 class TestResultsHeader:

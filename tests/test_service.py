@@ -16,6 +16,7 @@ serial executor).  Timing claims live in
 """
 
 import asyncio
+import os
 import threading
 
 import numpy as np
@@ -39,6 +40,9 @@ from repro.service import (
 )
 
 FAMILY_NAMES = tuple(family.name for family in list_families())
+
+#: Where POSIX shared-memory segments appear on Linux.
+SHM_DIR = "/dev/shm"
 
 
 def small_workload(family_name: str, n_cores: int = 4, seed: int = 7):
@@ -290,6 +294,118 @@ class TestHysteresisService:
             ("timeless", "major-loop", family.h_scale / 2),
             ("timeless", "major-loop", family.h_scale),
         ]
+
+    def test_failed_submit_fails_every_waiter_then_recomputes(
+        self, monkeypatch
+    ):
+        """A submit whose computation raises fails its coalesced twin
+        too, leaves no in-flight entry behind, and a later identical
+        submit computes afresh."""
+        import repro.service.api as api
+
+        spec, drive = small_workload("timeless", seed=13)
+        coalesced = threading.Event()
+        calls = []
+        real_run_single = api.run_single
+
+        def fails_once(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 1:
+                assert coalesced.wait(10.0), "the twin never coalesced"
+                raise RuntimeError("injected compute failure")
+            return real_run_single(*args, **kwargs)
+
+        class CoalesceSpy(dict):
+            """Flags the lookup that hands a waiter the owner's future."""
+
+            def get(self, key, default=None):
+                found = super().get(key, default)
+                if found is not None:
+                    coalesced.set()
+                return found
+
+        monkeypatch.setattr(api, "run_single", fails_once)
+        with HysteresisService(1, dispatch_threads=2) as service:
+            service._inflight = CoalesceSpy()
+
+            async def twins():
+                pending = [service.submit(spec, drive) for _ in range(2)]
+                return await asyncio.gather(*pending, return_exceptions=True)
+
+            async def third():
+                return await service.submit(spec, drive)
+
+            outcomes = asyncio.run(asyncio.wait_for(twins(), 30.0))
+            assert [type(o) for o in outcomes] == [RuntimeError] * 2
+            assert all("injected" in str(o) for o in outcomes)
+            assert service.digest_for(spec, drive) not in service._inflight
+            misses = service.cache.stats["misses"]
+            result = asyncio.run(asyncio.wait_for(third(), 30.0))
+            assert service.cache.stats["misses"] == misses + 1
+        assert len(calls) == 2
+        reference = run_batch_series(
+            spec.build_batch(), drive.full_samples(spec.n_cores)
+        )
+        assert_bitwise(reference, result)
+
+    def test_close_waits_for_an_in_flight_run(self, monkeypatch):
+        """Closing a service while a synchronous run() is inside its
+        pool map lets that run land: it returns its bitwise result and
+        releases every shared-memory segment."""
+        import repro.service.pool as pool_module
+
+        def segments():
+            return {n for n in os.listdir(SHM_DIR) if n.startswith("psm_")}
+
+        if not os.path.isdir(SHM_DIR):
+            pytest.skip(f"no {SHM_DIR} to list segments in")
+        spec = EnsembleSpec("timeless", 512, seed=3)
+        drive = DriveSpec(
+            scenario="minor-loop-ladder", h_max=8e3, driver_step=8.0
+        )
+        entered = threading.Event()
+        real_execute = pool_module.execute_jobs_pooled
+
+        class Announcing:
+            """The pool, announcing once its shard tasks are queued."""
+
+            def __init__(self, pool):
+                self.pool = pool
+
+            def map(self, fn, tasks):
+                pending = self.pool.map_async(fn, tasks)
+                entered.set()
+                return pending.get()
+
+        def entering(pool, jobs):
+            return real_execute(Announcing(pool), jobs)
+
+        monkeypatch.setattr(pool_module, "execute_jobs_pooled", entering)
+        before = segments()
+        service = HysteresisService(2)
+        if service.pool.n_workers < 2:
+            service.close()
+            pytest.skip("needs a two-process pool")
+        outcome = {}
+
+        def request():
+            try:
+                outcome["result"] = service.run(spec, drive)
+            except BaseException as exc:  # reported by the assertions
+                outcome["error"] = exc
+
+        runner = threading.Thread(target=request, daemon=True)
+        runner.start()
+        assert entered.wait(30.0), "run() never reached the pool"
+        service.close()
+        runner.join(30.0)
+        assert not runner.is_alive(), "run() hung after close()"
+        assert "error" not in outcome, outcome.get("error")
+        assert segments() - before == set()
+        reference = run_batch_series(
+            spec.build_batch(), drive.full_samples(spec.n_cores)
+        )
+        assert_bitwise(reference, outcome["result"])
 
     def test_closed_service_rejects_requests(self):
         spec, drive = small_workload("timeless")

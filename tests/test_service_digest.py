@@ -145,7 +145,7 @@ def test_canonical_form_is_json_stable():
 
 def test_digest_is_execution_shape_blind():
     """The payload is built from the spec/drive/backend triple only;
-    there is no field for pool width, threads, min_shard or chunking —
+    there is no field for pool width, threads or chunking —
     the same request digests identically however it will be executed."""
     spec = EnsembleSpec(**BASE_SPEC)
     drive = DriveSpec(**BASE_DRIVE)

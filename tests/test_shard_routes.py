@@ -12,12 +12,11 @@ single-process :func:`repro.batch.sweep.run_batch_series`.
 
 The scenario grid gets the same treatment: each grid route (in
 process, one-shot fork pool, a service cold and then fully cached, two
-in-process agents, a hosted plan, an unreachable fleet) runs one cell
-per chunk over a duplicated amplitude, with and without lane chunking,
-and every cell is checked bit for bit.  One table then pins every
-route-argument conflict of every entry point: each raises
-``ParameterError`` before a cache is read, a pool forks or a connection
-opens.
+in-process agents, an unreachable fleet) runs one cell per chunk over a
+duplicated amplitude, with and without lane chunking, and every cell is
+checked bit for bit.  One table then pins every route-argument
+conflict of every entry point: each raises ``ParameterError`` before a
+cache is read, a pool forks or a connection opens.
 
 The routes are case functions crossed with the families, in the
 cross-strategy idiom of probdiffeq's solver tests: a new route or a new
@@ -34,7 +33,6 @@ import os
 import numpy as np
 import pytest
 
-from repro.backend import resolve_backend
 from repro.batch.sweep import run_batch_series
 from repro.dist import Dispatcher, WorkerAgent, run_distributed
 from repro.errors import DistError, ParameterError
@@ -51,6 +49,7 @@ from repro.parallel import (
     run_scenario_grid,
     run_sharded,
 )
+from repro.parallel import grid as grid_module
 from repro.parallel.blocks import LaneBlock, ShardAssembly
 from repro.parallel.executor import (
     execute_jobs_pooled,
@@ -166,7 +165,7 @@ def route_dispatched(batch, h, chunk_lanes, request):
 
 def route_local_drain(batch, h, chunk_lanes, request):
     job = prepare_job(
-        batch, DriveSpec(samples=h), N_SHARDS, 1, chunk_lanes=chunk_lanes
+        batch, DriveSpec(samples=h), N_SHARDS, chunk_lanes=chunk_lanes
     )
     with Dispatcher([UNREACHABLE], connect_timeout_s=1.0) as dispatcher:
         assert dispatcher.n_live == 0
@@ -200,7 +199,7 @@ def stale_job():
     """A timeless job whose extras schema no longer matches what the
     family records — as a stale registry declaration would leave it."""
     batch, h = workload("timeless")
-    job = prepare_job(batch, DriveSpec(samples=h), N_SHARDS, 1)
+    job = prepare_job(batch, DriveSpec(samples=h), N_SHARDS)
     schema = dict(job.extras_schema, bogus=np.dtype(np.int32))
     return dataclasses.replace(job, extras_schema=schema)
 
@@ -208,7 +207,7 @@ def stale_job():
 class TestExtrasSchemaCheck:
     def test_block_with_drifted_dtype_is_rejected(self):
         batch, h = workload(DTYPE_FAMILY.name)
-        job = prepare_job(batch, DriveSpec(samples=h), 1, 1)
+        job = prepare_job(batch, DriveSpec(samples=h), 1)
         assembly = ShardAssembly(job)
         samples = len(h)
         block = LaneBlock(
@@ -246,7 +245,7 @@ class TestExtrasSchemaCheck:
             assert segments() == before
             # The pool survives the failed job and serves the next one.
             batch, h = workload("timeless")
-            job = prepare_job(batch, DriveSpec(samples=h), 2, 1)
+            job = prepare_job(batch, DriveSpec(samples=h), 2)
             (result,) = execute_jobs_pooled(pool, [job])
         assert_results_bitwise_equal(run_batch_series(batch, h), result)
 
@@ -272,14 +271,13 @@ GRID_STEP = 500.0
 def grid(chunk_lanes, **route):
     return run_scenario_grid(
         FAMILY_NAMES, [GRID_SCENARIO], GRID_H_MAX, N_CORES,
-        driver_step=GRID_STEP, chunk_cells=1, chunk_lanes=chunk_lanes,
-        **route,
+        driver_step=GRID_STEP, chunk_lanes=chunk_lanes, **route,
     )
 
 
 @pytest.fixture(scope="module")
 def grid_service(dtype_family):
-    with HysteresisService(N_SHARDS, mp_context="fork", warm=False) as svc:
+    with HysteresisService(N_SHARDS, mp_context="fork") as svc:
         yield svc
 
 
@@ -308,15 +306,6 @@ def grid_dispatched(chunk_lanes, request):
     return grid(chunk_lanes, hosts=hosts, n_workers=N_SHARDS)
 
 
-def grid_hosted_plan(chunk_lanes, request):
-    hosts = request.getfixturevalue("fleet")
-    plan = ExecutionPlan(
-        backend=resolve_backend(None).name, n_workers=N_SHARDS,
-        hosts=tuple(hosts),
-    )
-    return grid(chunk_lanes, plan=plan)
-
-
 def grid_unreachable_fleet(chunk_lanes, request):
     caplog = request.getfixturevalue("caplog")
     with caplog.at_level(logging.WARNING, logger="repro.dist.dispatch"):
@@ -333,14 +322,16 @@ GRID_ROUTES = {
     "fork-pool": grid_fork_pool,
     "service": grid_service_cold_then_cached,
     "dispatched": grid_dispatched,
-    "hosted-plan": grid_hosted_plan,
     "unreachable": grid_unreachable_fleet,
 }
 
 
 @pytest.mark.parametrize("chunk_lanes", [None, 2])
 @pytest.mark.parametrize("route", list(GRID_ROUTES))
-def test_grid_route_matches_single_process(route, chunk_lanes, request):
+def test_grid_route_matches_single_process(
+    route, chunk_lanes, request, monkeypatch
+):
+    monkeypatch.setattr(grid_module, "CHUNK_CELLS", 1)  # a chunk per cell
     cells = GRID_ROUTES[route](chunk_lanes, request)
     assert [cell.key for cell in cells] == [
         (name, GRID_SCENARIO, h_max)
@@ -361,42 +352,20 @@ def test_grid_route_matches_single_process(route, chunk_lanes, request):
         assert_results_bitwise_equal(reference, cell.result)
 
 
-def test_grid_dispatches_a_hosted_plan(fleet, monkeypatch):
-    """A plan carrying hosts sends the grid to them, as it does from
-    ``run_sharded``, instead of running it on a local pool."""
-    calls = []
-    real_run_jobs = Dispatcher.run_jobs
-
-    def counting_run_jobs(self, jobs):
-        calls.append(len(jobs))
-        return real_run_jobs(self, jobs)
-
-    monkeypatch.setattr(Dispatcher, "run_jobs", counting_run_jobs)
-    plan = ExecutionPlan(
-        backend=resolve_backend(None).name, n_workers=2, hosts=tuple(fleet)
-    )
-    kwargs = dict(
-        families=["timeless"], scenarios=["major-loop"], h_max_values=[8e3],
-        n_cores=4, driver_step=400.0,
-    )
-    hosted = run_scenario_grid(**kwargs, plan=plan)
-    assert calls == [1]
-    local = run_scenario_grid(**kwargs, n_workers=1)
-    assert_results_bitwise_equal(local[0].result, hosted[0].result)
-
-
 def test_auto_plan_with_hosts_names_what_works(fleet):
-    """``plan="auto"`` never places shards on hosts, so the pair is
-    rejected, and the message points at what does dispatch a plan."""
+    """No plan places shards on hosts, so ``plan="auto"`` with hosts is
+    rejected, and the message points at what does dispatch:
+    ``hosts=`` alone, with ``n_workers=`` as the shard count."""
     with pytest.raises(ParameterError) as raised:
         run_sharded(
             EnsembleSpec("timeless", 4), scenario="major-loop", h_max=8e3,
             driver_step=400.0, plan="auto", hosts=fleet,
         )
     message = str(raised.value)
-    assert "plan='auto', hosts" not in message
-    assert "ExecutionPlan that carries the hosts" in message
+    assert "plan='auto'" not in message
+    assert 'plan="auto"' not in message
     assert "hosts= without plan=" in message
+    assert "n_workers=" in message
 
 
 class TestPlanCheckedOnHitAndMiss:
@@ -404,7 +373,7 @@ class TestPlanCheckedOnHitAndMiss:
 
     @pytest.fixture
     def service(self):
-        with HysteresisService(1, warm=False) as svc:
+        with HysteresisService(1) as svc:
             yield svc
 
     def test_service_run(self, service):
@@ -438,7 +407,6 @@ class TestPlanCheckedOnHitAndMiss:
 POOL, SERVICE = "<live WorkerPool>", "<live HysteresisService>"
 
 PLAN = ExecutionPlan(backend="numpy", n_workers=2)
-HOSTED = ExecutionPlan(backend="numpy", n_workers=2, hosts=(UNREACHABLE,))
 FLEET = [UNREACHABLE]
 
 
@@ -489,8 +457,6 @@ CONFLICTS = [
     ("run_sharded", dict(hosts=FLEET, plan=PLAN), "hosts= or plan="),
     ("run_sharded", dict(hosts=FLEET, mp_context="fork"), "remote shards"),
     ("run_sharded", dict(hosts=FLEET, pool=POOL), "remote shards"),
-    ("run_sharded", dict(plan=HOSTED, pool=POOL), "remote shards"),
-    ("run_sharded", dict(plan=HOSTED, mp_context="fork"), "remote shards"),
     ("run_sharded", dict(pool=POOL, n_workers=2), "pool width"),
     ("run_sharded", dict(pool=POOL, mp_context="fork"), "start method"),
     ("run_scenario_grid", dict(plan="fast"), "plan must be"),
@@ -501,8 +467,6 @@ CONFLICTS = [
     ("run_scenario_grid", dict(hosts=FLEET, mp_context="fork"),
      "remote shards"),
     ("run_scenario_grid", dict(hosts=FLEET, service=SERVICE),
-     "remote shards"),
-    ("run_scenario_grid", dict(plan=HOSTED, service=SERVICE),
      "remote shards"),
     ("run_scenario_grid", dict(service=SERVICE, n_workers=2), "pool width"),
     ("run_scenario_grid", dict(service=SERVICE, mp_context="fork"),
@@ -515,7 +479,6 @@ CONFLICTS = [
      "plan"),
     ("run_distributed", dict(hosts=[]), "at least one"),
     ("service.run", dict(plan="fast"), "plan must be"),
-    ("service.run", dict(plan=HOSTED), "remote shards"),
     ("service.run", dict(plan=ExecutionPlan(backend="no-such")), "backend"),
     ("service.submit", dict(plan="fast"), "plan must be"),
 ]
@@ -542,7 +505,7 @@ def nothing_runs(monkeypatch):
 def conflict_id(entry, route) -> str:
     def label(key, value):
         if isinstance(value, ExecutionPlan):
-            return "hosted-plan" if value.hosts else f"plan={value.backend}"
+            return f"plan={value.backend}"
         if value in (POOL, SERVICE) or isinstance(value, list):
             return key if value else f"{key}=[]"
         return f"{key}={value}"
@@ -558,7 +521,7 @@ def conflict_id(entry, route) -> str:
 def test_route_conflict_raises_before_any_work(
     entry, route, match, nothing_runs
 ):
-    with HysteresisService(1, warm=False) as service:
+    with HysteresisService(1) as service:
         live = {POOL: service.pool, SERVICE: service}
         route = {
             key: live[value] if value in (POOL, SERVICE) else value
