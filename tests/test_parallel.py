@@ -10,6 +10,7 @@ approximately: sharding is a transport optimisation, never a numerics
 change.
 """
 
+import contextlib
 import multiprocessing
 import pickle
 
@@ -634,6 +635,34 @@ class TestScenarioGrid:
         for a, b in zip(pooled, serial):
             assert a.key == b.key
             assert_results_bitwise_equal(a.result, b.result)
+
+    def test_cells_run_eight_to_a_chunk(self, monkeypatch):
+        """Every grid runs CHUNK_CELLS (8) cells per transport call, in
+        grid order: ten cells are one call of 8 and one of 2."""
+        import repro.parallel.grid as grid_mod
+
+        assert grid_mod.CHUNK_CELLS == 8
+        real_runner = grid_mod.job_runner
+        calls = []
+
+        @contextlib.contextmanager
+        def counting_runner(route, **options):
+            with real_runner(route, **options) as run:
+
+                def counted(jobs):
+                    calls.append(len(jobs))
+                    return run(jobs)
+
+                yield counted
+
+        monkeypatch.setattr(grid_mod, "job_runner", counting_runner)
+        amplitudes = [1e3 * k for k in range(1, 11)]
+        cells = run_scenario_grid(
+            ["timeless"], ["major-loop"], amplitudes, n_cores=2,
+            driver_step=250.0, n_workers=1,
+        )
+        assert calls == [8, 2]
+        assert [cell.h_max for cell in cells] == amplitudes
 
     def test_empty_axes_rejected(self):
         with pytest.raises(ParameterError):

@@ -119,6 +119,35 @@ class TestWorkerPool:
                 for _, backend in warmed
             )
 
+    def test_every_pool_warms_before_it_forks(self, monkeypatch):
+        """Children inherit the JIT caches the parent held at ``Pool()``,
+        so every pool runs the warm-up first, and a width-1 pool (no
+        children) still warms its own serial runs."""
+        import multiprocessing.context
+
+        import repro.service.pool as pool_module
+
+        events = []
+        real_prewarm = pool_module.prewarm_fused_kernels
+        real_fork = multiprocessing.context.BaseContext.Pool
+
+        def prewarm():
+            events.append("warm")
+            return real_prewarm()
+
+        def fork(self, *args, **kwargs):
+            events.append("fork")
+            return real_fork(self, *args, **kwargs)
+
+        monkeypatch.setattr(pool_module, "prewarm_fused_kernels", prewarm)
+        monkeypatch.setattr(multiprocessing.context.BaseContext, "Pool", fork)
+        monkeypatch.delenv("REPRO_PARALLEL_MAX_WORKERS", raising=False)
+        with WorkerPool(2):
+            assert events == ["warm", "fork"]
+        events.clear()
+        with WorkerPool(1):
+            assert events == ["warm"]
+
     def test_pool_outlives_many_calls(self):
         spec, drive = small_workload("preisach", n_cores=3)
         with WorkerPool(1) as pool:

@@ -16,19 +16,23 @@ in-process agents, an unreachable fleet) runs one cell per chunk over a
 duplicated amplitude, with and without lane chunking, and every cell is
 checked bit for bit.  One table then pins every route-argument
 conflict of every entry point: each raises ``ParameterError`` before a
-cache is read, a pool forks or a connection opens.
+cache is read, a pool forks or a connection opens.  A last table pins
+the route :func:`~repro.parallel.executor.resolve_route` decides for
+each accepted combination: shard count, lane threads, backend, hosts.
 
 The routes are case functions crossed with the families, in the
 cross-strategy idiom of probdiffeq's solver tests: a new route or a new
 family is covered with one line.
 """
 
+import asyncio
 import dataclasses
 import functools
 import logging
 import multiprocessing
 import multiprocessing.context
 import os
+import types
 
 import numpy as np
 import pytest
@@ -51,9 +55,11 @@ from repro.parallel import (
 )
 from repro.parallel import grid as grid_module
 from repro.parallel.blocks import LaneBlock, ShardAssembly
+from repro.parallel import executor
 from repro.parallel.executor import (
     execute_jobs_pooled,
     prepare_job,
+    resolve_route,
     run_job_serial,
 )
 from repro.scenarios import scenario_samples
@@ -440,30 +446,49 @@ def service_entry(method):
     return call
 
 
+def call_stream_grid(service, **route):
+    async def first_cell():
+        async for cell in service.stream_grid(
+            ["timeless"], ["major-loop"], [8e3], 4, driver_step=400.0,
+            **route,
+        ):
+            return cell
+
+    return asyncio.run(first_cell())
+
+
 ENTRY_POINTS = {
     "run_sharded": call_run_sharded,
     "run_scenario_grid": call_grid,
     "run_distributed": call_run_distributed,
     "service.run": service_entry("run"),
     "service.submit": service_entry("submit"),
+    "service.stream_grid": call_stream_grid,
 }
 
 CONFLICTS = [
     ("run_sharded", dict(plan="fast"), "plan must be"),
     ("run_sharded", dict(plan=PLAN, n_workers=2), "plan"),
+    ("run_sharded", dict(plan="auto", n_workers=2), "plan"),
     ("run_sharded", dict(plan=ExecutionPlan(backend="no-such")), "backend"),
     ("run_sharded", dict(hosts=[]), "at least one"),
     ("run_sharded", dict(hosts=FLEET, plan="auto"), "hosts= or plan="),
     ("run_sharded", dict(hosts=FLEET, plan=PLAN), "hosts= or plan="),
     ("run_sharded", dict(hosts=FLEET, mp_context="fork"), "remote shards"),
     ("run_sharded", dict(hosts=FLEET, pool=POOL), "remote shards"),
+    ("run_sharded", dict(hosts=FLEET, n_workers=0), "n_workers"),
     ("run_sharded", dict(pool=POOL, n_workers=2), "pool width"),
     ("run_sharded", dict(pool=POOL, mp_context="fork"), "start method"),
     ("run_scenario_grid", dict(plan="fast"), "plan must be"),
     ("run_scenario_grid", dict(plan=PLAN, n_workers=2), "plan"),
     ("run_scenario_grid", dict(plan=PLAN, backend="numpy"), "plan"),
     ("run_scenario_grid", dict(plan="auto", backend="numpy"), "plan"),
+    ("run_scenario_grid", dict(plan="auto", n_workers=2), "plan"),
+    ("run_scenario_grid", dict(plan=ExecutionPlan(backend="no-such")),
+     "backend"),
+    ("run_scenario_grid", dict(hosts=[]), "at least one"),
     ("run_scenario_grid", dict(hosts=FLEET, plan="auto"), "run_sharded"),
+    ("run_scenario_grid", dict(hosts=FLEET, plan=PLAN), "hosts= or plan="),
     ("run_scenario_grid", dict(hosts=FLEET, mp_context="fork"),
      "remote shards"),
     ("run_scenario_grid", dict(hosts=FLEET, service=SERVICE),
@@ -478,9 +503,15 @@ CONFLICTS = [
     ("run_scenario_grid", dict(service=SERVICE, plan=PLAN, backend="numpy"),
      "plan"),
     ("run_distributed", dict(hosts=[]), "at least one"),
+    ("run_distributed", dict(hosts=FLEET, n_workers=0), "n_workers"),
     ("service.run", dict(plan="fast"), "plan must be"),
     ("service.run", dict(plan=ExecutionPlan(backend="no-such")), "backend"),
     ("service.submit", dict(plan="fast"), "plan must be"),
+    ("service.submit", dict(plan=ExecutionPlan(backend="no-such")),
+     "backend"),
+    ("service.stream_grid", dict(plan="fast"), "plan must be"),
+    ("service.stream_grid", dict(plan=ExecutionPlan(backend="no-such")),
+     "backend"),
 ]
 
 
@@ -532,3 +563,85 @@ def test_route_conflict_raises_before_any_work(
             call = functools.partial(call, service)
         with pytest.raises(ParameterError, match=match):
             call(**route)
+
+
+# -- the route each accepted combination resolves to -----------------------
+
+#: Stand-ins: the resolver reads a live pool's width and nothing else,
+#: and never contacts a host.
+WIDTH_3_POOL = types.SimpleNamespace(n_workers=3)
+HOSTS = ["10.0.0.5:7501", "10.0.0.6:7501"]
+
+#: (id, resolve_route arguments, REPRO_PARALLEL_MAX_WORKERS,
+#:  (workers, threads, backend, hosts)) on an 8-CPU host.
+ROUTE_SHAPES = [
+    ("all-cpus", dict(lanes=64), None, (8, 1, None, ())),
+    ("cpu-cap", dict(lanes=64), "2", (2, 1, None, ())),
+    ("n_workers", dict(lanes=64, n_workers=3), None, (3, 1, None, ())),
+    ("no-wider-than-lanes", dict(lanes=2, n_workers=8), None,
+     (2, 1, None, ())),
+    ("pool-width", dict(lanes=64, pool=WIDTH_3_POOL), "2",
+     (3, 1, None, ())),
+    ("shard-per-host", dict(lanes=64, hosts=HOSTS), None,
+     (2, 1, None, tuple(HOSTS))),
+    # The CPU cap bounds local pools, never the shards sent to hosts.
+    ("hosts-n_workers", dict(lanes=64, hosts=HOSTS, n_workers=5), "1",
+     (5, 1, None, tuple(HOSTS))),
+    ("hosts-few-lanes", dict(lanes=1, hosts=HOSTS), None,
+     (1, 1, None, tuple(HOSTS))),
+    ("plan-capped", dict(plan=PLAN, lanes=64), "1", (1, 1, "numpy", ())),
+    ("plan-in-pool",
+     dict(plan=ExecutionPlan(backend="numpy", n_workers=6), lanes=64,
+          pool=WIDTH_3_POOL),
+     None, (3, 1, "numpy", ())),
+    ("plan-threads-clamped",
+     dict(plan=ExecutionPlan(backend="numpy", threads_per_worker=64),
+          lanes=64),
+     None, (1, 8, "numpy", ())),
+]
+
+
+@pytest.fixture
+def eight_cpus(monkeypatch):
+    monkeypatch.setattr(executor, "available_cpus", lambda: 8)
+    monkeypatch.delenv(executor.MAX_WORKERS_ENV, raising=False)
+
+
+def never_priced(**pricing):
+    raise AssertionError("only plan='auto' is priced")
+
+
+@pytest.mark.parametrize(
+    "route, cap, expected",
+    [row[1:] for row in ROUTE_SHAPES],
+    ids=[row[0] for row in ROUTE_SHAPES],
+)
+def test_route_shape(route, cap, expected, eight_cpus, monkeypatch):
+    if cap is not None:
+        monkeypatch.setenv(executor.MAX_WORKERS_ENV, cap)
+    chosen = resolve_route(**route)(never_priced)
+    assert (
+        chosen.workers, chosen.threads, chosen.backend, chosen.hosts
+    ) == expected
+    assert chosen.pool is route.get("pool")
+
+
+def test_auto_route_is_priced_when_settled(eight_cpus):
+    """``plan="auto"`` prices nothing until the caller settles it, then
+    once: spin-up-free on a live pool and pinned to the cache's
+    backend, and the priced plan is clamped to the pool's width."""
+    priced = []
+
+    def price(**pricing):
+        priced.append(pricing)
+        return ExecutionPlan(backend="numpy", n_workers=4)
+
+    settle = resolve_route(
+        "auto", lanes=64, pool=WIDTH_3_POOL, cache_backend="numpy"
+    )
+    assert priced == []
+    chosen = settle(price)
+    assert priced == [dict(warm_pool=True, backend="numpy")]
+    assert (chosen.workers, chosen.threads, chosen.backend) == (
+        3, 1, "numpy",
+    )
