@@ -28,9 +28,10 @@ and job runner (:func:`repro.parallel.executor.resolve_route`,
 :func:`repro.parallel.grid.job_runner`).  ``hosts=`` is the one way to
 dispatch: ``run_sharded(..., hosts=[...])``,
 ``run_scenario_grid(..., hosts=[...])`` and :func:`run_distributed`
-take it, with ``n_workers=`` as the shard count, and none of them
-takes a ``plan=`` next to it.  :func:`run_distributed` is where the
-fleet's ``authkey``, deadlines, retries and buffer ceiling are set.
+take it, with ``n_workers=`` as the shard count and each agent listed
+once, and none of them takes a ``plan=`` next to it.
+:func:`run_distributed` is where the fleet's ``authkey``, deadlines,
+retries and buffer ceiling are set.
 :func:`probe_link_overhead` measures one agent's round trip for
 EXP-B8 and the benchmark's fleet trace.
 """

@@ -210,15 +210,20 @@ class _CampaignState:
 class Dispatcher:
     """A connected fleet of worker agents, reusable across campaigns.
 
-    Connections are made (and ping-verified, protocol version included)
-    at construction, each within ``connect_timeout_s`` for the TCP
-    connect, handshake and ping together; unreachable or silent hosts
-    are logged and skipped, and :attr:`n_live` reports the surviving
-    fleet size.  A host answering another protocol version raises
-    :class:`~repro.errors.DistError`.  ``run_jobs``
-    executes a batch of prepared cell jobs across the fleet — the
-    digest-keyed dedup table spans the whole batch, so identical shard
-    requests from different jobs coalesce onto one wire dispatch.
+    Every address is parsed before the first connection opens, so a
+    malformed ``"host:port"`` entry raises
+    :class:`~repro.errors.DistError` with nothing connected.
+    Connections are then made (and ping-verified, protocol version
+    included) at construction, each within ``connect_timeout_s`` for
+    the TCP connect, handshake and ping together; unreachable or silent
+    hosts are logged and skipped, and :attr:`n_live` reports the
+    surviving fleet size.  A host answering another protocol version
+    raises :class:`~repro.errors.DistError`, after every connection
+    already opened is closed, so no live agent stays held by a
+    half-built fleet.  ``run_jobs`` executes a batch of prepared cell
+    jobs across the fleet — the digest-keyed dedup table spans the
+    whole batch, so identical shard requests from different jobs
+    coalesce onto one wire dispatch.
     """
 
     def __init__(
@@ -236,13 +241,21 @@ class Dispatcher:
         self.deadline_s = deadline_s
         self.retries = retries
         self.budget = BlockBudget(max_buffer_bytes)
-        self._authkey = authkey
-        self._connect_timeout_s = connect_timeout_s
         self._workers: dict = {}
-        for address in hosts:
-            conn = self._connect(address)
-            if conn is not None:
-                self._workers[address] = conn
+        parsed = [(address, parse_address(address)) for address in hosts]
+        try:
+            for address, endpoint in parsed:
+                try:
+                    self._workers[address] = connect(
+                        endpoint, authkey, connect_timeout_s
+                    )
+                except CONNECT_ERRORS as exc:
+                    _log.warning(
+                        "repro.dist worker %s unreachable: %s", address, exc
+                    )
+        except BaseException:
+            self.close()
+            raise
         if not self._workers:
             _log.warning(
                 "no repro.dist worker reachable at %s; degrading to the "
@@ -289,17 +302,6 @@ class Dispatcher:
         self.close()
 
     # -- connection management --------------------------------------------
-
-    def _connect(self, address: str):
-        try:
-            return connect(
-                parse_address(address), self._authkey, self._connect_timeout_s
-            )
-        except CONNECT_ERRORS as exc:
-            _log.warning(
-                "repro.dist worker %s unreachable: %s", address, exc
-            )
-            return None
 
     def _drop(self, address: str, conn) -> None:
         if self._workers.get(address) is conn:
@@ -432,21 +434,39 @@ class Dispatcher:
 
     @staticmethod
     def _receive(conn, spec: ShardSpec, limit: "float | None"):
-        """Yield one shard's lane blocks off ``conn`` until its ``done``."""
-        covered = 0
+        """Yield one shard's lane blocks off ``conn`` until its ``done``.
+
+        Blocks enter from the wire here, so this is where their lane
+        ranges are checked: each must start where the previous one
+        stopped (the first at ``spec.start``) and end within
+        ``spec.stop``, the order every agent streams them in
+        (:func:`~repro.parallel.blocks.plan_lane_blocks`).  Any other
+        block — shifted, repeated, overlapping — raises
+        :class:`~repro.errors.DistError` naming the shard and the
+        block's range, and ``done`` must arrive at ``spec.stop``.
+        """
+        covered = spec.start
         while True:
             remaining = None if limit is None else limit - time.monotonic()
             message = recv_message(conn, remaining)
             kind = message[0]
             if kind == MSG_BLOCK:
-                covered += message[2].width
-                yield message[2]
+                block = message[2]
+                if not block.start == covered < block.stop <= spec.stop:
+                    raise DistError(
+                        f"shard [{spec.start}, {spec.stop}) received lanes "
+                        f"[{block.start}, {block.stop}); the next block "
+                        f"must start at lane {covered} and end within "
+                        f"{spec.stop}"
+                    )
+                covered = block.stop
+                yield block
             elif kind == MSG_DONE:
-                if covered != spec.width:
+                if covered != spec.stop:
                     raise DistError(
                         f"shard [{spec.start}, {spec.stop}) streamed "
-                        f"{covered} lanes but declared done at width "
-                        f"{spec.width}"
+                        f"{covered - spec.start} lanes but declared done "
+                        f"at width {spec.width}"
                     )
                 return
             elif kind == MSG_ERROR:

@@ -262,7 +262,8 @@ def connect(address: "tuple[str, int]", authkey: bytes, timeout_s: float):
     step, and each handshake read, waits at most for what is left of it.
     A refused, silent or unauthenticated peer raises one of
     :data:`CONNECT_ERRORS` (expiry is
-    :class:`~repro.errors.DistTimeoutError`); a version mismatch raises
+    :class:`~repro.errors.DistTimeoutError`); any other reply to the
+    ping — another version, a ``pong`` with no version — raises
     :class:`~repro.errors.DistError`.
     """
     limit = time.monotonic() + timeout_s
@@ -283,7 +284,7 @@ def connect(address: "tuple[str, int]", authkey: bytes, timeout_s: float):
         )
         send_message(conn, (MSG_PING,))
         reply = recv_message(conn, limit - time.monotonic())
-        if reply[0] != MSG_PONG or reply[1] != PROTOCOL_VERSION:
+        if check_message(reply, MSG_PONG) != (MSG_PONG, PROTOCOL_VERSION):
             raise DistError(
                 f"worker {format_address(address)} answered {reply!r}; "
                 f"expected ('pong', {PROTOCOL_VERSION}) — mismatched "

@@ -27,8 +27,9 @@ assembly, with no processes and no shared memory.
 Which of those routes a call takes is decided in one place.
 :func:`resolve_route` checks the route arguments of every entry point
 (``plan``, ``n_workers``, ``mp_context``, ``pool``, ``hosts``, a
-service's pool and cache) and returns the :class:`Route`: the
-transport, the shard count, the lane threads and the backend.
+service's pool) and returns the :class:`Route`: the transport, the
+shard count, the lane threads and the backend.  Only
+:func:`run_sharded` takes a ``plan``.
 :func:`repro.parallel.grid.job_runner` opens that transport and runs
 the prepared jobs on it.
 
@@ -377,8 +378,6 @@ def resolve_route(
     mp_context: "str | None" = None,
     pool=None,
     hosts=None,
-    backend: "str | None" = None,
-    cache_backend: "str | None" = None,
 ):
     """Check one call's route arguments and decide its route.
 
@@ -387,23 +386,21 @@ def resolve_route(
     :func:`~repro.dist.dispatch.run_distributed` and
     :class:`~repro.service.api.HysteresisService` decide how their jobs
     run.  ``pool`` is a live :class:`~repro.service.pool.WorkerPool`
-    (the caller's, or a service's); ``backend`` is an explicit
-    ``backend=`` argument; ``cache_backend`` names the backend a result
-    cache keys the results by, so no plan may move them off it.  Every
-    conflict between these arguments, and a ``plan`` that is neither
-    ``"auto"`` nor an :class:`~repro.sched.planner.ExecutionPlan` on a
-    known backend, raises :class:`~repro.errors.ParameterError` here,
-    before the caller reads a cache, forks a pool or connects.
+    (the caller's, or a service's).  Every conflict between these
+    arguments, a ``plan`` that is neither ``"auto"`` nor an
+    :class:`~repro.sched.planner.ExecutionPlan`, and a ``hosts=`` list
+    that is empty or names an agent twice raise
+    :class:`~repro.errors.ParameterError` here, before the caller reads
+    a cache, builds an ensemble, forks a pool or connects.
 
-    Returns ``settle(price) -> Route``.  Under ``plan="auto"``,
-    ``settle`` takes its plan from ``price(warm_pool=..., backend=...)``:
-    priced spin-up-free when a live pool runs the jobs, and pinned to
-    ``cache_backend``.  So a cached caller prices only its misses, once
-    it knows them.  Every other route is decided here, and ``price`` is
-    never called.  The pool width passes through
-    :func:`resolve_workers` and the live pool's width.  A plan's lane
-    threads are clamped so ``workers x threads <= available_cpus()``.
-    ``workers`` ends as the number of shards
+    Only :func:`run_sharded` passes a ``plan``, and never with a live
+    pool: the pool owns the pool width.  Returns ``settle(price) ->
+    Route``.  Under ``plan="auto"``, ``settle`` takes its plan from
+    ``price()``, once the caller knows the drive; every other route is
+    decided here, and ``price`` is never called.  The pool width is the
+    live pool's, else it passes through :func:`resolve_workers`.  A
+    plan's lane threads are clamped so ``workers x threads <=
+    available_cpus()``.  ``workers`` ends as the number of shards
     :func:`~repro.parallel.plan.plan_shards` cuts ``lanes`` into.
     ``hosts=`` is the one way to dispatch: it takes no plan, and
     ``n_workers`` names its shard count (default: one per host).
@@ -419,10 +416,19 @@ def resolve_route(
             raise ParameterError(
                 f"plan must be an ExecutionPlan or 'auto', got {plan!r}"
             )
-    if hosts is not None and not hosts:
-        raise ParameterError(
-            "hosts= needs at least one 'host:port' worker address"
-        )
+    if hosts is not None:
+        hosts = tuple(hosts)
+        if not hosts:
+            raise ParameterError(
+                "hosts= needs at least one 'host:port' worker address"
+            )
+        repeated = [host for i, host in enumerate(hosts) if host in hosts[:i]]
+        if repeated:
+            raise ParameterError(
+                f"hosts= lists {repeated[0]!r} more than once: an agent "
+                "serves one connection at a time.  List each agent once "
+                "and pass n_workers= for more shards than hosts"
+            )
     if hosts is not None and plan is not None:
         raise ParameterError(
             "pass either hosts= or plan=, not both: a plan only places "
@@ -435,43 +441,31 @@ def resolve_route(
             "hosts= dispatches over repro.dist sockets; a local pool "
             "(pool=, service= or mp_context=) cannot run remote shards"
         )
-    if pool is not None and n_workers is not None:
+    if pool is not None and (n_workers is not None or plan is not None):
         raise ParameterError(
-            "pass either a live pool (pool= / service=) or n_workers=, "
-            "not both: a live pool owns the pool width"
+            "pass either a live pool (pool= / service=) or n_workers= / "
+            "plan=, not both: a live pool owns the pool width"
         )
     if pool is not None and mp_context is not None:
         raise ParameterError(
             "mp_context applies to a one-shot pool; a live pool (pool= / "
             "service=) already carries its start method"
         )
-    backend_is_pin = auto and cache_backend is not None
-    if plan is not None and (
-        n_workers is not None or (backend is not None and not backend_is_pin)
-    ):
+    if plan is not None and n_workers is not None:
         raise ParameterError(
-            "pass either plan= or n_workers= / backend=, not both: a plan "
-            "owns the pool width and the backend"
+            "pass either plan= or n_workers=, not both: a plan owns the "
+            "pool width and the backend"
         )
-    if explicit is not None and cache_backend is not None:
-        if resolve_backend(explicit.backend).name != cache_backend:
-            raise ParameterError(
-                "cache keys include the backend: plan backend "
-                f"{explicit.backend!r} conflicts with the cached "
-                f"backend {cache_backend!r}"
-            )
 
     def shape(chosen) -> Route:
         if hosts is not None:
             wanted = len(hosts) if n_workers is None else n_workers
-        elif chosen is None:
-            wanted = pool.n_workers if pool is not None else resolve_workers(
-                n_workers
-            )
-        else:
+        elif chosen is not None:
             wanted = resolve_workers(chosen.n_workers)
-            if pool is not None:
-                wanted = min(wanted, pool.n_workers)
+        elif pool is not None:
+            wanted = pool.n_workers
+        else:
+            wanted = resolve_workers(n_workers)
         threads = 1 if chosen is None else max(
             1, min(chosen.threads_per_worker, available_cpus() // wanted)
         )
@@ -482,17 +476,14 @@ def resolve_route(
                 chosen.backend
             ).name,
             pool=pool,
-            hosts=() if hosts is None else tuple(hosts),
+            hosts=hosts or (),
             mp_context=mp_context,
         )
 
     if auto:
-        warm_pool = pool is not None
-        return lambda price: shape(
-            price(warm_pool=warm_pool, backend=cache_backend)
-        )
+        return lambda price: shape(price())
     route = shape(explicit)
-    return lambda price: route
+    return lambda price=None: route
 
 
 @contextmanager
@@ -521,13 +512,13 @@ def backend_pinned(source, backend_name: "str | None"):
         yield source
 
 
-def _price_run(source, drive, **pricing):
+def _price_run(source, drive):
     """``plan="auto"`` for one run: the cheapest calibrated plan."""
     # Lazy import: repro.sched sits above the executor in the layer
     # stack, and plan=None callers never pay for (or depend on) it.
     from repro.sched.planner import plan_for
 
-    return plan_for(source, drive, **pricing)
+    return plan_for(source, drive)
 
 
 def run_single(
@@ -590,25 +581,25 @@ def run_sharded(
         ``multiprocessing`` start method (``"fork"``, ``"spawn"``, ...);
         default: the platform default.
     plan:
-        ``None`` (default) keeps today's explicit knobs exactly as
+        ``None`` (default) keeps the explicit knobs exactly as
         documented above.  ``"auto"`` plans this run from the host's
-        persisted calibration (:func:`repro.sched.planner.plan_for`); an
+        persisted calibration (:func:`repro.sched.planner.plan_for`),
+        priced cold on a one-shot pool of its own; an
         :class:`~repro.sched.planner.ExecutionPlan` applies that plan
         verbatim.  A plan owns the backend / pool-width / lane-thread
-        axes — it is mutually exclusive with ``n_workers`` — and is
-        always clamped to this host: the pool width passes through
-        :func:`resolve_workers` (environment cap included) and
+        axes — it is mutually exclusive with ``n_workers`` and ``pool``
+        — and is always clamped to this host: the pool width passes
+        through :func:`resolve_workers` (environment cap included) and
         ``threads_per_worker`` is reduced so ``workers × threads``
         never exceeds the CPU affinity.  A plan always runs on this
-        host; it takes no ``hosts``.
+        host; it takes no ``hosts``.  This is the only entry point that
+        takes a plan.
     pool:
         A live :class:`~repro.service.pool.WorkerPool` to run the
         shards on instead of spinning up (and tearing down) a one-shot
-        pool.  The live pool owns the pool width — mutually exclusive
-        with ``n_workers`` and ``mp_context``; a plan's width is
-        additionally clamped to the pool's, and ``plan="auto"`` prices
-        pooled candidates spin-up-free (the pool already paid it).
-        The pool is never closed here: it outlives this call by design.
+        pool.  The live pool owns the pool width, so it is mutually
+        exclusive with ``n_workers``, ``plan`` and ``mp_context``.  The
+        pool is never closed here: it outlives this call by design.
     chunk_lanes:
         Bounded-memory mode: every shard streams its result in
         contiguous lane blocks at most this wide
@@ -622,11 +613,12 @@ def run_sharded(
         instead of a local pool, streaming the same lane blocks over
         the wire, with ``n_workers`` shards (default: one per host).
         Mutually exclusive with ``pool=`` / ``mp_context=`` and with
-        any ``plan=``: ``hosts=`` is the one way to dispatch.  When no
-        listed host is reachable the run degrades to the local executor
-        with a logged warning.  :func:`repro.dist.dispatch.run_distributed`
-        runs the same route with the fleet's authkey, deadlines and
-        buffer ceiling.
+        any ``plan=``: ``hosts=`` is the one way to dispatch.  Each
+        agent is listed once (it serves one connection at a time).
+        When no listed host is reachable the run degrades to the local
+        executor with a logged warning.
+        :func:`repro.dist.dispatch.run_distributed` runs the same route
+        with the fleet's authkey, deadlines and buffer ceiling.
 
     Returns the same :class:`~repro.batch.sweep.BatchSweepResult` the
     single-process executor produces — bitwise, lane order preserved.

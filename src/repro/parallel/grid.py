@@ -14,7 +14,9 @@ The grid has one body for every route.  It checks its route arguments
 (:func:`repro.parallel.executor.resolve_route`), plans and **dedupes**
 the cells once, takes a service's cache hits out, runs the rest in
 chunks of :data:`CHUNK_CELLS` through :func:`job_runner`, and caches
-what it computed.
+what it computed.  A grid takes no execution plan: every cell runs on
+the route's default width, and only
+:func:`~repro.parallel.executor.run_sharded` takes ``plan=``.
 Callers composing ``h_max_values`` from overlapping sources (a default
 ladder plus a spot-check list) pay for each unique
 ``(family, scenario, h_max)`` cell once; duplicates are served the same
@@ -44,7 +46,6 @@ from repro.backend import resolve_backend
 from repro.batch.sweep import BatchSweepResult
 from repro.errors import ParameterError
 from repro.parallel.executor import (
-    backend_pinned,
     execute_jobs_pooled,
     prepare_job,
     resolve_route,
@@ -99,7 +100,15 @@ def _plan_cells(
     :func:`run_scenario_grid` resolved once at entry — so cells
     prepared later in the campaign cannot re-read a changed
     ``REPRO_BACKEND`` environment and split one grid across backends.
+
+    Both grid front doors plan through here, so an empty axis raises
+    the same :class:`~repro.errors.ParameterError` from
+    :func:`run_scenario_grid` and from the service's ``stream_grid``.
     """
+    if not (families and scenarios and h_max_values):
+        raise ParameterError(
+            "a scenario grid needs at least one family, scenario and h_max"
+        )
     cells = []
     for family in families:
         spec = EnsembleSpec(
@@ -181,22 +190,6 @@ def job_runner(route, **dispatcher_options):
             yield partial(execute_jobs_pooled, pool)
 
 
-def _price_cells(todo, n_cores, **pricing):
-    """``plan="auto"`` for a grid: one plan for every cell still to run,
-    each priced by its drive length from a single-lane build of its
-    scenario (row counts depend on h_max and driver_step, not on the
-    lane count, so pricing never pays for full-width matrices)."""
-    # Lazy import: repro.sched sits above this package in the layer
-    # stack, and plan=None grids never pay for (or depend on) it.
-    from repro.sched.planner import plan_grid
-
-    workloads = [
-        (key[0], n_cores, len(drive.full_samples(1)))
-        for key, _, _, drive in todo
-    ]
-    return plan_grid(workloads, **pricing)
-
-
 def run_scenario_grid(
     families: Sequence[str],
     scenarios: Sequence[str],
@@ -208,7 +201,6 @@ def run_scenario_grid(
     backend: str | None = None,
     n_workers: int | None = None,
     mp_context: str | None = None,
-    plan=None,
     service=None,
     chunk_lanes: int | None = None,
     hosts=None,
@@ -232,28 +224,20 @@ def run_scenario_grid(
     before planning: each unique cell is computed once and every
     duplicate position in the returned list carries the same result.
 
-    ``plan`` applies one calibrated execution plan to the whole grid
-    (the one-campaign / one-configuration invariant above is why a grid
-    takes a single plan, not one per cell): ``"auto"`` picks the shape
-    minimising the summed predicted cost across every cell still to
-    run (:func:`repro.sched.planner.plan_grid`); an explicit
-    :class:`~repro.sched.planner.ExecutionPlan` applies verbatim.  A
-    plan owns the backend and pool-width axes, so it is mutually
-    exclusive with ``backend`` / ``n_workers``, and it is clamped to
-    this host exactly as in :func:`~repro.parallel.executor.run_sharded`.
+    A grid takes no execution plan: it runs on its route's default
+    width (``n_workers``, a service's pool, or one shard per host).
+    :func:`~repro.parallel.executor.run_sharded` is the one entry point
+    that takes ``plan=``.
 
     ``service`` routes the grid through a live
     :class:`~repro.service.api.HysteresisService`: unique cells are
     looked up in its content-addressed cache first, **only the misses**
-    are planned (spin-up-free — the service's pool is already warm) and
-    computed on the service's persistent pool, and fresh results are
-    cached for the next campaign.  The service owns the pool, so
-    ``n_workers`` / ``mp_context`` / ``hosts`` are mutually exclusive
-    with it; and because the backend is part of the cache key (numpy's
-    bitwise tier and numba's rtol tier must never cross-serve),
-    ``plan="auto"`` under a service prices only the width/thread axes —
-    the backend pins to ``backend`` (or the environment default) before
-    lookup — and an explicit plan on another backend is rejected.
+    are computed, on the service's persistent pool at its full width,
+    and fresh results are cached for the next campaign.  The service
+    owns the pool, so ``n_workers`` / ``mp_context`` / ``hosts`` are
+    mutually exclusive with it.  The backend is part of every cache key
+    (numpy's bitwise tier and numba's rtol tier never cross-serve), and
+    every cell already carries the grid's ``backend``.
 
     ``chunk_lanes`` streams every cell's shards in bounded lane blocks
     (:mod:`repro.parallel.blocks`) — bitwise-neutral, memory-bounded.
@@ -262,29 +246,21 @@ def run_scenario_grid(
     cells flow through one shared dispatcher (its digest-keyed dedup
     table spans each chunk), ``n_workers`` names the per-cell shard
     count (default: one per host), and an unreachable fleet degrades
-    to the local executor with a logged warning.  ``hosts`` takes no
-    ``plan``: it is the one way to dispatch, and
-    :func:`~repro.dist.dispatch.run_distributed` is where a fleet's
-    authkey, deadlines and buffer ceiling are set.
+    to the local executor with a logged warning.  ``hosts`` is the one
+    way to dispatch, and :func:`~repro.dist.dispatch.run_distributed`
+    is where a fleet's authkey, deadlines and buffer ceiling are set.
 
     Returns one :class:`GridCell` per combination, in
     ``families × scenarios × h_max_values`` order.
     """
-    if not (families and scenarios and h_max_values):
-        raise ParameterError(
-            "run_scenario_grid needs at least one family, scenario and h_max"
-        )
     backend_name = resolve_backend(backend).name
-    settle = resolve_route(
-        plan,
+    route = resolve_route(
         lanes=n_cores,
         n_workers=n_workers,
         mp_context=mp_context,
         pool=None if service is None else service.pool,
         hosts=hosts,
-        backend=backend,
-        cache_backend=None if service is None else backend_name,
-    )
+    )()
     planned = _plan_cells(
         families, scenarios, h_max_values, n_cores, seed, driver_step,
         backend_name,
@@ -307,17 +283,15 @@ def run_scenario_grid(
             len(unique),
         )
     if todo:
-        route = settle(partial(_price_cells, todo, n_cores))
         with job_runner(route) as run:
             for offset in range(0, len(todo), CHUNK_CELLS):
                 chunk = todo[offset : offset + CHUNK_CELLS]
-                jobs = []
-                for _, _, source, drive in chunk:
-                    with backend_pinned(source, route.backend) as pinned:
-                        jobs.append(prepare_job(
-                            pinned, drive, route.workers, route.threads,
-                            chunk_lanes=chunk_lanes,
-                        ))
+                jobs = [
+                    prepare_job(
+                        source, drive, route.workers, chunk_lanes=chunk_lanes
+                    )
+                    for _, _, source, drive in chunk
+                ]
                 for (key, digest, _, _), result in zip(chunk, run(jobs)):
                     # A cached grid hands the *frozen* cache entry onward,
                     # so duplicates and later campaigns all see the same

@@ -13,8 +13,8 @@ Three layers, each usable alone:
 :mod:`repro.sched.planner`
     Candidate enumeration and selection: :func:`plan_for` returns the
     cheapest executable :class:`ExecutionPlan`, which
-    ``run_sharded(..., plan="auto")`` and
-    ``run_scenario_grid(..., plan="auto")`` consume.
+    ``run_sharded(..., plan="auto")`` consumes — the one entry point
+    that takes a plan, priced cold on a one-shot pool of its own.
 
 Plans choose *where and how wide* a run executes, never *what* it
 computes: the bitwise pins of the numpy paths and the rtol tier of the
@@ -36,7 +36,6 @@ from repro.sched.planner import (
     describe_workload,
     enumerate_candidates,
     plan_for,
-    plan_grid,
 )
 
 __all__ = [
@@ -52,6 +51,5 @@ __all__ = [
     "enumerate_candidates",
     "get_calibration",
     "plan_for",
-    "plan_grid",
     "run_calibration",
 ]

@@ -141,18 +141,13 @@ class CostModel:
 
     def predict_sharded(
         self, family: str, backend: str, lanes: int, samples: int,
-        n_workers: int, warm_pool: bool = False,
+        n_workers: int,
     ) -> "float | None":
         """Predicted seconds for a pooled sharded run: pool spin-up plus
         the widest shard's compute (the makespan; shards run threads=1
         inside pool workers — the planner never composes both axes).
-
-        ``warm_pool=True`` prices the spin-up at zero: a live
-        :class:`~repro.service.pool.WorkerPool` already paid the fork
-        (and, under ``fork``, the JIT warm-up its children inherited),
-        so a run dispatched onto it pays only shard compute — which is
-        exactly why the planner prefers wider plans for short grids
-        when a warm pool is attached."""
+        The spin-up is always paid: a planned run forks a one-shot pool
+        of its own."""
         from repro.parallel.plan import plan_shards
 
         fit = self.fit_for(family, backend, threads=1)
@@ -160,9 +155,5 @@ class CostModel:
             return None
         shards = plan_shards(lanes, n_workers)
         widest = max(stop - start for start, stop in shards)
-        overhead = (
-            0.0
-            if warm_pool
-            else self.pool_base + self.pool_per_worker * len(shards)
-        )
+        overhead = self.pool_base + self.pool_per_worker * len(shards)
         return overhead + fit.seconds(widest, samples)

@@ -9,8 +9,10 @@ numba/sharding crossovers orders of magnitude apart across cells).
 the crossovers: it enumerates every *executable* candidate plan,
 prices each with the fitted :class:`~repro.sched.model.CostModel`, and
 returns the cheapest as an :class:`ExecutionPlan` that
-:func:`repro.parallel.executor.run_sharded` and
-:func:`repro.parallel.grid.run_scenario_grid` accept via ``plan=``.
+:func:`repro.parallel.executor.run_sharded` accepts via ``plan=`` — the
+one entry point that takes a plan.  Every candidate is priced cold:
+``plan="auto"`` runs on a one-shot pool of its own, never on a live
+pool, so pooled candidates always pay the measured spin-up.
 
 Two hard constraints shape the candidate set:
 
@@ -35,7 +37,6 @@ backend is the backend's own, unchanged by threading (lane-major
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from repro.errors import ParameterError
 from repro.sched.calibration import Calibration, get_calibration
@@ -153,8 +154,6 @@ def enumerate_candidates(
     family: str,
     lanes: int,
     samples: int,
-    warm_pool: bool = False,
-    backend: "str | None" = None,
 ) -> "list[ExecutionPlan]":
     """Every executable candidate plan, priced, cheapest first.
 
@@ -164,27 +163,16 @@ def enumerate_candidates(
     stop at :func:`~repro.parallel.executor.resolve_workers`: the
     available CPUs, capped by ``REPRO_PARALLEL_MAX_WORKERS``.
     Combinations the calibration never probed are skipped, not guessed.
-
-    ``warm_pool=True`` prices pooled candidates without the spin-up
-    overhead (see :meth:`CostModel.predict_sharded`): with a live
-    :class:`~repro.service.pool.WorkerPool` attached, sharding starts
-    paying off on workloads the cold cost model would have kept serial.
-
-    ``backend`` pins the backend axis to that one backend — the
-    service layer's cache keys make the backend semantic, so planning
-    under a cache may only trade the width/thread axes.
+    Pooled candidates include the pool's spin-up
+    (:meth:`CostModel.predict_sharded`).
     """
     from repro.backend import max_threads
     from repro.parallel.executor import available_cpus, resolve_workers
 
     cpus = available_cpus()
     cap = resolve_workers()
-    pinned = backend
-    backends = model.backends(family)
-    if pinned is not None:
-        backends = tuple(b for b in backends if b == pinned)
     candidates: list[ExecutionPlan] = []
-    for backend in backends:
+    for backend in model.backends(family):
         seconds = model.predict_single(family, backend, lanes, samples)
         if seconds is not None:
             candidates.append(
@@ -220,7 +208,7 @@ def enumerate_candidates(
             if workers <= 1:
                 continue
             seconds = model.predict_sharded(
-                family, backend, lanes, samples, workers, warm_pool=warm_pool
+                family, backend, lanes, samples, workers
             )
             if seconds is None:
                 continue
@@ -236,9 +224,8 @@ def enumerate_candidates(
             )
     if not candidates:
         raise ParameterError(
-            f"the calibration has no probes for family {family!r}"
-            + (f" on backend {pinned!r}" if pinned is not None else "")
-            + "; re-run python -m repro.sched.calibrate"
+            f"the calibration has no probes for family {family!r}; "
+            "re-run python -m repro.sched.calibrate"
         )
     return sorted(candidates, key=lambda plan: plan.predicted_seconds)
 
@@ -248,85 +235,17 @@ def plan_for(
     drive=None,
     samples: "int | None" = None,
     calibration: "Calibration | None" = None,
-    warm_pool: bool = False,
-    backend: "str | None" = None,
 ) -> ExecutionPlan:
-    """The cheapest executable plan for one run.
+    """The cheapest executable plan for one run, priced cold.
 
     ``calibration=None`` loads (or, once per host, creates) the
     persisted calibration file — see
-    :func:`repro.sched.calibration.get_calibration`.  ``warm_pool``
-    prices pooled candidates spin-up-free (a live pool is attached);
-    ``backend`` pins the backend axis (the service layer's cache keys
-    include the backend, so a cached run may only plan width/threads).
+    :func:`repro.sched.calibration.get_calibration`.  Every calibrated
+    backend is a candidate, and pooled candidates pay the measured
+    spin-up of the one-shot pool the run forks.
     """
     family, lanes, n_samples = describe_workload(source, drive, samples)
     if calibration is None:
         calibration = get_calibration()
     model = CostModel.from_calibration(calibration)
-    return enumerate_candidates(
-        model, family, lanes, n_samples, warm_pool=warm_pool, backend=backend
-    )[0]
-
-
-def plan_grid(
-    workloads: Sequence[tuple],
-    calibration: "Calibration | None" = None,
-    warm_pool: bool = False,
-    backend: "str | None" = None,
-) -> ExecutionPlan:
-    """One plan for a whole grid of ``(family, lanes, samples)`` cells.
-
-    The grid executor runs every cell on one backend and one pool (a
-    deliberate invariant: one campaign, one configuration, one record
-    header), so the planner picks the single candidate shape that
-    minimises the *summed* predicted cost across all cells — priced per
-    cell, because the same shape costs differently per family.
-    Candidate shapes must be priceable for **every** cell's family;
-    shapes any cell cannot price are discarded.
-
-    ``backend`` pins the backend axis: only shapes on that backend are
-    considered, and the planner chooses width/threads alone.  The
-    service layer uses this — with a result cache attached the backend
-    is *semantic* (it is part of every cache key), so the planner must
-    not trade it away for speed.
-    """
-    if not workloads:
-        raise ParameterError("plan_grid needs at least one workload cell")
-    if calibration is None:
-        calibration = get_calibration()
-    model = CostModel.from_calibration(calibration)
-
-    totals: dict = {}
-    per_cell = []
-    for family, lanes, samples in workloads:
-        cell = {
-            (p.backend, p.n_workers, p.threads_per_worker): p.predicted_seconds
-            for p in enumerate_candidates(
-                model, family, int(lanes), int(samples), warm_pool=warm_pool
-            )
-        }
-        per_cell.append(cell)
-    shared = set(per_cell[0])
-    for cell in per_cell[1:]:
-        shared &= set(cell)
-    if backend is not None:
-        shared = {shape for shape in shared if shape[0] == backend}
-    if not shared:
-        raise ParameterError(
-            "no candidate plan shape is calibrated for every family in "
-            "this grid"
-            + (f" on backend {backend!r}" if backend is not None else "")
-            + "; re-run python -m repro.sched.calibrate"
-        )
-    for shape in shared:
-        totals[shape] = sum(cell[shape] for cell in per_cell)
-    backend, workers, threads = min(totals, key=totals.get)
-    return ExecutionPlan(
-        backend=backend,
-        n_workers=workers,
-        threads_per_worker=threads,
-        predicted_seconds=totals[(backend, workers, threads)],
-        calibration_id=model.calibration_id,
-        source="auto-grid",
-    )
+    return enumerate_candidates(model, family, lanes, n_samples)[0]

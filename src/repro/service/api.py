@@ -19,16 +19,13 @@ Synchronous callers use :meth:`run` (same cache, same pool, no event
 loop needed), and :func:`repro.parallel.grid.run_scenario_grid` accepts
 the whole service via ``service=`` for cache-aware batch campaigns.
 
-Because cache keys include the backend name, auto-planning under the
-service is **backend-pinned**: the planner may trade pool width and
-lane threads (priced spin-up-free — the pool is already warm), but the
-backend axis is fixed by the request.  numpy's bitwise tier and
-numba's rtol tier never cross-serve.  The service holds no plan code of
-its own: its warm pool and its backend pin are inputs to the
-executor's route resolver
-(:func:`~repro.parallel.executor.resolve_route`), which checks a
-request's ``plan`` before the cache is read, so a bad plan raises on a
-hit exactly as on a miss.
+Every request runs on the pool's full width: the service takes no
+execution plan (only :func:`~repro.parallel.executor.run_sharded`
+does).  Its warm pool is the input to the executor's route resolver
+(:func:`~repro.parallel.executor.resolve_route`), which cuts each miss
+into that many shards.  The backend is the request's own and part of
+its cache key, so numpy's bitwise tier and numba's rtol tier never
+cross-serve.
 """
 
 from __future__ import annotations
@@ -105,49 +102,35 @@ class HysteresisService:
 
     # -- synchronous front door ---------------------------------------
 
-    def run(
-        self,
-        spec: EnsembleSpec,
-        drive: DriveSpec,
-        *,
-        plan=None,
-    ) -> BatchSweepResult:
+    def run(self, spec: EnsembleSpec, drive: DriveSpec) -> BatchSweepResult:
         """One request, synchronously: cache hit or warm-pool compute.
 
-        ``plan`` may be ``None`` (the pool's full width), ``"auto"``
-        (calibrated planning, spin-up-free and pinned to the request's
-        backend), or an explicit
-        :class:`~repro.sched.planner.ExecutionPlan` whose backend must
-        match the request's (cache keys include the backend).  The
-        returned result is the frozen cache entry — arrays read-only,
-        shared by every requester of this digest.
+        A miss runs on the pool's full width, on the request's backend.
+        The returned result is the frozen cache entry — arrays
+        read-only, shared by every requester of this digest.
         """
         self._check_open()
         digest = self.digest_for(spec, drive)
-        settle = self._route(plan, spec.n_cores, spec.backend)
+        settle = resolve_route(lanes=spec.n_cores, pool=self.pool)
         return self._fetch(digest, spec, drive, settle)
 
     # -- async front door ---------------------------------------------
 
     def submit(
-        self,
-        spec: EnsembleSpec,
-        drive: DriveSpec,
-        *,
-        plan=None,
+        self, spec: EnsembleSpec, drive: DriveSpec
     ) -> "asyncio.Future[BatchSweepResult]":
         """Submit one request; returns an ``asyncio`` future.
 
-        The digest and the route are checked eagerly (spec and plan
-        errors surface at the call site, not inside the future); the
-        cache lookup and any compute run on a dispatch thread.
+        The digest is computed eagerly (spec errors surface at the call
+        site, not inside the future); the cache lookup and any compute
+        run on a dispatch thread, a miss on the pool's full width.
         Identical in-flight submissions coalesce onto one computation.
         Call it from a running event loop; synchronous callers use
         :meth:`run`.
         """
         self._check_open()
         digest = self.digest_for(spec, drive)
-        settle = self._route(plan, spec.n_cores, spec.backend)
+        settle = resolve_route(lanes=spec.n_cores, pool=self.pool)
         try:
             loop = asyncio.get_running_loop()
         except RuntimeError:
@@ -169,7 +152,6 @@ class HysteresisService:
         seed: int = 0,
         driver_step: "float | None" = None,
         backend: "str | None" = None,
-        plan=None,
     ) -> AsyncIterator:
         """Yield :class:`~repro.parallel.grid.GridCell`\\ s as they land.
 
@@ -178,13 +160,14 @@ class HysteresisService:
         dispatch finishes them, cache hits typically first.  Unlike
         :func:`~repro.parallel.grid.run_scenario_grid` this streams the
         *unique* cells; callers wanting the full positional list should
-        use ``run_scenario_grid(..., service=self)``.
+        use ``run_scenario_grid(..., service=self)``.  An empty axis
+        raises :class:`~repro.errors.ParameterError`, as it does there.
         """
         from repro.parallel.grid import GridCell, _dedupe_cells, _plan_cells
 
         self._check_open()
         backend_name = resolve_backend(backend).name
-        settle = self._route(plan, n_cores, backend_name)
+        settle = resolve_route(lanes=n_cores, pool=self.pool)
         planned = _plan_cells(
             list(families), list(scenarios), list(h_max_values), n_cores,
             seed, driver_step, backend_name,
@@ -215,23 +198,13 @@ class HysteresisService:
                 "this HysteresisService is closed; construct a new one"
             )
 
-    def _route(self, plan, lanes, backend):
-        """Check a request's plan against the warm pool and the cache's
-        backend pin (:func:`~repro.parallel.executor.resolve_route`)."""
-        return resolve_route(
-            plan,
-            lanes=lanes,
-            pool=self.pool,
-            cache_backend=resolve_backend(backend).name,
-        )
-
     def _fetch(self, digest, source, drive, settle) -> BatchSweepResult:
         """Cache hit, coalesced wait, or compute-and-insert.
 
         ``source`` is what the executor runs (an
         :class:`~repro.parallel.spec.EnsembleSpec` or an already-built
         batch, the grid's pre-built route); ``settle`` is the request's
-        checked route, priced only on a miss.
+        route from :func:`~repro.parallel.executor.resolve_route`.
         """
         hit = self.cache.get(digest)
         if hit is not None:

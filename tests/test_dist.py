@@ -11,6 +11,7 @@ numerics change.
 
 import dataclasses
 import logging
+import re
 import socket
 import threading
 
@@ -28,7 +29,10 @@ from repro.dist import (
     shard_digest,
 )
 from repro.dist.protocol import (
+    MSG_BLOCK,
     MSG_DONE,
+    MSG_ECHO,
+    MSG_PONG,
     connect,
     format_address,
     parse_address,
@@ -389,6 +393,305 @@ def _finishes_within(seconds, fn) -> dict:
     thread.join(seconds)
     assert not thread.is_alive(), f"still blocked after {seconds}s"
     return outcome
+
+
+# -- bad peer input, and the one outcome each gets ------------------------
+
+
+class _BadAgent(WorkerAgent):
+    """A worker agent that breaks the protocol; ``met`` is set once it
+    has, so every row proves the dispatcher really met its bad input."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.met = threading.Event()
+
+
+class _PongAgent(_BadAgent):
+    """Answers the handshake ping with :attr:`pong`, then serves."""
+
+    pong: tuple = ()
+
+    def _handle(self, conn) -> None:
+        recv_message(conn, None)
+        self.met.set()
+        send_message(conn, self.pong)
+        super()._handle(conn)
+
+
+class _OtherVersionAgent(_PongAgent):
+    pong = (MSG_PONG, PROTOCOL_VERSION + 1)
+
+
+class _VersionlessPongAgent(_PongAgent):
+    pong = (MSG_PONG,)
+
+
+class _EchoingPingAgent(_PongAgent):
+    pong = (MSG_ECHO, PROTOCOL_VERSION)
+
+
+class _BarePongAgent(_PongAgent):
+    pong = MSG_PONG
+
+
+class _StreamAgent(_BadAgent):
+    """Streams each shard's blocks as :meth:`rewrite` returns them."""
+
+    def rewrite(self, spec, blocks) -> list:
+        raise NotImplementedError
+
+    def _run(self, conn, digest, spec) -> None:
+        blocks = self.rewrite(spec, list(iter_shard_blocks(spec)))
+        self.met.set()
+        for block in blocks:
+            send_message(conn, (MSG_BLOCK, digest, block))
+        send_message(conn, (MSG_DONE, digest, len(blocks)))
+
+
+def _shifted(block, lanes: int):
+    return dataclasses.replace(
+        block, start=block.start + lanes, stop=block.stop + lanes
+    )
+
+
+class _ShardLocalAgent(_StreamAgent):
+    """Labels every block with shard-local lanes."""
+
+    def rewrite(self, spec, blocks):
+        return [_shifted(block, -spec.start) for block in blocks]
+
+
+class _RepeatedBlockAgent(_StreamAgent):
+    """Sends its first block twice and never the second."""
+
+    def rewrite(self, spec, blocks):
+        return [blocks[0]] * len(blocks)
+
+
+class _OverlappingBlockAgent(_StreamAgent):
+    """Labels every block after the first one lane early."""
+
+    def rewrite(self, spec, blocks):
+        return blocks[:1] + [_shifted(block, -1) for block in blocks[1:]]
+
+
+class _OverlongBlockAgent(_StreamAgent):
+    """Streams its shard plus the next lane, as one block."""
+
+    def rewrite(self, spec, blocks):
+        return list(iter_shard_blocks(
+            dataclasses.replace(spec, stop=spec.stop + 1, chunk_lanes=None)
+        ))
+
+
+class _ShortBlockAgent(_StreamAgent):
+    """Drops the last sample of every block."""
+
+    def rewrite(self, spec, blocks):
+        return [
+            dataclasses.replace(
+                block, m=block.m[:-1], b=block.b[:-1],
+                updated=block.updated[:-1],
+                extras={k: v[:-1] for k, v in block.extras.items()},
+            )
+            for block in blocks
+        ]
+
+
+class _ForeignExtraAgent(_StreamAgent):
+    """Adds an extras channel its family never declared to every block."""
+
+    def rewrite(self, spec, blocks):
+        return [
+            dataclasses.replace(
+                block,
+                extras={**block.extras, "bogus": np.zeros_like(block.m)},
+            )
+            for block in blocks
+        ]
+
+
+class _NotATupleAgent(_BadAgent):
+    """Answers a run request with a bare integer."""
+
+    def _run(self, conn, digest, spec) -> None:
+        self.met.set()
+        send_message(conn, 42)
+
+
+class _PongMidStreamAgent(_BadAgent):
+    """Answers a run request with a handshake reply."""
+
+    def _run(self, conn, digest, spec) -> None:
+        self.met.set()
+        send_message(conn, (MSG_PONG, PROTOCOL_VERSION))
+
+
+class _StallingAgent(_BadAgent):
+    """Streams its first block, then goes silent until it is stopped."""
+
+    def _run(self, conn, digest, spec) -> None:
+        block = next(iter_shard_blocks(spec))
+        self.met.set()
+        send_message(conn, (MSG_BLOCK, digest, block))
+        self._closed.wait(30.0)
+
+
+class _HangUpAgent(_BadAgent):
+    """Streams every block, then hangs up instead of sending ``done``."""
+
+    def _run(self, conn, digest, spec) -> None:
+        for block in iter_shard_blocks(spec):
+            send_message(conn, (MSG_BLOCK, digest, block))
+        self.met.set()
+        conn.close()
+
+
+#: The bad-peer job: 8 timeless lanes in two shards, [0, 4) and [4, 8).
+BAD_PEER_LANES = 8
+
+
+def _run_jobs(addresses, chunk_lanes=None, **options):
+    job = prepare_job(
+        EnsembleSpec(family="timeless", n_cores=BAD_PEER_LANES),
+        _drive(), 2, chunk_lanes=chunk_lanes,
+    )
+    with Dispatcher(addresses, **options) as dispatcher:
+        (result,) = dispatcher.run_jobs([job])
+    return result
+
+
+def on_bad(**options):
+    """Run the bad-peer job on the bad agent alone."""
+    return lambda bad, live: _run_jobs([bad], **options)
+
+
+def on_bad_then_live(**options):
+    """Run the bad-peer job on the bad agent and a live survivor."""
+    return lambda bad, live: _run_jobs([bad, live], **options)
+
+
+def _unknown_kind_then_ping(bad, live):
+    from multiprocessing.connection import Client
+
+    with Client(
+        parse_address(bad), family="AF_INET", authkey=DEFAULT_AUTHKEY
+    ) as conn:
+        replies = []
+        for message in (("frobnicate",), ("ping",)):
+            send_message(conn, message)
+            replies.append(recv_message(conn, 5.0))
+    return replies
+
+
+#: The outcome a bad-peer row yields: the single-process result, bit
+#: for bit, after the dispatcher requeued the bad agent's shard.
+BITWISE = "bitwise after a requeue"
+
+#: (id, agent, call(bad, live), outcome, live agent reconnects).  The
+#: outcome is an (exception type, message regex), BITWISE, or the
+#: exact value the call returns.
+BAD_PEERS = [
+    ("version-mismatch", _OtherVersionAgent,
+     lambda bad, live: Dispatcher([bad]),
+     (DistError, "mismatched protocol versions"), False),
+    ("version-mismatch-after-a-live-agent", _OtherVersionAgent,
+     lambda bad, live: Dispatcher([live, bad]),
+     (DistError, "mismatched protocol versions"), True),
+    ("malformed-entry-after-a-live-agent", WorkerAgent,
+     lambda bad, live: run_scenario_grid(
+         ["timeless"], ["major-loop"], [8e3], 4, driver_step=400.0,
+         hosts=[live, "localhost"],
+     ),
+     (DistError, "must be 'host:port', got 'localhost'"), True),
+    ("pong-without-a-version", _VersionlessPongAgent,
+     lambda bad, live: Dispatcher([bad]),
+     (DistError, r"answered \('pong',\); expected \('pong', 1\)"), False),
+    ("probe-pong-without-a-version", _VersionlessPongAgent,
+     lambda bad, live: probe_link_overhead(bad),
+     (DistError, r"answered \('pong',\); expected \('pong', 1\)"), False),
+    ("ping-answered-with-another-kind", _EchoingPingAgent,
+     lambda bad, live: Dispatcher([bad]),
+     (DistError, "expected a 'pong' message, got 'echo'"), False),
+    ("ping-answered-with-a-non-tuple", _BarePongAgent,
+     lambda bad, live: Dispatcher([bad]),
+     (DistError, "malformed wire message 'pong'"), False),
+    ("probe-other-version", _OtherVersionAgent,
+     lambda bad, live: probe_link_overhead(bad),
+     (DistError, "mismatched protocol versions"), False),
+    ("shard-local-labels", _ShardLocalAgent, on_bad(),
+     (DistError, r"shard \[4, 8\) received lanes \[0, 4\); the next "
+      r"block must start at lane 4"), False),
+    ("repeated-block", _RepeatedBlockAgent, on_bad(chunk_lanes=2),
+     (DistError, r"shard \[0, 4\) received lanes \[0, 2\); the next "
+      r"block must start at lane 2"), False),
+    ("overlapping-block", _OverlappingBlockAgent, on_bad(chunk_lanes=2),
+     (DistError, r"shard \[0, 4\) received lanes \[1, 3\); the next "
+      r"block must start at lane 2"), False),
+    ("block-past-its-shard", _OverlongBlockAgent, on_bad(),
+     (DistError, r"shard \[0, 4\) received lanes \[0, 5\); .* end "
+      r"within 4"), False),
+    ("stall-mid-stream", _StallingAgent,
+     on_bad_then_live(chunk_lanes=2, deadline_s=1.0), BITWISE, False),
+    ("hang-up-before-done", _HangUpAgent, on_bad_then_live(), BITWISE,
+     False),
+    ("block-over-the-byte-ceiling", WorkerAgent,
+     on_bad(max_buffer_bytes=64),
+     (DistError, r"shard \[0, 4\) failed dispatcher-side(?s:.*)"
+      r"64-byte result-buffer ceiling"), False),
+    ("foreign-extras-channel", _ForeignExtraAgent, on_bad(),
+     (DistError, r"shard \[0, 4\) failed dispatcher-side(?s:.*)"
+      r"recorded extras .*bogus.* is stale"), False),
+    ("handshake-reply-mid-stream", _PongMidStreamAgent, on_bad(),
+     (DistError, r"unexpected 'pong' message mid-stream for shard "
+      r"\[0, 4\)"), False),
+    ("not-a-tuple", _NotATupleAgent, on_bad(),
+     (DistError, r"shard \[0, 4\) failed dispatcher-side(?s:.*)"
+      r"TypeError"), False),
+    ("wrong-sample-count", _ShortBlockAgent, on_bad(),
+     (DistError, r"shard \[0, 4\) failed dispatcher-side(?s:.*)"
+      r"could not broadcast"), False),
+    ("unknown-kind-to-an-agent", WorkerAgent, _unknown_kind_then_ping,
+     [("error", None, "unknown message kind 'frobnicate'"),
+      ("pong", PROTOCOL_VERSION)], False),
+]
+
+
+@pytest.mark.parametrize(
+    "agent, call, outcome, live_reconnects",
+    [row[1:] for row in BAD_PEERS],
+    ids=[row[0] for row in BAD_PEERS],
+)
+def test_bad_peer_input_gets_its_one_outcome(
+    agent, call, outcome, live_reconnects
+):
+    """Every bad input a peer can send maps to one exact outcome, within
+    a bounded wall time: an error naming what was wrong, or — when the
+    peer merely died or stalled — the bitwise result from a survivor."""
+    with agent() as bad, WorkerAgent() as live:
+        got = _finishes_within(
+            10.0, lambda: call(bad.address, live.address)
+        )
+        if isinstance(outcome, tuple):
+            kind, pattern = outcome
+            assert isinstance(got.get("error"), kind), got
+            assert re.search(pattern, str(got["error"])), got["error"]
+        elif outcome == BITWISE:
+            reference = reference_result(BAD_PEER_LANES)
+            assert_results_bitwise_equal(reference, got["value"])
+        else:
+            assert got.get("value") == outcome, got
+        if live_reconnects:
+            # ``got`` still holds the exception, and with it the frames
+            # of the call that raised: no connection may outlive them.
+            again = _finishes_within(
+                1.0, lambda: Dispatcher([live.address])
+            )
+            with again["value"] as dispatcher:
+                assert dispatcher.n_live == 1
+        if isinstance(bad, _BadAgent):
+            assert bad.met.is_set()
 
 
 def _sockopt(conn, level, option, *buflen):

@@ -708,42 +708,6 @@ class TestScenarioGrid:
             assert spec.backend == "numpy"
             assert source.backend == "numpy"
 
-    def test_explicit_plan_matches_unplanned_grid(self):
-        kwargs = dict(n_cores=3, seed=1, driver_step=250.0)
-        reference = run_scenario_grid(
-            ["timeless"], ["major-loop", "inrush"], [5e3],
-            n_workers=2, **kwargs,
-        )
-        planned = run_scenario_grid(
-            ["timeless"], ["major-loop", "inrush"], [5e3],
-            plan=ExecutionPlan(backend="numpy", n_workers=2), **kwargs,
-        )
-        for a, b in zip(reference, planned):
-            assert a.key == b.key
-            assert_results_bitwise_equal(a.result, b.result)
-
-    def test_auto_plan_grid_matches_unplanned(self, tmp_path, monkeypatch):
-        """One auto plan for the whole grid, from the persisted
-        calibration — every cell still bitwise against the explicit
-        run (one-backend-per-grid is preserved by construction)."""
-        from repro.sched import CALIBRATION_ENV
-
-        target = tmp_path / "cal.json"
-        write_synthetic_calibration(target)
-        monkeypatch.setenv(CALIBRATION_ENV, str(target))
-        kwargs = dict(n_cores=3, seed=1, driver_step=250.0)
-        reference = run_scenario_grid(
-            ["timeless", "preisach"], ["major-loop"], [5e3],
-            n_workers=1, **kwargs,
-        )
-        planned = run_scenario_grid(
-            ["timeless", "preisach"], ["major-loop"], [5e3],
-            plan="auto", **kwargs,
-        )
-        for a, b in zip(reference, planned):
-            assert a.key == b.key
-            assert_results_bitwise_equal(a.result, b.result)
-
 
 class DtypeExtrasShardedBatch:
     """Minimal conforming batch whose extras channels are int32/bool —

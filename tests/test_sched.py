@@ -42,7 +42,6 @@ from repro.sched import (
     enumerate_candidates,
     get_calibration,
     plan_for,
-    plan_grid,
     run_calibration,
 )
 from repro.sched import calibration as calibration_module
@@ -527,60 +526,6 @@ class TestPlanFor:
         assert plan.n_workers == 8
 
 
-class TestPlanGrid:
-    def test_minimises_summed_cost_over_cells(self, wide_host):
-        calibration = synthetic_calibration(
-            coeffs={("numpy", 1): (1e-7, 1e-4)},
-            pool_base=1e-3,
-            pool_per_worker=1e-4,
-        )
-        plan = plan_grid(
-            [("timeless", 64, 4096), ("preisach", 64, 4096)],
-            calibration=calibration,
-        )
-        assert plan.source == "auto-grid"
-        assert plan.n_workers == 8
-        model = CostModel.from_calibration(calibration)
-        expected = sum(
-            model.predict_sharded(family, "numpy", 64, 4096, 8)
-            for family in ("timeless", "preisach")
-        )
-        assert plan.predicted_seconds == pytest.approx(expected, rel=1e-6)
-
-    def test_shape_must_be_calibrated_for_every_family(self, wide_host):
-        # "fast" is free but only calibrated for timeless: the grid
-        # invariant (one backend for the whole campaign) excludes it.
-        calibration = synthetic_calibration(
-            coeffs={("numpy", 1): (1e-6, 1e-5)}
-        )
-        fast = tuple(
-            Probe(
-                family="timeless",
-                backend="fast",
-                threads=1,
-                lanes=lanes,
-                samples=samples,
-                seconds=1e-9,
-            )
-            for lanes in LANES_LADDER
-            for samples in SAMPLES_LADDER
-        )
-        calibration = Calibration(
-            host=calibration.host,
-            probes=calibration.probes + fast,
-            pool=calibration.pool,
-        )
-        plan = plan_grid(
-            [("timeless", 16, 256), ("preisach", 16, 256)],
-            calibration=calibration,
-        )
-        assert plan.backend == "numpy"
-
-    def test_empty_grid_rejected(self):
-        with pytest.raises(ParameterError, match="at least one workload"):
-            plan_grid([], calibration=synthetic_calibration())
-
-
 class TestResultsHeader:
     def test_field_order_and_omission(self):
         assert results_header(backend="numpy") == "# backend: numpy\n"
@@ -669,92 +614,3 @@ class TestAtomicCalibrationSave:
             synthetic_calibration(pool_base=0.07).save(target)
         assert Calibration.load(target).calibration_id == old.calibration_id
         assert list(tmp_path.iterdir()) == [target]
-
-
-class TestWarmPoolPricing:
-    def test_predict_sharded_drops_spin_up_when_warm(self):
-        model = CostModel.from_calibration(synthetic_calibration())
-        cold = model.predict_sharded("timeless", "numpy", 64, 256, 4)
-        warm = model.predict_sharded(
-            "timeless", "numpy", 64, 256, 4, warm_pool=True
-        )
-        shards = plan_shards(64, 4)
-        overhead = 0.05 + 0.01 * len(shards)
-        assert cold == pytest.approx(warm + overhead)
-        widest = max(stop - start for start, stop in shards)
-        assert warm == pytest.approx(256 * (1e-6 + 1e-7 * widest))
-
-    def test_warm_pool_flips_serial_to_pooled(self, wide_host):
-        """With spin-up dominating, the cold planner stays serial; the
-        same workload priced against a live pool shards out."""
-        calibration = synthetic_calibration(
-            coeffs={("numpy", 1): (0.0, 1e-5)},
-            pool_base=10.0,
-            pool_per_worker=1.0,
-        )
-        spec = EnsembleSpec(family="timeless", n_cores=64, seed=0)
-        cold = plan_for(spec, samples=1000, calibration=calibration)
-        warm = plan_for(
-            spec, samples=1000, calibration=calibration, warm_pool=True
-        )
-        assert cold.n_workers == 1
-        assert warm.n_workers == 8
-        assert warm.predicted_seconds < cold.predicted_seconds
-
-    def test_warm_pool_never_changes_semantics(self, wide_host):
-        """warm_pool only reprices spin-up: the candidate *set* (and so
-        the executable shapes) is identical cold and warm."""
-        calibration = synthetic_calibration()
-        model = CostModel.from_calibration(calibration)
-        cold = enumerate_candidates(model, "timeless", 64, 256)
-        warm = enumerate_candidates(
-            model, "timeless", 64, 256, warm_pool=True
-        )
-        shapes = lambda plans: sorted(
-            (p.backend, p.n_workers, p.threads_per_worker) for p in plans
-        )
-        assert shapes(cold) == shapes(warm)
-
-
-class TestBackendPinnedPlanning:
-    def test_plan_for_backend_pin(self, wide_host):
-        calibration = synthetic_calibration(
-            coeffs={
-                ("numpy", 1): (1e-6, 1e-7),
-                ("numba", 1): (1e-8, 1e-9),
-            }
-        )
-        spec = EnsembleSpec(family="timeless", n_cores=16, seed=0)
-        free = plan_for(spec, samples=256, calibration=calibration)
-        assert free.backend == "numba"  # the cheap synthetic line wins
-        pinned = plan_for(
-            spec, samples=256, calibration=calibration, backend="numpy"
-        )
-        assert pinned.backend == "numpy"
-
-    def test_pin_to_uncalibrated_backend_rejected(self, wide_host):
-        spec = EnsembleSpec(family="timeless", n_cores=16, seed=0)
-        with pytest.raises(ParameterError, match="on backend"):
-            plan_for(
-                spec,
-                samples=256,
-                calibration=synthetic_calibration(),
-                backend="cupy",
-            )
-
-    def test_plan_grid_backend_pin(self, wide_host):
-        calibration = synthetic_calibration(
-            coeffs={
-                ("numpy", 1): (1e-6, 1e-7),
-                ("numba", 1): (1e-8, 1e-9),
-            }
-        )
-        workloads = [(name, 16, 256) for name in FAMILY_NAMES]
-        free = plan_grid(workloads, calibration=calibration)
-        assert free.backend == "numba"
-        pinned = plan_grid(
-            workloads, calibration=calibration, backend="numpy"
-        )
-        assert pinned.backend == "numpy"
-        with pytest.raises(ParameterError, match="on backend"):
-            plan_grid(workloads, calibration=calibration, backend="cupy")

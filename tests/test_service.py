@@ -242,6 +242,27 @@ class TestResultCache:
         again = ResultCache(spill_dir=tmp_path)
         assert again.get(key) is None
 
+    def test_spill_interrupted_mid_write_leaves_nothing(
+        self, tmp_path, monkeypatch
+    ):
+        """A spill that dies mid-write raises its error and leaves
+        neither ``<digest>.npz`` nor its temp file: a fresh cache over
+        the directory misses instead of loading a torn entry."""
+        import repro.service.cache as cache_module
+
+        key, result = self._result()
+
+        def torn_write(handle, **arrays):
+            handle.write(b"PK\x03\x04")
+            raise OSError("disk full mid-write")
+
+        monkeypatch.setattr(cache_module.np, "savez_compressed", torn_write)
+        with pytest.raises(OSError, match="disk full mid-write"):
+            ResultCache(spill_dir=tmp_path).put(key, result)
+        monkeypatch.undo()
+        assert list(tmp_path.iterdir()) == []
+        assert ResultCache(spill_dir=tmp_path).get(key) is None
+
     def test_zero_capacity_rejected(self):
         with pytest.raises(ParameterError, match="max_entries"):
             ResultCache(max_entries=0)

@@ -16,9 +16,11 @@ in-process agents, an unreachable fleet) runs one cell per chunk over a
 duplicated amplitude, with and without lane chunking, and every cell is
 checked bit for bit.  One table then pins every route-argument
 conflict of every entry point: each raises ``ParameterError`` before a
-cache is read, a pool forks or a connection opens.  A last table pins
-the route :func:`~repro.parallel.executor.resolve_route` decides for
-each accepted combination: shard count, lane threads, backend, hosts.
+cache is read, an ensemble is built, a pool forks or a connection
+opens.  Every entry point's default route runs without touching the
+planner's calibration.  A last table pins the route
+:func:`~repro.parallel.executor.resolve_route` decides for each
+accepted combination: shard count, lane threads, backend, hosts.
 
 The routes are case functions crossed with the families, in the
 cross-strategy idiom of probdiffeq's solver tests: a new route or a new
@@ -63,7 +65,7 @@ from repro.parallel.executor import (
     run_job_serial,
 )
 from repro.scenarios import scenario_samples
-from repro.sched import ExecutionPlan
+from repro.sched import ExecutionPlan, calibration, planner
 from repro.service import HysteresisService, ResultCache, WorkerPool
 
 from test_parallel import DtypeExtrasShardedBatch, assert_results_bitwise_equal
@@ -374,39 +376,6 @@ def test_auto_plan_with_hosts_names_what_works(fleet):
     assert "n_workers=" in message
 
 
-class TestPlanCheckedOnHitAndMiss:
-    """A bad plan raises whether or not the cache holds the result."""
-
-    @pytest.fixture
-    def service(self):
-        with HysteresisService(1) as svc:
-            yield svc
-
-    def test_service_run(self, service):
-        spec = EnsembleSpec("timeless", 4)
-        cached = DriveSpec(scenario="major-loop", h_max=8e3, driver_step=400.0)
-        missing = DriveSpec(scenario="major-loop", h_max=4e3, driver_step=400.0)
-        service.run(spec, cached)
-        for drive in (cached, missing):
-            with pytest.raises(ParameterError, match="plan must be"):
-                service.run(spec, drive, plan="fast")
-
-    @pytest.mark.parametrize(
-        "plan, match",
-        [("fast", "plan must be"),
-         (ExecutionPlan(backend="numba-missing"), "backend")],
-    )
-    def test_grid_through_a_service(self, service, plan, match):
-        kwargs = dict(
-            families=["timeless"], scenarios=["major-loop"], n_cores=4,
-            driver_step=400.0, service=service,
-        )
-        run_scenario_grid(h_max_values=[8e3], **kwargs)
-        for h_values in ([8e3], [4e3]):  # every cell cached, then a miss
-            with pytest.raises(ParameterError, match=match):
-                run_scenario_grid(h_max_values=h_values, plan=plan, **kwargs)
-
-
 # -- every route-argument conflict, raised before any work -----------------
 
 #: Stand-ins the table swaps for the live pool and service.
@@ -414,6 +383,17 @@ POOL, SERVICE = "<live WorkerPool>", "<live HysteresisService>"
 
 PLAN = ExecutionPlan(backend="numpy", n_workers=2)
 FLEET = [UNREACHABLE]
+REPEATED = [UNREACHABLE, UNREACHABLE]
+
+#: What a repeated host and an empty grid axis raise.
+REPEATED_HOST = r"'127\.0\.0\.1:9' more than once.*n_workers="
+EMPTY_AXIS = "at least one family, scenario and h_max"
+
+#: The one drive and grid every entry point runs.
+DRIVE = DriveSpec(scenario="major-loop", h_max=8e3, driver_step=400.0)
+GRID_AXES = dict(
+    families=["timeless"], scenarios=["major-loop"], h_max_values=[8e3]
+)
 
 
 def call_run_sharded(**route):
@@ -425,7 +405,7 @@ def call_run_sharded(**route):
 
 def call_grid(**route):
     return run_scenario_grid(
-        ["timeless"], ["major-loop"], [8e3], 4, driver_step=400.0, **route
+        **{**GRID_AXES, **route}, n_cores=4, driver_step=400.0
     )
 
 
@@ -436,21 +416,21 @@ def call_run_distributed(**route):
     )
 
 
-def service_entry(method):
-    def call(service, **route):
-        drive = DriveSpec(scenario="major-loop", h_max=8e3, driver_step=400.0)
-        return getattr(service, method)(
-            EnsembleSpec("timeless", 4), drive, **route
-        )
+def call_service_run(service):
+    return service.run(EnsembleSpec("timeless", 4), DRIVE)
 
-    return call
+
+def call_submit(service):
+    async def submitted():
+        return await service.submit(EnsembleSpec("timeless", 4), DRIVE)
+
+    return asyncio.run(submitted())
 
 
 def call_stream_grid(service, **route):
     async def first_cell():
         async for cell in service.stream_grid(
-            ["timeless"], ["major-loop"], [8e3], 4, driver_step=400.0,
-            **route,
+            **{**GRID_AXES, **route}, n_cores=4, driver_step=400.0
         ):
             return cell
 
@@ -461,8 +441,8 @@ ENTRY_POINTS = {
     "run_sharded": call_run_sharded,
     "run_scenario_grid": call_grid,
     "run_distributed": call_run_distributed,
-    "service.run": service_entry("run"),
-    "service.submit": service_entry("submit"),
+    "service.run": call_service_run,
+    "service.submit": call_submit,
     "service.stream_grid": call_stream_grid,
 }
 
@@ -472,23 +452,18 @@ CONFLICTS = [
     ("run_sharded", dict(plan="auto", n_workers=2), "plan"),
     ("run_sharded", dict(plan=ExecutionPlan(backend="no-such")), "backend"),
     ("run_sharded", dict(hosts=[]), "at least one"),
+    ("run_sharded", dict(hosts=REPEATED), REPEATED_HOST),
     ("run_sharded", dict(hosts=FLEET, plan="auto"), "hosts= or plan="),
     ("run_sharded", dict(hosts=FLEET, plan=PLAN), "hosts= or plan="),
     ("run_sharded", dict(hosts=FLEET, mp_context="fork"), "remote shards"),
     ("run_sharded", dict(hosts=FLEET, pool=POOL), "remote shards"),
     ("run_sharded", dict(hosts=FLEET, n_workers=0), "n_workers"),
     ("run_sharded", dict(pool=POOL, n_workers=2), "pool width"),
+    ("run_sharded", dict(pool=POOL, plan=PLAN), "pool width"),
+    ("run_sharded", dict(pool=POOL, plan="auto"), "pool width"),
     ("run_sharded", dict(pool=POOL, mp_context="fork"), "start method"),
-    ("run_scenario_grid", dict(plan="fast"), "plan must be"),
-    ("run_scenario_grid", dict(plan=PLAN, n_workers=2), "plan"),
-    ("run_scenario_grid", dict(plan=PLAN, backend="numpy"), "plan"),
-    ("run_scenario_grid", dict(plan="auto", backend="numpy"), "plan"),
-    ("run_scenario_grid", dict(plan="auto", n_workers=2), "plan"),
-    ("run_scenario_grid", dict(plan=ExecutionPlan(backend="no-such")),
-     "backend"),
     ("run_scenario_grid", dict(hosts=[]), "at least one"),
-    ("run_scenario_grid", dict(hosts=FLEET, plan="auto"), "run_sharded"),
-    ("run_scenario_grid", dict(hosts=FLEET, plan=PLAN), "hosts= or plan="),
+    ("run_scenario_grid", dict(hosts=REPEATED), REPEATED_HOST),
     ("run_scenario_grid", dict(hosts=FLEET, mp_context="fork"),
      "remote shards"),
     ("run_scenario_grid", dict(hosts=FLEET, service=SERVICE),
@@ -496,28 +471,21 @@ CONFLICTS = [
     ("run_scenario_grid", dict(service=SERVICE, n_workers=2), "pool width"),
     ("run_scenario_grid", dict(service=SERVICE, mp_context="fork"),
      "start method"),
-    ("run_scenario_grid", dict(service=SERVICE, plan="fast"), "plan must be"),
-    ("run_scenario_grid",
-     dict(service=SERVICE, plan=ExecutionPlan(backend="numba-missing")),
-     "backend"),
-    ("run_scenario_grid", dict(service=SERVICE, plan=PLAN, backend="numpy"),
-     "plan"),
+    ("run_scenario_grid", dict(scenarios=[]), EMPTY_AXIS),
+    ("run_scenario_grid", dict(h_max_values=[]), EMPTY_AXIS),
     ("run_distributed", dict(hosts=[]), "at least one"),
+    ("run_distributed", dict(hosts=REPEATED), REPEATED_HOST),
     ("run_distributed", dict(hosts=FLEET, n_workers=0), "n_workers"),
-    ("service.run", dict(plan="fast"), "plan must be"),
-    ("service.run", dict(plan=ExecutionPlan(backend="no-such")), "backend"),
-    ("service.submit", dict(plan="fast"), "plan must be"),
-    ("service.submit", dict(plan=ExecutionPlan(backend="no-such")),
-     "backend"),
-    ("service.stream_grid", dict(plan="fast"), "plan must be"),
-    ("service.stream_grid", dict(plan=ExecutionPlan(backend="no-such")),
-     "backend"),
+    ("service.stream_grid", dict(families=[]), EMPTY_AXIS),
+    ("service.stream_grid", dict(scenarios=[]), EMPTY_AXIS),
+    ("service.stream_grid", dict(h_max_values=[]), EMPTY_AXIS),
 ]
 
 
 @pytest.fixture
 def nothing_runs(monkeypatch):
-    """Fail any pool fork, connection, cache read or pool run."""
+    """Fail any pool fork, connection, cache read, pool run or ensemble
+    build."""
 
     def forbid(what):
         def fail(*args, **kwargs):
@@ -531,14 +499,17 @@ def nothing_runs(monkeypatch):
     monkeypatch.setattr(Dispatcher, "__init__", forbid("a connection"))
     monkeypatch.setattr(ResultCache, "get", forbid("a cache read"))
     monkeypatch.setattr(WorkerPool, "execute", forbid("a pool run"))
+    monkeypatch.setattr(EnsembleSpec, "build_batch", forbid("a build"))
 
 
 def conflict_id(entry, route) -> str:
     def label(key, value):
         if isinstance(value, ExecutionPlan):
             return f"plan={value.backend}"
-        if value in (POOL, SERVICE) or isinstance(value, list):
-            return key if value else f"{key}=[]"
+        if value in (POOL, SERVICE) or value == FLEET:
+            return key
+        if isinstance(value, list):
+            return f"{key}=repeated" if value else f"{key}=[]"
         return f"{key}={value}"
 
     return "-".join([entry] + [label(*item) for item in route.items()])
@@ -565,6 +536,40 @@ def test_route_conflict_raises_before_any_work(
             call(**route)
 
 
+# -- no default route prices -------------------------------------------
+
+
+def first_result(outcome):
+    """The one result an entry point returned: a result, a cell, or a
+    grid of one cell."""
+    if isinstance(outcome, list):
+        (outcome,) = outcome
+    return getattr(outcome, "result", outcome)
+
+
+@pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+def test_default_route_never_touches_the_calibration(entry, monkeypatch):
+    """Only ``run_sharded(plan="auto")`` prices a run.  Every entry
+    point's default route runs without the planner's calibration:
+    ``get_calibration`` writes ``results/calibration.json`` when it is
+    missing, so a default route that priced would write into the tree."""
+
+    def no_calibration(*args, **kwargs):
+        raise AssertionError("a default route read the calibration")
+
+    monkeypatch.setattr(planner, "get_calibration", no_calibration)
+    monkeypatch.setattr(calibration, "get_calibration", no_calibration)
+    with HysteresisService(1) as service:
+        call = ENTRY_POINTS[entry]
+        if entry.startswith("service."):
+            call = functools.partial(call, service)
+        outcome = call(hosts=FLEET) if entry == "run_distributed" else call()
+    reference = run_batch_series(
+        EnsembleSpec("timeless", 4).build_batch(), DRIVE.full_samples(4)
+    )
+    assert_results_bitwise_equal(reference, first_result(outcome))
+
+
 # -- the route each accepted combination resolves to -----------------------
 
 #: Stand-ins: the resolver reads a live pool's width and nothing else,
@@ -589,11 +594,11 @@ ROUTE_SHAPES = [
      (5, 1, None, tuple(HOSTS))),
     ("hosts-few-lanes", dict(lanes=1, hosts=HOSTS), None,
      (1, 1, None, tuple(HOSTS))),
+    ("pool-wider-than-lanes", dict(lanes=2, pool=WIDTH_3_POOL), None,
+     (2, 1, None, ())),
     ("plan-capped", dict(plan=PLAN, lanes=64), "1", (1, 1, "numpy", ())),
-    ("plan-in-pool",
-     dict(plan=ExecutionPlan(backend="numpy", n_workers=6), lanes=64,
-          pool=WIDTH_3_POOL),
-     None, (3, 1, "numpy", ())),
+    ("plan-mp_context", dict(plan=PLAN, lanes=64, mp_context="spawn"),
+     None, (2, 1, "numpy", ())),
     ("plan-threads-clamped",
      dict(plan=ExecutionPlan(backend="numpy", threads_per_worker=64),
           lanes=64),
@@ -607,7 +612,7 @@ def eight_cpus(monkeypatch):
     monkeypatch.delenv(executor.MAX_WORKERS_ENV, raising=False)
 
 
-def never_priced(**pricing):
+def never_priced():
     raise AssertionError("only plan='auto' is priced")
 
 
@@ -624,24 +629,23 @@ def test_route_shape(route, cap, expected, eight_cpus, monkeypatch):
         chosen.workers, chosen.threads, chosen.backend, chosen.hosts
     ) == expected
     assert chosen.pool is route.get("pool")
+    assert chosen.mp_context == route.get("mp_context")
 
 
 def test_auto_route_is_priced_when_settled(eight_cpus):
     """``plan="auto"`` prices nothing until the caller settles it, then
-    once: spin-up-free on a live pool and pinned to the cache's
-    backend, and the priced plan is clamped to the pool's width."""
+    exactly once and with no arguments: the run is priced cold, on a
+    one-shot pool of its own, and takes the priced plan's shape."""
     priced = []
 
-    def price(**pricing):
-        priced.append(pricing)
+    def price(*args, **kwargs):
+        priced.append((args, kwargs))
         return ExecutionPlan(backend="numpy", n_workers=4)
 
-    settle = resolve_route(
-        "auto", lanes=64, pool=WIDTH_3_POOL, cache_backend="numpy"
-    )
+    settle = resolve_route("auto", lanes=64)
     assert priced == []
     chosen = settle(price)
-    assert priced == [dict(warm_pool=True, backend="numpy")]
-    assert (chosen.workers, chosen.threads, chosen.backend) == (
-        3, 1, "numpy",
+    assert priced == [((), {})]
+    assert (chosen.workers, chosen.threads, chosen.backend, chosen.pool) == (
+        4, 1, "numpy", None,
     )
