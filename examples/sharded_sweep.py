@@ -72,8 +72,9 @@ def main() -> None:
     from_spec = run_sharded(spec, h, n_workers=workers)
     print(f"  spec route matches: {np.array_equal(from_spec.m, reference.m)}")
 
-    # 4. A whole campaign: families x scenarios x amplitudes, every cell
-    # itself sharded, all cells streamed through one pool.
+    # 4. A whole campaign: families x scenarios x amplitudes, all cells
+    # streamed through one pool.  Each worker takes whole cells; a cell's
+    # lanes are cut only when a chunk has fewer cells than workers.
     cells = run_scenario_grid(
         families=["timeless", "time-domain"],
         scenarios=["major-loop", "inrush", "harmonic"],

@@ -70,12 +70,7 @@ from repro.dist.protocol import (
 )
 from repro.errors import DistError, DistTimeoutError, ParameterError
 from repro.parallel.blocks import BlockBudget, ShardAssembly, drain_shard
-from repro.parallel.executor import (
-    _ensemble_lanes,
-    _resolve_drive,
-    resolve_route,
-    run_single,
-)
+from repro.parallel.executor import _resolve_drive, resolve_route, run_single
 from repro.parallel.spec import ShardSpec
 
 _log = logging.getLogger(__name__)
@@ -428,28 +423,39 @@ class Dispatcher:
             else time.monotonic() + self.deadline_s
         )
         send_message(conn, (MSG_RUN, wire.digest, wire.spec))
-        blocks = self._receive(conn, wire.spec, limit)
+        blocks = self._receive(conn, wire.spec, wire.digest, limit)
         land = partial(self._land, wire)
         self._commit(wire, drain_shard(wire.spec, land, blocks))
 
     @staticmethod
-    def _receive(conn, spec: ShardSpec, limit: "float | None"):
+    def _receive(
+        conn, spec: ShardSpec, digest: "str | None", limit: "float | None"
+    ):
         """Yield one shard's lane blocks off ``conn`` until its ``done``.
 
-        Blocks enter from the wire here, so this is where their lane
-        ranges are checked: each must start where the previous one
+        Blocks enter from the wire here, so this is where they are
+        checked.  Every ``block`` and ``done`` must echo ``digest``, the
+        label the shard was sent under (``None`` comes back as
+        ``None``): lane ranges alone cannot tell two cells cut the same
+        way apart.  Each block must start where the previous one
         stopped (the first at ``spec.start``) and end within
         ``spec.stop``, the order every agent streams them in
         (:func:`~repro.parallel.blocks.plan_lane_blocks`).  Any other
-        block — shifted, repeated, overlapping — raises
-        :class:`~repro.errors.DistError` naming the shard and the
-        block's range, and ``done`` must arrive at ``spec.stop``.
+        block — foreign, shifted, repeated, overlapping — raises
+        :class:`~repro.errors.DistError` naming the shard and what was
+        wrong, and ``done`` must arrive at ``spec.stop``.
         """
         covered = spec.start
         while True:
             remaining = None if limit is None else limit - time.monotonic()
             message = recv_message(conn, remaining)
             kind = message[0]
+            if kind in (MSG_BLOCK, MSG_DONE) and message[1] != digest:
+                raise DistError(
+                    f"shard [{spec.start}, {spec.stop}) was sent as "
+                    f"{digest!r} but received a {kind!r} message labelled "
+                    f"{message[1]!r}"
+                )
             if kind == MSG_BLOCK:
                 block = message[2]
                 if not block.start == covered < block.stop <= spec.stop:
@@ -542,9 +548,7 @@ def run_distributed(
     Zero reachable workers degrades to the local executor with a
     logged warning — never an error.
     """
-    settle = resolve_route(
-        lanes=_ensemble_lanes(source), n_workers=n_workers, hosts=hosts
-    )
+    settle = resolve_route(n_workers=n_workers, hosts=hosts)
     drive, source = _resolve_drive(
         source, h_samples, scenario, h_max, driver_step
     )

@@ -18,7 +18,7 @@ Prefer the in-process batch engine for small ensembles or short drives
 (one vectorised NumPy loop has no fork/IPC overhead); shard when the
 per-sample work is large enough to saturate a core — wide Preisach
 relay tensors, long scenario campaigns, grid sweeps
-(:func:`run_scenario_grid`).
+(:func:`run_scenario_grid`, which hands each pool worker whole cells).
 """
 
 from repro.parallel.blocks import (

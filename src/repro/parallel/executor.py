@@ -20,18 +20,19 @@ worker writes its column range through views of the same segments.
 Shared memory is only the pool's buffer — the layout, the schema check
 and the result belong to the assembly.  Only the per-core counters —
 tiny ``(width,)`` arrays whose key set a family may even grow mid-run —
-return through the worker result.  ``n_workers=1`` (or a single planned
-shard) runs the same shard specs in process, through the same
-assembly, with no processes and no shared memory.
+return through the worker result.  ``n_workers=1`` (or any call whose
+jobs hold one shard in total) runs the same shard specs in process,
+through the same assembly, with no processes and no shared memory.
 
 Which of those routes a call takes is decided in one place.
 :func:`resolve_route` checks the route arguments of every entry point
 (``plan``, ``n_workers``, ``mp_context``, ``pool``, ``hosts``, a
 service's pool) and returns the :class:`Route`: the transport, the
-shard count, the lane threads and the backend.  Only
-:func:`run_sharded` takes a ``plan``.
-:func:`repro.parallel.grid.job_runner` opens that transport and runs
-the prepared jobs on it.
+pool width, the lane threads and the backend.  Only
+:func:`run_sharded` takes a ``plan``.  How many shards each job is cut
+into is the route's one placement rule (:meth:`Route.shards_per_job`),
+and :func:`repro.parallel.grid.job_runner` opens the transport and
+runs the prepared jobs on it.
 
 The ``REPRO_PARALLEL_MAX_WORKERS`` environment variable caps the
 effective worker count regardless of what callers request (CI runners
@@ -231,6 +232,7 @@ def _resolve_drive(
         raise ParameterError(
             "run_sharded needs exactly one of h_samples / scenario"
         )
+    _ensemble_lanes(source)  # an unshardable source fails before a build
     if h_samples is not None:
         return DriveSpec(samples=np.asarray(h_samples, dtype=float)), source
     if h_max is None:
@@ -352,9 +354,12 @@ def execute_jobs_pooled(pool, jobs: "list[_CellJob]") -> list[BatchSweepResult]:
 class Route:
     """Which transport runs one call's prepared jobs, and how wide.
 
-    ``workers`` is the shard count every job is cut into, and so the
-    one-shot pool's width; a local route with one shard runs in this
-    process.  ``threads`` is the lane-thread count each shard pins, and
+    ``workers`` is the pool width: a live pool's width, else the
+    resolved ``n_workers``; on a ``hosts`` fleet it is every job's shard
+    count.  It knows nothing of lanes: :func:`~repro.parallel.plan.
+    plan_shards` clamps a job to its lanes when the job is cut, and
+    :meth:`shards_per_job` says how many shards to ask for.
+    ``threads`` is the lane-thread count each shard pins, and
     ``backend`` the backend every source is pinned to (``None``: each
     keeps its own).  The transport is the ``hosts`` fleet when set,
     else the caller's live ``pool``, else a one-shot pool of
@@ -369,11 +374,25 @@ class Route:
     hosts: "tuple[str, ...]" = ()
     mp_context: "str | None" = None
 
+    def shards_per_job(self, jobs: int) -> int:
+        """The shards each of ``jobs`` jobs sent in one call is cut into.
+
+        On a local transport, ``ceil(workers / jobs)``: a call offers
+        the pool at least ``workers`` tasks, and whole jobs as soon as
+        there are as many jobs as workers — per-sample overhead makes a
+        lane cut cost more than it saves once every worker is busy.  A
+        single run (``jobs=1``) is cut ``workers`` ways.  A fleet cuts
+        every job into ``workers`` shards.  Either count is clamped to
+        each job's lanes when :func:`prepare_job` cuts it.
+        """
+        if self.hosts:
+            return self.workers
+        return -(-self.workers // jobs)
+
 
 def resolve_route(
     plan=None,
     *,
-    lanes: int,
     n_workers: "int | None" = None,
     mp_context: "str | None" = None,
     pool=None,
@@ -398,12 +417,13 @@ def resolve_route(
     Route``.  Under ``plan="auto"``, ``settle`` takes its plan from
     ``price()``, once the caller knows the drive; every other route is
     decided here, and ``price`` is never called.  The pool width is the
-    live pool's, else it passes through :func:`resolve_workers`.  A
+    live pool's, else it passes through :func:`resolve_workers`; no
+    lane count reaches the route, so the width is never clamped to one
+    (a job is, when it is cut: :meth:`Route.shards_per_job`).  A
     plan's lane threads are clamped so ``workers x threads <=
-    available_cpus()``.  ``workers`` ends as the number of shards
-    :func:`~repro.parallel.plan.plan_shards` cuts ``lanes`` into.
-    ``hosts=`` is the one way to dispatch: it takes no plan, and
-    ``n_workers`` names its shard count (default: one per host).
+    available_cpus()``.  ``hosts=`` is the one way to dispatch: it
+    takes no plan, and ``n_workers`` names its shard count (default:
+    one per host; below one raises here).
     """
     auto = isinstance(plan, str) and plan == "auto"
     explicit = None if plan is None or auto else plan
@@ -429,6 +449,8 @@ def resolve_route(
                 "serves one connection at a time.  List each agent once "
                 "and pass n_workers= for more shards than hosts"
             )
+        if n_workers is not None and n_workers < 1:
+            raise ParameterError(f"n_workers must be >= 1, got {n_workers}")
     if hosts is not None and plan is not None:
         raise ParameterError(
             "pass either hosts= or plan=, not both: a plan only places "
@@ -459,18 +481,18 @@ def resolve_route(
 
     def shape(chosen) -> Route:
         if hosts is not None:
-            wanted = len(hosts) if n_workers is None else n_workers
+            workers = len(hosts) if n_workers is None else n_workers
         elif chosen is not None:
-            wanted = resolve_workers(chosen.n_workers)
+            workers = resolve_workers(chosen.n_workers)
         elif pool is not None:
-            wanted = pool.n_workers
+            workers = pool.n_workers
         else:
-            wanted = resolve_workers(n_workers)
+            workers = resolve_workers(n_workers)
         threads = 1 if chosen is None else max(
-            1, min(chosen.threads_per_worker, available_cpus() // wanted)
+            1, min(chosen.threads_per_worker, available_cpus() // workers)
         )
         return Route(
-            workers=len(plan_shards(lanes, wanted)),
+            workers=workers,
             threads=threads,
             backend=None if chosen is None else resolve_backend(
                 chosen.backend
@@ -526,12 +548,15 @@ def run_single(
 ) -> BatchSweepResult:
     """Run one drive on a route from :func:`resolve_route`: settle it,
     cut the job on the route's backend and run it on the route's
-    transport.  ``dispatcher_options`` reach a ``hosts=`` route's
+    transport.  The one job is cut into ``route.shards_per_job(1)``
+    lane shards (the pool width, or a fleet's shard count), clamped to
+    its lanes; a job left with one shard runs in this process.
+    ``dispatcher_options`` reach a ``hosts=`` route's
     :class:`~repro.dist.dispatch.Dispatcher`."""
     route = settle(partial(_price_run, source, drive))
     with backend_pinned(source, route.backend) as pinned:
         job = prepare_job(
-            pinned, drive, route.workers, route.threads,
+            pinned, drive, route.shards_per_job(1), route.threads,
             chunk_lanes=chunk_lanes,
         )
     # The runner sits beside the grid's chunk loop, and the grid
@@ -624,8 +649,8 @@ def run_sharded(
     single-process executor produces — bitwise, lane order preserved.
     """
     settle = resolve_route(
-        plan, lanes=_ensemble_lanes(source), n_workers=n_workers,
-        mp_context=mp_context, pool=pool, hosts=hosts,
+        plan, n_workers=n_workers, mp_context=mp_context, pool=pool,
+        hosts=hosts,
     )
     drive, source = _resolve_drive(
         source, h_samples, scenario, h_max, driver_step

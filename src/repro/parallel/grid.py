@@ -2,12 +2,17 @@
 
 :func:`run_scenario_grid` is the high-level entry for sweep campaigns
 (the MagNet-Challenge shape: many materials, many drives, many
-amplitudes).  Every grid cell — one ``(family, scenario, h_max)``
-combination over an ``n_cores`` registry ensemble — is itself sharded,
-and **all** cells' shard tasks funnel through one transport: one pool
-map, or one dispatch, per chunk of cells, so only a bounded number of
-cells hold output buffers at a time.  Each cell's result is bitwise
-identical to running that cell alone through
+amplitudes).  A grid cell is one ``(family, scenario, h_max)``
+combination over an ``n_cores`` registry ensemble, and **all** cells
+funnel through one transport: one pool map, or one dispatch, per chunk
+of cells, so only a bounded number of cells hold output buffers at a
+time.  On a local pool each worker takes whole cells; a cell's lanes
+are cut only when a chunk has fewer cells than the pool has workers
+(:meth:`~repro.parallel.executor.Route.shards_per_job`), because the
+fused loop's per-sample overhead makes a lane cut cost more than it
+saves once every worker is busy.  A fleet cuts every cell into its
+``n_workers`` shards.  Each cell's result is bitwise identical to
+running that cell alone through
 :func:`repro.batch.sweep.run_batch_series`.
 
 The grid has one body for every route.  It checks its route arguments
@@ -36,9 +41,8 @@ sits *above* it in the layer stack.
 from __future__ import annotations
 
 import logging
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
-from functools import partial
 from multiprocessing import get_context
 from typing import Sequence
 
@@ -168,10 +172,13 @@ def job_runner(route, **dispatcher_options):
       (``dispatcher_options`` are its keyword arguments), closed on
       exit.  With no live host it drains every shard locally, logging
       that it degrades to the local executor;
-    * one shard per job — this process, no pool at all;
+    * a call whose jobs hold one shard in total, or a route one worker
+      wide — this process, no pool at all (so a plan's single threaded
+      shard never runs in a forked child);
     * ``route.pool`` — the caller's live pool, never closed here;
-    * otherwise a one-shot fork pool of ``route.workers`` processes,
-      opened for this call and closed on exit.
+    * otherwise a one-shot fork pool, forked by the first call that
+      needs one, no wider than that call's shard count or
+      ``route.workers``, and closed on exit.
     """
     if route.hosts:
         # Lazy upward import: repro.dist sits above this package in the
@@ -180,14 +187,23 @@ def job_runner(route, **dispatcher_options):
 
         with Dispatcher(route.hosts, **dispatcher_options) as dispatcher:
             yield dispatcher.run_jobs
-    elif route.workers == 1:
-        yield lambda jobs: [run_job_serial(job) for job in jobs]
-    elif route.pool is not None:
-        yield route.pool.execute
-    else:
-        ctx = get_context(route.mp_context)
-        with ctx.Pool(processes=route.workers) as pool:
-            yield partial(execute_jobs_pooled, pool)
+        return
+    with ExitStack() as stack:
+        forked = None
+
+        def run(jobs):
+            nonlocal forked
+            width = min(route.workers, sum(len(job.specs) for job in jobs))
+            if width <= 1:
+                return [run_job_serial(job) for job in jobs]
+            if route.pool is not None:
+                return route.pool.execute(jobs)
+            if forked is None:
+                ctx = get_context(route.mp_context)
+                forked = stack.enter_context(ctx.Pool(processes=width))
+            return execute_jobs_pooled(forked, jobs)
+
+        yield run
 
 
 def run_scenario_grid(
@@ -218,14 +234,18 @@ def run_scenario_grid(
     environment change cannot split one grid across backends (cells
     are prepared lazily, chunk by chunk, long after this call starts).
     Cells run :data:`CHUNK_CELLS` at a time, which bounds how many of
-    them hold live sample matrices and output buffers at once.
+    them hold live sample matrices and output buffers at once.  On a
+    local pool of width W, each cell of a chunk of c cells is cut into
+    ``ceil(W / c)`` lane shards, at most its lanes: whole cells per
+    worker once a chunk holds W cells, lane cuts only to fill the pool.
 
     Duplicate ``(family, scenario, h_max)`` combinations are collapsed
     before planning: each unique cell is computed once and every
     duplicate position in the returned list carries the same result.
 
     A grid takes no execution plan: it runs on its route's default
-    width (``n_workers``, a service's pool, or one shard per host).
+    width (``n_workers``, a service's pool, or one shard per host), and
+    a chunk whose cells hold one shard in total runs in this process.
     :func:`~repro.parallel.executor.run_sharded` is the one entry point
     that takes ``plan=``.
 
@@ -255,7 +275,6 @@ def run_scenario_grid(
     """
     backend_name = resolve_backend(backend).name
     route = resolve_route(
-        lanes=n_cores,
         n_workers=n_workers,
         mp_context=mp_context,
         pool=None if service is None else service.pool,
@@ -286,10 +305,9 @@ def run_scenario_grid(
         with job_runner(route) as run:
             for offset in range(0, len(todo), CHUNK_CELLS):
                 chunk = todo[offset : offset + CHUNK_CELLS]
+                shards = route.shards_per_job(len(chunk))
                 jobs = [
-                    prepare_job(
-                        source, drive, route.workers, chunk_lanes=chunk_lanes
-                    )
+                    prepare_job(source, drive, shards, chunk_lanes=chunk_lanes)
                     for _, _, source, drive in chunk
                 ]
                 for (key, digest, _, _), result in zip(chunk, run(jobs)):

@@ -14,13 +14,29 @@ sub-ensembles and slice the identical sample columns.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from repro.backend import resolve_backend
 from repro.batch.lanes import check_lane_range
 from repro.errors import ParameterError, ScenarioError
-from repro.models.registry import get_family
+from repro.models.registry import ModelFamily, get_family
+
+#: Whole recipe ensembles each process keeps for
+#: :meth:`EnsembleSpec.build_batch`: a grid's few families, or a warm
+#: pool's recent requests, without holding every recipe a long-lived
+#: worker ever served.
+_RECIPE_CACHE_SIZE = 8
+
+
+@lru_cache(maxsize=_RECIPE_CACHE_SIZE)
+def _recipe_batch(family: ModelFamily, n_cores: int, seed: int, backend: str):
+    """One recipe's whole stacked ensemble, built once per process.
+
+    Only ever cut into shard payloads: it is never run and never handed
+    out, so every caller rebuilds fresh, reset lanes from it."""
+    return family.make_batch(n_cores, seed, backend=backend)
 
 
 @dataclass(frozen=True)
@@ -28,10 +44,11 @@ class EnsembleSpec:
     """Registry recipe for a whole batch ensemble: ``family.make_models
     (n_cores, seed)``, stacked.
 
-    Workers rebuild the **full** scalar ensemble and slice their lane
-    range out of it — never ``make_models(width, seed)`` — because the
-    factories draw every lane from one RNG stream: lane ``i`` of the
-    ensemble only exists as the ``i``-th draw of the full recipe.
+    Workers rebuild the **full** scalar ensemble (once per process, see
+    :meth:`build_batch`) and slice their lane range out of it — never
+    ``make_models(width, seed)`` — because the factories draw every
+    lane from one RNG stream: lane ``i`` of the ensemble only exists as
+    the ``i``-th draw of the full recipe.
 
     ``backend`` names the array backend the rebuilt batch runs on; the
     executor pins ``None`` to the parent's resolved ``REPRO_BACKEND``
@@ -58,13 +75,33 @@ class EnsembleSpec:
         return get_family(self.family).make_models(self.n_cores, self.seed)
 
     def build_batch(self, start: int = 0, stop: int | None = None):
-        """Stack lanes ``[start, stop)`` of the recipe's ensemble, on
-        the recipe's backend (``None``: the environment default)."""
+        """Lanes ``[start, stop)`` of the recipe's ensemble, freshly
+        reset, on the recipe's backend (``None``: the environment
+        default).
+
+        A family with a ``batch_from_payload`` hook builds the whole
+        ensemble once per process and rebuilds the requested lanes from
+        its ``shard_payload`` — the route a live batch's shards already
+        take — so a worker serving many shards of one recipe pays
+        ``make_models`` once.  The last :data:`_RECIPE_CACHE_SIZE`
+        recipes are kept, keyed by the family *record* (a family
+        registered again under the same name never gets the old
+        record's build), ``n_cores``, ``seed`` and the *resolved*
+        backend name (a ``backend=None`` spec follows a changed
+        ``REPRO_BACKEND``).  The cache changes which process builds,
+        never what is built.  Other families stack
+        ``build_models()[start:stop]`` on every call.
+        """
         stop = self.n_cores if stop is None else stop
         check_lane_range(start, stop, self.n_cores)
-        batch = get_family(self.family).stack(self.build_models()[start:stop])
+        family = get_family(self.family)
+        backend = resolve_backend(self.backend)
+        if family.batch_from_payload is not None:
+            whole = _recipe_batch(family, self.n_cores, self.seed, backend.name)
+            return family.batch_from_payload(whole.shard_payload(start, stop))
+        batch = family.stack(self.build_models()[start:stop])
         if hasattr(batch, "use_backend"):
-            batch.use_backend(resolve_backend(self.backend))
+            batch.use_backend(backend)
         return batch
 
 
@@ -161,9 +198,10 @@ class ShardSpec:
         ``batch_from_payload`` hook — the cheap route when the parent
         already holds a live batch.
     ``ensemble``
-        A registry :class:`EnsembleSpec`; the worker rebuilds the full
-        recipe and slices its range — the route when only the recipe
-        exists.
+        A registry :class:`EnsembleSpec`; the worker rebuilds its range
+        from the full recipe, which each process builds once
+        (:meth:`EnsembleSpec.build_batch`) — the route when only the
+        recipe exists.
 
     Either route carries the parent's array-backend name — inside the
     payload dict (the engines ship ``backend`` in ``shard_payload``) or

@@ -22,8 +22,10 @@ the whole service via ``service=`` for cache-aware batch campaigns.
 Every request runs on the pool's full width: the service takes no
 execution plan (only :func:`~repro.parallel.executor.run_sharded`
 does).  Its warm pool is the input to the executor's route resolver
-(:func:`~repro.parallel.executor.resolve_route`), which cuts each miss
-into that many shards.  The backend is the request's own and part of
+(:func:`~repro.parallel.executor.resolve_route`), consulted once per
+service; each miss is one run cut into that many lane shards (at most
+its lanes), and a grid routed through the service runs whole cells
+(:func:`~repro.parallel.grid.run_scenario_grid`).  The backend is the request's own and part of
 its cache key, so numpy's bitwise tier and numba's rtol tier never
 cross-serve.
 """
@@ -86,6 +88,9 @@ class HysteresisService:
                 f"dispatch_threads must be >= 1, got {dispatch_threads}"
             )
         self.pool = WorkerPool(n_workers, mp_context=mp_context)
+        # Every miss routes alike: the pool owns the width, and a route
+        # knows nothing of a request's lanes.
+        self._settle = resolve_route(pool=self.pool)
         self.cache = ResultCache(cache_entries, spill_dir=cache_dir)
         self._dispatch = concurrent.futures.ThreadPoolExecutor(
             max_workers=dispatch_threads, thread_name_prefix="hysteresis"
@@ -110,9 +115,7 @@ class HysteresisService:
         read-only, shared by every requester of this digest.
         """
         self._check_open()
-        digest = self.digest_for(spec, drive)
-        settle = resolve_route(lanes=spec.n_cores, pool=self.pool)
-        return self._fetch(digest, spec, drive, settle)
+        return self._fetch(self.digest_for(spec, drive), spec, drive)
 
     # -- async front door ---------------------------------------------
 
@@ -130,7 +133,6 @@ class HysteresisService:
         """
         self._check_open()
         digest = self.digest_for(spec, drive)
-        settle = resolve_route(lanes=spec.n_cores, pool=self.pool)
         try:
             loop = asyncio.get_running_loop()
         except RuntimeError:
@@ -139,7 +141,7 @@ class HysteresisService:
                 "synchronous callers should use HysteresisService.run"
             ) from None
         return loop.run_in_executor(
-            self._dispatch, partial(self._fetch, digest, spec, drive, settle)
+            self._dispatch, partial(self._fetch, digest, spec, drive)
         )
 
     async def stream_grid(
@@ -167,7 +169,6 @@ class HysteresisService:
 
         self._check_open()
         backend_name = resolve_backend(backend).name
-        settle = resolve_route(lanes=n_cores, pool=self.pool)
         planned = _plan_cells(
             list(families), list(scenarios), list(h_max_values), n_cores,
             seed, driver_step, backend_name,
@@ -179,7 +180,7 @@ class HysteresisService:
             digest = self.digest_for(spec, drive)
             result = await loop.run_in_executor(
                 self._dispatch,
-                partial(self._fetch, digest, source, drive, settle),
+                partial(self._fetch, digest, source, drive),
             )
             return GridCell(*key, result)
 
@@ -198,13 +199,13 @@ class HysteresisService:
                 "this HysteresisService is closed; construct a new one"
             )
 
-    def _fetch(self, digest, source, drive, settle) -> BatchSweepResult:
+    def _fetch(self, digest, source, drive) -> BatchSweepResult:
         """Cache hit, coalesced wait, or compute-and-insert.
 
         ``source`` is what the executor runs (an
         :class:`~repro.parallel.spec.EnsembleSpec` or an already-built
-        batch, the grid's pre-built route); ``settle`` is the request's
-        route from :func:`~repro.parallel.executor.resolve_route`.
+        batch, the grid's pre-built route), on the service's one route
+        from :func:`~repro.parallel.executor.resolve_route`.
         """
         hit = self.cache.get(digest)
         if hit is not None:
@@ -222,7 +223,9 @@ class HysteresisService:
             # its frozen cache entry rather than duplicating the work.
             return fut.result()
         try:
-            result = self.cache.put(digest, run_single(settle, source, drive))
+            result = self.cache.put(
+                digest, run_single(self._settle, source, drive)
+            )
             fut.set_result(result)
             return result
         except BaseException as exc:

@@ -307,6 +307,21 @@ class TestRunDistributed:
             with Dispatcher([agent.address]) as dispatcher:
                 assert dispatcher.n_live == 1
 
+    def test_undigested_shard_lands_when_its_label_comes_back_none(
+        self, monkeypatch
+    ):
+        """A shard sent without a digest is answered under ``None``:
+        the dispatcher's label check accepts exactly that."""
+        import repro.dist.dispatch as dispatch
+
+        monkeypatch.setattr(dispatch, "shard_digest", lambda spec: None)
+        ensemble = EnsembleSpec(family="timeless", n_cores=N_CORES)
+        job = prepare_job(ensemble, _drive(), 2)
+        with WorkerAgent() as agent:
+            with Dispatcher([agent.address], deadline_s=30.0) as dispatcher:
+                (result,) = dispatcher.run_jobs([job])
+        assert_results_bitwise_equal(reference_result(), result)
+
     def test_retries_exhausted_drains_locally(self, caplog):
         agent = WorkerAgent().start()
         try:
@@ -512,6 +527,31 @@ class _ForeignExtraAgent(_StreamAgent):
         ]
 
 
+#: A digest no shard of the bad-peer job is sent under.
+FOREIGN_DIGEST = "f" * 64
+
+
+class _ForeignDigestBlockAgent(_BadAgent):
+    """Labels every block with another shard's digest."""
+
+    def _run(self, conn, digest, spec) -> None:
+        self.met.set()
+        for block in iter_shard_blocks(spec):
+            send_message(conn, (MSG_BLOCK, FOREIGN_DIGEST, block))
+        send_message(conn, (MSG_DONE, digest, 1))
+
+
+class _ForeignDigestDoneAgent(_BadAgent):
+    """Streams its blocks rightly, then labels ``done`` with another
+    shard's digest."""
+
+    def _run(self, conn, digest, spec) -> None:
+        self.met.set()
+        for block in iter_shard_blocks(spec):
+            send_message(conn, (MSG_BLOCK, digest, block))
+        send_message(conn, (MSG_DONE, FOREIGN_DIGEST, 1))
+
+
 class _NotATupleAgent(_BadAgent):
     """Answers a run request with a bare integer."""
 
@@ -640,6 +680,12 @@ BAD_PEERS = [
      on_bad(max_buffer_bytes=64),
      (DistError, r"shard \[0, 4\) failed dispatcher-side(?s:.*)"
       r"64-byte result-buffer ceiling"), False),
+    ("foreign-digest-block", _ForeignDigestBlockAgent, on_bad(),
+     (DistError, r"shard \[0, 4\) failed dispatcher-side(?s:.*)"
+      r"received a 'block' message labelled 'f{64}'"), False),
+    ("foreign-digest-done", _ForeignDigestDoneAgent, on_bad(),
+     (DistError, r"shard \[0, 4\) failed dispatcher-side(?s:.*)"
+      r"received a 'done' message labelled 'f{64}'"), False),
     ("foreign-extras-channel", _ForeignExtraAgent, on_bad(),
      (DistError, r"shard \[0, 4\) failed dispatcher-side(?s:.*)"
       r"recorded extras .*bogus.* is stale"), False),

@@ -11,16 +11,25 @@ change.
 """
 
 import contextlib
+import dataclasses
 import multiprocessing
 import pickle
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
-from repro.backend import BACKEND_ENV, get_backend, list_backends
+from repro.backend import BACKEND_ENV, get_backend, list_backends, resolve_backend
 from repro.batch.sweep import run_batch_series
 from repro.errors import ParameterError, ScenarioError
-from repro.models.registry import get_family, list_families
+from repro.models.registry import (
+    get_family,
+    list_families,
+    register_family,
+    unregister_family,
+)
 from repro.parallel import (
     MAX_WORKERS_ENV,
     DriveSpec,
@@ -207,6 +216,172 @@ class TestSpecs:
         assert a != DriveSpec(
             scenario="major-loop", h_max=1e3, driver_step=10.0
         )
+
+
+@contextlib.contextmanager
+def registered(family):
+    register_family(family)
+    try:
+        yield family
+    finally:
+        unregister_family(family.name)
+
+
+def timeless_variant(make_models, name="recipe-cache-test"):
+    """The timeless family under another name and ``make_models``."""
+    return dataclasses.replace(
+        get_family("timeless"), name=name, make_models=make_models
+    )
+
+
+def stacked(spec, start, stop):
+    """``build_batch`` without the recipe cache: stack the scalar
+    models of lanes ``[start, stop)`` on the spec's backend."""
+    batch = get_family(spec.family).stack(spec.build_models()[start:stop])
+    if hasattr(batch, "use_backend"):
+        batch.use_backend(resolve_backend(spec.backend))
+    return batch
+
+
+def run_shared_drive(batch):
+    scale = get_family(batch.family).h_scale
+    return run_batch_series(
+        batch, scenario_samples("major-loop", scale, scale / 40.0)
+    )
+
+
+class TestRecipeCache:
+    """``EnsembleSpec.build_batch`` builds a recipe once per process and
+    cuts every lane range from that build: bitwise what stacking the
+    range builds, fresh on every call, never shared across records."""
+
+    @pytest.mark.parametrize("start, stop", [(0, 7), (0, 3), (2, 5), (6, 7)])
+    @pytest.mark.parametrize("name", FAMILY_NAMES)
+    def test_lanes_match_stacking(self, name, start, stop):
+        spec = EnsembleSpec(family=name, n_cores=N_CORES, seed=3)
+        built = spec.build_batch(start, stop)
+        reference = stacked(spec, start, stop)
+        assert built.driver_step_hint() == reference.driver_step_hint()
+        assert_results_bitwise_equal(
+            run_shared_drive(reference), run_shared_drive(built)
+        )
+        assert spec.build_batch(start, stop) is not built
+
+    def test_a_family_registered_again_gets_its_own_build(self):
+        timeless = get_family("timeless")
+        spec_args = dict(family="recipe-cache-test", n_cores=4, seed=0)
+        with registered(timeless_variant(timeless.make_models)):
+            first = EnsembleSpec(**spec_args).build_batch()
+        shifted = timeless_variant(
+            lambda n, seed: timeless.make_models(n, seed + 1)
+        )
+        with registered(shifted):
+            spec = EnsembleSpec(**spec_args)
+            second = spec.build_batch()
+            reference = stacked(spec, 0, 4)
+        assert np.array_equal(second.dhmax, reference.dhmax)
+        assert not np.array_equal(second.dhmax, first.dhmax)
+
+    def test_concurrent_builds_are_fresh_and_bitwise(self):
+        """More threads than cores build one recipe at once, with the
+        interpreter switching threads as often as it can: every thread
+        gets its own batch, bitwise, sharing no array with another."""
+        timeless = get_family("timeless")
+
+        def slow_models(n, seed):
+            time.sleep(0.02)  # the threads build at once
+            return timeless.make_models(n, seed)
+
+        n_threads = 6
+        start = threading.Barrier(n_threads, timeout=10.0)
+        built = {}
+
+        def build(key):
+            start.wait()
+            built[key] = spec.build_batch(1, N_CORES)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with registered(timeless_variant(slow_models)):
+                spec = EnsembleSpec("recipe-cache-test", N_CORES, seed=4)
+                threads = [
+                    threading.Thread(target=build, args=(key,))
+                    for key in range(n_threads)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(10.0)
+                    assert not thread.is_alive()
+                reference = run_shared_drive(stacked(spec, 1, N_CORES))
+        finally:
+            sys.setswitchinterval(interval)
+        batches = [built[key] for key in range(n_threads)]
+        for i, first in enumerate(batches):
+            for second in batches[i + 1:]:
+                assert first is not second
+                assert not np.shares_memory(first.dhmax, second.dhmax)
+        # Running each in turn leaves the others as built.
+        for batch in batches:
+            assert_results_bitwise_equal(reference, run_shared_drive(batch))
+
+    GRID = dict(
+        scenarios=["major-loop", "minor-loop-ladder", "harmonic", "forc-family"],
+        h_max_values=[4e3, 6e3, 8e3],
+        n_cores=4,
+        driver_step=400.0,
+    )
+
+    def test_serial_grid_builds_its_recipe_once(self):
+        """Twelve cells of one recipe, in this process: one build."""
+        timeless = get_family("timeless")
+        calls = []
+
+        def counted(n, seed):
+            calls.append(n)
+            return timeless.make_models(n, seed)
+
+        with registered(timeless_variant(counted, "counted-serial")):
+            cells = run_scenario_grid(
+                ["counted-serial"], **self.GRID, n_workers=1
+            )
+        assert len(cells) == 12
+        assert calls == [4]
+
+    def test_pool_workers_build_their_recipe_once_each(self, monkeypatch):
+        """Twelve cells of one recipe on two forked workers: each worker
+        builds it at most once."""
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("the counter is inherited through fork")
+        monkeypatch.delenv(MAX_WORKERS_ENV, raising=False)
+        timeless = get_family("timeless")
+        builds = multiprocessing.get_context("fork").Value("i", 0)
+
+        def counted(n, seed):
+            with builds.get_lock():
+                builds.value += 1
+            return timeless.make_models(n, seed)
+
+        with registered(timeless_variant(counted, "counted-pooled")):
+            cells = run_scenario_grid(
+                ["counted-pooled"], **self.GRID, n_workers=2,
+                mp_context="fork",
+            )
+            assert 1 <= builds.value <= 2
+            batch = stacked(EnsembleSpec("counted-pooled", 4), 0, 4)
+        assert len(cells) == 12
+        for cell in cells:
+            reference = run_batch_series(
+                batch,
+                scenario_samples(cell.scenario, cell.h_max, 400.0, n_cores=4),
+            )
+            # The engine labels its result "timeless"; the grid labels
+            # each cell with the registered name.
+            assert_results_bitwise_equal(
+                dataclasses.replace(reference, family=cell.family),
+                cell.result,
+            )
 
 
 class TestCounterMerge:

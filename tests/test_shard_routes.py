@@ -12,15 +12,18 @@ single-process :func:`repro.batch.sweep.run_batch_series`.
 
 The scenario grid gets the same treatment: each grid route (in
 process, one-shot fork pool, a service cold and then fully cached, two
-in-process agents, an unreachable fleet) runs one cell per chunk over a
-duplicated amplitude, with and without lane chunking, and every cell is
-checked bit for bit.  One table then pins every route-argument
-conflict of every entry point: each raises ``ParameterError`` before a
-cache is read, an ensemble is built, a pool forks or a connection
-opens.  Every entry point's default route runs without touching the
-planner's calibration.  A last table pins the route
+in-process agents, an unreachable fleet) runs over a duplicated
+amplitude, one cell per chunk (lane-cut cells) and at the default chunk
+size (whole cells on a local pool), with and without lane chunking,
+and every cell is checked bit for bit.  One table then pins every
+route-argument conflict of every entry point: each raises
+``ParameterError`` before a cache is read, an ensemble is built, a pool
+forks or a connection opens.  Every entry point's default route runs without touching the
+planner's calibration.  A table pins the route
 :func:`~repro.parallel.executor.resolve_route` decides for each
-accepted combination: shard count, lane threads, backend, hosts.
+accepted combination: pool width, lane threads, backend, hosts.  A
+last table pins how many shards each job of a call is cut into, and a
+spy on ``Pool`` pins how many processes a call forks.
 
 The routes are case functions crossed with the families, in the
 cross-strategy idiom of probdiffeq's solver tests: a new route or a new
@@ -336,10 +339,16 @@ GRID_ROUTES = {
 
 @pytest.mark.parametrize("chunk_lanes", [None, 2])
 @pytest.mark.parametrize("route", list(GRID_ROUTES))
+@pytest.mark.parametrize(
+    "chunk_cells", [1, grid_module.CHUNK_CELLS],
+    ids=["lane-cut-cells", "whole-cells"],
+)
 def test_grid_route_matches_single_process(
-    route, chunk_lanes, request, monkeypatch
+    chunk_cells, route, chunk_lanes, request, monkeypatch
 ):
-    monkeypatch.setattr(grid_module, "CHUNK_CELLS", 1)  # a chunk per cell
+    # A chunk per cell cuts every cell N_SHARDS ways; the default chunk
+    # holds all eight unique cells, which a local pool runs whole.
+    monkeypatch.setattr(grid_module, "CHUNK_CELLS", chunk_cells)
     cells = GRID_ROUTES[route](chunk_lanes, request)
     assert [cell.key for cell in cells] == [
         (name, GRID_SCENARIO, h_max)
@@ -578,30 +587,23 @@ WIDTH_3_POOL = types.SimpleNamespace(n_workers=3)
 HOSTS = ["10.0.0.5:7501", "10.0.0.6:7501"]
 
 #: (id, resolve_route arguments, REPRO_PARALLEL_MAX_WORKERS,
-#:  (workers, threads, backend, hosts)) on an 8-CPU host.
+#:  (workers, threads, backend, hosts)) on an 8-CPU host.  ``workers``
+#: is the pool width, or a fleet's shard count; lanes never clamp it
+#: (PLACEMENTS pins where they do).
 ROUTE_SHAPES = [
-    ("all-cpus", dict(lanes=64), None, (8, 1, None, ())),
-    ("cpu-cap", dict(lanes=64), "2", (2, 1, None, ())),
-    ("n_workers", dict(lanes=64, n_workers=3), None, (3, 1, None, ())),
-    ("no-wider-than-lanes", dict(lanes=2, n_workers=8), None,
-     (2, 1, None, ())),
-    ("pool-width", dict(lanes=64, pool=WIDTH_3_POOL), "2",
-     (3, 1, None, ())),
-    ("shard-per-host", dict(lanes=64, hosts=HOSTS), None,
-     (2, 1, None, tuple(HOSTS))),
+    ("all-cpus", dict(), None, (8, 1, None, ())),
+    ("cpu-cap", dict(), "2", (2, 1, None, ())),
+    ("n_workers", dict(n_workers=3), None, (3, 1, None, ())),
+    ("pool-width", dict(pool=WIDTH_3_POOL), "2", (3, 1, None, ())),
+    ("shard-per-host", dict(hosts=HOSTS), None, (2, 1, None, tuple(HOSTS))),
     # The CPU cap bounds local pools, never the shards sent to hosts.
-    ("hosts-n_workers", dict(lanes=64, hosts=HOSTS, n_workers=5), "1",
+    ("hosts-n_workers", dict(hosts=HOSTS, n_workers=5), "1",
      (5, 1, None, tuple(HOSTS))),
-    ("hosts-few-lanes", dict(lanes=1, hosts=HOSTS), None,
-     (1, 1, None, tuple(HOSTS))),
-    ("pool-wider-than-lanes", dict(lanes=2, pool=WIDTH_3_POOL), None,
-     (2, 1, None, ())),
-    ("plan-capped", dict(plan=PLAN, lanes=64), "1", (1, 1, "numpy", ())),
-    ("plan-mp_context", dict(plan=PLAN, lanes=64, mp_context="spawn"),
-     None, (2, 1, "numpy", ())),
+    ("plan-capped", dict(plan=PLAN), "1", (1, 1, "numpy", ())),
+    ("plan-mp_context", dict(plan=PLAN, mp_context="spawn"), None,
+     (2, 1, "numpy", ())),
     ("plan-threads-clamped",
-     dict(plan=ExecutionPlan(backend="numpy", threads_per_worker=64),
-          lanes=64),
+     dict(plan=ExecutionPlan(backend="numpy", threads_per_worker=64)),
      None, (1, 8, "numpy", ())),
 ]
 
@@ -642,10 +644,103 @@ def test_auto_route_is_priced_when_settled(eight_cpus):
         priced.append((args, kwargs))
         return ExecutionPlan(backend="numpy", n_workers=4)
 
-    settle = resolve_route("auto", lanes=64)
+    settle = resolve_route("auto")
     assert priced == []
     chosen = settle(price)
     assert priced == [((), {})]
     assert (chosen.workers, chosen.threads, chosen.backend, chosen.pool) == (
         4, 1, "numpy", None,
     )
+
+
+# -- how many shards each job is cut into ----------------------------------
+
+#: (id, cells in the chunk, resolve_route arguments, lanes,
+#:  (pool width, shards per job)) on an 8-CPU host.  Local routes cut
+#: each cell ceil(width / cells) ways, clamped to its lanes; a single
+#: run is a chunk of one.  A fleet cuts every cell n_workers ways.
+PLACEMENTS = [
+    ("lone-cell-cut-in-two", 1, dict(n_workers=2), 512, (2, 2)),
+    ("two-cells-whole", 2, dict(n_workers=2), 512, (2, 1)),
+    ("eight-cells-whole", 8, dict(n_workers=2), 512, (2, 1)),
+    ("eight-cells-on-sixteen", 8, dict(n_workers=16), 512, (16, 2)),
+    ("three-cells-on-eight", 3, dict(n_workers=8), 512, (8, 3)),
+    ("one-lane-cells", 8, dict(n_workers=2), 1, (2, 1)),
+    ("serial", 8, dict(n_workers=1), 512, (1, 1)),
+    ("service-pool", 8, dict(pool=WIDTH_3_POOL), 64, (3, 1)),
+    ("fleet-n_workers", 8, dict(hosts=HOSTS, n_workers=3), 32, (3, 3)),
+    # Formerly ROUTE_SHAPES rows, whose width the lanes used to clamp:
+    # the route keeps the pool width, the cut keeps the lane clamp.
+    ("no-wider-than-lanes", 1, dict(n_workers=8), 2, (8, 2)),
+    ("pool-wider-than-lanes", 1, dict(pool=WIDTH_3_POOL), 2, (3, 2)),
+    ("hosts-few-lanes", 1, dict(hosts=HOSTS), 1, (2, 1)),
+]
+
+
+@pytest.mark.parametrize(
+    "cells, route, lanes, expected",
+    [row[1:] for row in PLACEMENTS],
+    ids=[row[0] for row in PLACEMENTS],
+)
+def test_placement(cells, route, lanes, expected, eight_cpus):
+    chosen = resolve_route(**route)(never_priced)
+    job = prepare_job(
+        EnsembleSpec("timeless", lanes), DRIVE, chosen.shards_per_job(cells)
+    )
+    assert (chosen.workers, len(job.specs)) == expected
+
+
+# -- what a call forks ----------------------------------------------------
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The ``processes`` of every pool forked, in order, with no
+    worker cap in the environment."""
+    widths = []
+    real_pool = multiprocessing.context.BaseContext.Pool
+
+    def spy(self, processes=None, *args, **kwargs):
+        widths.append(processes)
+        return real_pool(self, processes, *args, **kwargs)
+
+    monkeypatch.setattr(multiprocessing.context.BaseContext, "Pool", spy)
+    monkeypatch.delenv(executor.MAX_WORKERS_ENV, raising=False)
+    return widths
+
+
+def test_grid_of_one_lane_cells_runs_on_a_pool(forks):
+    """Sixteen 1-lane cells cannot be cut, so the pool runs them whole,
+    in parallel, instead of all in this process."""
+    amplitudes = [2e3 * k for k in range(1, 9)]
+    cells = run_scenario_grid(
+        ["preisach"], ["major-loop", "forc-family"], amplitudes, 1,
+        driver_step=100.0, n_workers=2,
+    )
+    assert forks == [2]
+    for cell in cells:
+        reference = run_batch_series(
+            EnsembleSpec("preisach", 1).build_batch(),
+            scenario_samples(cell.scenario, cell.h_max, 100.0, n_cores=1),
+        )
+        assert_results_bitwise_equal(reference, cell.result)
+
+
+@pytest.mark.parametrize(
+    "lanes, n_workers, expected",
+    [(1, 2, []), (2, 8, [2])],
+    ids=["one-lane-runs-here", "no-wider-than-its-shards"],
+)
+def test_single_run_forks_no_wider_than_its_shards(
+    lanes, n_workers, expected, forks
+):
+    result = run_sharded(
+        EnsembleSpec("timeless", lanes), scenario="major-loop", h_max=8e3,
+        driver_step=400.0, n_workers=n_workers,
+    )
+    assert forks == expected
+    reference = run_batch_series(
+        EnsembleSpec("timeless", lanes).build_batch(),
+        DRIVE.full_samples(lanes),
+    )
+    assert_results_bitwise_equal(reference, result)
