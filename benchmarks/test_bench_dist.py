@@ -1,9 +1,9 @@
-"""EXP-B8 bench: multi-host dispatch overhead and streamed lane blocks.
+"""EXP-B8 bench: multi-host dispatch overhead and streamed row blocks.
 
 The scale-out twin of ``test_bench_service.py``: EXP-B8 runs one
 workload through the in-process engine, the local sharded pool, and a
 localhost fleet of two :mod:`repro.dist` worker agents, then sweeps
-``chunk_lanes`` to record the memory/latency trade of streamed lane
+``chunk_lanes`` to record the memory/latency trade of streamed row
 blocks, and measures the echo round-trip the planner prices links
 with.  No speedup bar is asserted — two localhost sockets on one
 machine measure *protocol overhead*, not fleet throughput — but every

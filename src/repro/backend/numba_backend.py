@@ -558,7 +558,12 @@ def _preisach_fused_series(batch, h_arr: np.ndarray):
     h2d = np.ascontiguousarray(as_lane_matrix(h_arr, n))
 
     h_cur = batch.h.copy()
-    m_norm = batch.m_normalised  # fresh pairwise-summed reference seed
+    # Seeded with the kernels' own sequential relay sum (the order the
+    # loops add in; ``cumsum`` accumulates strictly left to right), not
+    # the engine's pairwise one: a series cut into several fused calls
+    # (row blocks) then carries exactly the value one call would have.
+    relays = (batch.weights * batch.relay_state()).reshape(n, -1)
+    m_norm = np.cumsum(relays, axis=1)[:, -1].copy()
     switches = np.zeros(n, dtype=np.int64)
     m_out = np.empty((n_samples, n))
     b_out = np.empty((n_samples, n))

@@ -351,11 +351,6 @@ class BatchTimelessModel:
             backend=payload.get("backend"),
         )
 
-    def shard(self, start: int, stop: int) -> "BatchTimelessModel":
-        """A freshly reset batch over lanes ``[start, stop)`` — bitwise
-        identical per lane to this ensemble after a reset."""
-        return type(self).from_shard_payload(self.shard_payload(start, stop))
-
     def use_backend(
         self, backend: "ArrayBackend | str | None"
     ) -> "BatchTimelessModel":

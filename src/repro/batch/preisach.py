@@ -174,13 +174,6 @@ class BatchPreisachModel:
         """Rebuild a (sub-)ensemble from a :meth:`shard_payload` dict."""
         return cls(**payload)
 
-    def shard(self, start: int, stop: int) -> "BatchPreisachModel":
-        """A freshly reset batch over lanes ``[start, stop)`` — bitwise
-        identical per lane to this ensemble after a reset (the per-core
-        relay sum reduces each lane's own contiguous grid, so slicing
-        cannot change it)."""
-        return type(self).from_shard_payload(self.shard_payload(start, stop))
-
     def use_backend(
         self, backend: "ArrayBackend | str | None"
     ) -> "BatchPreisachModel":

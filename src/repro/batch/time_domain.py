@@ -177,11 +177,6 @@ class BatchTimeDomainModel:
             backend=payload.get("backend"),
         )
 
-    def shard(self, start: int, stop: int) -> "BatchTimeDomainModel":
-        """A freshly reset batch over lanes ``[start, stop)`` — bitwise
-        identical per lane to this ensemble after a reset."""
-        return type(self).from_shard_payload(self.shard_payload(start, stop))
-
     def use_backend(
         self, backend: "ArrayBackend | str | None"
     ) -> "BatchTimeDomainModel":

@@ -5,7 +5,7 @@ worker agents (``python -m repro.dist.worker --bind HOST:PORT``)
 rebuild sub-ensembles from the same picklable
 :class:`~repro.parallel.spec.ShardSpec` payloads the local executor
 forks with — never shipped live models — and stream results back in
-bounded lane blocks, so a million-lane campaign never materialises on
+bounded row blocks, so a million-lane campaign never materialises on
 either side of the wire::
 
     from repro.dist import run_distributed

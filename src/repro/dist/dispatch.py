@@ -7,15 +7,16 @@ runner (:func:`~repro.parallel.grid.job_runner`): the same
 full-ensemble driver-step resolution first (the bitwise rule), the
 same ``prepare_job`` planning and :class:`~repro.parallel.spec.ShardSpec`
 payloads, but each shard travels to a :class:`~repro.dist.worker.
-WorkerAgent` over TCP and its result streams back as bounded lane
+WorkerAgent` over TCP and its result streams back as bounded row
 blocks (:mod:`repro.parallel.blocks`).  ``run_sharded(hosts=...)`` and
 ``run_scenario_grid(hosts=...)`` reach the same :class:`Dispatcher`;
 ``hosts=`` is the one way to dispatch, and only
 :func:`run_distributed` sets its authkey, deadlines and buffer
 ceiling.  Every block lands in the job's
 :class:`~repro.parallel.blocks.ShardAssembly` — the same assembly the
-local routes write through — by absolute lane range: idempotent, so a
-re-dispatched shard simply rewrites its (bitwise identical) columns,
+local routes write through — by absolute row and lane range:
+idempotent, so a re-dispatched shard simply rewrites its (bitwise
+identical) rows,
 and the finished :class:`~repro.batch.sweep.BatchSweepResult` is
 bitwise identical to the single-process run.
 
@@ -132,13 +133,17 @@ class _WorkerFailure(DistError):
 
 
 class _WireJob:
-    """One deduped wire request: a spec plus every sink awaiting it."""
+    """One deduped wire request: a spec, its job's sample count
+    (``rows``), and every sink awaiting it."""
 
-    __slots__ = ("spec", "digest", "sinks", "attempts")
+    __slots__ = ("spec", "digest", "rows", "sinks", "attempts")
 
-    def __init__(self, spec: ShardSpec, digest: "str | None") -> None:
+    def __init__(
+        self, spec: ShardSpec, digest: "str | None", rows: int
+    ) -> None:
         self.spec = spec
         self.digest = digest
+        self.rows = rows
         self.sinks: list[ShardAssembly] = []
         self.attempts = 0
 
@@ -328,7 +333,7 @@ class Dispatcher:
                 digest = shard_digest(spec)
                 wire = table.get(digest) if digest is not None else None
                 if wire is None:
-                    wire = _WireJob(spec, digest)
+                    wire = _WireJob(spec, digest, job.shape[0])
                     wire_jobs.append(wire)
                     if digest is not None:
                         table[digest] = wire
@@ -423,64 +428,69 @@ class Dispatcher:
             else time.monotonic() + self.deadline_s
         )
         send_message(conn, (MSG_RUN, wire.digest, wire.spec))
-        blocks = self._receive(conn, wire.spec, wire.digest, limit)
+        blocks = self._receive(conn, wire, limit)
         land = partial(self._land, wire)
         self._commit(wire, drain_shard(wire.spec, land, blocks))
 
     @staticmethod
-    def _receive(
-        conn, spec: ShardSpec, digest: "str | None", limit: "float | None"
-    ):
-        """Yield one shard's lane blocks off ``conn`` until its ``done``.
+    def _receive(conn, wire: _WireJob, limit: "float | None"):
+        """Yield one shard's row blocks off ``conn`` until its ``done``.
 
         Blocks enter from the wire here, so this is where they are
-        checked.  Every ``block`` and ``done`` must echo ``digest``, the
-        label the shard was sent under (``None`` comes back as
-        ``None``): lane ranges alone cannot tell two cells cut the same
-        way apart.  Each block must start where the previous one
-        stopped (the first at ``spec.start``) and end within
-        ``spec.stop``, the order every agent streams them in
-        (:func:`~repro.parallel.blocks.plan_lane_blocks`).  Any other
-        block — foreign, shifted, repeated, overlapping — raises
+        checked.  Every ``block`` and ``done`` must echo the digest the
+        shard was sent under (``None`` comes back as ``None``): row and
+        lane ranges alone cannot tell two cells cut the same way apart.
+        Each block must carry exactly the shard's lanes, start at the
+        row where the previous one stopped (the first at row 0) and end
+        within the job's ``wire.rows`` samples, the order every agent
+        streams them in (:func:`~repro.parallel.blocks.plan_row_blocks`);
+        ``done`` must arrive at the last row.  Anything else — a
+        foreign, narrower, shifted, repeated, overlapping or skipping
+        block, an early ``done`` — raises
         :class:`~repro.errors.DistError` naming the shard and what was
-        wrong, and ``done`` must arrive at ``spec.stop``.
+        wrong.
         """
-        covered = spec.start
+        spec, name = wire.spec, f"shard [{wire.spec.start}, {wire.spec.stop})"
+        covered = 0
         while True:
             remaining = None if limit is None else limit - time.monotonic()
             message = recv_message(conn, remaining)
             kind = message[0]
-            if kind in (MSG_BLOCK, MSG_DONE) and message[1] != digest:
+            if kind in (MSG_BLOCK, MSG_DONE) and message[1] != wire.digest:
                 raise DistError(
-                    f"shard [{spec.start}, {spec.stop}) was sent as "
-                    f"{digest!r} but received a {kind!r} message labelled "
-                    f"{message[1]!r}"
+                    f"{name} was sent as {wire.digest!r} but received a "
+                    f"{kind!r} message labelled {message[1]!r}"
                 )
             if kind == MSG_BLOCK:
                 block = message[2]
-                if not block.start == covered < block.stop <= spec.stop:
+                if (block.start, block.stop) != (spec.start, spec.stop):
                     raise DistError(
-                        f"shard [{spec.start}, {spec.stop}) received lanes "
-                        f"[{block.start}, {block.stop}); the next block "
-                        f"must start at lane {covered} and end within "
-                        f"{spec.stop}"
+                        f"{name} received lanes [{block.start}, "
+                        f"{block.stop}); every block must carry the "
+                        "shard's lanes"
                     )
-                covered = block.stop
+                r0, r1 = block.row_start, block.row_stop
+                if not r0 == covered < r1 <= wire.rows:
+                    raise DistError(
+                        f"{name} received rows [{r0}, {r1}); the next "
+                        f"block must start at row {covered} and end "
+                        f"within {wire.rows}"
+                    )
+                covered = r1
                 yield block
             elif kind == MSG_DONE:
-                if covered != spec.stop:
+                if covered != wire.rows:
+                    lanes = spec.width if covered else 0
                     raise DistError(
-                        f"shard [{spec.start}, {spec.stop}) streamed "
-                        f"{covered - spec.start} lanes but declared done "
-                        f"at width {spec.width}"
+                        f"{name} streamed {lanes} lanes but declared done "
+                        f"at row {covered} of {wire.rows}"
                     )
                 return
             elif kind == MSG_ERROR:
                 raise _WorkerFailure(message[2])
             else:
                 raise DistError(
-                    f"unexpected {kind!r} message mid-stream for shard "
-                    f"[{spec.start}, {spec.stop})"
+                    f"unexpected {kind!r} message mid-stream for {name}"
                 )
 
     def _land(self, wire: _WireJob, block) -> None:
@@ -532,9 +542,11 @@ def run_distributed(
     :func:`repro.batch.sweep.run_batch_series`.
 
     ``hosts`` lists ``"host:port"`` worker-agent addresses.
-    ``n_workers`` names the shard count (default: one per host) —
-    uneven splits are fine, surviving workers drain the queue.
-    ``chunk_lanes`` streams each shard in bounded lane blocks.
+    ``n_workers`` names the fleet's width, and so the shard count of
+    this one run (default: one per host) — uneven splits are fine,
+    surviving workers drain the queue.  ``chunk_lanes`` streams each
+    shard in row blocks of at most ``chunk_lanes × samples``
+    lane-samples.
 
     This is where the fleet's :class:`Dispatcher` options are set:
     ``authkey`` (the only way to reach agents started with

@@ -25,7 +25,7 @@ from repro.dist.protocol import (
 )
 from repro.errors import DistError, ParameterError
 
-#: Default probe payload: roughly one small lane block's pickle.
+#: Default probe payload: roughly one small row block's pickle.
 DEFAULT_PAYLOAD_BYTES = 64 * 1024
 
 

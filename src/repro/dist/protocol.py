@@ -25,10 +25,12 @@ Message vocabulary (plain tuples, first element the kind):
     Link-overhead probe (:mod:`repro.dist.probe`).
 ``("run", digest, spec)``
     Execute one :class:`~repro.parallel.spec.ShardSpec`.  The worker
-    streams back ``("block", digest, LaneBlock)`` per lane block
-    (one block for an unchunked spec) and finishes with ``("done",
-    digest, n_blocks)``; a worker-side exception arrives as
-    ``("error", digest, message)``.
+    streams back ``("block", digest, RowBlock)`` per row block, in row
+    order (one block for an unchunked spec); each block carries the
+    shard's whole lane range and its own row range.  It finishes with
+    ``("done", digest, n_blocks)``; a worker-side exception arrives as
+    ``("error", digest, message)``.  Version 2 carries row blocks;
+    version 1 streamed lane blocks.
 ``("shutdown",)``
     Graceful agent stop (no reply; the connection closes).
 
@@ -56,7 +58,7 @@ from repro.errors import DistError, DistTimeoutError
 
 #: Bump on any incompatible message-shape change: mixed fleets refuse
 #: each other at the ping handshake instead of failing mid-stream.
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: The message-tag vocabulary.  Every wire message is a tuple whose
 #: first element is one of these; dispatch/worker/probe compare against
@@ -107,6 +109,16 @@ TAG_HANDLERS = {
 #: flags a current tag set that does not match its history row.
 TAG_HISTORY = {
     1: (
+        MSG_BLOCK,
+        MSG_DONE,
+        MSG_ECHO,
+        MSG_ERROR,
+        MSG_PING,
+        MSG_PONG,
+        MSG_RUN,
+        MSG_SHUTDOWN,
+    ),
+    2: (
         MSG_BLOCK,
         MSG_DONE,
         MSG_ECHO,

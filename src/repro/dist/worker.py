@@ -1,4 +1,4 @@
-"""The repro.dist worker agent: one socket, shard specs in, lane
+"""The repro.dist worker agent: one socket, shard specs in, row
 blocks out.
 
 ``python -m repro.dist.worker --bind HOST:PORT`` starts an agent that
@@ -7,9 +7,9 @@ connection per agent for a whole campaign), rebuilds each received
 :class:`~repro.parallel.spec.ShardSpec` into its sub-ensemble
 worker-side (never a shipped live model), executes it through the same
 :func:`repro.parallel.blocks.iter_shard_blocks` generator the local
-executor uses, and streams every lane block back as soon as it exists
-— a chunked shard never materialises its full result on either side of
-the socket.
+executor uses, and streams every row block back, in row order, as
+soon as it exists — a chunked shard never materialises its full result
+on either side of the socket.
 
 :class:`WorkerAgent` is also usable in-process (``start()`` runs the
 accept loop on a daemon thread), which is how the test suite and the
@@ -201,7 +201,7 @@ class WorkerAgent:
                 )
 
     def _run(self, conn, digest: str, spec) -> None:
-        """Execute one shard spec, streaming its lane blocks back.
+        """Execute one shard spec, streaming its row blocks back.
 
         Worker-side exceptions travel as ``("error", ...)`` messages —
         a failed rebuild or a family-schema error must reach the

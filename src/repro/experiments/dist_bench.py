@@ -15,7 +15,8 @@ socket directions, block reassembly) from real network latency:
   ``chunk_lanes`` values, recording wall time *and* the dispatcher's
   peak resident result-buffer bytes (:class:`~repro.parallel.blocks.
   BlockBudget` high-water mark): the memory/latency trade the streamed
-  lane blocks buy;
+  row blocks buy — each block holds at most ``chunk_lanes × samples``
+  lane-samples of a shard;
 * **link overhead** — the measured echo round-trip per agent
   (:func:`~repro.dist.probe.probe_link_overhead`): what every
   dispatched shard pays at least once (``link_overhead_s``);
@@ -47,7 +48,7 @@ from repro.parallel.executor import prepare_job
 from repro.parallel.spec import DriveSpec, EnsembleSpec
 
 EXPERIMENT_ID = "EXP-B8"
-TITLE = "Multi-host dispatch: wire overhead and streamed lane blocks"
+TITLE = "Multi-host dispatch: wire overhead and streamed row blocks"
 
 
 def _bitwise(reference, other) -> bool:
@@ -209,9 +210,10 @@ def run(
         f"dispatch vs local pool: {dispatch_overhead:+.3f} s at "
         f"N = {n_cores} (localhost sockets isolate protocol cost; a "
         "real fleet trades this against remote cores)",
-        "smaller chunk_lanes lowers the dispatcher's peak resident "
-        "result-buffer bytes and adds per-block round trips — the "
-        "memory/latency trade streamed lane blocks expose",
+        "smaller chunk_lanes cuts each shard's samples into more, "
+        "shorter row blocks: a lower peak of resident result-buffer "
+        "bytes at the dispatcher, more per-block round trips — the "
+        "memory/latency trade streamed row blocks expose",
         "every dispatched configuration is bitwise equal to the "
         "single-process run — dispatch is a transport, never a "
         "numerics change",

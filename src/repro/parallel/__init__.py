@@ -23,9 +23,10 @@ relay tensors, long scenario campaigns, grid sweeps
 
 from repro.parallel.blocks import (
     BlockBudget,
-    LaneBlock,
+    RowBlock,
     iter_shard_blocks,
     plan_lane_blocks,
+    plan_row_blocks,
 )
 from repro.parallel.executor import (
     MAX_WORKERS_ENV,
@@ -43,11 +44,12 @@ __all__ = [
     "DriveSpec",
     "EnsembleSpec",
     "GridCell",
-    "LaneBlock",
+    "RowBlock",
     "ShardSpec",
     "available_cpus",
     "iter_shard_blocks",
     "plan_lane_blocks",
+    "plan_row_blocks",
     "plan_shards",
     "resolve_workers",
     "run_scenario_grid",

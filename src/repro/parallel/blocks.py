@@ -1,15 +1,18 @@
-"""Lane blocks and the one result assembly every shard route shares.
+"""Row blocks and the one result assembly every shard route shares.
 
 A :class:`~repro.parallel.spec.ShardSpec` normally materialises its
 whole ``(samples, width)`` result before anything downstream sees it.
 At million-lane scale that buffer is the memory ceiling, so this module
-splits a shard's *result* axis into contiguous **lane blocks**: the
-shard's sub-ensemble is built once, then each block re-shards it
-(``batch.shard(a, b)`` — a freshly reset sub-batch, bitwise per lane,
-the PR 3 guarantee) and runs only that column range.  Writing the
-blocks back by absolute lane range is the same column reassembly the
-sharded executor relies on, so chunked execution is **bitwise
-identical** to the unchunked shard run.
+can split a shard's result along its *sample* axis into contiguous
+**row blocks**: the shard's sub-ensemble and samples are built once,
+then each block drives all of the shard's lanes over one sample range,
+resuming the state the previous range left.  The timeless
+discretisation advances a core on field increments alone, so the state
+after sample ``i`` is all sample ``i + 1`` needs: the segmented run is
+**bitwise identical** to the unchunked one, and its per-lane counter
+deltas sum to the unchunked totals.  A row block pays the fused loop's
+per-sample overhead once for every lane of the shard, where a lane
+block paid it once per block.
 
 Blocks travel differently per route — handed over in process, written
 into the pool's shared memory, or streamed over a :mod:`repro.dist`
@@ -33,20 +36,22 @@ from repro.parallel.spec import ShardSpec
 
 
 @dataclass(frozen=True)
-class LaneBlock:
-    """One streamed slice of a shard's result: absolute lanes
-    ``[start, stop)`` of the full ensemble.
+class RowBlock:
+    """One streamed slice of a shard's result: samples ``[row_start,
+    row_stop)`` of absolute lanes ``[start, stop)``, the shard's lanes.
 
-    Arrays are per-sample columns for exactly this lane range;
-    ``counters`` are the tiny per-lane ``(width,)`` counter arrays the
-    block's run recorded.  Blocks are self-describing (absolute lane
-    range plus payload), so writing one into a full-width output buffer
-    is idempotent — a re-dispatched shard may rewrite its blocks after
-    a worker death without corrupting anything.
+    Arrays hold exactly those rows and lanes; ``counters`` are the tiny
+    per-lane ``(width,)`` counter deltas the block's run recorded.
+    Blocks are self-describing (absolute lane and row ranges plus
+    payload), so writing one into a full-size output buffer is
+    idempotent — a re-dispatched shard may rewrite its blocks after a
+    worker death without corrupting anything.
     """
 
     start: int
     stop: int
+    row_start: int
+    row_stop: int
     m: np.ndarray
     b: np.ndarray
     updated: np.ndarray
@@ -54,16 +59,13 @@ class LaneBlock:
     counters: dict[str, np.ndarray] = field(default_factory=dict)
 
     @property
-    def width(self) -> int:
-        return self.stop - self.start
-
-    @property
     def nbytes(self) -> int:
-        """Resident result-buffer bytes this block holds."""
+        """Result-buffer bytes this block holds: its per-sample arrays,
+        the part ``chunk_lanes`` bounds.  Its counters, a ``(width,)``
+        array a key that every block of a shard carries, never land in
+        a result buffer and are not counted."""
         total = self.m.nbytes + self.b.nbytes + self.updated.nbytes
-        total += sum(arr.nbytes for arr in self.extras.values())
-        total += sum(np.asarray(arr).nbytes for arr in self.counters.values())
-        return total
+        return total + sum(arr.nbytes for arr in self.extras.values())
 
 
 def plan_lane_blocks(
@@ -71,6 +73,10 @@ def plan_lane_blocks(
 ) -> list[tuple[int, int]]:
     """Contiguous absolute lane ranges covering ``[start, stop)``, each
     at most ``chunk_lanes`` wide (``None``: one block, the whole range).
+
+    No shard runs as lane blocks any more (:func:`plan_row_blocks`
+    cuts them); this plan is kept, unchanged, because perfbench's
+    traced ``dist.blocks`` count still calls it.
 
     Blocks tile the range in lane order with the remainder on the final
     block, so the plan is a pure function of ``(start, stop,
@@ -93,57 +99,59 @@ def plan_lane_blocks(
     ]
 
 
+def plan_row_blocks(
+    width: int, samples: int, chunk_lanes: int | None
+) -> list[tuple[int, int]]:
+    """The fewest near-even row ranges tiling ``[0, samples)`` whose
+    blocks hold at most ``chunk_lanes × samples`` lane-samples of a
+    ``width``-lane shard — the bound a ``chunk_lanes``-wide lane block
+    held — or one row, when a single row is wider than that.
+
+    ``None``, or a ``chunk_lanes`` of at least ``width``, is one block.
+    Otherwise ``k = ceil(samples / rows)`` blocks with ``rows =
+    max(1, floor(chunk_lanes · samples / width))``, block ``j`` taking
+    rows ``[j · samples // k, (j + 1) · samples // k)``.  A pure
+    function of its arguments, in row order, with no empty block.
+    """
+    if width < 1 or samples < 1:
+        raise ParameterError(
+            f"a {width}-lane, {samples}-sample shard has no rows to block"
+        )
+    if chunk_lanes is not None and chunk_lanes < 1:
+        raise ParameterError(f"chunk_lanes must be >= 1, got {chunk_lanes}")
+    if chunk_lanes is None or chunk_lanes >= width:
+        return [(0, samples)]
+    rows = max(1, chunk_lanes * samples // width)
+    k = -(-samples // rows)
+    return [(j * samples // k, (j + 1) * samples // k) for j in range(k)]
+
+
 def iter_shard_blocks(spec: ShardSpec):
-    """Yield a shard's result as :class:`LaneBlock`\\ s in lane order.
+    """Yield a shard's result as :class:`RowBlock`\\ s in row order.
 
     The shard's sub-ensemble and its shard-local samples are built
-    **once**; every block is a fresh ``batch.shard`` slice of that
-    sub-ensemble (reset, bitwise per lane) driven over its own sample
-    columns, so at no point does a result buffer wider than
-    ``spec.chunk_lanes`` lanes exist in this process.  Each block's run
-    pins ``thread_limit(spec.threads)`` for exactly its own duration —
-    the limit never spans a ``yield``, so consumer code between blocks
-    runs under ambient threading.
-
-    ``batch.shard`` is not part of the batch protocol, so a family
-    without it cannot be cut into several blocks: that raises
-    :class:`~repro.errors.ParameterError` before any block runs.
+    **once**.  Each block drives every lane of the shard over its rows
+    of :func:`plan_row_blocks` — the first from a reset, each later one
+    from the state the previous block left — so at no point does a
+    result buffer larger than ``spec.chunk_lanes × samples``
+    lane-samples exist in this process (one row at the least).  An
+    unchunked shard is one block: exactly the one-shot run.  Each
+    block's run pins ``thread_limit(spec.threads)`` for exactly its own
+    duration — the limit never spans a ``yield``, so consumer code
+    between blocks runs under ambient threading.
     """
     from repro.backend import thread_limit
 
     samples = spec.build_samples()
     batch = spec.build_batch()
-    bounds = plan_lane_blocks(spec.start, spec.stop, spec.chunk_lanes)
-    if len(bounds) == 1:
-        # Unchunked (or one-block) shards skip the re-shard: the built
-        # batch *is* the block, exactly the pre-chunking code path.
+    for r0, r1 in plan_row_blocks(spec.width, len(samples), spec.chunk_lanes):
         with thread_limit(spec.threads):
-            part = run_batch_series(batch, samples)
-        yield LaneBlock(
+            part = run_batch_series(batch, samples[r0:r1], reset=(r0 == 0))
+        yield RowBlock(
             start=spec.start,
             stop=spec.stop,
-            m=part.m,
-            b=part.b,
-            updated=part.updated,
-            extras=part.extras,
-            counters=part.counters,
-        )
-        return
-    if not callable(getattr(batch, "shard", None)):
-        raise ParameterError(
-            f"family {spec.family!r} cannot run with chunk_lanes="
-            f"{spec.chunk_lanes}: its batch has no shard(start, stop) "
-            "method to cut lane blocks with"
-        )
-    for a, b in bounds:
-        ra, rb = a - spec.start, b - spec.start
-        sub = batch.shard(ra, rb)
-        cols = samples if samples.ndim == 1 else samples[:, ra:rb]
-        with thread_limit(spec.threads):
-            part = run_batch_series(sub, cols)
-        yield LaneBlock(
-            start=a,
-            stop=b,
+            row_start=r0,
+            row_stop=r1,
             m=part.m,
             b=part.b,
             updated=part.updated,
@@ -153,23 +161,25 @@ def iter_shard_blocks(spec: ShardSpec):
 
 
 def drain_shard(spec: ShardSpec, write, blocks=None) -> dict[str, np.ndarray]:
-    """Hand one shard's lane blocks to ``write`` as they arrive, and
-    return the shard's merged counters for
-    :meth:`ShardAssembly.commit_shard`.
+    """Hand one shard's row blocks to ``write`` as they arrive, and
+    return the shard's counters for :meth:`ShardAssembly.commit_shard`.
 
-    ``blocks`` defaults to running the shard in this process
-    (:func:`iter_shard_blocks`) — the local drain behind the serial
-    fallback, pool workers and the dispatcher's leftovers; the
+    Each block's counters are per-lane deltas over the shard's one lane
+    range, so the shard's are their sums; a key a block never
+    registered (a family may register a counter lazily, mid-run) counts
+    as zero there.  ``blocks`` defaults to running the shard in this
+    process (:func:`iter_shard_blocks`) — the local drain behind the
+    serial fallback, pool workers and the dispatcher's leftovers; the
     dispatcher passes the blocks arriving off the wire instead.
     """
     if blocks is None:
         blocks = iter_shard_blocks(spec)
-    counters, widths = [], []
+    totals: dict[str, np.ndarray] = {}
     for block in blocks:
         write(block)
-        counters.append(block.counters)
-        widths.append(block.width)
-    return merge_shard_counters(counters, widths)
+        for key, value in block.counters.items():
+            totals[key] = totals[key] + value if key in totals else value
+    return totals
 
 
 def _private(channel: str, shape, dtype) -> np.ndarray:
@@ -177,7 +187,7 @@ def _private(channel: str, shape, dtype) -> np.ndarray:
 
 
 class ShardAssembly:
-    """The full-width output buffers one job's lane blocks land in.
+    """The full-size output buffers one job's row blocks land in.
 
     The one place that knows a sharded run's output layout — ``m`` and
     ``b`` float64, ``updated`` bool, each extras channel at its schema
@@ -187,7 +197,8 @@ class ShardAssembly:
     workers over shared-memory views of the parent's buffers, and the
     dispatcher with blocks off the wire.
 
-    Writes go by absolute lane range into disjoint column slices, so
+    Writes go by absolute row and lane range into disjoint slices —
+    shards own disjoint columns, a shard's blocks disjoint rows — so
     concurrent writers never overlap and a retried shard's rewrite is a
     no-op by value.  Counters commit per shard, once its stream has
     completed, so a half-streamed attempt leaves no residue.
@@ -209,10 +220,11 @@ class ShardAssembly:
         }
         self._counters: dict = {}
 
-    def write_block(self, block: LaneBlock) -> None:
-        """Write one block's columns, after checking its extras — names
-        and dtypes — against the schema the buffers were laid out from.
-        Drift is an error, never a silently coerced column."""
+    def write_block(self, block: RowBlock) -> None:
+        """Write one block's rows ``[row_start, row_stop)`` of lanes
+        ``[start, stop)``, after checking its extras — names and dtypes
+        — against the schema the buffers were laid out from.  Drift is
+        an error, never a silently coerced column."""
         recorded = {key: values.dtype for key, values in block.extras.items()}
         expected = {key: values.dtype for key, values in self.extras.items()}
         if recorded != expected:
@@ -222,12 +234,15 @@ class ShardAssembly:
                 f"expected {_describe(expected)}; the schema (registry "
                 "declaration or pre-run probe) is stale"
             )
-        lanes = slice(block.start, block.stop)
-        self.m[:, lanes] = block.m
-        self.b[:, lanes] = block.b
-        self.updated[:, lanes] = block.updated
+        cut = (
+            slice(block.row_start, block.row_stop),
+            slice(block.start, block.stop),
+        )
+        self.m[cut] = block.m
+        self.b[cut] = block.b
+        self.updated[cut] = block.updated
         for key, values in block.extras.items():
-            self.extras[key][:, lanes] = values
+            self.extras[key][cut] = values
 
     def commit_shard(self, start: int, stop: int, counters) -> None:
         self._counters[(start, stop)] = counters

@@ -13,7 +13,7 @@ bit — of ``h``/``m``/``b``/``updated``, the extras channels, or the
 per-core counters.
 
 Workers never receive live models (see :mod:`repro.parallel.spec`) and
-never pickle trajectories back.  Every route lands its lane blocks in
+never pickle trajectories back.  Every route lands its row blocks in
 one :class:`~repro.parallel.blocks.ShardAssembly`; for the pool, the
 parent lays that assembly's buffers out in shared memory and each
 worker writes its column range through views of the same segments.
@@ -160,9 +160,9 @@ def prepare_job(
     (:func:`resolve_route` clamps plans to ``workers x threads <=
     available_cpus()``).
     ``chunk_lanes`` likewise travels inside each spec: the executing
-    process streams its shard in lane blocks at most that wide
-    (:mod:`repro.parallel.blocks`) instead of materialising the whole
-    shard result at once.
+    process streams its shard in row blocks of at most ``chunk_lanes ×
+    samples`` lane-samples (:mod:`repro.parallel.blocks`) instead of
+    materialising the whole shard result at once.
     """
     n_total = _ensemble_lanes(source)
     family = source.family
@@ -249,7 +249,7 @@ def _resolve_drive(
 
 def run_job_serial(job: _CellJob) -> BatchSweepResult:
     """The n_workers=1 fallback: the same shard specs, run in this
-    process, every lane block landing straight in one assembly."""
+    process, every row block landing straight in one assembly."""
     assembly = ShardAssembly(job)
     for spec in job.specs:
         counters = drain_shard(spec, assembly.write_block)
@@ -310,7 +310,7 @@ def _shared_assembly(job: _CellJob, owned: list):
 
 
 def _worker(task: "tuple[ShardSpec, _Segments]"):
-    """Pool entry point: rebuild and run one shard, writing every lane
+    """Pool entry point: rebuild and run one shard, writing every row
     block into the parent's shared buffers as soon as it exists (a
     chunked worker never holds more than one block of result data);
     returns the shard's counters."""
@@ -355,10 +355,11 @@ class Route:
     """Which transport runs one call's prepared jobs, and how wide.
 
     ``workers`` is the pool width: a live pool's width, else the
-    resolved ``n_workers``; on a ``hosts`` fleet it is every job's shard
-    count.  It knows nothing of lanes: :func:`~repro.parallel.plan.
-    plan_shards` clamps a job to its lanes when the job is cut, and
-    :meth:`shards_per_job` says how many shards to ask for.
+    resolved ``n_workers``; on a ``hosts`` fleet it is the fleet's
+    width, ``n_workers`` or one per host.  It knows nothing of lanes:
+    :func:`~repro.parallel.plan.plan_shards` clamps a job to its lanes
+    when the job is cut, and :meth:`shards_per_job` says how many
+    shards to ask for.
     ``threads`` is the lane-thread count each shard pins, and
     ``backend`` the backend every source is pinned to (``None``: each
     keeps its own).  The transport is the ``hosts`` fleet when set,
@@ -377,16 +378,14 @@ class Route:
     def shards_per_job(self, jobs: int) -> int:
         """The shards each of ``jobs`` jobs sent in one call is cut into.
 
-        On a local transport, ``ceil(workers / jobs)``: a call offers
-        the pool at least ``workers`` tasks, and whole jobs as soon as
-        there are as many jobs as workers — per-sample overhead makes a
-        lane cut cost more than it saves once every worker is busy.  A
-        single run (``jobs=1``) is cut ``workers`` ways.  A fleet cuts
-        every job into ``workers`` shards.  Either count is clamped to
-        each job's lanes when :func:`prepare_job` cuts it.
+        ``ceil(workers / jobs)``, on every transport: a call offers
+        the pool or fleet at least ``workers`` tasks, and whole jobs as
+        soon as there are as many jobs as workers — per-sample overhead
+        makes a lane cut cost more than it saves once every worker is
+        busy.  A single run (``jobs=1``) is cut ``workers`` ways.  The
+        count is clamped to each job's lanes when :func:`prepare_job`
+        cuts it.
         """
-        if self.hosts:
-            return self.workers
         return -(-self.workers // jobs)
 
 
@@ -422,7 +421,7 @@ def resolve_route(
     (a job is, when it is cut: :meth:`Route.shards_per_job`).  A
     plan's lane threads are clamped so ``workers x threads <=
     available_cpus()``.  ``hosts=`` is the one way to dispatch: it
-    takes no plan, and ``n_workers`` names its shard count (default:
+    takes no plan, and ``n_workers`` names the fleet's width (default:
     one per host; below one raises here).
     """
     auto = isinstance(plan, str) and plan == "auto"
@@ -549,8 +548,8 @@ def run_single(
     """Run one drive on a route from :func:`resolve_route`: settle it,
     cut the job on the route's backend and run it on the route's
     transport.  The one job is cut into ``route.shards_per_job(1)``
-    lane shards (the pool width, or a fleet's shard count), clamped to
-    its lanes; a job left with one shard runs in this process.
+    lane shards (the pool's or fleet's width), clamped to its lanes; a
+    job left with one shard runs in this process.
     ``dispatcher_options`` reach a ``hosts=`` route's
     :class:`~repro.dist.dispatch.Dispatcher`."""
     route = settle(partial(_price_run, source, drive))
@@ -627,15 +626,18 @@ def run_sharded(
         pool is never closed here: it outlives this call by design.
     chunk_lanes:
         Bounded-memory mode: every shard streams its result in
-        contiguous lane blocks at most this wide
-        (:mod:`repro.parallel.blocks`) instead of materialising the
-        whole shard buffer at once.  ``None`` (default) keeps the
-        one-shot path.  Chunking never changes a bit of the output —
-        blocks concatenate exactly like shards do.
+        contiguous row blocks — sample ranges across all of the
+        shard's lanes — of at most ``chunk_lanes × samples``
+        lane-samples each, one row at the least
+        (:mod:`repro.parallel.blocks`), instead of materialising the
+        whole shard buffer at once.  ``None`` (default), or a value of
+        at least the shard's width, keeps the one-shot path.  Chunking
+        never changes a bit of the output: each block resumes the state
+        the previous one left.
     hosts:
         A sequence of ``"host:port"`` worker-agent addresses
         (:mod:`repro.dist`): the run dispatches over the sockets
-        instead of a local pool, streaming the same lane blocks over
+        instead of a local pool, streaming the same row blocks over
         the wire, with ``n_workers`` shards (default: one per host).
         Mutually exclusive with ``pool=`` / ``mp_context=`` and with
         any ``plan=``: ``hosts=`` is the one way to dispatch.  Each

@@ -6,13 +6,12 @@ amplitudes).  A grid cell is one ``(family, scenario, h_max)``
 combination over an ``n_cores`` registry ensemble, and **all** cells
 funnel through one transport: one pool map, or one dispatch, per chunk
 of cells, so only a bounded number of cells hold output buffers at a
-time.  On a local pool each worker takes whole cells; a cell's lanes
-are cut only when a chunk has fewer cells than the pool has workers
-(:meth:`~repro.parallel.executor.Route.shards_per_job`), because the
-fused loop's per-sample overhead makes a lane cut cost more than it
-saves once every worker is busy.  A fleet cuts every cell into its
-``n_workers`` shards.  Each cell's result is bitwise identical to
-running that cell alone through
+time.  Each pool worker or fleet agent takes whole cells; a cell's
+lanes are cut only when a chunk has fewer cells than the pool or fleet
+has workers (:meth:`~repro.parallel.executor.Route.shards_per_job`),
+because the fused loop's per-sample overhead makes a lane cut cost
+more than it saves once every worker is busy.  Each cell's result is
+bitwise identical to running that cell alone through
 :func:`repro.batch.sweep.run_batch_series`.
 
 The grid has one body for every route.  It checks its route arguments
@@ -235,9 +234,10 @@ def run_scenario_grid(
     are prepared lazily, chunk by chunk, long after this call starts).
     Cells run :data:`CHUNK_CELLS` at a time, which bounds how many of
     them hold live sample matrices and output buffers at once.  On a
-    local pool of width W, each cell of a chunk of c cells is cut into
-    ``ceil(W / c)`` lane shards, at most its lanes: whole cells per
-    worker once a chunk holds W cells, lane cuts only to fill the pool.
+    pool or fleet of width W, each cell of a chunk of c cells is cut
+    into ``ceil(W / c)`` lane shards, at most its lanes: whole cells
+    per worker once a chunk holds W cells, lane cuts only to fill the
+    pool or fleet.
 
     Duplicate ``(family, scenario, h_max)`` combinations are collapsed
     before planning: each unique cell is computed once and every
@@ -259,14 +259,16 @@ def run_scenario_grid(
     (numpy's bitwise tier and numba's rtol tier never cross-serve), and
     every cell already carries the grid's ``backend``.
 
-    ``chunk_lanes`` streams every cell's shards in bounded lane blocks
+    ``chunk_lanes`` streams every cell's shards in row blocks of at
+    most ``chunk_lanes × samples`` lane-samples
     (:mod:`repro.parallel.blocks`) — bitwise-neutral, memory-bounded.
     ``hosts`` dispatches the whole campaign across ``"host:port"``
     :mod:`repro.dist` worker agents instead of a local pool: unique
     cells flow through one shared dispatcher (its digest-keyed dedup
-    table spans each chunk), ``n_workers`` names the per-cell shard
-    count (default: one per host), and an unreachable fleet degrades
-    to the local executor with a logged warning.  ``hosts`` is the one
+    table spans each chunk), ``n_workers`` names the fleet's width
+    (default: one per host) exactly as it names a local pool's, so each
+    agent takes whole cells, and an unreachable fleet degrades to the
+    local executor with a logged warning.  ``hosts`` is the one
     way to dispatch, and :func:`~repro.dist.dispatch.run_distributed`
     is where a fleet's authkey, deadlines and buffer ceiling are set.
 

@@ -223,12 +223,14 @@ class ShardSpec:
     pooled shards always carry 1.
 
     ``chunk_lanes`` selects bounded-memory execution: the executing
-    process streams the shard's result as contiguous lane blocks at
-    most this wide (:mod:`repro.parallel.blocks`) instead of
-    materialising the whole ``(samples, width)`` buffer at once.
-    ``None`` (default) keeps the one-shot path.  Chunking travels with
-    the spec — like ``threads`` — so local pools and remote
-    :mod:`repro.dist` workers honour the same bound.
+    process streams the shard's result as contiguous row blocks —
+    sample ranges across all ``width`` lanes — of at most
+    ``chunk_lanes × samples`` lane-samples, one row at the least
+    (:mod:`repro.parallel.blocks`), instead of materialising the whole
+    ``(samples, width)`` buffer at once.  ``None`` (default) keeps the
+    one-shot path.  Chunking travels with the spec — like ``threads``
+    — so local pools and remote :mod:`repro.dist` workers honour the
+    same bound.
 
     ShardSpecs compare by identity (``eq=False``): payloads hold
     ndarrays and engine configuration objects, for which a generated

@@ -348,6 +348,41 @@ class TestNumbaDriverSemantics:
         # the applied-field state advanced exactly (driver commit)
         assert np.array_equal(fused_batch.h, loop_batch.h)
 
+    @pytest.mark.parametrize("name", ["timeless", "preisach", "time-domain"])
+    def test_driver_resumes_a_cut_series_bitwise(self, name, monkeypatch):
+        """A series cut into several fused calls — row blocks — is the
+        one call, bit for bit: each call resumes the state the last one
+        committed, and the Preisach driver seeds its relay sum the way
+        its loop adds, so a cut carries exactly the value one call
+        would have held."""
+        numba_backend = self._interpreted(monkeypatch)
+        run = {
+            "timeless": numba_backend._timeless_fused_series,
+            "preisach": numba_backend._preisach_fused_series,
+            "time-domain": numba_backend._time_domain_fused_series,
+        }[name]
+        family = get_family(name)
+        whole_batch = family.make_batch(3, seed=5)
+        h = drive(family.h_scale / 10e3)
+        whole_batch.begin_series(h[0])
+        whole = run(whole_batch, h)
+        for segments in (2, 3, 7):
+            batch = family.make_batch(3, seed=5)
+            batch.begin_series(h[0])
+            n = len(h)
+            parts = [
+                run(batch, h[j * n // segments:(j + 1) * n // segments])
+                for j in range(segments)
+            ]
+            for i in range(3):
+                joined = np.concatenate([part[i] for part in parts])
+                assert np.array_equal(joined, whole[i]), (segments, i)
+            totals = batch.counter_totals()
+            expected = whole_batch.counter_totals()
+            assert totals.keys() == expected.keys()
+            for key in expected:
+                assert np.array_equal(totals[key], expected[key]), key
+
     def test_preisach_driver_rejects_non_finite(self, monkeypatch):
         numba_backend = self._interpreted(monkeypatch)
         batch = get_family("preisach").make_batch(2)

@@ -1,4 +1,4 @@
-"""Multi-host dispatch: wire protocol, streamed lane blocks, bitwise
+"""Multi-host dispatch: wire protocol, streamed row blocks, bitwise
 reassembly, robustness.
 
 The load-bearing suites mirror the executor's equivalence contract one
@@ -45,6 +45,7 @@ from repro.parallel import (
     EnsembleSpec,
     iter_shard_blocks,
     plan_lane_blocks,
+    plan_row_blocks,
     run_scenario_grid,
     run_sharded,
 )
@@ -112,6 +113,8 @@ class TestLaneBlocks:
 
     @pytest.mark.parametrize("chunk_lanes", [1, 2, 5, None])
     def test_chunked_shard_is_bitwise_identical(self, chunk_lanes):
+        """A chunked shard streams row blocks: every block carries all
+        of the shard's lanes over the next rows of its row plan."""
         ensemble = EnsembleSpec(family="timeless", n_cores=N_CORES)
         job = prepare_job(
             ensemble,
@@ -120,8 +123,13 @@ class TestLaneBlocks:
             chunk_lanes=chunk_lanes,
         )
         (spec,) = job.specs
-        blocks = [(b.start, b.stop) for b in iter_shard_blocks(spec)]
-        assert blocks == plan_lane_blocks(0, N_CORES, chunk_lanes)
+        blocks = list(iter_shard_blocks(spec))
+        samples = len(job.h_full)
+        assert {(b.start, b.stop) for b in blocks} == {(0, N_CORES)}
+        assert [(b.row_start, b.row_stop) for b in blocks] == (
+            plan_row_blocks(N_CORES, samples, chunk_lanes)
+        )
+        assert (len(blocks) > 1) == (chunk_lanes is not None)
         assert_results_bitwise_equal(reference_result(), run_job_serial(job))
 
     def test_budget_tracks_peak_and_rejects_oversize(self):
@@ -257,8 +265,8 @@ class TestRunDistributed:
         ensemble = EnsembleSpec(family="timeless", n_cores=N_CORES)
         job = prepare_job(ensemble, _drive(), 2, chunk_lanes=1)
         sample_count = len(job.h_full)
-        # Generous enough for one single-lane block, far below the
-        # full (samples, 7) result buffer.
+        # Generous enough for one block of at most chunk_lanes x samples
+        # lane-samples, far below the full (samples, 7) result buffer.
         ceiling = 64 * sample_count
         with Dispatcher(fleet, max_buffer_bytes=ceiling) as dispatcher:
             (result,) = dispatcher.run_jobs([job])
@@ -464,17 +472,18 @@ class _StreamAgent(_BadAgent):
         send_message(conn, (MSG_DONE, digest, len(blocks)))
 
 
-def _shifted(block, lanes: int):
+def _shifted(block, rows: int):
     return dataclasses.replace(
-        block, start=block.start + lanes, stop=block.stop + lanes
+        block, row_start=block.row_start + rows, row_stop=block.row_stop + rows
     )
 
 
 class _ShardLocalAgent(_StreamAgent):
-    """Labels every block with shard-local lanes."""
+    """Labels every block's rows from 0, in a frame of its own instead
+    of the job's sample axis."""
 
     def rewrite(self, spec, blocks):
-        return [_shifted(block, -spec.start) for block in blocks]
+        return [_shifted(block, -block.row_start) for block in blocks]
 
 
 class _RepeatedBlockAgent(_StreamAgent):
@@ -485,23 +494,24 @@ class _RepeatedBlockAgent(_StreamAgent):
 
 
 class _OverlappingBlockAgent(_StreamAgent):
-    """Labels every block after the first one lane early."""
+    """Labels every block after the first one row early."""
 
     def rewrite(self, spec, blocks):
         return blocks[:1] + [_shifted(block, -1) for block in blocks[1:]]
 
 
 class _OverlongBlockAgent(_StreamAgent):
-    """Streams its shard plus the next lane, as one block."""
+    """Labels its last block one row past the job's last sample."""
 
     def rewrite(self, spec, blocks):
-        return list(iter_shard_blocks(
-            dataclasses.replace(spec, stop=spec.stop + 1, chunk_lanes=None)
-        ))
+        last = blocks[-1]
+        return blocks[:-1] + [
+            dataclasses.replace(last, row_stop=last.row_stop + 1)
+        ]
 
 
 class _ShortBlockAgent(_StreamAgent):
-    """Drops the last sample of every block."""
+    """Drops the last sample of every block, keeping its row range."""
 
     def rewrite(self, spec, blocks):
         return [
@@ -512,6 +522,39 @@ class _ShortBlockAgent(_StreamAgent):
             )
             for block in blocks
         ]
+
+
+class _LaneBlockAgent(_StreamAgent):
+    """Streams its shard as two lane blocks over every row, the way a
+    version-1 agent cut it."""
+
+    def rewrite(self, spec, blocks):
+        (whole,) = blocks
+        half = spec.width // 2
+        return [
+            dataclasses.replace(
+                whole, start=spec.start + lo, stop=spec.start + hi,
+                m=whole.m[:, lo:hi], b=whole.b[:, lo:hi],
+                updated=whole.updated[:, lo:hi],
+                extras={k: v[:, lo:hi] for k, v in whole.extras.items()},
+                counters={k: v[lo:hi] for k, v in whole.counters.items()},
+            )
+            for lo, hi in ((0, half), (half, spec.width))
+        ]
+
+
+class _SkippingAgent(_StreamAgent):
+    """Never sends its second block."""
+
+    def rewrite(self, spec, blocks):
+        return blocks[:1] + blocks[2:]
+
+
+class _EarlyDoneAgent(_StreamAgent):
+    """Declares its shard done before sending its last block."""
+
+    def rewrite(self, spec, blocks):
+        return blocks[:-1]
 
 
 class _ForeignExtraAgent(_StreamAgent):
@@ -588,7 +631,9 @@ class _HangUpAgent(_BadAgent):
         conn.close()
 
 
-#: The bad-peer job: 8 timeless lanes in two shards, [0, 4) and [4, 8).
+#: The bad-peer job: 8 timeless lanes in two shards, [0, 4) and [4, 8),
+#: over 44 samples.  chunk_lanes=2 cuts each shard's rows [0, 22) +
+#: [22, 44); chunk_lanes=1 cuts them in four blocks of 11 rows.
 BAD_PEER_LANES = 8
 
 
@@ -629,6 +674,11 @@ def _unknown_kind_then_ping(bad, live):
 #: for bit, after the dispatcher requeued the bad agent's shard.
 BITWISE = "bitwise after a requeue"
 
+#: What a ``pong`` without a version is told it should have said.
+VERSIONLESS_PONG = (
+    rf"answered \('pong',\); expected \('pong', {PROTOCOL_VERSION}\)"
+)
+
 #: (id, agent, call(bad, live), outcome, live agent reconnects).  The
 #: outcome is an (exception type, message regex), BITWISE, or the
 #: exact value the call returns.
@@ -647,10 +697,10 @@ BAD_PEERS = [
      (DistError, "must be 'host:port', got 'localhost'"), True),
     ("pong-without-a-version", _VersionlessPongAgent,
      lambda bad, live: Dispatcher([bad]),
-     (DistError, r"answered \('pong',\); expected \('pong', 1\)"), False),
+     (DistError, VERSIONLESS_PONG), False),
     ("probe-pong-without-a-version", _VersionlessPongAgent,
      lambda bad, live: probe_link_overhead(bad),
-     (DistError, r"answered \('pong',\); expected \('pong', 1\)"), False),
+     (DistError, VERSIONLESS_PONG), False),
     ("ping-answered-with-another-kind", _EchoingPingAgent,
      lambda bad, live: Dispatcher([bad]),
      (DistError, "expected a 'pong' message, got 'echo'"), False),
@@ -660,22 +710,31 @@ BAD_PEERS = [
     ("probe-other-version", _OtherVersionAgent,
      lambda bad, live: probe_link_overhead(bad),
      (DistError, "mismatched protocol versions"), False),
-    ("shard-local-labels", _ShardLocalAgent, on_bad(),
-     (DistError, r"shard \[4, 8\) received lanes \[0, 4\); the next "
-      r"block must start at lane 4"), False),
+    ("shard-local-labels", _ShardLocalAgent, on_bad(chunk_lanes=1),
+     (DistError, r"shard \[0, 4\) received rows \[0, 11\); the next "
+      r"block must start at row 11"), False),
     ("repeated-block", _RepeatedBlockAgent, on_bad(chunk_lanes=2),
-     (DistError, r"shard \[0, 4\) received lanes \[0, 2\); the next "
-      r"block must start at lane 2"), False),
+     (DistError, r"shard \[0, 4\) received rows \[0, 22\); the next "
+      r"block must start at row 22"), False),
     ("overlapping-block", _OverlappingBlockAgent, on_bad(chunk_lanes=2),
-     (DistError, r"shard \[0, 4\) received lanes \[1, 3\); the next "
-      r"block must start at lane 2"), False),
-    ("block-past-its-shard", _OverlongBlockAgent, on_bad(),
-     (DistError, r"shard \[0, 4\) received lanes \[0, 5\); .* end "
-      r"within 4"), False),
+     (DistError, r"shard \[0, 4\) received rows \[21, 43\); the next "
+      r"block must start at row 22"), False),
+    ("block-past-its-shard", _OverlongBlockAgent, on_bad(chunk_lanes=2),
+     (DistError, r"shard \[0, 4\) received rows \[22, 45\); .* end "
+      r"within 44"), False),
+    ("lanes-not-the-shards", _LaneBlockAgent, on_bad(),
+     (DistError, r"shard \[0, 4\) received lanes \[0, 2\); every block "
+      r"must carry the shard's lanes"), False),
+    ("skipped-rows", _SkippingAgent, on_bad(chunk_lanes=1),
+     (DistError, r"shard \[0, 4\) received rows \[22, 33\); the next "
+      r"block must start at row 11"), False),
+    ("done-before-the-last-row", _EarlyDoneAgent, on_bad(chunk_lanes=2),
+     (DistError, r"shard \[0, 4\) streamed 4 lanes but declared done "
+      r"at row 22 of 44"), False),
     ("stall-mid-stream", _StallingAgent,
      on_bad_then_live(chunk_lanes=2, deadline_s=1.0), BITWISE, False),
-    ("hang-up-before-done", _HangUpAgent, on_bad_then_live(), BITWISE,
-     False),
+    ("hang-up-before-done", _HangUpAgent, on_bad_then_live(chunk_lanes=2),
+     BITWISE, False),
     ("block-over-the-byte-ceiling", WorkerAgent,
      on_bad(max_buffer_bytes=64),
      (DistError, r"shard \[0, 4\) failed dispatcher-side(?s:.*)"
@@ -695,9 +754,10 @@ BAD_PEERS = [
     ("not-a-tuple", _NotATupleAgent, on_bad(),
      (DistError, r"shard \[0, 4\) failed dispatcher-side(?s:.*)"
       r"TypeError"), False),
-    ("wrong-sample-count", _ShortBlockAgent, on_bad(),
+    ("wrong-sample-count", _ShortBlockAgent, on_bad(chunk_lanes=2),
      (DistError, r"shard \[0, 4\) failed dispatcher-side(?s:.*)"
-      r"could not broadcast"), False),
+      r"could not broadcast input array from shape \(21,4\) into "
+      r"shape \(22,4\)"), False),
     ("unknown-kind-to-an-agent", WorkerAgent, _unknown_kind_then_ping,
      [("error", None, "unknown message kind 'frobnicate'"),
       ("pong", PROTOCOL_VERSION)], False),
@@ -959,3 +1019,4 @@ class TestWorkerAgent:
         finally:
             proc.kill()
             proc.wait(timeout=10)
+            proc.stdout.close()

@@ -25,6 +25,7 @@ from repro.backend import BACKEND_ENV, get_backend, list_backends, resolve_backe
 from repro.batch.sweep import run_batch_series
 from repro.errors import ParameterError, ScenarioError
 from repro.models.registry import (
+    ModelFamily,
     get_family,
     list_families,
     register_family,
@@ -452,8 +453,9 @@ class TestResolveWorkers:
 @pytest.mark.parametrize("name", FAMILY_NAMES)
 class TestShardConstruction:
     def test_engine_shard_is_bitwise_lane_slice(self, name):
-        """Engine-level contract: a shard's run equals the full run's
-        column slice, for uneven slices, in process."""
+        """Engine-level contract: a batch rebuilt from a lane range's
+        ``shard_payload`` — the route every payload shard takes — runs
+        the full run's column slice, for uneven slices, in process."""
         family = get_family(name)
         batch = family.make_batch(N_CORES, seed=1)
         h = scenario_samples(
@@ -461,7 +463,10 @@ class TestShardConstruction:
         )
         full = run_batch_series(batch, h)
         for start, stop in plan_shards(N_CORES, N_WORKERS):
-            part = run_batch_series(batch.shard(start, stop), h)
+            shard = type(batch).from_shard_payload(
+                batch.shard_payload(start, stop)
+            )
+            part = run_batch_series(shard, h)
             assert np.array_equal(
                 part.m, full.m[:, start:stop], equal_nan=True
             )
@@ -955,68 +960,69 @@ class DtypeExtrasShardedBatch:
         return {"multipliers": self._mult[start:stop].copy()}
 
 
+#: The int32/bool extras family the sharded dtype pins run.
+DTYPE_FAMILY = ModelFamily(
+    name=DtypeExtrasShardedBatch.family,
+    description="sharded extras dtype regression family",
+    make_models=lambda n, seed: list(range(1, n + 1)),
+    stack=lambda models: DtypeExtrasShardedBatch(list(models)),
+    extras_channels=(("event_count", "<i4"), ("armed", "|b1")),
+    counter_channels=("steps",),
+    batch_from_payload=lambda payload: DtypeExtrasShardedBatch(**payload),
+)
+
+
 @pytest.fixture
 def dtype_extras_family():
     """Temporarily register the non-float-extras family (fork workers
     inherit the registration; the registry is restored afterwards)."""
-    from repro.models.registry import ModelFamily, register_family, unregister_family
-
-    family = ModelFamily(
-        name=DtypeExtrasShardedBatch.family,
-        description="sharded extras dtype regression family",
-        make_models=lambda n, seed: list(range(1, n + 1)),
-        stack=lambda models: DtypeExtrasShardedBatch(list(models)),
-        extras_channels=(("event_count", "<i4"), ("armed", "|b1")),
-        counter_channels=("steps",),
-        batch_from_payload=lambda payload: DtypeExtrasShardedBatch(**payload),
-    )
-    register_family(family)
+    register_family(DTYPE_FAMILY)
     try:
-        yield family
+        yield DTYPE_FAMILY
     finally:
-        unregister_family(family.name)
+        unregister_family(DTYPE_FAMILY.name)
 
 
 class TestShardedExtrasDtypes:
     """int32/bool extras round-trip every route bitwise; that pin lives
-    in ``test_shard_routes.py``, which gives this family a ``shard``."""
+    in ``test_shard_routes.py``, which runs this family on every route."""
 
-    def test_chunking_a_family_without_shard_is_a_parameter_error(
+    def test_chunked_family_is_bitwise_on_every_route(
         self, dtype_extras_family
     ):
-        """``shard`` is not in the batch protocol.  Chunking a family
-        that lacks it raises a ParameterError naming the family and
-        ``chunk_lanes`` before any block runs, on every local route,
-        and reaches a dispatcher as the agent's forwarded error."""
+        """Row blocks need nothing of a family beyond the batch
+        protocol, so this family — which has no way to cut its lanes —
+        chunks bitwise on the serial route, the fork pool, a
+        ``WorkerPool`` and an agent."""
         if "fork" not in multiprocessing.get_all_start_methods():
             pytest.skip("needs the fork start method (registry is inherited)")
         from repro.dist import WorkerAgent, run_distributed
-        from repro.errors import DistError
         from repro.service import WorkerPool
 
         batch = dtype_extras_family.make_batch(N_CORES)
-        h = np.array([1.0, 2.0, 3.0])
-        expected = "'dtype-shard-test' cannot run with chunk_lanes=2"
-        with pytest.raises(ParameterError, match=expected):
-            run_sharded(batch, h, n_workers=1, chunk_lanes=2)
-        with pytest.raises(ParameterError, match=expected):
+        h = np.linspace(1.0, 10.0, 10)
+        reference = run_batch_series(batch, h)
+        assert_results_bitwise_equal(
+            reference, run_sharded(batch, h, n_workers=1, chunk_lanes=2)
+        )
+        assert_results_bitwise_equal(
+            reference,
             run_sharded(
                 batch, h, n_workers=N_WORKERS, mp_context="fork",
                 chunk_lanes=2,
-            )
+            ),
+        )
         with WorkerPool(2, mp_context="fork") as pool:
-            with pytest.raises(ParameterError, match=expected):
-                run_sharded(batch, h, pool=pool, chunk_lanes=2)
+            assert_results_bitwise_equal(
+                reference, run_sharded(batch, h, pool=pool, chunk_lanes=2)
+            )
         with WorkerAgent() as agent:
-            with pytest.raises(DistError, match=expected):
+            assert_results_bitwise_equal(
+                reference,
                 run_distributed(
                     batch, h, hosts=[agent.address], chunk_lanes=2
-                )
-        # One block per shard needs no cut, so it still runs.
-        assert_results_bitwise_equal(
-            run_batch_series(batch, h),
-            run_sharded(batch, h, n_workers=1, chunk_lanes=N_CORES),
-        )
+                ),
+            )
 
     def test_registry_schema_route_allocates_declared_dtypes(
         self, dtype_extras_family

@@ -1,21 +1,25 @@
 """Every shard route, one bitwise contract.
 
 The paper's timeless discretisation makes every core a self-contained
-lane, so cutting an ensemble into shards and lane blocks and carrying
-them between processes is pure transport.  Each case here runs one
-drive through one route — in process, a one-shot fork pool, a warm
-:class:`~repro.service.WorkerPool`, two in-process dist agents, or the
-dispatcher's local drain with no reachable host — with and without
-lane chunking, for every registered family plus a family with int32 and
-bool extras, and checks the assembled result bit for bit against the
-single-process :func:`repro.batch.sweep.run_batch_series`.
+lane, and advances it on field increments alone, so cutting an
+ensemble into lane shards and each shard's samples into row blocks,
+and carrying them between processes, is pure transport.  Each case
+here runs one drive through one route — in process, a one-shot fork
+pool, a warm :class:`~repro.service.WorkerPool`, two in-process dist
+agents, or the dispatcher's local drain with no reachable host — with
+and without chunking, for every registered family plus a family with
+int32 and bool extras, and checks the assembled result bit for bit
+against the single-process :func:`repro.batch.sweep.run_batch_series`.
+A segment table pins the property row blocks rest on: a run cut along
+its sample axis, each segment resuming the last one's state, is the
+whole run; and a table pins the row plan's tiling and bound.
 
 The scenario grid gets the same treatment: each grid route (in
 process, one-shot fork pool, a service cold and then fully cached, two
 in-process agents, an unreachable fleet) runs over a duplicated
 amplitude, one cell per chunk (lane-cut cells) and at the default chunk
-size (whole cells on a local pool), with and without lane chunking,
-and every cell is checked bit for bit.  One table then pins every
+size (whole cells on a pool or fleet), with and without chunking, and
+every cell is checked bit for bit.  One table then pins every
 route-argument conflict of every entry point: each raises
 ``ParameterError`` before a cache is read, an ensemble is built, a pool
 forks or a connection opens.  Every entry point's default route runs without touching the
@@ -46,7 +50,6 @@ from repro.batch.sweep import run_batch_series
 from repro.dist import Dispatcher, WorkerAgent, run_distributed
 from repro.errors import DistError, ParameterError
 from repro.models.registry import (
-    ModelFamily,
     get_family,
     list_families,
     register_family,
@@ -59,7 +62,12 @@ from repro.parallel import (
     run_sharded,
 )
 from repro.parallel import grid as grid_module
-from repro.parallel.blocks import LaneBlock, ShardAssembly
+from repro.parallel.blocks import (
+    RowBlock,
+    ShardAssembly,
+    drain_shard,
+    plan_row_blocks,
+)
 from repro.parallel import executor
 from repro.parallel.executor import (
     execute_jobs_pooled,
@@ -71,7 +79,7 @@ from repro.scenarios import scenario_samples
 from repro.sched import ExecutionPlan, calibration, planner
 from repro.service import HysteresisService, ResultCache, WorkerPool
 
-from test_parallel import DtypeExtrasShardedBatch, assert_results_bitwise_equal
+from test_parallel import DTYPE_FAMILY, assert_results_bitwise_equal
 
 if "fork" not in multiprocessing.get_all_start_methods():
     pytest.skip(
@@ -79,9 +87,9 @@ if "fork" not in multiprocessing.get_all_start_methods():
         allow_module_level=True,
     )
 
-#: 7 lanes in 3 shards (3 + 2 + 2); chunk_lanes=2 cuts the first shard
-#: into a 2- and a 1-lane block.  Pool routes cut at most
-#: REPRO_PARALLEL_MAX_WORKERS shards (CI: 2, so 4 + 3).
+#: 7 lanes in 3 shards (3 + 2 + 2); chunk_lanes=2 cuts the 3-lane
+#: shard's samples into two row blocks.  Pool routes cut at most
+#: REPRO_PARALLEL_MAX_WORKERS shards (CI: 2, so 4 + 3, both cut).
 N_CORES = 7
 N_SHARDS = 3
 
@@ -91,25 +99,6 @@ UNREACHABLE = "127.0.0.1:9"
 #: Where POSIX shared-memory segments appear on Linux.
 SHM_DIR = "/dev/shm"
 
-
-class ShardableDtypeBatch(DtypeExtrasShardedBatch):
-    """The int32/bool extras family, able to cut lane blocks."""
-
-    family = "dtype-extras-routes"
-
-    def shard(self, start: int, stop: int) -> "ShardableDtypeBatch":
-        return ShardableDtypeBatch(self._mult[start:stop])
-
-
-DTYPE_FAMILY = ModelFamily(
-    name=ShardableDtypeBatch.family,
-    description="int32/bool extras across every shard route",
-    make_models=lambda n, seed: list(range(1, n + 1)),
-    stack=lambda models: ShardableDtypeBatch(list(models)),
-    extras_channels=(("event_count", "<i4"), ("armed", "|b1")),
-    counter_channels=("steps",),
-    batch_from_payload=lambda payload: ShardableDtypeBatch(**payload),
-)
 
 FAMILY_NAMES = [family.name for family in list_families()] + [
     DTYPE_FAMILY.name
@@ -203,6 +192,96 @@ def test_route_matches_single_process(name, route, chunk_lanes, request):
     assert_results_bitwise_equal(reference, result)
 
 
+# -- cutting the sample axis: segments, and the row plan -------------------
+
+#: The drives and amplitudes (fractions of a family's ``h_scale``) the
+#: segment table crosses with every family: shared waypoint drives, a
+#: sampled waveform, and per-core reversal curves.
+SEGMENT_SCENARIOS = [
+    "major-loop", "minor-loop-ladder", "harmonic", "forc-family",
+]
+SEGMENT_AMPLITUDES = [0.4, 0.6, 0.8]
+
+
+@pytest.mark.parametrize("segments", [2, 3, 7])
+@pytest.mark.parametrize("amplitude", SEGMENT_AMPLITUDES)
+@pytest.mark.parametrize("scenario", SEGMENT_SCENARIOS)
+@pytest.mark.parametrize("name", FAMILY_NAMES)
+def test_segmented_run_matches_whole_run(name, scenario, amplitude, segments):
+    """A run cut into near-even sample segments — the first from a
+    reset, each later one resuming the state the last one left — lands,
+    through the assembly and :func:`drain_shard`'s summed counters, as
+    the whole run: ``m``, ``b``, ``updated``, extras with their dtypes,
+    and counters."""
+    family = get_family(name)
+    h_max = amplitude * family.h_scale
+    h = scenario_samples(scenario, h_max, h_max / 40.0, n_cores=N_CORES)
+    batch = family.make_batch(N_CORES, seed=0)
+    reference = run_batch_series(batch, h)
+    job = prepare_job(batch, DriveSpec(samples=h), 1)
+    (spec,) = job.specs
+    segmented, n = spec.build_batch(), len(h)
+
+    def blocks():
+        for j in range(segments):
+            r0, r1 = j * n // segments, (j + 1) * n // segments
+            part = run_batch_series(segmented, h[r0:r1], reset=(r0 == 0))
+            yield RowBlock(
+                0, N_CORES, r0, r1, part.m, part.b, part.updated,
+                part.extras, part.counters,
+            )
+
+    assembly = ShardAssembly(job)
+    counters = drain_shard(spec, assembly.write_block, blocks())
+    assembly.commit_shard(0, N_CORES, counters)
+    assert_results_bitwise_equal(reference, assembly.result())
+
+
+#: (id, width, samples, chunk_lanes, row ranges).  One block when
+#: unchunked or at least as wide as the shard; otherwise the fewest
+#: near-even blocks of at most chunk_lanes × samples lane-samples, one
+#: row at the least.
+ROW_PLANS = [
+    ("unchunked", 7, 10, None, [(0, 10)]),
+    ("as-wide-as-the-shard", 7, 10, 7, [(0, 10)]),
+    ("wider-than-the-shard", 7, 10, 99, [(0, 10)]),
+    ("half-width", 8, 10, 4, [(0, 5), (5, 10)]),
+    ("fleet-cell", 32, 97, 8,
+     [(0, 19), (19, 38), (38, 58), (58, 77), (77, 97)]),
+    ("width-not-divided", 7, 10, 3, [(0, 3), (3, 6), (6, 10)]),
+    ("one-lane-chunks", 4, 9, 1, [(0, 1), (1, 3), (3, 5), (5, 7), (7, 9)]),
+    ("one-sample", 4, 1, 1, [(0, 1)]),
+    ("one-row-over-the-bound", 8, 3, 1, [(0, 1), (1, 2), (2, 3)]),
+]
+
+
+@pytest.mark.parametrize(
+    "width, samples, chunk_lanes, expected",
+    [row[1:] for row in ROW_PLANS],
+    ids=[row[0] for row in ROW_PLANS],
+)
+def test_row_plan(width, samples, chunk_lanes, expected):
+    plan = plan_row_blocks(width, samples, chunk_lanes)
+    assert plan == expected
+    # Tiles [0, samples) in order, with no empty block.
+    assert plan[0][0] == 0 and plan[-1][1] == samples
+    assert all(r0 < r1 for r0, r1 in plan)
+    assert all(a[1] == b[0] for a, b in zip(plan, plan[1:]))
+    # Each block keeps the lane-sample bound, or is a single row ...
+    bound = samples * min(width, chunk_lanes or width)
+    assert all(
+        (r1 - r0) * width <= bound or r1 - r0 == 1 for r0, r1 in plan
+    )
+    # ... and no fewer blocks could keep it.
+    assert len(plan) == -(-samples // max(1, bound // width))
+
+
+@pytest.mark.parametrize("bad", [(0, 5, 2), (4, 0, 2), (4, 5, 0)])
+def test_row_plan_rejects_bad_arguments(bad):
+    with pytest.raises(ParameterError):
+        plan_row_blocks(*bad)
+
+
 # -- the one extras-schema check, on every route ---------------------------
 
 
@@ -221,9 +300,11 @@ class TestExtrasSchemaCheck:
         job = prepare_job(batch, DriveSpec(samples=h), 1)
         assembly = ShardAssembly(job)
         samples = len(h)
-        block = LaneBlock(
+        block = RowBlock(
             start=0,
             stop=N_CORES,
+            row_start=0,
+            row_stop=samples,
             m=np.zeros((samples, N_CORES)),
             b=np.zeros((samples, N_CORES)),
             updated=np.zeros((samples, N_CORES), dtype=bool),
@@ -347,7 +428,7 @@ def test_grid_route_matches_single_process(
     chunk_cells, route, chunk_lanes, request, monkeypatch
 ):
     # A chunk per cell cuts every cell N_SHARDS ways; the default chunk
-    # holds all eight unique cells, which a local pool runs whole.
+    # holds all eight unique cells, which a pool or fleet runs whole.
     monkeypatch.setattr(grid_module, "CHUNK_CELLS", chunk_cells)
     cells = GRID_ROUTES[route](chunk_lanes, request)
     assert [cell.key for cell in cells] == [
@@ -588,8 +669,8 @@ HOSTS = ["10.0.0.5:7501", "10.0.0.6:7501"]
 
 #: (id, resolve_route arguments, REPRO_PARALLEL_MAX_WORKERS,
 #:  (workers, threads, backend, hosts)) on an 8-CPU host.  ``workers``
-#: is the pool width, or a fleet's shard count; lanes never clamp it
-#: (PLACEMENTS pins where they do).
+#: is the pool or fleet width; lanes never clamp it (PLACEMENTS pins
+#: where they do).
 ROUTE_SHAPES = [
     ("all-cpus", dict(), None, (8, 1, None, ())),
     ("cpu-cap", dict(), "2", (2, 1, None, ())),
@@ -656,9 +737,9 @@ def test_auto_route_is_priced_when_settled(eight_cpus):
 # -- how many shards each job is cut into ----------------------------------
 
 #: (id, cells in the chunk, resolve_route arguments, lanes,
-#:  (pool width, shards per job)) on an 8-CPU host.  Local routes cut
-#: each cell ceil(width / cells) ways, clamped to its lanes; a single
-#: run is a chunk of one.  A fleet cuts every cell n_workers ways.
+#:  (pool or fleet width, shards per job)) on an 8-CPU host.  Every
+#: route cuts each cell ceil(width / cells) ways, clamped to its lanes;
+#: a single run is a chunk of one.
 PLACEMENTS = [
     ("lone-cell-cut-in-two", 1, dict(n_workers=2), 512, (2, 2)),
     ("two-cells-whole", 2, dict(n_workers=2), 512, (2, 1)),
@@ -668,7 +749,8 @@ PLACEMENTS = [
     ("one-lane-cells", 8, dict(n_workers=2), 1, (2, 1)),
     ("serial", 8, dict(n_workers=1), 512, (1, 1)),
     ("service-pool", 8, dict(pool=WIDTH_3_POOL), 64, (3, 1)),
-    ("fleet-n_workers", 8, dict(hosts=HOSTS, n_workers=3), 32, (3, 3)),
+    ("fleet-n_workers", 8, dict(hosts=HOSTS, n_workers=3), 32, (3, 1)),
+    ("fleet-lone-cell", 1, dict(hosts=HOSTS, n_workers=3), 32, (3, 3)),
     # Formerly ROUTE_SHAPES rows, whose width the lanes used to clamp:
     # the route keeps the pool width, the cut keeps the lane clamp.
     ("no-wider-than-lanes", 1, dict(n_workers=8), 2, (8, 2)),
