@@ -19,17 +19,15 @@ either side of the wire::
 
 ``result`` is **bitwise identical** to the single-process
 :func:`repro.batch.sweep.run_batch_series` run.  Robustness is built
-in: per-job deadlines, dead-worker requeue onto survivors, digest-
-keyed request dedup, and graceful local fallback when no worker is
-reachable (the :class:`Dispatcher` drains every shard locally).
+in: per-job deadlines, dead-worker requeue onto survivors, and
+graceful local fallback when no worker is reachable (the
+:class:`Dispatcher` drains every shard locally).
 
-Every entry point reaches the fleet through the same route resolver
-and job runner (:func:`repro.parallel.executor.resolve_route`,
-:func:`repro.parallel.grid.job_runner`).  ``hosts=`` is the one way to
-dispatch: ``run_sharded(..., hosts=[...])``,
-``run_scenario_grid(..., hosts=[...])`` and :func:`run_distributed`
-take it, with ``n_workers=`` as the shard count and each agent listed
-once, and none of them takes a ``plan=`` next to it.
+The fleet has two front doors, both on the same route resolver and
+job runner (:func:`repro.parallel.executor.resolve_route`,
+:func:`repro.parallel.grid.job_runner`): :func:`run_distributed` for
+one run and ``run_scenario_grid(..., hosts=[...])`` for grids, with
+``n_workers=`` as the fleet's width and each agent listed once.
 :func:`run_distributed` is where the fleet's ``authkey``, deadlines,
 retries and buffer ceiling are set.
 :func:`probe_link_overhead` measures one agent's round trip for
@@ -41,7 +39,6 @@ from repro.dist.dispatch import (
     DEFAULT_RETRIES,
     Dispatcher,
     run_distributed,
-    shard_digest,
 )
 from repro.dist.probe import probe_link_overhead
 from repro.dist.protocol import DEFAULT_AUTHKEY, PROTOCOL_VERSION
@@ -56,5 +53,4 @@ __all__ = [
     "WorkerAgent",
     "probe_link_overhead",
     "run_distributed",
-    "shard_digest",
 ]

@@ -8,17 +8,17 @@ full-ensemble driver-step resolution first (the bitwise rule), the
 same ``prepare_job`` planning and :class:`~repro.parallel.spec.ShardSpec`
 payloads, but each shard travels to a :class:`~repro.dist.worker.
 WorkerAgent` over TCP and its result streams back as bounded row
-blocks (:mod:`repro.parallel.blocks`).  ``run_sharded(hosts=...)`` and
-``run_scenario_grid(hosts=...)`` reach the same :class:`Dispatcher`;
-``hosts=`` is the one way to dispatch, and only
-:func:`run_distributed` sets its authkey, deadlines and buffer
-ceiling.  Every block lands in the job's
+blocks (:mod:`repro.parallel.blocks`).  It is the fleet's front door
+for one run, and ``run_scenario_grid(hosts=...)`` reaches the same
+:class:`Dispatcher` for grids; only :func:`run_distributed` sets its
+authkey, deadlines and buffer ceiling.  Every shard travels under a
+label of its own, and every block lands in its job's
 :class:`~repro.parallel.blocks.ShardAssembly` — the same assembly the
 local routes write through — by absolute row and lane range:
 idempotent, so a re-dispatched shard simply rewrites its (bitwise
-identical) rows,
-and the finished :class:`~repro.batch.sweep.BatchSweepResult` is
-bitwise identical to the single-process run.
+identical) rows, and the finished
+:class:`~repro.batch.sweep.BatchSweepResult` is bitwise identical to
+the single-process run.
 
 Robustness model:
 
@@ -29,10 +29,6 @@ Robustness model:
   link) requeues the in-flight job for any surviving worker, up to
   ``retries`` re-dispatches per job; block writes being idempotent is
   what makes the partial first attempt harmless;
-* **request dedup** — submitted jobs are keyed by a content digest of
-  their shard spec (the same canonicalisation as the PR 7 result
-  cache); identical in-flight requests coalesce onto one wire job with
-  many sinks, mirroring the service layer's future table;
 * **graceful degradation** — zero reachable workers (or a fleet that
   dies mid-campaign) degrades to the local executor with a logged
   warning, never an error: :meth:`Dispatcher.run_jobs` drains every
@@ -47,6 +43,7 @@ fails rather than retries, and ``run_jobs`` raises
 
 from __future__ import annotations
 
+import itertools
 import logging
 import threading
 import time
@@ -63,7 +60,6 @@ from repro.dist.protocol import (
     MSG_ERROR,
     MSG_RUN,
     MSG_SHUTDOWN,
-    PROTOCOL_VERSION,
     connect,
     parse_address,
     recv_message,
@@ -83,68 +79,24 @@ DEFAULT_DEADLINE_S = 600.0
 DEFAULT_RETRIES = 2
 
 
-def shard_digest(spec: ShardSpec) -> "str | None":
-    """Content digest of one shard request, for wire-level dedup.
-
-    Semantic fields only — the drive, the lane range, and the rebuild
-    route — never execution shape (``threads``, ``chunk_lanes``): two
-    requests that compute bitwise-identical columns coalesce regardless
-    of how either would have chunked.  ``None`` (no dedup, dispatch
-    as unique) when a payload route carries values the canonicaliser
-    cannot digest.
-    """
-    # Lazy sideways import: repro.service and repro.dist share a layer
-    # rank; only the digest helpers are borrowed, at call time.
-    from repro.service.digest import digest_payload
-
-    if spec.ensemble is not None:
-        route = {
-            "kind": "ensemble",
-            "family": spec.ensemble.family,
-            "n_cores": spec.ensemble.n_cores,
-            "seed": spec.ensemble.seed,
-            "backend": spec.ensemble.backend,
-        }
-    else:
-        route = {"kind": "payload", "payload": spec.payload}
-    payload = {
-        "schema": PROTOCOL_VERSION,
-        "family": spec.family,
-        "n_cores_total": spec.n_cores_total,
-        "start": spec.start,
-        "stop": spec.stop,
-        "drive": {
-            "scenario": spec.drive.scenario,
-            "h_max": spec.drive.h_max,
-            "driver_step": spec.drive.driver_step,
-            "samples": spec.drive.samples,
-        },
-        "route": route,
-    }
-    try:
-        return digest_payload(payload)
-    except ParameterError:
-        return None
-
-
 class _WorkerFailure(DistError):
     """A worker-side exception forwarded over the wire (deterministic —
     re-dispatching would fail identically, so it is never retried)."""
 
 
 class _WireJob:
-    """One deduped wire request: a spec, its job's sample count
-    (``rows``), and every sink awaiting it."""
+    """One shard on the wire: its spec, the label it travels under, its
+    job's sample count (``rows``) and the assembly it lands in."""
 
-    __slots__ = ("spec", "digest", "rows", "sinks", "attempts")
+    __slots__ = ("spec", "label", "rows", "assembly", "attempts")
 
     def __init__(
-        self, spec: ShardSpec, digest: "str | None", rows: int
+        self, spec: ShardSpec, label: int, rows: int, assembly: ShardAssembly
     ) -> None:
         self.spec = spec
-        self.digest = digest
+        self.label = label
         self.rows = rows
-        self.sinks: list[ShardAssembly] = []
+        self.assembly = assembly
         self.attempts = 0
 
 
@@ -221,9 +173,9 @@ class Dispatcher:
     raises :class:`~repro.errors.DistError`, after every connection
     already opened is closed, so no live agent stays held by a
     half-built fleet.  ``run_jobs`` executes a batch of prepared cell
-    jobs across the fleet — the digest-keyed dedup table spans the
-    whole batch, so identical shard requests from different jobs
-    coalesce onto one wire dispatch.
+    jobs across the fleet, each shard under a label drawn from one
+    counter the fleet keeps, so no two shards it serves — in one call
+    or across calls — share a label.
     """
 
     def __init__(
@@ -241,6 +193,7 @@ class Dispatcher:
         self.deadline_s = deadline_s
         self.retries = retries
         self.budget = BlockBudget(max_buffer_bytes)
+        self._labels = itertools.count()
         self._workers: dict = {}
         parsed = [(address, parse_address(address)) for address in hosts]
         try:
@@ -316,35 +269,21 @@ class Dispatcher:
     def run_jobs(self, jobs) -> "list[BatchSweepResult]":
         """Execute prepared cell jobs across the fleet, reassembled.
 
-        Every job's shards enter one digest-deduped queue; one serving
-        thread per live connection drains it.  Shards left over when
-        the whole fleet has died (or a job ran out of re-dispatches)
-        drain through the local block runner with a logged warning —
-        the campaign completes, bitwise identical, just slower.  A
-        failed job raises :class:`~repro.errors.DistError` naming its
-        shard and the original error.
+        Every job's shards enter one queue, each under a label of its
+        own; one serving thread per live connection drains it.  Shards
+        left over when the whole fleet has died (or a job ran out of
+        re-dispatches) drain through the local block runner with a
+        logged warning — the campaign completes, bitwise identical,
+        just slower.  A failed job raises
+        :class:`~repro.errors.DistError` naming its shard and the
+        original error.
         """
         assemblies = [ShardAssembly(job) for job in jobs]
-        table: dict = {}
-        wire_jobs: list[_WireJob] = []
-        coalesced = 0
-        for job, assembly in zip(jobs, assemblies):
-            for spec in job.specs:
-                digest = shard_digest(spec)
-                wire = table.get(digest) if digest is not None else None
-                if wire is None:
-                    wire = _WireJob(spec, digest, job.shape[0])
-                    wire_jobs.append(wire)
-                    if digest is not None:
-                        table[digest] = wire
-                else:
-                    coalesced += 1
-                wire.sinks.append(assembly)
-        if coalesced:
-            _log.info(
-                "dispatch coalesced %d duplicate shard request(s): %d "
-                "unique on the wire", coalesced, len(wire_jobs),
-            )
+        wire_jobs = [
+            _WireJob(spec, next(self._labels), job.shape[0], assembly)
+            for job, assembly in zip(jobs, assemblies)
+            for spec in job.specs
+        ]
         state = _CampaignState(wire_jobs, self.retries)
         threads = [
             threading.Thread(
@@ -427,7 +366,7 @@ class Dispatcher:
             if self.deadline_s is None
             else time.monotonic() + self.deadline_s
         )
-        send_message(conn, (MSG_RUN, wire.digest, wire.spec))
+        send_message(conn, (MSG_RUN, wire.label, wire.spec))
         blocks = self._receive(conn, wire, limit)
         land = partial(self._land, wire)
         self._commit(wire, drain_shard(wire.spec, land, blocks))
@@ -437,9 +376,10 @@ class Dispatcher:
         """Yield one shard's row blocks off ``conn`` until its ``done``.
 
         Blocks enter from the wire here, so this is where they are
-        checked.  Every ``block`` and ``done`` must echo the digest the
-        shard was sent under (``None`` comes back as ``None``): row and
-        lane ranges alone cannot tell two cells cut the same way apart.
+        checked.  Every ``block`` and ``done`` must echo the label the
+        shard was sent under, which no other shard this fleet serves
+        carries: row and lane ranges alone cannot tell two cells cut
+        the same way apart.
         Each block must carry exactly the shard's lanes, start at the
         row where the previous one stopped (the first at row 0) and end
         within the job's ``wire.rows`` samples, the order every agent
@@ -456,10 +396,10 @@ class Dispatcher:
             remaining = None if limit is None else limit - time.monotonic()
             message = recv_message(conn, remaining)
             kind = message[0]
-            if kind in (MSG_BLOCK, MSG_DONE) and message[1] != wire.digest:
+            if kind in (MSG_BLOCK, MSG_DONE) and message[1] != wire.label:
                 raise DistError(
-                    f"{name} was sent as {wire.digest!r} but received a "
-                    f"{kind!r} message labelled {message[1]!r}"
+                    f"{name} was sent under label {wire.label!r} but "
+                    f"received a {kind!r} message labelled {message[1]!r}"
                 )
             if kind == MSG_BLOCK:
                 block = message[2]
@@ -494,20 +434,18 @@ class Dispatcher:
                 )
 
     def _land(self, wire: _WireJob, block) -> None:
-        """Write one block into every assembly awaiting it, holding its
-        bytes against the budget meanwhile."""
+        """Write one block into its shard's assembly, holding its bytes
+        against the budget meanwhile."""
         nbytes = block.nbytes
         self.budget.acquire(nbytes)
         try:
-            for sink in wire.sinks:
-                sink.write_block(block)
+            wire.assembly.write_block(block)
         finally:
             self.budget.release(nbytes)
 
     @staticmethod
     def _commit(wire: _WireJob, counters) -> None:
-        for sink in wire.sinks:
-            sink.commit_shard(wire.spec.start, wire.spec.stop, counters)
+        wire.assembly.commit_shard(wire.spec.start, wire.spec.stop, counters)
 
     def _run_local(self, wire: _WireJob) -> None:
         """Local drain: same block generator, same assembly, no socket."""
@@ -532,7 +470,7 @@ def run_distributed(
 ) -> BatchSweepResult:
     """Run one ensemble drive sharded across remote worker agents.
 
-    The multi-host sibling of
+    The fleet's front door for one run, and the multi-host sibling of
     :func:`repro.parallel.executor.run_sharded`, on the same route
     resolver and job runner: ``source`` and the drive arguments mean
     exactly the same thing (including the full-ensemble driver-step
@@ -553,9 +491,9 @@ def run_distributed(
     ``--authkey``), ``deadline_s`` / ``retries`` (each job's wall clock
     and re-dispatch budget), ``max_buffer_bytes`` (a hard back-pressure
     ceiling on the dispatcher's in-flight block bytes) and
-    ``connect_timeout_s``.  ``run_sharded(hosts=...)`` and
-    ``run_scenario_grid(hosts=...)`` dispatch with the defaults of these
-    options.  No plan reaches the fleet: ``hosts=`` takes no ``plan=``.
+    ``connect_timeout_s``.  ``run_scenario_grid(hosts=...)``, the
+    fleet's front door for grids, dispatches with the defaults of
+    these options.  No plan reaches the fleet.
 
     Zero reachable workers degrades to the local executor with a
     logged warning — never an error.

@@ -23,13 +23,15 @@ Message vocabulary (plain tuples, first element the kind):
     Reachability handshake; the version reply refuses mixed fleets.
 ``("echo", payload)`` → ``("echo", payload)``
     Link-overhead probe (:mod:`repro.dist.probe`).
-``("run", digest, spec)``
-    Execute one :class:`~repro.parallel.spec.ShardSpec`.  The worker
-    streams back ``("block", digest, RowBlock)`` per row block, in row
-    order (one block for an unchunked spec); each block carries the
-    shard's whole lane range and its own row range.  It finishes with
-    ``("done", digest, n_blocks)``; a worker-side exception arrives as
-    ``("error", digest, message)``.  Version 2 carries row blocks;
+``("run", label, spec)``
+    Execute one :class:`~repro.parallel.spec.ShardSpec`.  The label is
+    the dispatcher's name for this shard and opaque to the agent, which
+    echoes it unread on every reply.  The worker streams back
+    ``("block", label, RowBlock)`` per row block, in row order (one
+    block for an unchunked spec); each block carries the shard's whole
+    lane range and its own row range.  It finishes with
+    ``("done", label, n_blocks)``; a worker-side exception arrives as
+    ``("error", label, message)``.  Version 2 carries row blocks;
     version 1 streamed lane blocks.
 ``("shutdown",)``
     Graceful agent stop (no reply; the connection closes).

@@ -186,8 +186,8 @@ class WorkerAgent:
             elif kind == MSG_ECHO:
                 send_message(conn, (MSG_ECHO, message[1]))
             elif kind == MSG_RUN:
-                _, digest, spec = message
-                self._run(conn, digest, spec)
+                _, label, spec = message
+                self._run(conn, label, spec)
             elif kind == MSG_SHUTDOWN:
                 self._closed.set()
                 try:
@@ -200,8 +200,9 @@ class WorkerAgent:
                     conn, (MSG_ERROR, None, f"unknown message kind {kind!r}")
                 )
 
-    def _run(self, conn, digest: str, spec) -> None:
-        """Execute one shard spec, streaming its row blocks back.
+    def _run(self, conn, label, spec) -> None:
+        """Execute one shard spec, streaming its row blocks back under
+        the dispatcher's ``label``, echoed as it came.
 
         Worker-side exceptions travel as ``("error", ...)`` messages —
         a failed rebuild or a family-schema error must reach the
@@ -212,20 +213,19 @@ class WorkerAgent:
         n_blocks = 0
         try:
             for block in iter_shard_blocks(spec):
-                send_message(conn, (MSG_BLOCK, digest, block))
+                send_message(conn, (MSG_BLOCK, label, block))
                 n_blocks += 1
-            send_message(conn, (MSG_DONE, digest, n_blocks))
+            send_message(conn, (MSG_DONE, label, n_blocks))
         except (EOFError, OSError):
             raise
         except Exception as exc:  # noqa: BLE001 - forwarded to dispatcher
-            # %.12s: the digest is None on undigestable payload routes.
-            _log.warning("shard %.12s failed worker-side: %s", digest, exc)
+            _log.warning("shard %s failed worker-side: %s", label, exc)
             try:
                 send_message(
                     conn,
                     (
                         MSG_ERROR,
-                        digest,
+                        label,
                         f"{type(exc).__name__}: {exc}\n"
                         + traceback.format_exc(limit=8),
                     ),

@@ -26,11 +26,14 @@ rank  packages                                 role
 11    ``experiments``, ``lint``, ``repro``     surfaces (CLI, checker, API)
 ====  =======================================  =================================
 
-The two rules reviewers kept restating by hand fall straight out of
+The layering rules most often restated by hand fall straight out of
 the ranks: **``parallel`` never imports ``service``** (8 < 10, and no
-allowlist entry exists) and **``sched`` sits above ``parallel``**
-(9 > 8 — the executor's ``plan=`` hook reaches *up* lazily, which is
-exactly why ``("parallel", "sched")`` is on the lazy allowlist).
+allowlist entry exists), **``sched`` sits above ``parallel``** (9 > 8
+— the executor's ``plan=`` hook reaches *up* lazily, which is exactly
+why ``("parallel", "sched")`` is on the lazy allowlist), and
+**``service`` and ``dist`` never import each other** (one rank, and no
+allowlist entry either way, so L001 flags even a function-scoped
+import between them).
 
 :data:`LAZY_ALLOWLIST` names the documented function-scoped imports
 that deliberately reach upward to break an import cycle; anything
@@ -101,10 +104,6 @@ LAZY_ALLOWLIST: "frozenset[tuple[str, str]]" = frozenset(
         # two layers up; host-less callers never pay for (or depend
         # on) it — the same shape as the plan="auto" escape above.
         ("parallel", "dist"),
-        # The dispatcher's wire-level dedup borrows the service
-        # layer's canonical digests at call time; service and dist
-        # share a rank and stay import-independent at module level.
-        ("dist", "service"),
         # Everett/FORC identification batches per-lane waveforms
         # through the ensemble engine (PR 2).
         ("preisach", "batch"),

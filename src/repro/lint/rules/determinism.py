@@ -3,9 +3,8 @@ in the modules whose output is a canonical payload.
 
 L002 keeps the kernel-parity modules free of *libm* (value drift);
 this rule extends the same idea from values to **identity**: the
-content digests (:mod:`repro.service.digest`, the dispatcher's
-``shard_digest`` dedup key) and the lane-parity modules must be pure
-functions of their inputs.  Two poisons qualify:
+content digests (:mod:`repro.service.digest`) and the lane-parity
+modules must be pure functions of their inputs.  Two poisons qualify:
 
 * **entropy sources** — ``time.*``, ``random.*``, ``os.urandom``,
   ``uuid.*``, ``secrets.*``: a digest that folds in a timestamp stops
@@ -17,13 +16,11 @@ functions of their inputs.  Two poisons qualify:
   canonical forms must sort first (``for k in sorted(d)``), exactly
   like ``json.dumps(..., sort_keys=True)`` downstream.
 
-Scope is deliberately narrow — whole modules listed in
+Scope is deliberately narrow — the whole modules listed in
 :data:`SCOPE_MODULES` (the digest module plus L002's
-``PARITY_MODULES``) and the single functions in
-:data:`SCOPE_FUNCTIONS` (``dispatch.shard_digest``; the rest of the
-dispatcher legitimately reads ``time.monotonic`` for deadlines).
-Seeded randomness (``np.random.default_rng(seed)``) is *not* entropy
-and is not flagged.
+``PARITY_MODULES``); everything else, the dispatcher's deadlines
+included, may read a clock.  Seeded randomness
+(``np.random.default_rng(seed)``) is *not* entropy and is not flagged.
 """
 
 from __future__ import annotations
@@ -37,12 +34,6 @@ from repro.lint.rules.bitwise_purity import PARITY_MODULES
 #: Whole modules whose every function feeds canonical output.
 SCOPE_MODULES: "frozenset[str]" = frozenset(
     {"repro.service.digest"} | set(PARITY_MODULES)
-)
-
-#: ``(module, function)`` pairs scoped individually — the enclosing
-#: module is otherwise free to use wall clocks (deadlines, retries).
-SCOPE_FUNCTIONS: "frozenset[tuple[str, str]]" = frozenset(
-    {("repro.dist.dispatch", "shard_digest")}
 )
 
 #: Canonical dotted prefixes whose calls inject entropy.
@@ -89,21 +80,10 @@ class DeterminismRule(Rule):
     )
 
     def check_module(self, module: Module):
-        if module.name is None:
+        if module.name not in SCOPE_MODULES:
             return
         resolver = ModuleResolver(module.tree)
-        if module.name in SCOPE_MODULES:
-            yield from self._check_region(module, module.tree, resolver)
-            return
         for node in ast.walk(module.tree):
-            if (
-                isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                and (module.name, node.name) in SCOPE_FUNCTIONS
-            ):
-                yield from self._check_region(module, node, resolver)
-
-    def _check_region(self, module: Module, region, resolver):
-        for node in ast.walk(region):
             if isinstance(node, ast.Call):
                 source = _entropy_call(node, resolver)
                 if source is not None:

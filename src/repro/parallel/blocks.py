@@ -18,9 +18,9 @@ Blocks travel differently per route — handed over in process, written
 into the pool's shared memory, or streamed over a :mod:`repro.dist`
 socket — but every route runs them through :func:`iter_shard_blocks`
 and lands them through :class:`ShardAssembly`, the one owner of the
-output layout and of the extras-schema check.  :class:`BlockBudget`
-gives any consumer a hard ceiling on resident result-buffer bytes (with
-a high-water mark for the tests to pin).
+output layout and of the check that a block fits it.
+:class:`BlockBudget` gives any consumer a hard ceiling on resident
+result-buffer bytes (with a high-water mark for the tests to pin).
 """
 
 from __future__ import annotations
@@ -191,9 +191,10 @@ class ShardAssembly:
 
     The one place that knows a sharded run's output layout — ``m`` and
     ``b`` float64, ``updated`` bool, each extras channel at its schema
-    dtype — and the one place that checks a block against the job's
-    extras schema.  Every route writes through it: the serial fallback
-    and the dispatcher's leftovers via :func:`drain_shard`, pool
+    dtype — and the one place that checks a block: its extras against
+    the job's schema, its arrays and counters against the rows and
+    lanes it claims.  Every route writes through it: the serial
+    fallback and the dispatcher's leftovers via :func:`drain_shard`, pool
     workers over shared-memory views of the parent's buffers, and the
     dispatcher with blocks off the wire.
 
@@ -222,9 +223,12 @@ class ShardAssembly:
 
     def write_block(self, block: RowBlock) -> None:
         """Write one block's rows ``[row_start, row_stop)`` of lanes
-        ``[start, stop)``, after checking its extras — names and dtypes
-        — against the schema the buffers were laid out from.  Drift is
-        an error, never a silently coerced column."""
+        ``[start, stop)``, after checking it against the buffers: its
+        extras' names and dtypes against the schema the buffers were
+        laid out from, then every channel's shape and dtype and every
+        counter's width against the ranges the block claims.  A block
+        that does not fit is an error, never a column NumPy silently
+        broadcasts or casts."""
         recorded = {key: values.dtype for key, values in block.extras.items()}
         expected = {key: values.dtype for key, values in self.extras.items()}
         if recorded != expected:
@@ -234,15 +238,31 @@ class ShardAssembly:
                 f"expected {_describe(expected)}; the schema (registry "
                 "declaration or pre-run probe) is stale"
             )
+        where = (
+            f"family {self.job.family!r} lanes [{block.start}, "
+            f"{block.stop}) rows [{block.row_start}, {block.row_stop})"
+        )
+        shape = (block.row_stop - block.row_start, block.stop - block.start)
+        channels = [
+            ("m", self.m, block.m),
+            ("b", self.b, block.b),
+            ("updated", self.updated, block.updated),
+        ] + [
+            (f"extras.{key}", self.extras[key], values)
+            for key, values in block.extras.items()
+        ]
+        for channel, buffer, values in channels:
+            _check_fit(
+                where, f"channel {channel!r}", values, shape, buffer.dtype
+            )
+        for key, values in block.counters.items():
+            _check_fit(where, f"counter {key!r}", values, shape[1:])
         cut = (
             slice(block.row_start, block.row_stop),
             slice(block.start, block.stop),
         )
-        self.m[cut] = block.m
-        self.b[cut] = block.b
-        self.updated[cut] = block.updated
-        for key, values in block.extras.items():
-            self.extras[key][cut] = values
+        for _, buffer, values in channels:
+            buffer[cut] = values
 
     def commit_shard(self, start: int, stop: int, counters) -> None:
         self._counters[(start, stop)] = counters
@@ -274,6 +294,24 @@ class ShardAssembly:
 
 def _describe(schema: dict) -> list:
     return sorted((key, str(dtype)) for key, dtype in schema.items())
+
+
+def _check_fit(where: str, what: str, values, shape, dtype=None) -> None:
+    """Raise unless ``values`` is an array of exactly ``shape`` (and
+    ``dtype``, when given)."""
+    if (
+        isinstance(values, np.ndarray)
+        and values.shape == shape
+        and (dtype is None or values.dtype == dtype)
+    ):
+        return
+    got = (
+        f"a {values.shape} {values.dtype} array"
+        if isinstance(values, np.ndarray)
+        else f"a {type(values).__name__}"
+    )
+    want = f"{shape}" if dtype is None else f"{shape} {dtype}"
+    raise ParameterError(f"{where}: {what} is {got}, expected a {want} array")
 
 
 def merge_shard_counters(

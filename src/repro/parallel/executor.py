@@ -29,7 +29,9 @@ Which of those routes a call takes is decided in one place.
 (``plan``, ``n_workers``, ``mp_context``, ``pool``, ``hosts``, a
 service's pool) and returns the :class:`Route`: the transport, the
 pool width, the lane threads and the backend.  Only
-:func:`run_sharded` takes a ``plan``.  How many shards each job is cut
+:func:`run_sharded` takes a ``plan``, and it runs on this host; a
+fleet is reached through :func:`repro.dist.dispatch.run_distributed`
+or ``run_scenario_grid(hosts=...)``.  How many shards each job is cut
 into is the route's one placement rule (:meth:`Route.shards_per_job`),
 and :func:`repro.parallel.grid.job_runner` opens the transport and
 runs the prepared jobs on it.
@@ -406,23 +408,24 @@ def resolve_route(
     run.  ``pool`` is a live :class:`~repro.service.pool.WorkerPool`
     (the caller's, or a service's).  Every conflict between these
     arguments, a ``plan`` that is neither ``"auto"`` nor an
-    :class:`~repro.sched.planner.ExecutionPlan`, and a ``hosts=`` list
-    that is empty or names an agent twice raise
+    :class:`~repro.sched.planner.ExecutionPlan`, and a ``hosts=`` that
+    is a bare string, an empty list or names an agent twice raise
     :class:`~repro.errors.ParameterError` here, before the caller reads
     a cache, builds an ensemble, forks a pool or connects.
 
-    Only :func:`run_sharded` passes a ``plan``, and never with a live
-    pool: the pool owns the pool width.  Returns ``settle(price) ->
-    Route``.  Under ``plan="auto"``, ``settle`` takes its plan from
-    ``price()``, once the caller knows the drive; every other route is
-    decided here, and ``price`` is never called.  The pool width is the
-    live pool's, else it passes through :func:`resolve_workers`; no
-    lane count reaches the route, so the width is never clamped to one
-    (a job is, when it is cut: :meth:`Route.shards_per_job`).  A
-    plan's lane threads are clamped so ``workers x threads <=
-    available_cpus()``.  ``hosts=`` is the one way to dispatch: it
-    takes no plan, and ``n_workers`` names the fleet's width (default:
-    one per host; below one raises here).
+    Only :func:`run_sharded` passes a ``plan``, and it runs on this
+    host: it never passes ``hosts=``, and never a live pool with a
+    plan, since the pool owns the pool width.  Only the grid and
+    :func:`~repro.dist.dispatch.run_distributed` pass ``hosts=``, and
+    ``n_workers`` then names the fleet's width (default: one per host;
+    below one raises here).  Returns ``settle(price) -> Route``.  Under
+    ``plan="auto"``, ``settle`` takes its plan from ``price()``, once
+    the caller knows the drive; every other route is decided here, and
+    ``price`` is never called.  The pool width is the live pool's, else
+    it passes through :func:`resolve_workers`; no lane count reaches
+    the route, so the width is never clamped to one (a job is, when it
+    is cut: :meth:`Route.shards_per_job`).  A plan's lane threads are
+    clamped so ``workers x threads <= available_cpus()``.
     """
     auto = isinstance(plan, str) and plan == "auto"
     explicit = None if plan is None or auto else plan
@@ -436,6 +439,11 @@ def resolve_route(
                 f"plan must be an ExecutionPlan or 'auto', got {plan!r}"
             )
     if hosts is not None:
+        if isinstance(hosts, (str, bytes)):
+            raise ParameterError(
+                f"hosts= takes a list of 'host:port' addresses, not one "
+                f"string: pass hosts=[{hosts!r}]"
+            )
         hosts = tuple(hosts)
         if not hosts:
             raise ParameterError(
@@ -450,13 +458,6 @@ def resolve_route(
             )
         if n_workers is not None and n_workers < 1:
             raise ParameterError(f"n_workers must be >= 1, got {n_workers}")
-    if hosts is not None and plan is not None:
-        raise ParameterError(
-            "pass either hosts= or plan=, not both: a plan only places "
-            "shards on this host.  Pass hosts= without plan=, with "
-            "n_workers= as the shard count; run_sharded, "
-            "run_scenario_grid and run_distributed all dispatch that way"
-        )
     if hosts is not None and (pool is not None or mp_context is not None):
         raise ParameterError(
             "hosts= dispatches over repro.dist sockets; a local pool "
@@ -578,9 +579,12 @@ def run_sharded(
     plan=None,
     pool=None,
     chunk_lanes: int | None = None,
-    hosts=None,
 ) -> BatchSweepResult:
     """Run one ensemble drive sharded over a process pool.
+
+    Every route it takes runs on this host;
+    :func:`repro.dist.dispatch.run_distributed` sends one drive to a
+    fleet of worker agents.
 
     Parameters
     ----------
@@ -616,8 +620,7 @@ def run_sharded(
         through :func:`resolve_workers` (environment cap included) and
         ``threads_per_worker`` is reduced so ``workers × threads``
         never exceeds the CPU affinity.  A plan always runs on this
-        host; it takes no ``hosts``.  This is the only entry point that
-        takes a plan.
+        host.  This is the only entry point that takes a plan.
     pool:
         A live :class:`~repro.service.pool.WorkerPool` to run the
         shards on instead of spinning up (and tearing down) a one-shot
@@ -634,25 +637,12 @@ def run_sharded(
         at least the shard's width, keeps the one-shot path.  Chunking
         never changes a bit of the output: each block resumes the state
         the previous one left.
-    hosts:
-        A sequence of ``"host:port"`` worker-agent addresses
-        (:mod:`repro.dist`): the run dispatches over the sockets
-        instead of a local pool, streaming the same row blocks over
-        the wire, with ``n_workers`` shards (default: one per host).
-        Mutually exclusive with ``pool=`` / ``mp_context=`` and with
-        any ``plan=``: ``hosts=`` is the one way to dispatch.  Each
-        agent is listed once (it serves one connection at a time).
-        When no listed host is reachable the run degrades to the local
-        executor with a logged warning.
-        :func:`repro.dist.dispatch.run_distributed` runs the same route
-        with the fleet's authkey, deadlines and buffer ceiling.
 
     Returns the same :class:`~repro.batch.sweep.BatchSweepResult` the
     single-process executor produces — bitwise, lane order preserved.
     """
     settle = resolve_route(
-        plan, n_workers=n_workers, mp_context=mp_context, pool=pool,
-        hosts=hosts,
+        plan, n_workers=n_workers, mp_context=mp_context, pool=pool
     )
     drive, source = _resolve_drive(
         source, h_samples, scenario, h_max, driver_step

@@ -264,13 +264,14 @@ def run_scenario_grid(
     (:mod:`repro.parallel.blocks`) — bitwise-neutral, memory-bounded.
     ``hosts`` dispatches the whole campaign across ``"host:port"``
     :mod:`repro.dist` worker agents instead of a local pool: unique
-    cells flow through one shared dispatcher (its digest-keyed dedup
-    table spans each chunk), ``n_workers`` names the fleet's width
-    (default: one per host) exactly as it names a local pool's, so each
-    agent takes whole cells, and an unreachable fleet degrades to the
-    local executor with a logged warning.  ``hosts`` is the one
-    way to dispatch, and :func:`~repro.dist.dispatch.run_distributed`
-    is where a fleet's authkey, deadlines and buffer ceiling are set.
+    cells flow through one shared dispatcher, ``n_workers`` names the
+    fleet's width (default: one per host) exactly as it names a local
+    pool's, so each agent takes whole cells, and an unreachable fleet
+    degrades to the local executor with a logged warning.  This is the
+    fleet's front door for grids, as
+    :func:`~repro.dist.dispatch.run_distributed` is for one run; the
+    latter is where a fleet's authkey, deadlines and buffer ceiling are
+    set.
 
     Returns one :class:`GridCell` per combination, in
     ``families × scenarios × h_max_values`` order.

@@ -53,9 +53,10 @@ class ExecutionPlan:
     worker.  ``predicted_seconds`` and ``calibration_id`` document how
     the planner priced this plan (``None`` on hand-written plans).
 
-    A plan always runs on this host.  Worker agents are reached with
-    ``hosts=`` instead, which takes no plan (see
-    :func:`repro.parallel.executor.resolve_route`).
+    A plan always runs on this host.  Worker agents are reached through
+    :func:`repro.dist.dispatch.run_distributed` or
+    ``run_scenario_grid(hosts=...)`` instead, neither of which takes a
+    plan.
     """
 
     backend: str

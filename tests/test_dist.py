@@ -26,7 +26,6 @@ from repro.dist import (
     WorkerAgent,
     probe_link_overhead,
     run_distributed,
-    shard_digest,
 )
 from repro.dist.protocol import (
     MSG_BLOCK,
@@ -187,23 +186,6 @@ def _drive():
     )
 
 
-class TestShardDigest:
-    def test_execution_shape_never_changes_the_digest(self):
-        ensemble = EnsembleSpec(family="timeless", n_cores=N_CORES)
-        job = prepare_job(ensemble, _drive(), 1)
-        (spec,) = job.specs
-        base = shard_digest(spec)
-        assert base is not None
-        reshaped = dataclasses.replace(spec, threads=4, chunk_lanes=2)
-        assert shard_digest(reshaped) == base
-
-    def test_lane_range_changes_the_digest(self):
-        ensemble = EnsembleSpec(family="timeless", n_cores=N_CORES)
-        job = prepare_job(ensemble, _drive(), 3)
-        digests = [shard_digest(spec) for spec in job.specs]
-        assert len(set(digests)) == len(digests)
-
-
 class TestRunDistributed:
     def test_bitwise_identical_to_single_process(self, fleet):
         """A scenario recipe, one shard per host.  Uneven splits and
@@ -273,18 +255,17 @@ class TestRunDistributed:
         assert_results_bitwise_equal(reference_result(), result)
         assert 0 < dispatcher.budget.peak <= ceiling
 
-    def test_identical_shard_requests_coalesce(self, fleet, caplog):
+    def test_identical_jobs_land_in_results_of_their_own(self, fleet):
+        """Two identical jobs in one call are two jobs on the wire: each
+        shard lands in the assembly of the job that sent it, so each
+        job gets a result of its own, bitwise."""
         ensemble = EnsembleSpec(family="timeless", n_cores=N_CORES)
         jobs = [prepare_job(ensemble, _drive(), 2) for _ in range(2)]
-        with caplog.at_level(logging.INFO, logger="repro.dist.dispatch"):
-            with Dispatcher(fleet) as dispatcher:
-                results = dispatcher.run_jobs(jobs)
-        for result in results:
+        with Dispatcher(fleet) as dispatcher:
+            first, second = dispatcher.run_jobs(jobs)
+        assert not np.shares_memory(first.m, second.m)
+        for result in (first, second):
             assert_results_bitwise_equal(reference_result(), result)
-        assert any(
-            "coalesced 2 duplicate shard request(s)" in record.message
-            for record in caplog.records
-        )
 
     def test_worker_side_error_raises_dist_error(self, fleet):
         ensemble = EnsembleSpec(family="timeless", n_cores=N_CORES)
@@ -299,36 +280,20 @@ class TestRunDistributed:
                 dispatcher.run_jobs([job])
 
     def test_undigestable_failing_shard_keeps_the_agent_serving(self):
-        """A worker-side failure on a shard whose digest is ``None`` (an
-        undigestable payload route) is forwarded like any other, and
-        the agent keeps answering ``ping`` afterwards."""
+        """A worker-side failure on a payload route the service's
+        digest cannot canonicalise (a non-string key) is forwarded like
+        any other, and the agent keeps answering ``ping`` afterwards."""
         ensemble = EnsembleSpec(family="timeless", n_cores=N_CORES)
         job = prepare_job(ensemble, _drive(), 1)
         job.specs[0] = dataclasses.replace(
             job.specs[0], ensemble=None, payload={1: "bogus"}
         )
-        assert shard_digest(job.specs[0]) is None
         with WorkerAgent() as agent:
             with Dispatcher([agent.address], deadline_s=30.0) as dispatcher:
                 with pytest.raises(DistError, match="KeyError"):
                     dispatcher.run_jobs([job])
             with Dispatcher([agent.address]) as dispatcher:
                 assert dispatcher.n_live == 1
-
-    def test_undigested_shard_lands_when_its_label_comes_back_none(
-        self, monkeypatch
-    ):
-        """A shard sent without a digest is answered under ``None``:
-        the dispatcher's label check accepts exactly that."""
-        import repro.dist.dispatch as dispatch
-
-        monkeypatch.setattr(dispatch, "shard_digest", lambda spec: None)
-        ensemble = EnsembleSpec(family="timeless", n_cores=N_CORES)
-        job = prepare_job(ensemble, _drive(), 2)
-        with WorkerAgent() as agent:
-            with Dispatcher([agent.address], deadline_s=30.0) as dispatcher:
-                (result,) = dispatcher.run_jobs([job])
-        assert_results_bitwise_equal(reference_result(), result)
 
     def test_retries_exhausted_drains_locally(self, caplog):
         agent = WorkerAgent().start()
@@ -355,8 +320,8 @@ class TestRunDistributed:
 class _DoneWithoutBlocksAgent(WorkerAgent):
     """Declares every shard done without streaming a single block."""
 
-    def _run(self, conn, digest, spec) -> None:
-        send_message(conn, (MSG_DONE, digest, 0))
+    def _run(self, conn, label, spec) -> None:
+        send_message(conn, (MSG_DONE, label, 0))
 
 
 class TestSettledFailures:
@@ -464,12 +429,12 @@ class _StreamAgent(_BadAgent):
     def rewrite(self, spec, blocks) -> list:
         raise NotImplementedError
 
-    def _run(self, conn, digest, spec) -> None:
+    def _run(self, conn, label, spec) -> None:
         blocks = self.rewrite(spec, list(iter_shard_blocks(spec)))
         self.met.set()
         for block in blocks:
-            send_message(conn, (MSG_BLOCK, digest, block))
-        send_message(conn, (MSG_DONE, digest, len(blocks)))
+            send_message(conn, (MSG_BLOCK, label, block))
+        send_message(conn, (MSG_DONE, label, len(blocks)))
 
 
 def _shifted(block, rows: int):
@@ -510,15 +475,51 @@ class _OverlongBlockAgent(_StreamAgent):
         ]
 
 
+def _with_rows(block, rows: slice):
+    """``block`` with every per-sample array cut to ``rows``, its row
+    range kept."""
+    return dataclasses.replace(
+        block, m=block.m[rows], b=block.b[rows], updated=block.updated[rows],
+        extras={k: v[rows] for k, v in block.extras.items()},
+    )
+
+
 class _ShortBlockAgent(_StreamAgent):
     """Drops the last sample of every block, keeping its row range."""
 
     def rewrite(self, spec, blocks):
+        return [_with_rows(block, slice(-1)) for block in blocks]
+
+
+class _BroadcastRowsAgent(_StreamAgent):
+    """Sends one row of every block, keeping its row range: NumPy would
+    broadcast that row down the whole range."""
+
+    def rewrite(self, spec, blocks):
+        return [_with_rows(block, slice(1)) for block in blocks]
+
+
+class _Float32Agent(_StreamAgent):
+    """Sends ``m`` as float32 and ``updated`` as float64: NumPy would
+    cast both back into the buffers."""
+
+    def rewrite(self, spec, blocks):
         return [
             dataclasses.replace(
-                block, m=block.m[:-1], b=block.b[:-1],
-                updated=block.updated[:-1],
-                extras={k: v[:-1] for k, v in block.extras.items()},
+                block, m=block.m.astype(np.float32),
+                updated=block.updated.astype(np.float64),
+            )
+            for block in blocks
+        ]
+
+
+class _NarrowCountersAgent(_StreamAgent):
+    """Sends every counter one lane wide."""
+
+    def rewrite(self, spec, blocks):
+        return [
+            dataclasses.replace(
+                block, counters={k: v[:1] for k, v in block.counters.items()}
             )
             for block in blocks
         ]
@@ -570,35 +571,50 @@ class _ForeignExtraAgent(_StreamAgent):
         ]
 
 
-#: A digest no shard of the bad-peer job is sent under.
-FOREIGN_DIGEST = "f" * 64
+#: A label no shard of the bad-peer job is sent under.
+FOREIGN_LABEL = "f" * 64
 
 
-class _ForeignDigestBlockAgent(_BadAgent):
-    """Labels every block with another shard's digest."""
+class _ForeignLabelBlockAgent(_BadAgent):
+    """Labels every block with another shard's label."""
 
-    def _run(self, conn, digest, spec) -> None:
+    def _run(self, conn, label, spec) -> None:
         self.met.set()
         for block in iter_shard_blocks(spec):
-            send_message(conn, (MSG_BLOCK, FOREIGN_DIGEST, block))
-        send_message(conn, (MSG_DONE, digest, 1))
+            send_message(conn, (MSG_BLOCK, FOREIGN_LABEL, block))
+        send_message(conn, (MSG_DONE, label, 1))
 
 
-class _ForeignDigestDoneAgent(_BadAgent):
+class _ForeignLabelDoneAgent(_BadAgent):
     """Streams its blocks rightly, then labels ``done`` with another
-    shard's digest."""
+    shard's label."""
 
-    def _run(self, conn, digest, spec) -> None:
+    def _run(self, conn, label, spec) -> None:
         self.met.set()
         for block in iter_shard_blocks(spec):
-            send_message(conn, (MSG_BLOCK, digest, block))
-        send_message(conn, (MSG_DONE, FOREIGN_DIGEST, 1))
+            send_message(conn, (MSG_BLOCK, label, block))
+        send_message(conn, (MSG_DONE, FOREIGN_LABEL, 1))
+
+
+class _ReplayedLabelAgent(_BadAgent):
+    """Answers every shard under the label of the first shard it took."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.first = None
+
+    def _run(self, conn, label, spec) -> None:
+        if self.first is None:
+            self.first = label
+        else:
+            self.met.set()
+        super()._run(conn, self.first, spec)
 
 
 class _NotATupleAgent(_BadAgent):
     """Answers a run request with a bare integer."""
 
-    def _run(self, conn, digest, spec) -> None:
+    def _run(self, conn, label, spec) -> None:
         self.met.set()
         send_message(conn, 42)
 
@@ -606,7 +622,7 @@ class _NotATupleAgent(_BadAgent):
 class _PongMidStreamAgent(_BadAgent):
     """Answers a run request with a handshake reply."""
 
-    def _run(self, conn, digest, spec) -> None:
+    def _run(self, conn, label, spec) -> None:
         self.met.set()
         send_message(conn, (MSG_PONG, PROTOCOL_VERSION))
 
@@ -614,19 +630,19 @@ class _PongMidStreamAgent(_BadAgent):
 class _StallingAgent(_BadAgent):
     """Streams its first block, then goes silent until it is stopped."""
 
-    def _run(self, conn, digest, spec) -> None:
+    def _run(self, conn, label, spec) -> None:
         block = next(iter_shard_blocks(spec))
         self.met.set()
-        send_message(conn, (MSG_BLOCK, digest, block))
+        send_message(conn, (MSG_BLOCK, label, block))
         self._closed.wait(30.0)
 
 
 class _HangUpAgent(_BadAgent):
     """Streams every block, then hangs up instead of sending ``done``."""
 
-    def _run(self, conn, digest, spec) -> None:
+    def _run(self, conn, label, spec) -> None:
         for block in iter_shard_blocks(spec):
-            send_message(conn, (MSG_BLOCK, digest, block))
+            send_message(conn, (MSG_BLOCK, label, block))
         self.met.set()
         conn.close()
 
@@ -739,12 +755,16 @@ BAD_PEERS = [
      on_bad(max_buffer_bytes=64),
      (DistError, r"shard \[0, 4\) failed dispatcher-side(?s:.*)"
       r"64-byte result-buffer ceiling"), False),
-    ("foreign-digest-block", _ForeignDigestBlockAgent, on_bad(),
+    ("foreign-label-block", _ForeignLabelBlockAgent, on_bad(),
      (DistError, r"shard \[0, 4\) failed dispatcher-side(?s:.*)"
       r"received a 'block' message labelled 'f{64}'"), False),
-    ("foreign-digest-done", _ForeignDigestDoneAgent, on_bad(),
+    ("foreign-label-done", _ForeignLabelDoneAgent, on_bad(),
      (DistError, r"shard \[0, 4\) failed dispatcher-side(?s:.*)"
       r"received a 'done' message labelled 'f{64}'"), False),
+    ("replayed-label", _ReplayedLabelAgent, on_bad(),
+     (DistError, r"shard \[4, 8\) failed dispatcher-side(?s:.*)"
+      r"sent under label 1 but received a 'block' message labelled 0"),
+     False),
     ("foreign-extras-channel", _ForeignExtraAgent, on_bad(),
      (DistError, r"shard \[0, 4\) failed dispatcher-side(?s:.*)"
       r"recorded extras .*bogus.* is stale"), False),
@@ -756,8 +776,20 @@ BAD_PEERS = [
       r"TypeError"), False),
     ("wrong-sample-count", _ShortBlockAgent, on_bad(chunk_lanes=2),
      (DistError, r"shard \[0, 4\) failed dispatcher-side(?s:.*)"
-      r"could not broadcast input array from shape \(21,4\) into "
-      r"shape \(22,4\)"), False),
+      r"lanes \[0, 4\) rows \[0, 22\): channel 'm' is a \(21, 4\) "
+      r"float64 array, expected a \(22, 4\) float64 array"), False),
+    ("broadcast-rows", _BroadcastRowsAgent, on_bad(),
+     (DistError, r"shard \[0, 4\) failed dispatcher-side(?s:.*)"
+      r"lanes \[0, 4\) rows \[0, 44\): channel 'm' is a \(1, 4\) "
+      r"float64 array, expected a \(44, 4\) float64 array"), False),
+    ("float32-m", _Float32Agent, on_bad(),
+     (DistError, r"shard \[0, 4\) failed dispatcher-side(?s:.*)"
+      r"lanes \[0, 4\) rows \[0, 44\): channel 'm' is a \(44, 4\) "
+      r"float32 array, expected a \(44, 4\) float64 array"), False),
+    ("narrow-counters", _NarrowCountersAgent, on_bad(),
+     (DistError, r"shard \[0, 4\) failed dispatcher-side(?s:.*)"
+      r"lanes \[0, 4\) rows \[0, 44\): counter 'clamped_slopes' is a "
+      r"\(1,\) int64 array, expected a \(4,\) array"), False),
     ("unknown-kind-to-an-agent", WorkerAgent, _unknown_kind_then_ping,
      [("error", None, "unknown message kind 'frobnicate'"),
       ("pong", PROTOCOL_VERSION)], False),
@@ -910,8 +942,8 @@ class TestProbe:
 
 
 class TestExecutorRouting:
-    def test_run_sharded_hosts_matches_single_process(self, fleet):
-        result = run_sharded(
+    def test_run_distributed_hosts_matches_single_process(self, fleet):
+        result = run_distributed(
             EnsembleSpec(family="timeless", n_cores=N_CORES),
             scenario="major-loop",
             h_max=H_MAX,

@@ -1,12 +1,12 @@
 """Wire-payload properties (hypothesis): every spec type repro.dist
-ships must survive pickle → bytes → unpickle with its content digest
-intact.
+ships must survive pickle → bytes → unpickle intact, and the ensemble
+and drive specs with their content digest intact.
 
-The dispatcher's dedup table and the PR 7 result cache both key on
-content digests computed *before* a spec crosses a process or socket
-boundary; a digest that drifted across pickling would silently alias
-distinct requests (or miss identical ones).  These properties pin the
-transport invariant: round-tripped specs are equal, and they digest
+The service's result cache keys on content digests computed
+*before* a spec crosses a process or socket boundary; a digest that
+drifted across pickling would silently alias distinct requests (or
+miss identical ones).  These properties pin the transport invariant:
+round-tripped specs are equal, and ensembles and drives digest
 identically.
 """
 
@@ -15,7 +15,6 @@ import pickle
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.dist import shard_digest
 from repro.models.registry import list_families
 from repro.parallel import DriveSpec, EnsembleSpec, ShardSpec
 from repro.scenarios import list_scenarios
@@ -96,13 +95,9 @@ def test_explicit_sample_drives_survive_the_wire(drive, ensemble):
     assert spec_digest(ensemble, thawed) == spec_digest(ensemble, drive)
 
 
-@settings(max_examples=50, deadline=None)
-@given(spec=shard_specs())
-def test_shard_specs_survive_the_wire(spec):
-    thawed = pickle.loads(pickle.dumps(spec))
-    # ShardSpec compares by identity; pin the scalar fields and the
-    # array-aware drive explicitly, then the transport invariant: the
-    # round trip never changes the wire digest.
+def assert_same_shard(thawed, spec):
+    """ShardSpec compares by identity; pin the scalar fields and the
+    array-aware drive explicitly."""
     assert thawed.family == spec.family
     assert thawed.n_cores_total == spec.n_cores_total
     assert (thawed.start, thawed.stop) == (spec.start, spec.stop)
@@ -110,13 +105,16 @@ def test_shard_specs_survive_the_wire(spec):
     assert thawed.ensemble == spec.ensemble
     assert thawed.threads == spec.threads
     assert thawed.chunk_lanes == spec.chunk_lanes
-    assert shard_digest(thawed) == shard_digest(spec)
-    assert shard_digest(thawed) is not None
+
+
+@settings(max_examples=50, deadline=None)
+@given(spec=shard_specs())
+def test_shard_specs_survive_the_wire(spec):
+    assert_same_shard(pickle.loads(pickle.dumps(spec)), spec)
 
 
 @settings(max_examples=25, deadline=None)
 @given(spec=shard_specs())
 def test_double_pickle_is_stable(spec):
     once = pickle.loads(pickle.dumps(spec))
-    twice = pickle.loads(pickle.dumps(once))
-    assert shard_digest(twice) == shard_digest(spec)
+    assert_same_shard(pickle.loads(pickle.dumps(once)), spec)

@@ -564,5 +564,6 @@ def test_layer_invariants_parallel_service_sched():
     assert RANK["sched"] > RANK["parallel"]  # sched sits above parallel
     assert ("parallel", "sched") in LAZY_ALLOWLIST  # the documented break
     assert ("parallel", "service") not in LAZY_ALLOWLIST
+    assert ("dist", "service") not in LAZY_ALLOWLIST
     assert rank_of("nonexistent") is None
     assert len([p for layer in LAYER_ORDER for p in layer]) == len(RANK)

@@ -450,22 +450,6 @@ def test_grid_route_matches_single_process(
         assert_results_bitwise_equal(reference, cell.result)
 
 
-def test_auto_plan_with_hosts_names_what_works(fleet):
-    """No plan places shards on hosts, so ``plan="auto"`` with hosts is
-    rejected, and the message points at what does dispatch:
-    ``hosts=`` alone, with ``n_workers=`` as the shard count."""
-    with pytest.raises(ParameterError) as raised:
-        run_sharded(
-            EnsembleSpec("timeless", 4), scenario="major-loop", h_max=8e3,
-            driver_step=400.0, plan="auto", hosts=fleet,
-        )
-    message = str(raised.value)
-    assert "plan='auto'" not in message
-    assert 'plan="auto"' not in message
-    assert "hosts= without plan=" in message
-    assert "n_workers=" in message
-
-
 # -- every route-argument conflict, raised before any work -----------------
 
 #: Stand-ins the table swaps for the live pool and service.
@@ -475,8 +459,10 @@ PLAN = ExecutionPlan(backend="numpy", n_workers=2)
 FLEET = [UNREACHABLE]
 REPEATED = [UNREACHABLE, UNREACHABLE]
 
-#: What a repeated host and an empty grid axis raise.
+#: What a repeated host, a bare-string host and an empty grid axis
+#: raise.
 REPEATED_HOST = r"'127\.0\.0\.1:9' more than once.*n_workers="
+BARE_HOST = r"not one string: pass hosts=\['127\.0\.0\.1:9'\]"
 EMPTY_AXIS = "at least one family, scenario and h_max"
 
 #: The one drive and grid every entry point runs.
@@ -541,19 +527,13 @@ CONFLICTS = [
     ("run_sharded", dict(plan=PLAN, n_workers=2), "plan"),
     ("run_sharded", dict(plan="auto", n_workers=2), "plan"),
     ("run_sharded", dict(plan=ExecutionPlan(backend="no-such")), "backend"),
-    ("run_sharded", dict(hosts=[]), "at least one"),
-    ("run_sharded", dict(hosts=REPEATED), REPEATED_HOST),
-    ("run_sharded", dict(hosts=FLEET, plan="auto"), "hosts= or plan="),
-    ("run_sharded", dict(hosts=FLEET, plan=PLAN), "hosts= or plan="),
-    ("run_sharded", dict(hosts=FLEET, mp_context="fork"), "remote shards"),
-    ("run_sharded", dict(hosts=FLEET, pool=POOL), "remote shards"),
-    ("run_sharded", dict(hosts=FLEET, n_workers=0), "n_workers"),
     ("run_sharded", dict(pool=POOL, n_workers=2), "pool width"),
     ("run_sharded", dict(pool=POOL, plan=PLAN), "pool width"),
     ("run_sharded", dict(pool=POOL, plan="auto"), "pool width"),
     ("run_sharded", dict(pool=POOL, mp_context="fork"), "start method"),
     ("run_scenario_grid", dict(hosts=[]), "at least one"),
     ("run_scenario_grid", dict(hosts=REPEATED), REPEATED_HOST),
+    ("run_scenario_grid", dict(hosts=UNREACHABLE), BARE_HOST),
     ("run_scenario_grid", dict(hosts=FLEET, mp_context="fork"),
      "remote shards"),
     ("run_scenario_grid", dict(hosts=FLEET, service=SERVICE),
@@ -565,6 +545,7 @@ CONFLICTS = [
     ("run_scenario_grid", dict(h_max_values=[]), EMPTY_AXIS),
     ("run_distributed", dict(hosts=[]), "at least one"),
     ("run_distributed", dict(hosts=REPEATED), REPEATED_HOST),
+    ("run_distributed", dict(hosts=UNREACHABLE), BARE_HOST),
     ("run_distributed", dict(hosts=FLEET, n_workers=0), "n_workers"),
     ("service.stream_grid", dict(families=[]), EMPTY_AXIS),
     ("service.stream_grid", dict(scenarios=[]), EMPTY_AXIS),
@@ -600,6 +581,8 @@ def conflict_id(entry, route) -> str:
             return key
         if isinstance(value, list):
             return f"{key}=repeated" if value else f"{key}=[]"
+        if value == UNREACHABLE:
+            return f"{key}=bare-string"
         return f"{key}={value}"
 
     return "-".join([entry] + [label(*item) for item in route.items()])
