@@ -186,6 +186,18 @@ def _drive():
     )
 
 
+class _LabelRecordingAgent(WorkerAgent):
+    """Serves every shard, recording the label it came under."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.labels = []
+
+    def _run(self, conn, label, spec) -> None:
+        self.labels.append(label)
+        super()._run(conn, label, spec)
+
+
 class TestRunDistributed:
     def test_bitwise_identical_to_single_process(self, fleet):
         """A scenario recipe, one shard per host.  Uneven splits and
@@ -266,6 +278,20 @@ class TestRunDistributed:
         assert not np.shares_memory(first.m, second.m)
         for result in (first, second):
             assert_results_bitwise_equal(reference_result(), result)
+
+    def test_labels_never_repeat_across_run_jobs_calls(self):
+        """A dispatcher numbers its shards from one counter, so a reused
+        dispatcher never sends two shards under one label."""
+        ensemble = EnsembleSpec(family="timeless", n_cores=N_CORES)
+        with _LabelRecordingAgent() as agent:
+            with Dispatcher([agent.address]) as dispatcher:
+                for _ in range(2):
+                    (result,) = dispatcher.run_jobs(
+                        [prepare_job(ensemble, _drive(), 2)]
+                    )
+                    assert_results_bitwise_equal(reference_result(), result)
+        assert len(agent.labels) == 4
+        assert len(set(agent.labels)) == 4
 
     def test_worker_side_error_raises_dist_error(self, fleet):
         ensemble = EnsembleSpec(family="timeless", n_cores=N_CORES)
@@ -508,6 +534,19 @@ class _Float32Agent(_StreamAgent):
             dataclasses.replace(
                 block, m=block.m.astype(np.float32),
                 updated=block.updated.astype(np.float64),
+            )
+            for block in blocks
+        ]
+
+
+class _Float64UpdatedAgent(_StreamAgent):
+    """Sends ``updated`` as float64 and every other channel intact:
+    NumPy would cast it back into the bool buffer."""
+
+    def rewrite(self, spec, blocks):
+        return [
+            dataclasses.replace(
+                block, updated=block.updated.astype(np.float64)
             )
             for block in blocks
         ]
@@ -786,6 +825,10 @@ BAD_PEERS = [
      (DistError, r"shard \[0, 4\) failed dispatcher-side(?s:.*)"
       r"lanes \[0, 4\) rows \[0, 44\): channel 'm' is a \(44, 4\) "
       r"float32 array, expected a \(44, 4\) float64 array"), False),
+    ("float64-updated", _Float64UpdatedAgent, on_bad(),
+     (DistError, r"shard \[0, 4\) failed dispatcher-side(?s:.*)"
+      r"lanes \[0, 4\) rows \[0, 44\): channel 'updated' is a \(44, 4\) "
+      r"float64 array, expected a \(44, 4\) bool array"), False),
     ("narrow-counters", _NarrowCountersAgent, on_bad(),
      (DistError, r"shard \[0, 4\) failed dispatcher-side(?s:.*)"
       r"lanes \[0, 4\) rows \[0, 44\): counter 'clamped_slopes' is a "
@@ -953,6 +996,18 @@ class TestExecutorRouting:
             chunk_lanes=3,
         )
         assert_results_bitwise_equal(reference_result(), result)
+
+    def test_run_sharded_runs_on_this_host_only(self, fleet):
+        """One run reaches a fleet through run_distributed alone:
+        run_sharded takes no hosts=."""
+        with pytest.raises(TypeError, match="hosts"):
+            run_sharded(
+                EnsembleSpec(family="timeless", n_cores=N_CORES),
+                scenario="major-loop",
+                h_max=H_MAX,
+                driver_step=STEP,
+                hosts=fleet,
+            )
 
     def test_chunked_serial_run_is_bitwise_identical(self):
         result = run_sharded(

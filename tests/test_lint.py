@@ -83,6 +83,30 @@ def test_l001_flags_both_eager_and_unlisted_lazy():
     assert len(violations) == 2
 
 
+@pytest.mark.parametrize(
+    "importer, target",
+    [("dist", "repro.service.digest"), ("service", "repro.dist.protocol")],
+)
+def test_l001_flags_a_lazy_import_between_service_and_dist(
+    tmp_path, importer, target
+):
+    """``service`` and ``dist`` share a rank with no allowlist entry
+    either way, so even a function-scoped import between them is
+    flagged."""
+    package = tmp_path / "repro" / importer
+    package.mkdir(parents=True)
+    (package / "reach.py").write_text(
+        "def reach():\n"
+        f"    import {target}\n"
+        "\n"
+        f"    return {target}\n"
+    )
+    violations = rules_hit([tmp_path], select=["L001"])[0]
+    assert len(violations) == 1
+    assert f"lazy import of {target!r}" in violations[0].message
+    assert violations[0].line == 2
+
+
 def test_l002_reports_both_transcendental_and_sum():
     violations = rules_hit([FIXTURES / "l002_bad"], select=["L002"])[0]
     messages = "\n".join(v.message for v in violations)

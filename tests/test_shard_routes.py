@@ -459,10 +459,11 @@ PLAN = ExecutionPlan(backend="numpy", n_workers=2)
 FLEET = [UNREACHABLE]
 REPEATED = [UNREACHABLE, UNREACHABLE]
 
-#: What a repeated host, a bare-string host and an empty grid axis
-#: raise.
+#: What a repeated host, a bare-string (or bytes) host and an empty
+#: grid axis raise.
 REPEATED_HOST = r"'127\.0\.0\.1:9' more than once.*n_workers="
 BARE_HOST = r"not one string: pass hosts=\['127\.0\.0\.1:9'\]"
+BARE_BYTES_HOST = r"not one string: pass hosts=\[b'127\.0\.0\.1:9'\]"
 EMPTY_AXIS = "at least one family, scenario and h_max"
 
 #: The one drive and grid every entry point runs.
@@ -534,6 +535,7 @@ CONFLICTS = [
     ("run_scenario_grid", dict(hosts=[]), "at least one"),
     ("run_scenario_grid", dict(hosts=REPEATED), REPEATED_HOST),
     ("run_scenario_grid", dict(hosts=UNREACHABLE), BARE_HOST),
+    ("run_scenario_grid", dict(hosts=UNREACHABLE.encode()), BARE_BYTES_HOST),
     ("run_scenario_grid", dict(hosts=FLEET, mp_context="fork"),
      "remote shards"),
     ("run_scenario_grid", dict(hosts=FLEET, service=SERVICE),
@@ -546,6 +548,7 @@ CONFLICTS = [
     ("run_distributed", dict(hosts=[]), "at least one"),
     ("run_distributed", dict(hosts=REPEATED), REPEATED_HOST),
     ("run_distributed", dict(hosts=UNREACHABLE), BARE_HOST),
+    ("run_distributed", dict(hosts=UNREACHABLE.encode()), BARE_BYTES_HOST),
     ("run_distributed", dict(hosts=FLEET, n_workers=0), "n_workers"),
     ("service.stream_grid", dict(families=[]), EMPTY_AXIS),
     ("service.stream_grid", dict(scenarios=[]), EMPTY_AXIS),
@@ -575,6 +578,8 @@ def nothing_runs(monkeypatch):
 
 def conflict_id(entry, route) -> str:
     def label(key, value):
+        if isinstance(value, bytes):
+            return f"{key}=bare-bytes"
         if isinstance(value, ExecutionPlan):
             return f"plan={value.backend}"
         if value in (POOL, SERVICE) or value == FLEET:
