@@ -1,8 +1,8 @@
 """EXP-B7 bench: the warm-pool service layer's acceptance bar.
 
-EXP-B7 measures what the service stack buys over one-shot execution:
+EXP-B7 measures what the service stack buys over cold-pool execution:
 cold vs warm submission latency (a persistent pre-warmed pool against
-a fresh ``multiprocessing`` pool per call), cache miss vs hit cost,
+a default pool forked afresh for every call), cache miss vs hit cost,
 and — the headline — the same scenario grid run twice through
 ``run_scenario_grid(..., service=...)``.  Pass 1 computes every unique
 cell and inserts it; pass 2 is served entirely from the

@@ -72,21 +72,30 @@ def waypoint_samples(
 
     Each segment is divided into ``ceil(|span| / driver_step)`` equal
     increments so the endpoints are hit exactly (turning points are where
-    the physics happens, so they must be sampled).
+    the physics happens, so they must be sampled).  Sample ``i`` of a
+    segment is ``start + span * i / count``, one array expression per
+    segment.  A non-finite waypoint raises :class:`ParameterError`.
     """
     if len(waypoints) < 2:
         raise ParameterError("need at least two waypoints for a sweep")
     if not math.isfinite(driver_step) or driver_step <= 0.0:
         raise ParameterError(f"driver_step must be > 0, got {driver_step!r}")
-    samples: list[float] = [float(waypoints[0])]
-    for start, stop in zip(waypoints[:-1], waypoints[1:]):
-        span = float(stop) - float(start)
+    vertices = [float(w) for w in waypoints]
+    for index, vertex in enumerate(vertices):
+        if not math.isfinite(vertex):
+            raise ParameterError(
+                f"waypoint {index} must be finite, got {vertex!r}"
+            )
+    segments = [np.array(vertices[:1])]
+    for start, stop in zip(vertices[:-1], vertices[1:]):
+        span = stop - start
         if span == 0.0:
             continue
-        count = max(1, int(math.ceil(abs(span) / driver_step)))
-        for i in range(1, count + 1):
-            samples.append(float(start) + span * i / count)
-    return np.array(samples)
+        count = max(1, math.ceil(abs(span) / driver_step))
+        segments.append(
+            start + span * np.arange(1, count + 1, dtype=float) / count
+        )
+    return np.concatenate(segments)
 
 
 def run_sweep(

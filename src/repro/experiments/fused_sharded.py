@@ -45,6 +45,7 @@ from repro.experiments.registry import ExperimentResult, register
 from repro.io.table import TextTable
 from repro.models.registry import list_families
 from repro.parallel import available_cpus, resolve_workers, run_sharded
+from repro.parallel.pool import close_default_pool
 from repro.scenarios import scenario_samples
 
 
@@ -112,6 +113,9 @@ def run(
             sharded_batch = family.make_batch(
                 n_cores, seed, backend=backend.name
             )
+            # Every sharded row is cold: the default pool forks (and
+            # its workers start) inside the timing.
+            close_default_pool()
             start = time.perf_counter()
             sharded = run_sharded(sharded_batch, h, n_workers=workers)
             sharded_seconds = time.perf_counter() - start
@@ -196,7 +200,8 @@ def run(
         ),
         "sharded rows compose both layers: every pool worker drives its "
         "lane shard through the fused step_series path of the row's "
-        "backend (shard payloads pin the parent's backend)",
+        "backend (shard payloads pin the parent's backend); each row "
+        "forks a fresh default pool inside its timing",
         f"multiprocessing start method: {multiprocessing.get_start_method()} "
         "— under fork, workers inherit the parent's warmed JIT kernels; "
         "under spawn, sharded JIT rows include per-worker nopython "

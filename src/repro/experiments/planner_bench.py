@@ -15,12 +15,14 @@ careful user could write, on every family × ensemble-size cell:
 
 Every plan runs through the **same** entry point
 (``run_sharded(..., plan=...)``), so what is measured is exactly what a
-caller gets.  Per cell the table reports each plan's best-of-repeats
-wall time, the auto plan's choice and its ratio to the best hand plan
-(the acceptance bar: within 1.2x everywhere), and the cell's spread
-(worst/best — the cost of guessing wrong, >= 2x somewhere on real
-hosts).  Correctness rides along: exact-backend plans must reassemble
-bitwise against the reference; JIT plans hold the backend's rtol tier.
+caller gets, and every run is cold (the default pool forked afresh), as
+the planner prices it.  Per cell the table reports each plan's
+best-of-repeats wall time, the auto plan's choice and its ratio to the
+best hand plan (the acceptance bar: within 1.2x everywhere), and the
+cell's spread (worst/best — the cost of guessing wrong, >= 2x
+somewhere on real hosts).  Correctness rides along: exact-backend plans
+must reassemble bitwise against the reference; JIT plans hold the
+backend's rtol tier.
 
 ``benchmarks/test_bench_planner.py`` asserts the two acceptance bars at
 benchmark sizes (skipping hosts with < 4 real cores, where there is no
@@ -29,6 +31,8 @@ checks structure and correctness only — single-CPU CI timing is noise.
 """
 
 from __future__ import annotations
+
+import time
 
 from repro.backend import (
     get_backend,
@@ -41,10 +45,10 @@ from repro.experiments.backend_fused import (
     max_relative_deviation,
 )
 from repro.experiments.registry import ExperimentResult, register
-from repro.experiments.runner import measure
 from repro.io.table import TextTable
 from repro.models.registry import list_families
 from repro.parallel import available_cpus, resolve_workers, run_sharded
+from repro.parallel.pool import close_default_pool
 from repro.parallel.spec import EnsembleSpec
 from repro.scenarios import scenario_samples
 from repro.sched import ExecutionPlan, plan_for, run_calibration
@@ -79,12 +83,17 @@ def _shape(plan: ExecutionPlan) -> tuple:
 
 def _timed_run(spec: EnsembleSpec, h, plan: ExecutionPlan, repeats: int):
     """Best-of-repeats wall time of ``run_sharded(spec, h, plan=plan)``
-    (one untimed warm-up on JIT backends), plus the last result."""
-    seconds, result = measure(
-        lambda: run_sharded(spec, h, plan=plan),
-        repeats,
-        warmup=0 if get_backend(plan.backend).exact else 1,
-    )
+    (one untimed warm-up on JIT backends), plus the last result.  Every
+    repeat is cold, as the planner prices it: the default pool is closed
+    before it, outside the timing, so a pooled plan forks inside it."""
+    if not get_backend(plan.backend).exact:
+        run_sharded(spec, h, plan=plan)
+    seconds, result = [], None
+    for _ in range(max(1, repeats)):
+        close_default_pool()
+        start = time.perf_counter()
+        result = run_sharded(spec, h, plan=plan)
+        seconds.append(time.perf_counter() - start)
     return min(seconds), result
 
 

@@ -1,13 +1,14 @@
-"""EXP-B7: the warm-pool service against one-shot execution.
+"""EXP-B7: the warm-pool service against cold-pool execution.
 
 PR 6's planner made one run cheap to configure; this experiment
 measures what the *service layer* adds on top for the many-run shape
 real campaigns have:
 
-* **cold vs warm submission** — the same workload through one-shot
-  ``run_sharded(..., n_workers=...)`` (a fresh pool per call, so every
-  call re-pays the calibration's ``pool_base`` and, on JIT backends,
-  per-worker kernel compilation) and through a live
+* **cold vs warm submission** — the same workload through
+  ``run_sharded(..., n_workers=...)`` with the process-wide default
+  pool closed before each call (so every call forks a fresh pool and
+  re-pays the calibration's ``pool_base`` and, on JIT backends, the
+  kernel pre-compilation) and through a live
   :class:`~repro.service.api.HysteresisService` (one pre-warmed pool,
   reused);
 * **cache miss vs hit** — the first request for a digest computes and
@@ -20,7 +21,7 @@ real campaigns have:
   asserts >= 5x on benchmark hosts).
 
 Correctness rides along: the warm-pool result must be bitwise equal to
-the cold one-shot result on the exact backend (the digest/caching
+the cold-pool result on the exact backend (the digest/caching
 design leans on exactly this — PRs 3 and 6 pinned sharded and threaded
 execution to the single-process reference, so any plan can serve any
 hit).
@@ -37,6 +38,7 @@ from repro.io.table import TextTable
 from repro.models.registry import list_families
 from repro.parallel import available_cpus, resolve_workers, run_sharded
 from repro.parallel.grid import run_scenario_grid
+from repro.parallel.pool import close_default_pool
 from repro.parallel.spec import DriveSpec, EnsembleSpec
 
 EXPERIMENT_ID = "EXP-B7"
@@ -74,18 +76,20 @@ def run(
         scenario=scenario, h_max=float(family.h_scale), driver_step=step
     )
 
-    # -- cold submissions: a fresh one-shot pool per call --------------
-    cold_samples, cold_result = measure(
-        lambda: run_sharded(
+    # -- cold submissions: a freshly forked default pool per call -----
+    def cold():
+        close_default_pool()
+        return run_sharded(
             spec,
             scenario=scenario,
             h_max=float(family.h_scale),
             driver_step=step,
             n_workers=workers,
-        ),
-        repeats,
-    )
+        )
+
+    cold_samples, cold_result = measure(cold, repeats)
     cold_seconds = min(cold_samples)
+    close_default_pool()
 
     rows: list[dict] = []
     with HysteresisService(workers) as service:
@@ -152,12 +156,12 @@ def run(
     table = TextTable(
         ["operation", "n", "seconds", "note"],
         title=(
-            f"warm-pool service vs one-shot execution, "
+            f"warm-pool service vs cold-pool execution, "
             f"{workers} worker(s), {available_cpus()} CPU(s)"
         ),
     )
     notes_per_op = {
-        "cold_submit": "one-shot run_sharded: fresh pool per call",
+        "cold_submit": "run_sharded, default pool re-forked per call",
         "warm_submit": "HysteresisService.run: live pool, cache cleared",
         "cache_miss": "first request for a digest (compute + insert)",
         "cache_hit": f"per request, {hit_requests} repeats",
@@ -181,7 +185,7 @@ def run(
         "on benchmark hosts)",
         "warm-pool result "
         + ("bitwise equal" if warm_matches_cold else "NOT EQUAL")
-        + " to the cold one-shot result"
+        + " to the cold-pool result"
         + ("" if exact else " (JIT backend: rtol tier applies)"),
         "cache keys cover (family, n_cores, seed, backend, drive) — "
         "never pool width or threads: PRs 3/6 pinned every execution "

@@ -4,7 +4,7 @@ Four concurrency gotchas this repo hit (or pre-empted) once each and
 must never hit again:
 
 * **Caller-owned pools are never closed by executors** (PR 7): a
-  :class:`~repro.service.pool.WorkerPool` outlives campaigns by
+  :class:`~repro.parallel.pool.WorkerPool` outlives campaigns by
   design — ``run_sharded(..., pool=...)`` borrowing it must not call
   ``close``/``terminate``/``join`` on it (nor enter it as a context
   manager, whose ``__exit__`` closes).  Detected as those calls on a

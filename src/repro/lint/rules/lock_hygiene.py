@@ -15,9 +15,9 @@ serialised pool, PR 9's campaign state) turned into policy:
   ``accept()`` under a held ``Lock``/``Condition`` turns one slow peer
   into a stalled process — every other thread piles up on the lock.
   The one documented exception is
-  :meth:`repro.service.pool.WorkerPool.execute`, whose *purpose* is
-  serialising pool fan-outs behind a lock (overlapping ``Pool.map``
-  calls from the async front-end must not interleave); it is
+  :meth:`repro.parallel.pool.WorkerPool.execute`, whose *purpose* is
+  serialising pool fan-outs behind a lock (a service's misses, sent
+  from its async front-end's threads, run one at a time); it is
   allowlisted by qualified name below.
 
 Both halves act only on names the resolver can type
@@ -37,7 +37,7 @@ from repro.lint.resolve import ModuleResolver
 
 #: ``(module, Class.method)`` pairs allowed to block under their lock,
 #: each for a documented reason (see the module docstring).
-ALLOWLIST = frozenset({("repro.service.pool", "WorkerPool.execute")})
+ALLOWLIST = frozenset({("repro.parallel.pool", "WorkerPool.execute")})
 
 #: Free functions whose call is a known blocking operation.
 BLOCKING_FUNCTIONS = frozenset(

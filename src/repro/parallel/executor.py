@@ -44,6 +44,7 @@ set it to stay within their core allowance).
 from __future__ import annotations
 
 import os
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import partial
@@ -325,31 +326,86 @@ def _worker(task: "tuple[ShardSpec, _Segments]"):
             shm.close()
 
 
-def execute_jobs_pooled(pool, jobs: "list[_CellJob]") -> list[BatchSweepResult]:
-    """Run every job's shards on one pool and assemble per job.
+class _Flight:
+    """One chunk of jobs on a pool: its shared buffers, laid out, and
+    its shard tasks, queued the moment the chunk is launched."""
 
-    The single shared lay out → map → commit → copy out → release
-    sequence behind every fork-pool transport: the one-shot pool of
-    :func:`repro.parallel.grid.job_runner` and a warm
-    :class:`~repro.service.pool.WorkerPool`.  Shared memory is always
-    released, success or not.
-    """
-    owned: list = []
-    try:
-        assemblies, tasks = [], []
-        for job in jobs:
-            assembly, segments = _shared_assembly(job, owned)
-            assemblies.append(assembly)
-            tasks.extend((spec, segments) for spec in job.specs)
-        counters = iter(pool.map(_worker, tasks))
-        for job, assembly in zip(jobs, assemblies):
-            for spec in job.specs:
-                assembly.commit_shard(spec.start, spec.stop, next(counters))
-        return [assembly.result(copy=True) for assembly in assemblies]
-    finally:
-        for shm in owned:
+    def __init__(self, pool, jobs: "list[_CellJob]") -> None:
+        self.owned: list = []
+        self.assemblies = []
+        try:
+            tasks = []
+            for job in jobs:
+                assembly, segments = _shared_assembly(job, self.owned)
+                self.assemblies.append((job, assembly))
+                tasks.extend((spec, segments) for spec in job.specs)
+            self.pending = pool.map_async(_worker, tasks)
+        except BaseException:
+            self.release()
+            raise
+
+    def land(self) -> list[BatchSweepResult]:
+        """Wait for every task, then commit and copy out per job.  The
+        buffers are released either way; a failed task raises here
+        only once all of the chunk's tasks are done."""
+        try:
+            counters = iter(self.pending.get())
+            for job, assembly in self.assemblies:
+                for spec in job.specs:
+                    assembly.commit_shard(
+                        spec.start, spec.stop, next(counters)
+                    )
+            return [
+                assembly.result(copy=True) for _, assembly in self.assemblies
+            ]
+        finally:
+            self.release()
+
+    def abandon(self) -> None:
+        """Let the tasks finish (no worker is left writing), then release."""
+        try:
+            self.pending.wait()
+        finally:
+            self.release()
+
+    def release(self) -> None:
+        for shm in self.owned:
             shm.close()
             shm.unlink()
+        self.owned.clear()
+
+
+def execute_jobs_pooled(pool, chunks) -> list[BatchSweepResult]:
+    """Run a stream of job chunks on one pool; one result per job, in
+    order.
+
+    ``chunks`` is an iterable of job lists, which may prepare each chunk
+    as it is drawn.  The single lay out → queue → commit → copy out →
+    release sequence behind every pooled transport: the process-wide
+    default pool (:func:`repro.parallel.pool.default_pool`), which
+    streams every chunk of a grid call through here, and a caller's
+    :class:`~repro.parallel.pool.WorkerPool`, one chunk per
+    :meth:`~repro.parallel.pool.WorkerPool.execute`.  Chunk i+1 is
+    drawn and its tasks queued before chunk i is collected, so the
+    workers never wait at a chunk barrier while this process prepares
+    and copies out; at most two chunks' buffers are resident.  Shared
+    memory is always released, success or not: on a failure, a chunk
+    still in flight is waited for, so the pool serves the next call
+    with no task of this one left queued.
+    """
+    results: list = []
+    flights: deque = deque()
+    try:
+        for jobs in chunks:
+            flights.append(_Flight(pool, jobs))
+            if len(flights) > 1:
+                results.extend(flights.popleft().land())
+        while flights:
+            results.extend(flights.popleft().land())
+        return results
+    finally:
+        for flight in flights:
+            flight.abandon()
 
 
 @dataclass(frozen=True)
@@ -365,8 +421,9 @@ class Route:
     ``threads`` is the lane-thread count each shard pins, and
     ``backend`` the backend every source is pinned to (``None``: each
     keeps its own).  The transport is the ``hosts`` fleet when set,
-    else the caller's live ``pool``, else a one-shot pool of
-    ``mp_context``.  :func:`resolve_route` builds routes and
+    else the caller's live ``pool``, else the process-wide default pool
+    of ``mp_context`` (:func:`repro.parallel.pool.default_pool`).
+    :func:`resolve_route` builds routes and
     :func:`repro.parallel.grid.job_runner` runs them.
     """
 
@@ -405,7 +462,7 @@ def resolve_route(
     :func:`~repro.parallel.grid.run_scenario_grid`,
     :func:`~repro.dist.dispatch.run_distributed` and
     :class:`~repro.service.api.HysteresisService` decide how their jobs
-    run.  ``pool`` is a live :class:`~repro.service.pool.WorkerPool`
+    run.  ``pool`` is a live :class:`~repro.parallel.pool.WorkerPool`
     (the caller's, or a service's).  Every conflict between these
     arguments, a ``plan`` that is neither ``"auto"`` nor an
     :class:`~repro.sched.planner.ExecutionPlan`, and a ``hosts=`` that
@@ -470,7 +527,7 @@ def resolve_route(
         )
     if pool is not None and mp_context is not None:
         raise ParameterError(
-            "mp_context applies to a one-shot pool; a live pool (pool= / "
+            "mp_context applies to the default pool; a live pool (pool= / "
             "service=) already carries its start method"
         )
     if plan is not None and n_workers is not None:
@@ -564,7 +621,7 @@ def run_single(
     from repro.parallel.grid import job_runner
 
     with job_runner(route, **dispatcher_options) as run:
-        return run([job])[0]
+        return run([[job]])[0]
 
 
 def run_sharded(
@@ -606,27 +663,33 @@ def run_sharded(
         cut into ``min(n_workers, lanes)`` near-equal shards
         (:func:`~repro.parallel.plan.plan_shards`).
     mp_context:
-        ``multiprocessing`` start method (``"fork"``, ``"spawn"``, ...);
-        default: the platform default.
+        ``multiprocessing`` start method (``"fork"``, ``"spawn"``, ...)
+        of the default pool; default: the platform default.  A call
+        that asks another start method or width than the live default
+        pool's re-forks it.
     plan:
         ``None`` (default) keeps the explicit knobs exactly as
         documented above.  ``"auto"`` plans this run from the host's
         persisted calibration (:func:`repro.sched.planner.plan_for`),
-        priced cold on a one-shot pool of its own; an
+        priced cold, as if its pool had to fork, so the plan never
+        depends on the pools this process forked before; an
         :class:`~repro.sched.planner.ExecutionPlan` applies that plan
-        verbatim.  A plan owns the backend / pool-width / lane-thread
-        axes — it is mutually exclusive with ``n_workers`` and ``pool``
-        — and is always clamped to this host: the pool width passes
-        through :func:`resolve_workers` (environment cap included) and
+        verbatim; either runs on the default pool.  A plan owns the
+        backend / pool-width / lane-thread axes — it is mutually
+        exclusive with ``n_workers`` and ``pool`` — and is always
+        clamped to this host: the pool width passes through
+        :func:`resolve_workers` (environment cap included) and
         ``threads_per_worker`` is reduced so ``workers × threads``
         never exceeds the CPU affinity.  A plan always runs on this
         host.  This is the only entry point that takes a plan.
     pool:
-        A live :class:`~repro.service.pool.WorkerPool` to run the
-        shards on instead of spinning up (and tearing down) a one-shot
-        pool.  The live pool owns the pool width, so it is mutually
-        exclusive with ``n_workers``, ``plan`` and ``mp_context``.  The
-        pool is never closed here: it outlives this call by design.
+        A live :class:`~repro.parallel.pool.WorkerPool` to run the
+        shards on instead of the process-wide default pool, which every
+        call without ``pool=`` shares
+        (:func:`~repro.parallel.pool.default_pool`).  The live pool owns
+        the pool width, so it is mutually exclusive with ``n_workers``,
+        ``plan`` and ``mp_context``.  The pool is never closed here: it
+        outlives this call by design.
     chunk_lanes:
         Bounded-memory mode: every shard streams its result in
         contiguous row blocks — sample ranges across all of the

@@ -4,11 +4,13 @@
 (the MagNet-Challenge shape: many materials, many drives, many
 amplitudes).  A grid cell is one ``(family, scenario, h_max)``
 combination over an ``n_cores`` registry ensemble, and **all** cells
-funnel through one transport: one pool map, or one dispatch, per chunk
-of cells, so only a bounded number of cells hold output buffers at a
-time.  Each pool worker or fleet agent takes whole cells; a cell's
-lanes are cut only when a chunk has fewer cells than the pool or fleet
-has workers (:meth:`~repro.parallel.executor.Route.shards_per_job`),
+funnel through one transport in chunks of cells, so only a bounded
+number of cells hold output buffers at a time.  On the default pool
+the chunks stream: the next chunk is prepared and queued while the
+workers run the one before, so they never wait at a chunk barrier.
+Each pool worker or fleet agent takes whole cells; a cell's lanes are
+cut only when a chunk has fewer cells than the pool or fleet has
+workers (:meth:`~repro.parallel.executor.Route.shards_per_job`),
 because the fused loop's per-sample overhead makes a lane cut cost
 more than it saves once every worker is busy.  Each cell's result is
 bitwise identical to running that cell alone through
@@ -27,8 +29,10 @@ ladder plus a spot-check list) pay for each unique
 result object (the collapse is logged).
 
 :func:`job_runner` is the one place a route's transport is opened: this
-process, a one-shot fork pool, a caller's warm
-:class:`~repro.service.pool.WorkerPool`, or a
+process, the process-wide default pool
+(:func:`repro.parallel.pool.default_pool`, which lives until exit and
+serves every call that names no other transport), a caller's warm
+:class:`~repro.parallel.pool.WorkerPool`, or a
 :class:`~repro.dist.dispatch.Dispatcher` over worker agents.
 :func:`~repro.parallel.executor.run_sharded`, the service and
 :func:`~repro.dist.dispatch.run_distributed` run their single job
@@ -40,9 +44,9 @@ sits *above* it in the layer stack.
 from __future__ import annotations
 
 import logging
-from contextlib import ExitStack, contextmanager
+from contextlib import contextmanager
 from dataclasses import dataclass
-from multiprocessing import get_context
+from itertools import chain
 from typing import Sequence
 
 from repro.backend import resolve_backend
@@ -54,14 +58,16 @@ from repro.parallel.executor import (
     resolve_route,
     run_job_serial,
 )
+from repro.parallel.pool import default_pool
 from repro.parallel.spec import DriveSpec, EnsembleSpec
 
 _log = logging.getLogger(__name__)
 
-#: Cells prepared and run per transport call.  It bounds how many cells
-#: hold live sample matrices and output buffers at once, so a large
-#: grid streams through the pool or fleet chunk by chunk instead of
-#: materialising every cell up front.
+#: Cells prepared and run per chunk.  It bounds how many cells hold
+#: live sample matrices and output buffers at once (two chunks' worth
+#: on the default pool's stream), so a large grid streams through the
+#: pool or fleet chunk by chunk instead of materialising every cell up
+#: front.
 CHUNK_CELLS = 8
 
 
@@ -162,22 +168,29 @@ def _dedupe_cells(planned):
 
 @contextmanager
 def job_runner(route, **dispatcher_options):
-    """Yield ``run(jobs) -> results`` on ``route``'s transport.
+    """Yield ``run(chunks) -> results`` on ``route``'s transport.
 
-    The one route-selection branch of the package (``route`` comes
-    from :func:`repro.parallel.executor.resolve_route`):
+    ``chunks`` is an iterable of job lists (a generator may prepare
+    each as it is drawn); ``run`` returns one result per job, in
+    order.  The one route-selection branch of the package (``route``
+    comes from :func:`repro.parallel.executor.resolve_route`):
 
     * ``route.hosts`` — a :class:`~repro.dist.dispatch.Dispatcher`
       (``dispatcher_options`` are its keyword arguments), closed on
-      exit.  With no live host it drains every shard locally, logging
-      that it degrades to the local executor;
-    * a call whose jobs hold one shard in total, or a route one worker
+      exit, one ``run_jobs`` per chunk.  With no live host it drains
+      every shard locally, logging that it degrades to the local
+      executor;
+    * a chunk whose jobs hold one shard in total, or a route one worker
       wide — this process, no pool at all (so a plan's single threaded
-      shard never runs in a forked child);
-    * ``route.pool`` — the caller's live pool, never closed here;
-    * otherwise a one-shot fork pool, forked by the first call that
-      needs one, no wider than that call's shard count or
-      ``route.workers``, and closed on exit.
+      shard never runs in a forked child), until a chunk needs a pool;
+    * ``route.pool`` — the caller's live pool, one ``execute`` per
+      chunk, never closed here;
+    * otherwise the process-wide default pool, leased at the width of
+      the first chunk that needs a pool (``route.workers``, at most
+      that chunk's shards; forked, reused or re-forked by
+      :func:`~repro.parallel.pool.default_pool`), which streams that
+      chunk and every later one through one
+      :func:`~repro.parallel.executor.execute_jobs_pooled` call.
     """
     if route.hosts:
         # Lazy upward import: repro.dist sits above this package in the
@@ -185,24 +198,30 @@ def job_runner(route, **dispatcher_options):
         from repro.dist.dispatch import Dispatcher
 
         with Dispatcher(route.hosts, **dispatcher_options) as dispatcher:
-            yield dispatcher.run_jobs
+            yield lambda chunks: [
+                result
+                for jobs in chunks
+                for result in dispatcher.run_jobs(jobs)
+            ]
         return
-    with ExitStack() as stack:
-        forked = None
 
-        def run(jobs):
-            nonlocal forked
+    def run(chunks):
+        chunks = iter(chunks)
+        results = []
+        for jobs in chunks:
             width = min(route.workers, sum(len(job.specs) for job in jobs))
             if width <= 1:
-                return [run_job_serial(job) for job in jobs]
-            if route.pool is not None:
-                return route.pool.execute(jobs)
-            if forked is None:
-                ctx = get_context(route.mp_context)
-                forked = stack.enter_context(ctx.Pool(processes=width))
-            return execute_jobs_pooled(forked, jobs)
+                results.extend(run_job_serial(job) for job in jobs)
+            elif route.pool is not None:
+                results.extend(route.pool.execute(jobs))
+            else:
+                with default_pool(width, route.mp_context) as workers:
+                    results.extend(
+                        execute_jobs_pooled(workers, chain([jobs], chunks))
+                    )
+        return results
 
-        yield run
+    yield run
 
 
 def run_scenario_grid(
@@ -245,7 +264,11 @@ def run_scenario_grid(
 
     A grid takes no execution plan: it runs on its route's default
     width (``n_workers``, a service's pool, or one shard per host), and
-    a chunk whose cells hold one shard in total runs in this process.
+    a grid whose cells hold one shard in total (one cell of one lane)
+    runs in this process.  Without ``service`` or ``hosts`` the grid
+    runs on the process-wide default pool, which outlives the call
+    (:func:`~repro.parallel.pool.default_pool`): its workers keep the
+    recipes they built, and the chunks stream through it.
     :func:`~repro.parallel.executor.run_sharded` is the one entry point
     that takes ``plan=``.
 
@@ -305,20 +328,23 @@ def run_scenario_grid(
             len(unique),
         )
     if todo:
-        with job_runner(route) as run:
+
+        def chunk_jobs():
             for offset in range(0, len(todo), CHUNK_CELLS):
                 chunk = todo[offset : offset + CHUNK_CELLS]
                 shards = route.shards_per_job(len(chunk))
-                jobs = [
+                yield [
                     prepare_job(source, drive, shards, chunk_lanes=chunk_lanes)
                     for _, _, source, drive in chunk
                 ]
-                for (key, digest, _, _), result in zip(chunk, run(jobs)):
-                    # A cached grid hands the *frozen* cache entry onward,
-                    # so duplicates and later campaigns all see the same
-                    # read-only arrays.
-                    results[key] = (
-                        result if digest is None
-                        else service.cache.put(digest, result)
-                    )
+
+        with job_runner(route) as run:
+            computed = run(chunk_jobs())
+        for (key, digest, _, _), result in zip(todo, computed):
+            # A cached grid hands the *frozen* cache entry onward, so
+            # duplicates and later campaigns all see the same read-only
+            # arrays.
+            results[key] = (
+                result if digest is None else service.cache.put(digest, result)
+            )
     return [GridCell(*key, results[key]) for key in order]

@@ -27,34 +27,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.sweep import waypoint_samples
-from repro.errors import ScenarioError
 from repro.scenarios.registry import Scenario, register_scenario
 from repro.waveforms.sweeps import (
     decaying_triangle_waypoints,
     major_loop_waypoints,
 )
-
-
-def _pad_lanes(lanes: "list[np.ndarray]") -> np.ndarray:
-    """Stack per-core sample vectors, holding each lane's final value.
-
-    A held field is a no-op for every family (no pending increment, no
-    relay crossing, zero dH), so padding does not perturb trajectories.
-    An empty lane has no final value to hold — that is a builder bug,
-    reported as such instead of an ``IndexError`` deep in the padding.
-    """
-    empty = [i for i, lane in enumerate(lanes) if len(lane) == 0]
-    if empty:
-        raise ScenarioError(
-            f"per-core scenario produced empty lanes {empty}: every lane "
-            "needs at least one driver sample to pad from"
-        )
-    samples = max(len(lane) for lane in lanes)
-    out = np.empty((samples, len(lanes)))
-    for i, lane in enumerate(lanes):
-        out[: len(lane), i] = lane
-        out[len(lane) :, i] = lane[-1]
-    return out
 
 
 def _forc_family(h_max: float, driver_step: float, n_cores: int) -> np.ndarray:
@@ -67,13 +44,48 @@ def _forc_family(h_max: float, driver_step: float, n_cores: int) -> np.ndarray:
     one-point spread, the ``-0.8 * h_max`` endpoint — i.e. exactly lane
     0 of every multi-core run (a special-cased ``alpha=0`` here used to
     make 1-core runs match no lane of the family at all).
+
+    Lane ``i`` is :func:`~repro.core.sweep.waypoint_samples` of
+    ``[0, h_max, alpha_i, h_max]`` bit for bit, built for every lane at
+    once: the shared rise, then each lane's descent and return as
+    masked ``(rows, lanes)`` segments.  Shorter lanes hold their own
+    last sample to the end, a no-op for every model family (no pending
+    increment, no relay crossing, zero dH).
     """
     alphas = np.linspace(-0.8 * h_max, 0.8 * h_max, n_cores)
-    lanes = [
-        waypoint_samples([0.0, h_max, float(alpha), h_max], driver_step)
-        for alpha in alphas
+    rise = waypoint_samples([0.0, h_max], driver_step)
+    segments = ((h_max, alphas - h_max), (alphas, h_max - alphas))
+    # Each lane's sample count per segment, as exact whole floats.
+    counts = [
+        np.where(
+            span == 0.0,
+            0.0,
+            np.maximum(1.0, np.ceil(np.abs(span) / driver_step)),
+        )
+        for _, span in segments
     ]
-    return _pad_lanes(lanes)
+    ends = (len(rise) + counts[0] + counts[1]).astype(np.intp)
+    row = np.arange(ends.max(), dtype=float)[:, None]
+    out = np.empty((len(row), n_cores))
+    out[: len(rise)] = rise[:, None]
+    first = np.full(n_cores, float(len(rise)))
+    # Rows per block: a segment is built about 2**14 samples at a time,
+    # so its temporaries stay small beside ``out``.
+    block = max(1, 2**14 // n_cores)
+    for (start, span), count in zip(segments, counts):
+        divisor = np.maximum(count, 1.0)
+        for lo in range(int(first.min()), int((first + count).max()), block):
+            # Sample k of the segment, 1 <= k <= count: the sweep's own
+            # ``start + span * k / count``, lane by lane, in place.
+            k = row[lo : lo + block] - first + 1.0
+            inside = (k >= 1.0) & (k <= count)
+            np.multiply(span, k, out=k)
+            np.divide(k, divisor, out=k)
+            np.add(start, k, out=k)
+            np.copyto(out[lo : lo + block], k, where=inside)
+        first = first + count
+    np.copyto(out, out[ends - 1, np.arange(n_cores)], where=row >= ends)
+    return out
 
 
 def _cycle_samples(h_max: float, driver_step: float, cycles: float) -> np.ndarray:

@@ -11,8 +11,10 @@ prices each with the fitted :class:`~repro.sched.model.CostModel`, and
 returns the cheapest as an :class:`ExecutionPlan` that
 :func:`repro.parallel.executor.run_sharded` accepts via ``plan=`` — the
 one entry point that takes a plan.  Every candidate is priced cold:
-``plan="auto"`` runs on a one-shot pool of its own, never on a live
-pool, so pooled candidates always pay the measured spin-up.
+pooled candidates always pay the measured spin-up, even when the
+process-wide default pool the plan runs on is already live at its
+width, so a chosen plan never depends on the pools this process
+forked earlier.
 
 Two hard constraints shape the candidate set:
 
@@ -243,7 +245,8 @@ def plan_for(
     persisted calibration file — see
     :func:`repro.sched.calibration.get_calibration`.  Every calibrated
     backend is a candidate, and pooled candidates pay the measured
-    spin-up of the one-shot pool the run forks.
+    spin-up of a pool, whether or not the default pool the run uses is
+    already live.
     """
     family, lanes, n_samples = describe_workload(source, drive, samples)
     if calibration is None:

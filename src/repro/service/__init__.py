@@ -3,7 +3,7 @@ content-addressed result caching.
 
 The service sits **above** the parallel executor and the scheduler in
 the layer stack: it owns a long-lived
-:class:`~repro.service.pool.WorkerPool` the executors run on, a
+:class:`~repro.parallel.pool.WorkerPool` the executors run on, a
 :class:`~repro.service.cache.ResultCache` keyed by
 :func:`~repro.service.digest.spec_digest`, and the async
 :class:`~repro.service.api.HysteresisService` front-end.  Lower layers

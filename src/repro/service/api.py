@@ -2,7 +2,7 @@
 
 :class:`HysteresisService` ties the three service pieces together:
 
-* a persistent :class:`~repro.service.pool.WorkerPool` — forked once
+* a persistent :class:`~repro.parallel.pool.WorkerPool` — forked once
   (fused JIT kernels pre-warmed in the parent so ``fork`` children
   inherit them compiled), reused by every request, so successive
   campaigns stop re-paying the calibration's measured ``pool_base``;
@@ -43,10 +43,10 @@ from repro.backend import resolve_backend
 from repro.batch.sweep import BatchSweepResult
 from repro.errors import ParameterError
 from repro.parallel.executor import resolve_route, run_single
+from repro.parallel.pool import WorkerPool
 from repro.parallel.spec import DriveSpec, EnsembleSpec
 from repro.service.cache import ResultCache
 from repro.service.digest import spec_digest
-from repro.service.pool import WorkerPool
 
 #: Conventional spill location, relative to the repo/working directory.
 DEFAULT_CACHE_DIR = Path("results") / "cache"
@@ -58,7 +58,7 @@ class HysteresisService:
     Parameters
     ----------
     n_workers / mp_context:
-        Forwarded to :class:`~repro.service.pool.WorkerPool`; the pool
+        Forwarded to :class:`~repro.parallel.pool.WorkerPool`; the pool
         is created (its JIT kernels always pre-warmed) at construction,
         so the first request already runs warm.
     cache_entries:

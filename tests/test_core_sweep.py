@@ -1,8 +1,12 @@
 """Tests for repro.core.sweep."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.batch.sweep import run_batch_sweep, sweep
 from repro.core.model import TimelessJAModel
 from repro.core.sweep import (
     concatenate_sweeps,
@@ -12,6 +16,45 @@ from repro.core.sweep import (
 )
 from repro.errors import ParameterError
 from repro.ja.parameters import PAPER_PARAMETERS
+from repro.models.registry import get_family
+
+
+def per_sample_waypoints(waypoints, driver_step):
+    """The sweep's sampling rule, one Python float per sample: the
+    reference ``waypoint_samples`` must match bit for bit."""
+    samples = [float(waypoints[0])]
+    for start, stop in zip(waypoints[:-1], waypoints[1:]):
+        span = float(stop) - float(start)
+        if span == 0.0:
+            continue
+        count = max(1, int(math.ceil(abs(span) / driver_step)))
+        for i in range(1, count + 1):
+            samples.append(float(start) + span * i / count)
+    return np.array(samples)
+
+
+def assert_same_bits(expected, got):
+    assert got.shape == expected.shape and got.dtype == expected.dtype
+    assert np.array_equal(expected.view(np.int64), got.view(np.int64))
+
+
+#: Finite fields up to a strong core's saturation, exact zeros drawn
+#: often (so are repeated vertices and zero-span segments).
+FIELDS = st.one_of(
+    st.just(0.0),
+    st.floats(-1e5, 1e5, allow_nan=False, allow_infinity=False),
+)
+
+#: A non-finite waypoint in first, middle and last position.
+NON_FINITE = [
+    (path, index)
+    for bad in (math.inf, -math.inf, math.nan)
+    for path, index in (
+        ([bad, 0.0, 500.0], 0),
+        ([0.0, bad, 500.0], 1),
+        ([0.0, 500.0, bad], 2),
+    )
+]
 
 
 class TestWaypointSamples:
@@ -36,6 +79,38 @@ class TestWaypointSamples:
     def test_bad_driver_step(self):
         with pytest.raises(ParameterError):
             waypoint_samples([0.0, 100.0], 0.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        waypoints=st.lists(FIELDS, min_size=2, max_size=6),
+        steps_per_span=st.floats(0.05, 400.0),
+    )
+    def test_matches_the_per_sample_loop(self, waypoints, steps_per_span):
+        """One array expression per segment is the per-sample loop, bit
+        for bit and shape included."""
+        driver_step = max(1.0, *map(abs, waypoints)) / steps_per_span
+        assert_same_bits(
+            per_sample_waypoints(waypoints, driver_step),
+            waypoint_samples(waypoints, driver_step),
+        )
+
+    @pytest.mark.parametrize(
+        "path, index",
+        NON_FINITE,
+        ids=[f"{path[index]}-at-{index}" for path, index in NON_FINITE],
+    )
+    def test_non_finite_waypoint_is_named(self, path, index):
+        match = rf"waypoint {index} must be finite, got {path[index]!r}"
+        with pytest.raises(ParameterError, match=match):
+            waypoint_samples(path, 100.0)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])
+    def test_sweep_front_doors_reject_a_non_finite_waypoint(self, bad):
+        batch = get_family("timeless").make_batch(2, seed=0)
+        with pytest.raises(ParameterError, match="waypoint 1 must be finite"):
+            run_batch_sweep(batch, [0.0, bad], driver_step=100.0)
+        with pytest.raises(ParameterError, match="waypoint 1 must be finite"):
+            sweep([PAPER_PARAMETERS], [0.0, bad], driver_step=100.0)
 
 
 class TestRunSweep:

@@ -351,8 +351,10 @@ class TestRecipeCache:
         assert calls == [4]
 
     def test_pool_workers_build_their_recipe_once_each(self, monkeypatch):
-        """Twelve cells of one recipe on two forked workers: each worker
-        builds it at most once."""
+        """Twelve cells of one recipe, twice, on the default pool's two
+        forked workers: each worker builds it at most once for the
+        pool's life, so the second grid builds nothing.  Registering
+        the family re-forks the pool, after the counter exists."""
         if "fork" not in multiprocessing.get_all_start_methods():
             pytest.skip("the counter is inherited through fork")
         monkeypatch.delenv(MAX_WORKERS_ENV, raising=False)
@@ -365,14 +367,20 @@ class TestRecipeCache:
             return timeless.make_models(n, seed)
 
         with registered(timeless_variant(counted, "counted-pooled")):
+            first = run_scenario_grid(
+                ["counted-pooled"], **self.GRID, n_workers=2,
+                mp_context="fork",
+            )
+            built = builds.value
+            assert 1 <= built <= 2
             cells = run_scenario_grid(
                 ["counted-pooled"], **self.GRID, n_workers=2,
                 mp_context="fork",
             )
-            assert 1 <= builds.value <= 2
+            assert builds.value == built
             batch = stacked(EnsembleSpec("counted-pooled", 4), 0, 4)
-        assert len(cells) == 12
-        for cell in cells:
+        assert len(first) == len(cells) == 12
+        for cell in first + cells:
             reference = run_batch_series(
                 batch,
                 scenario_samples(cell.scenario, cell.h_max, 400.0, n_cores=4),
@@ -817,8 +825,8 @@ class TestScenarioGrid:
             assert_results_bitwise_equal(a.result, b.result)
 
     def test_cells_run_eight_to_a_chunk(self, monkeypatch):
-        """Every grid runs CHUNK_CELLS (8) cells per transport call, in
-        grid order: ten cells are one call of 8 and one of 2."""
+        """Every grid hands its transport CHUNK_CELLS (8) cells per
+        chunk, in grid order: ten cells are a chunk of 8 and one of 2."""
         import repro.parallel.grid as grid_mod
 
         assert grid_mod.CHUNK_CELLS == 8
@@ -829,9 +837,13 @@ class TestScenarioGrid:
         def counting_runner(route, **options):
             with real_runner(route, **options) as run:
 
-                def counted(jobs):
-                    calls.append(len(jobs))
-                    return run(jobs)
+                def counted(chunks):
+                    def drawn():
+                        for jobs in chunks:
+                            calls.append(len(jobs))
+                            yield jobs
+
+                    return run(drawn())
 
                 yield counted
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.batch.engine import BatchTimelessModel
 from repro.core.model import TimelessJAModel
@@ -15,6 +16,24 @@ from repro.scenarios import (
     run_scenario,
     scenario_samples,
 )
+
+from test_core_sweep import assert_same_bits, per_sample_waypoints
+
+
+def per_lane_forc_family(h_max, driver_step, n_cores):
+    """``forc-family`` lane by lane, one Python float per sample, each
+    shorter lane padded with its own last sample: the reference the
+    masked construction must match bit for bit."""
+    alphas = np.linspace(-0.8 * h_max, 0.8 * h_max, n_cores)
+    lanes = [
+        per_sample_waypoints([0.0, h_max, float(alpha), h_max], driver_step)
+        for alpha in alphas
+    ]
+    out = np.empty((max(len(lane) for lane in lanes), n_cores))
+    for i, lane in enumerate(lanes):
+        out[: len(lane), i] = lane
+        out[len(lane) :, i] = lane[-1]
+    return out
 
 EXPECTED = {
     "major-loop",
@@ -179,18 +198,33 @@ class TestExecution:
 class TestSatelliteFixes:
     """Regressions for the scenario-layer correctness sweep (PR 3)."""
 
-    def test_pad_lanes_rejects_empty_lane(self):
-        from repro.scenarios.library import _pad_lanes
+    @settings(max_examples=150, deadline=None)
+    @given(
+        h_max=st.floats(1e-2, 1e5),
+        steps_per_h_max=st.floats(0.2, 120.0),
+        n_cores=st.integers(1, 48),
+    )
+    def test_forc_family_matches_the_per_lane_loop(
+        self, h_max, steps_per_h_max, n_cores
+    ):
+        """All lanes at once are each lane's own waypoint walk, padded
+        with its own last sample: bit for bit, shape included."""
+        driver_step = h_max / steps_per_h_max
+        assert_same_bits(
+            per_lane_forc_family(h_max, driver_step, n_cores),
+            scenario_samples("forc-family", h_max, driver_step, n_cores),
+        )
 
-        with pytest.raises(ScenarioError, match="empty lanes \\[1\\]"):
-            _pad_lanes([np.array([1.0, 2.0]), np.array([])])
-
-    def test_pad_lanes_holds_final_values(self):
-        from repro.scenarios.library import _pad_lanes
-
-        out = _pad_lanes([np.array([1.0, 2.0, 3.0]), np.array([5.0])])
-        assert np.array_equal(out[:, 0], [1.0, 2.0, 3.0])
-        assert np.array_equal(out[:, 1], [5.0, 5.0, 5.0])
+    def test_forc_family_lanes_hold_their_final_field(self):
+        """Every lane ends back at +h_max and holds it to the last row."""
+        samples = scenario_samples("forc-family", 10e3, 700.0, n_cores=4)
+        lengths = [
+            len(waypoint_samples([0.0, 10e3, alpha, 10e3], 700.0))
+            for alpha in np.linspace(-8e3, 8e3, 4)
+        ]
+        assert len(samples) == max(lengths) > min(lengths)
+        for lane, length in enumerate(lengths):
+            assert (samples[length - 1 :, lane] == 10e3).all()
 
     def test_forc_family_one_core_is_lane_zero(self):
         """A 1-core forc-family run is lane 0 of any multi-core run

@@ -102,7 +102,7 @@ class TestWorkerPool:
             raise RuntimeError("close exploded")
 
         pool.close = exploding_close
-        with caplog.at_level(logging.DEBUG, logger="repro.service.pool"):
+        with caplog.at_level(logging.DEBUG, logger="repro.parallel.pool"):
             pool.__del__()  # must not raise through the finaliser
         assert "close exploded" in caplog.text
 
@@ -125,7 +125,7 @@ class TestWorkerPool:
         children) still warms its own serial runs."""
         import multiprocessing.context
 
-        import repro.service.pool as pool_module
+        import repro.parallel.pool as pool_module
 
         events = []
         real_prewarm = pool_module.prewarm_fused_kernels
@@ -402,7 +402,7 @@ class TestHysteresisService:
         """Closing a service while a synchronous run() is inside its
         pool map lets that run land: it returns its bitwise result and
         releases every shared-memory segment."""
-        import repro.service.pool as pool_module
+        import repro.parallel.pool as pool_module
 
         def segments():
             return {n for n in os.listdir(SHM_DIR) if n.startswith("psm_")}
@@ -422,13 +422,13 @@ class TestHysteresisService:
             def __init__(self, pool):
                 self.pool = pool
 
-            def map(self, fn, tasks):
+            def map_async(self, fn, tasks):
                 pending = self.pool.map_async(fn, tasks)
                 entered.set()
-                return pending.get()
+                return pending
 
-        def entering(pool, jobs):
-            return real_execute(Announcing(pool), jobs)
+        def entering(pool, chunks):
+            return real_execute(Announcing(pool), chunks)
 
         monkeypatch.setattr(pool_module, "execute_jobs_pooled", entering)
         before = segments()

@@ -4,7 +4,7 @@ The paper's timeless discretisation makes every core a self-contained
 lane, and advances it on field increments alone, so cutting an
 ensemble into lane shards and each shard's samples into row blocks,
 and carrying them between processes, is pure transport.  Each case
-here runs one drive through one route — in process, a one-shot fork
+here runs one drive through one route — in process, the default fork
 pool, a warm :class:`~repro.service.WorkerPool`, two in-process dist
 agents, or the dispatcher's local drain with no reachable host — with
 and without chunking, for every registered family plus a family with
@@ -15,7 +15,7 @@ its sample axis, each segment resuming the last one's state, is the
 whole run; and a table pins the row plan's tiling and bound.
 
 The scenario grid gets the same treatment: each grid route (in
-process, one-shot fork pool, a service cold and then fully cached, two
+process, the default fork pool, a service cold and then fully cached, two
 in-process agents, an unreachable fleet) runs over a duplicated
 amplitude, one cell per chunk (lane-cut cells) and at the default chunk
 size (whole cells on a pool or fleet), with and without chunking, and
@@ -26,8 +26,13 @@ forks or a connection opens.  Every entry point's default route runs without tou
 planner's calibration.  A table pins the route
 :func:`~repro.parallel.executor.resolve_route` decides for each
 accepted combination: pool width, lane threads, backend, hosts.  A
-last table pins how many shards each job of a call is cut into, and a
-spy on ``Pool`` pins how many processes a call forks.
+table pins how many shards each job of a call is cut into, and a spy
+on ``Pool`` pins how many processes a call forks.  A last table pins
+the process-wide default pool's lifecycle: when it forks, is reused and
+re-forks, that a forked child leaves it alone, and that closing it, a
+worker-side error or several threads at once under a streamed grid
+each have one exact outcome; a subprocess pins a clean exit with a
+grid still streaming through it.
 
 The routes are case functions crossed with the families, in the
 cross-strategy idiom of probdiffeq's solver tests: a new route or a new
@@ -41,7 +46,12 @@ import logging
 import multiprocessing
 import multiprocessing.context
 import os
+import re
+import subprocess
+import sys
+import threading
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -69,17 +79,26 @@ from repro.parallel.blocks import (
     plan_row_blocks,
 )
 from repro.parallel import executor
+from repro.parallel import pool as pool_module
 from repro.parallel.executor import (
     execute_jobs_pooled,
     prepare_job,
     resolve_route,
     run_job_serial,
 )
-from repro.scenarios import scenario_samples
+from repro.parallel.pool import close_default_pool
+from repro.scenarios import Scenario, register_scenario, scenario_samples
+from repro.scenarios import registry as scenario_registry
 from repro.sched import ExecutionPlan, calibration, planner
 from repro.service import HysteresisService, ResultCache, WorkerPool
 
-from test_parallel import DTYPE_FAMILY, assert_results_bitwise_equal
+from test_dist import _finishes_within
+from test_parallel import (
+    DTYPE_FAMILY,
+    assert_results_bitwise_equal,
+    registered,
+    timeless_variant,
+)
 
 if "fork" not in multiprocessing.get_all_start_methods():
     pytest.skip(
@@ -98,6 +117,10 @@ UNREACHABLE = "127.0.0.1:9"
 
 #: Where POSIX shared-memory segments appear on Linux.
 SHM_DIR = "/dev/shm"
+
+
+def segments():
+    return {n for n in os.listdir(SHM_DIR) if n.startswith("psm_")}
 
 
 FAMILY_NAMES = [family.name for family in list_families()] + [
@@ -325,20 +348,17 @@ class TestExtrasSchemaCheck:
             warm_pool.execute([stale_job()])
 
     def test_one_shot_pool_releases_its_segments_on_failure(self):
-        def segments():
-            return {n for n in os.listdir(SHM_DIR) if n.startswith("psm_")}
-
         if not os.path.isdir(SHM_DIR):
             pytest.skip(f"no {SHM_DIR} to list segments in")
         before = segments()
         with multiprocessing.get_context("fork").Pool(2) as pool:
             with pytest.raises(ParameterError, match="bogus"):
-                execute_jobs_pooled(pool, [stale_job()])
+                execute_jobs_pooled(pool, [[stale_job()]])
             assert segments() == before
             # The pool survives the failed job and serves the next one.
             batch, h = workload("timeless")
             job = prepare_job(batch, DriveSpec(samples=h), 2)
-            (result,) = execute_jobs_pooled(pool, [job])
+            (result,) = execute_jobs_pooled(pool, [[job]])
         assert_results_bitwise_equal(run_batch_series(batch, h), result)
 
     def test_dispatched_route_fails_the_job_and_names_the_shard(self, fleet):
@@ -705,8 +725,8 @@ def test_route_shape(route, cap, expected, eight_cpus, monkeypatch):
 
 def test_auto_route_is_priced_when_settled(eight_cpus):
     """``plan="auto"`` prices nothing until the caller settles it, then
-    exactly once and with no arguments: the run is priced cold, on a
-    one-shot pool of its own, and takes the priced plan's shape."""
+    exactly once and with no arguments: the run is priced cold, whatever
+    pools this process holds, and takes the priced plan's shape."""
     priced = []
 
     def price(*args, **kwargs):
@@ -760,13 +780,14 @@ def test_placement(cells, route, lanes, expected, eight_cpus):
     assert (chosen.workers, len(job.specs)) == expected
 
 
-# -- what a call forks ----------------------------------------------------
+# -- what a call forks, and the default pool's lifecycle ------------------
 
 
 @pytest.fixture
 def forks(monkeypatch):
-    """The ``processes`` of every pool forked, in order, with no
-    worker cap in the environment."""
+    """The ``processes`` of every pool forked, in order, with no worker
+    cap in the environment, starting from no default pool and leaving
+    none behind."""
     widths = []
     real_pool = multiprocessing.context.BaseContext.Pool
 
@@ -774,26 +795,36 @@ def forks(monkeypatch):
         widths.append(processes)
         return real_pool(self, processes, *args, **kwargs)
 
+    close_default_pool()
     monkeypatch.setattr(multiprocessing.context.BaseContext, "Pool", spy)
     monkeypatch.delenv(executor.MAX_WORKERS_ENV, raising=False)
-    return widths
+    yield widths
+    close_default_pool()
 
 
-def test_grid_of_one_lane_cells_runs_on_a_pool(forks):
+def test_grid_of_one_lane_cells_runs_on_a_pool(forks, caplog):
     """Sixteen 1-lane cells cannot be cut, so the pool runs them whole,
-    in parallel, instead of all in this process."""
+    in parallel, instead of all in this process; the pool outlives the
+    call, and a second grid forks nothing.  The fork is logged with its
+    width and reason."""
     amplitudes = [2e3 * k for k in range(1, 9)]
-    cells = run_scenario_grid(
-        ["preisach"], ["major-loop", "forc-family"], amplitudes, 1,
-        driver_step=100.0, n_workers=2,
-    )
-    assert forks == [2]
-    for cell in cells:
-        reference = run_batch_series(
-            EnsembleSpec("preisach", 1).build_batch(),
-            scenario_samples(cell.scenario, cell.h_max, 100.0, n_cores=1),
-        )
-        assert_results_bitwise_equal(reference, cell.result)
+    for _ in range(2):
+        with caplog.at_level(logging.INFO, logger=pool_module.__name__):
+            cells = run_scenario_grid(
+                ["preisach"], ["major-loop", "forc-family"], amplitudes, 1,
+                driver_step=100.0, n_workers=2,
+            )
+        assert forks == [2]
+        assert [
+            record.getMessage() for record in caplog.records
+            if record.name == pool_module.__name__
+        ] == ["forked the default pool: 2 workers (first need)"]
+        for cell in cells:
+            reference = run_batch_series(
+                EnsembleSpec("preisach", 1).build_batch(),
+                scenario_samples(cell.scenario, cell.h_max, 100.0, n_cores=1),
+            )
+            assert_results_bitwise_equal(reference, cell.result)
 
 
 @pytest.mark.parametrize(
@@ -804,13 +835,346 @@ def test_grid_of_one_lane_cells_runs_on_a_pool(forks):
 def test_single_run_forks_no_wider_than_its_shards(
     lanes, n_workers, expected, forks
 ):
-    result = run_sharded(
-        EnsembleSpec("timeless", lanes), scenario="major-loop", h_max=8e3,
-        driver_step=400.0, n_workers=n_workers,
+    """A run forks the default pool as wide as its shards, and the same
+    run again reuses it."""
+    for _ in range(2):
+        result = run_sharded(
+            EnsembleSpec("timeless", lanes), scenario="major-loop",
+            h_max=8e3, driver_step=400.0, n_workers=n_workers,
+        )
+        assert forks == expected
+        reference = run_batch_series(
+            EnsembleSpec("timeless", lanes).build_batch(),
+            DRIVE.full_samples(lanes),
+        )
+        assert_results_bitwise_equal(reference, result)
+
+
+#: The small grid every lifecycle row runs: 4 lanes, two amplitudes.
+LIFECYCLE_LANES = 4
+LIFECYCLE_STEP = 400.0
+
+#: Registered only after the default pool forked.
+LATE_SCENARIO = Scenario(
+    name="late-registered-walk",
+    description="registered after the default pool forked",
+    waypoint_builder=lambda h: [0.0, h, -0.5 * h],
+)
+
+
+def lifecycle_grid(
+    families=("timeless",), scenarios=("major-loop",), n_workers=2,
+    amplitudes=(4e3, 8e3),
+):
+    """A grid on the default route, every cell checked bit for bit."""
+    cells = run_scenario_grid(
+        list(families), list(scenarios), list(amplitudes), LIFECYCLE_LANES,
+        driver_step=LIFECYCLE_STEP, n_workers=n_workers,
     )
-    assert forks == expected
+    for cell in cells:
+        reference = run_batch_series(
+            EnsembleSpec(cell.family, LIFECYCLE_LANES).build_batch(),
+            scenario_samples(
+                cell.scenario, cell.h_max, LIFECYCLE_STEP,
+                n_cores=LIFECYCLE_LANES,
+            ),
+        )
+        # The engine labels its result with the batch's family; the
+        # grid labels each cell with the registered name.
+        assert_results_bitwise_equal(
+            dataclasses.replace(reference, family=cell.family), cell.result
+        )
+    return cells
+
+
+def first_call(forks, monkeypatch):
+    lifecycle_grid()
+    return forks
+
+
+def same_width_again(forks, monkeypatch):
+    lifecycle_grid()
+    lifecycle_grid(amplitudes=(5e3, 6e3, 7e3))
+    run_sharded(
+        EnsembleSpec("timeless", LIFECYCLE_LANES), scenario="major-loop",
+        h_max=8e3, driver_step=LIFECYCLE_STEP, n_workers=2,
+    )
+    return forks
+
+
+def wider_call(forks, monkeypatch):
+    lifecycle_grid()
+    lifecycle_grid(n_workers=3, amplitudes=(4e3, 6e3, 8e3))
+    return forks
+
+
+def thousand_workers_on_two_lanes(forks, monkeypatch):
+    result = run_sharded(
+        EnsembleSpec("timeless", 2), scenario="major-loop", h_max=8e3,
+        driver_step=LIFECYCLE_STEP, n_workers=1000,
+    )
     reference = run_batch_series(
-        EnsembleSpec("timeless", lanes).build_batch(),
-        DRIVE.full_samples(lanes),
+        EnsembleSpec("timeless", 2).build_batch(), DRIVE.full_samples(2)
     )
     assert_results_bitwise_equal(reference, result)
+    return forks
+
+
+def family_registered_after_the_fork(forks, monkeypatch):
+    lifecycle_grid()
+    with registered(timeless_variant(
+        get_family("timeless").make_models, "late-registered-family"
+    )):
+        lifecycle_grid(families=("late-registered-family",))
+    return forks
+
+
+def scenario_registered_after_the_fork(forks, monkeypatch):
+    lifecycle_grid()
+    monkeypatch.setattr(
+        scenario_registry, "_SCENARIOS", dict(scenario_registry._SCENARIOS)
+    )
+    register_scenario(LATE_SCENARIO)
+    lifecycle_grid(scenarios=(LATE_SCENARIO.name,))
+    return forks
+
+
+def _child_runs_its_own_pool(writer):
+    """In a forked child: the parent's pool is forgotten, not closed,
+    and the child's own grid forks a pool of its own."""
+    (inherited,) = pool_module._inherited
+    forgot = pool_module._default is None and not inherited.closed
+    lifecycle_grid()
+    own = pool_module._default is not None
+    pool_module.close_default_pool()
+    writer.send((forgot, own, inherited.closed))
+    writer.close()
+
+
+def forked_child(forks, monkeypatch):
+    lifecycle_grid()
+    parent = pool_module._default
+    context = multiprocessing.get_context("fork")
+    reader, writer = context.Pipe(duplex=False)
+    child = context.Process(target=_child_runs_its_own_pool, args=(writer,))
+    child.start()
+    writer.close()
+    try:
+        assert reader.poll(30.0), "the child never reported"
+        report = reader.recv()
+    finally:
+        reader.close()
+        child.join(30.0)
+    # The parent's pool still serves, unclosed and unforked.
+    lifecycle_grid()
+    assert pool_module._default is parent and not parent.closed
+    return report, child.exitcode, forks
+
+
+def close_mid_stream(forks, monkeypatch):
+    """Close the default pool while a grid streams its second chunk."""
+    streaming = threading.Event()
+    real_execute = grid_module.execute_jobs_pooled
+
+    def announcing(pool, chunks):
+        def drawn():
+            for index, jobs in enumerate(chunks):
+                if index == 1:
+                    streaming.set()  # chunk 0 is queued, chunk 1 drawn
+                yield jobs
+
+        return real_execute(pool, drawn())
+
+    monkeypatch.setattr(grid_module, "execute_jobs_pooled", announcing)
+    outcome = {}
+
+    def grid():
+        try:
+            outcome["cells"] = lifecycle_grid(
+                amplitudes=[1e3 * k for k in range(1, 17)]
+            )
+        except BaseException as exc:  # reported by the assertion below
+            outcome["error"] = exc
+
+    runner = threading.Thread(target=grid, daemon=True)
+    runner.start()
+    assert streaming.wait(30.0), "the grid never streamed"
+    close_default_pool()
+    runner.join(30.0)
+    assert not runner.is_alive() and "error" not in outcome, outcome
+    return len(outcome["cells"]), pool_module._default, forks
+
+
+def worker_error_mid_stream(forks, monkeypatch):
+    """Chunk 0's workers fail while chunk 1 is in flight."""
+
+    def failing(n, seed):
+        raise ParameterError("recipe failed in a worker")
+
+    with registered(timeless_variant(failing, "fails-in-workers")):
+        # Eight failing cells fill chunk 0; chunk 1 is eight good ones.
+        lifecycle_grid(
+            families=("fails-in-workers", "timeless"),
+            amplitudes=[1e3 * k for k in range(1, 9)],
+        )
+
+
+#: Each thread's amplitudes: more threads than this host's two CPUs,
+#: one grid streaming two chunks.
+THREAD_AMPLITUDES = (
+    [1e3 * k for k in range(1, 13)],
+    [3e3, 5e3, 7e3, 9e3],
+    [2e3, 4e3, 6e3],
+)
+
+
+def threads_at_once(forks, monkeypatch):
+    """Grids on several threads at once, the interpreter switching
+    threads as often as it can: one fork, every cell bitwise."""
+    outcome = {}
+    start = threading.Barrier(len(THREAD_AMPLITUDES), timeout=30.0)
+
+    def grid(key, amplitudes):
+        try:
+            start.wait()
+            outcome[key] = len(lifecycle_grid(amplitudes=amplitudes))
+        except BaseException as exc:  # reported by the return value
+            outcome[key] = exc
+
+    threads = [
+        threading.Thread(target=grid, args=(key, amplitudes), daemon=True)
+        for key, amplitudes in enumerate(THREAD_AMPLITUDES)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(30.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    return outcome, forks
+
+
+def test_default_pool_streams_two_chunks_at_most(forks, monkeypatch):
+    """A grid's chunks stream: chunk i+1 is laid out and queued before
+    chunk i is collected, and no third chunk is laid out before the
+    first one lands."""
+    events = []
+
+    class Recorded(executor._Flight):
+        def __init__(self, pool, jobs):
+            events.append(("queue", len(jobs)))
+            super().__init__(pool, jobs)
+
+        def land(self):
+            events.append(("land", len(self.assemblies)))
+            return super().land()
+
+    monkeypatch.setattr(executor, "_Flight", Recorded)
+    lifecycle_grid(amplitudes=[1e3 * k for k in range(1, 21)])
+    assert events == [
+        ("queue", 8), ("queue", 8), ("land", 8),
+        ("queue", 4), ("land", 8), ("land", 4),
+    ]
+
+
+#: (id, call(forks, monkeypatch), outcome).  The outcome is an
+#: (exception type, message regex) or the exact value the call returns;
+#: every call checks each result it gets bit for bit.
+LIFECYCLE = [
+    ("first-call-forks-once", first_call, [2]),
+    ("same-width-forks-nothing", same_width_again, [2]),
+    ("wider-call-re-forks", wider_call, [2, 3]),
+    ("thousand-workers-on-two-lanes-fork-two",
+     thousand_workers_on_two_lanes, [2]),
+    ("family-registered-after-the-fork-re-forks",
+     family_registered_after_the_fork, [2, 2]),
+    ("scenario-registered-after-the-fork-re-forks",
+     scenario_registered_after_the_fork, [2, 2]),
+    ("forked-child-never-uses-the-parents-pool", forked_child,
+     ((True, True, False), 0, [2])),
+    ("close-mid-stream-waits", close_mid_stream, (16, None, [2])),
+    ("worker-error-mid-stream", worker_error_mid_stream,
+     (ParameterError, "recipe failed in a worker")),
+    ("threads-at-once", threads_at_once, ({0: 12, 1: 4, 2: 3}, [2])),
+]
+
+
+@pytest.mark.parametrize(
+    "call, outcome",
+    [row[1:] for row in LIFECYCLE],
+    ids=[row[0] for row in LIFECYCLE],
+)
+def test_default_pool_lifecycle(call, outcome, forks, monkeypatch):
+    """Each lifecycle event of the default pool has one exact outcome,
+    within a bounded wall time, leaves no shared-memory segment, and
+    leaves a pool (or none) that serves the next call."""
+    if not os.path.isdir(SHM_DIR):
+        pytest.skip(f"no {SHM_DIR} to list segments in")
+    before = segments()
+    got = _finishes_within(60.0, lambda: call(forks, monkeypatch))
+    if isinstance(outcome, tuple) and isinstance(outcome[0], type):
+        kind, pattern = outcome
+        assert isinstance(got.get("error"), kind), got
+        assert re.search(pattern, str(got["error"])), got["error"]
+    else:
+        assert got.get("value") == outcome, got
+    assert segments() == before
+    assert "error" not in _finishes_within(30.0, lifecycle_grid)
+
+
+EXIT_MID_STREAM = """
+import threading
+
+from repro.parallel import grid, run_scenario_grid
+
+streaming = threading.Event()
+real_execute = grid.execute_jobs_pooled
+
+
+def announcing(workers, chunks):
+    def drawn():
+        for index, jobs in enumerate(chunks):
+            if index == 1:
+                streaming.set()  # chunk 0 is queued, chunk 1 drawn
+            yield jobs
+
+    return real_execute(workers, drawn())
+
+
+grid.execute_jobs_pooled = announcing
+campaign = threading.Thread(
+    target=run_scenario_grid,
+    args=(["timeless", "preisach"], ["major-loop", "forc-family"],
+          [1e3 * k for k in range(1, 5)], 4),
+    kwargs=dict(driver_step=100.0, n_workers=2),
+    daemon=True,
+)
+campaign.start()
+assert streaming.wait(240.0)
+"""
+
+
+def test_process_exits_with_the_default_pool_alive():
+    """A process that leaves its default pool live, a grid still
+    streaming through it on a daemon thread, exits cleanly in dev mode
+    with resource warnings as errors: the exit waits for the call in
+    flight, so no segment is left or reported leaked."""
+    if not os.path.isdir(SHM_DIR):
+        pytest.skip(f"no {SHM_DIR} to list segments in")
+    before = segments()
+    src = Path(executor.__file__).resolve().parents[2]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop(executor.MAX_WORKERS_ENV, None)
+    done = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error::ResourceWarning",
+         "-c", EXIT_MID_STREAM],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "ResourceWarning" not in done.stderr, done.stderr
+    assert "leaked" not in done.stderr, done.stderr
+    assert segments() == before
