@@ -9,7 +9,8 @@ asserted when the host actually grants >= 4 workers (fewer cores, or a
 ``REPRO_PARALLEL_MAX_WORKERS`` cap below 4, skip the speedup claim
 gracefully rather than timing an oversubscribed pool).  Also runs the
 EXP-B3 experiment end-to-end, which covers every family's sharded
-equivalence at an uneven split.
+equivalence at an uneven split, and every stacked cell's equality with
+its run alone.
 """
 
 import time
@@ -116,3 +117,6 @@ def test_parallel_ensemble_experiment(benchmark, persist):
     for row in result.data["equivalence"]:
         assert row["equal_lanes"] == row["n_cores"], row["family"]
     assert result.data["equal_lanes"] == result.data["n_cores"]
+    # Every stacked cell is bitwise its run alone.
+    for row in result.data["stacking"]:
+        assert row["equal_cells"] == row["cells"], row["family"]

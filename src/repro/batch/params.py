@@ -98,6 +98,22 @@ class BatchJAParameters:
             names=self.names[start:stop],
         )
 
+    @classmethod
+    def concatenate(
+        cls, parts: "Sequence[BatchJAParameters]"
+    ) -> "BatchJAParameters":
+        """The stacks of ``parts`` side by side, in order: the inverse of
+        :meth:`lane_slice`, one array concatenation per parameter."""
+        return cls(
+            m_sat=np.concatenate([part.m_sat for part in parts]),
+            a=np.concatenate([part.a for part in parts]),
+            k=np.concatenate([part.k for part in parts]),
+            c=np.concatenate([part.c for part in parts]),
+            alpha=np.concatenate([part.alpha for part in parts]),
+            a2=np.concatenate([part.a2 for part in parts]),
+            names=sum((part.names for part in parts), ()),
+        )
+
     def __len__(self) -> int:
         return len(self.m_sat)
 

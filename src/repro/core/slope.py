@@ -94,6 +94,36 @@ def slice_guards(guards: SlopeGuards, start: int, stop: int) -> SlopeGuards:
     )
 
 
+def concat_guards(
+    guards: Sequence[SlopeGuards], widths: Sequence[int]
+) -> SlopeGuards:
+    """The guard records of consecutive lane ranges, ``widths`` lanes
+    each, as one record over all of them: the inverse of
+    :func:`slice_guards`.
+
+    A flag every record holds as the same scalar stays that scalar;
+    otherwise each record's flag is broadcast over its own lanes and
+    the lanes concatenated.
+    """
+
+    def join(flags: "list[bool | np.ndarray]") -> "bool | np.ndarray":
+        if all(np.ndim(flag) == 0 for flag in flags) and len(
+            {bool(flag) for flag in flags}
+        ) == 1:
+            return flags[0]
+        return np.concatenate(
+            [
+                np.broadcast_to(np.asarray(flag, dtype=bool), (width,))
+                for flag, width in zip(flags, widths)
+            ]
+        )
+
+    return SlopeGuards(
+        clamp_negative=join([g.clamp_negative for g in guards]),
+        drop_opposing=join([g.drop_opposing for g in guards]),
+    )
+
+
 @dataclass(frozen=True, slots=True)
 class SlopeResult:
     """Outcome of one guarded slope evaluation.

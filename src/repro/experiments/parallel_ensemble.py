@@ -8,7 +8,7 @@ the reassembled result is bitwise identical to the single-process
 splits — while throughput scales with workers once the per-sample
 vectorised work is large enough to saturate a core.
 
-Two tables:
+Three tables:
 
 1. **equivalence** — each registry family at N = 7 lanes over 3 pool
    workers (deliberately uneven: 3+2+2), bitwise-compared column by
@@ -17,7 +17,15 @@ Two tables:
    per-sample tensor, N = 512 x 24 x 24 relays by default), single
    process vs the sharded pool.  The worker count is whatever the host
    (and the ``REPRO_PARALLEL_MAX_WORKERS`` cap) allows; the recorded
-   row names it, so a 1-CPU container honestly reports ~1x.
+   row names it, so a 1-CPU container honestly reports ~1x;
+3. **stacking** — the layer a grid chunk's stacks move: per family, in
+   this process, the campaign's twelve cells of one recipe (4
+   scenarios x 3 amplitudes, unequal in length) run cell by cell, then
+   as the stacks :func:`~repro.parallel.executor.run_jobs_serial` cuts
+   from the same chunk — the fused loop's per-sample overhead paid
+   once per stack instead of once per cell, at the price of the held
+   samples the padding column counts.  Every cell is compared bit for
+   bit with its run alone.
 """
 
 from __future__ import annotations
@@ -33,12 +41,24 @@ from repro.experiments.registry import ExperimentResult, register
 from repro.io.table import TextTable
 from repro.models.registry import list_families
 from repro.parallel import available_cpus, resolve_workers, run_sharded
+from repro.parallel.executor import chunk_stacks, prepare_job, run_jobs_serial
 from repro.parallel.pool import close_default_pool
+from repro.parallel.spec import DriveSpec, EnsembleSpec
 from repro.scenarios import scenario_samples
 
 #: The equivalence sweep's deliberately uneven geometry.
 EQUIVALENCE_CORES = 7
 EQUIVALENCE_WORKERS = 3
+
+#: The stacking table's chunk: the campaign's scenarios, amplitudes
+#: [A/m] and driver step, at lane counts that keep it to a few seconds.
+STACK_SCENARIOS = (
+    "major-loop", "minor-loop-ladder", "harmonic", "forc-family",
+)
+STACK_AMPLITUDES = (4e3, 6e3, 8e3)
+STACK_STEP = 150.0
+STACK_LANES = {"timeless": 64, "time-domain": 64, "preisach": 8}
+STACK_REPEATS = 3
 
 
 def bitwise_equal_lanes(a: BatchSweepResult, b: BatchSweepResult) -> int:
@@ -88,6 +108,57 @@ def _equivalence_rows(h_max_step: float = 40.0) -> list[dict]:
                 "samples": len(h),
                 "equal_lanes": bitwise_equal_lanes(reference, sharded),
                 "channels": len(sharded.extras) + len(sharded.counters) + 3,
+            }
+        )
+    return rows
+
+
+def _median_seconds(fn, repeats: int) -> "tuple[float, object]":
+    """The median wall time of ``repeats`` calls, and the last result."""
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        out = fn()
+        times.append(time.perf_counter() - start)
+    return float(np.median(times)), out
+
+
+def _stacking_rows(repeats: int = STACK_REPEATS) -> list[dict]:
+    rows = []
+    for family, lanes in STACK_LANES.items():
+        spec = EnsembleSpec(family, lanes, seed=0)
+        drives = [
+            DriveSpec(scenario=scenario, h_max=h_max, driver_step=STACK_STEP)
+            for scenario in STACK_SCENARIOS
+            for h_max in STACK_AMPLITUDES
+        ]
+        jobs = [prepare_job(spec, drive, 1) for drive in drives]
+        run_jobs_serial(jobs[:1])  # the recipe's one build, untimed
+        alone_s, alone = _median_seconds(
+            lambda: [run_jobs_serial([job])[0] for job in jobs], repeats
+        )
+        stacked_s, stacked = _median_seconds(
+            lambda: run_jobs_serial(jobs), repeats
+        )
+        stacks = chunk_stacks(jobs, 1)
+        computed = sum(
+            len(members) * max(len(jobs[j].h_full) for j, _ in members)
+            for members in stacks
+        )
+        rows.append(
+            {
+                "family": family,
+                "lanes": lanes,
+                "cells": len(jobs),
+                "stacks": [len(members) for members in stacks],
+                "alone_seconds": alone_s,
+                "stacked_seconds": stacked_s,
+                "speedup": alone_s / max(stacked_s, 1e-12),
+                "padding": 1.0 - sum(len(j.h_full) for j in jobs) / computed,
+                "equal_cells": sum(
+                    bitwise_equal_lanes(a, b) == lanes
+                    for a, b in zip(alone, stacked)
+                ),
             }
         )
     return rows
@@ -164,11 +235,42 @@ def run(
         f"{equal}/{n_cores}",
     )
 
+    stacking_rows = _stacking_rows()
+    stacking = TextTable(
+        [
+            "family",
+            "lanes",
+            "cells / stacks",
+            "cell by cell [s]",
+            "stacked [s]",
+            "speedup",
+            "padding",
+            "bitwise-equal cells",
+        ],
+        title=(
+            f"stacked cells, in process: one chunk of {len(STACK_SCENARIOS)} "
+            f"scenarios x {len(STACK_AMPLITUDES)} amplitudes per family "
+            f"(step {STACK_STEP:g} A/m), cell by cell vs the serial route's "
+            f"stacks; median of {STACK_REPEATS}"
+        ),
+    )
+    for row in stacking_rows:
+        stacking.add_row(
+            row["family"],
+            row["lanes"],
+            f"{row['cells']} / {'+'.join(map(str, row['stacks']))}",
+            row["alone_seconds"],
+            row["stacked_seconds"],
+            f"{row['speedup']:.2f}x",
+            f"{row['padding']:.0%}",
+            f"{row['equal_cells']}/{row['cells']}",
+        )
+
     result = ExperimentResult(
         experiment_id="EXP-B3",
         title="Sharded ensembles: bitwise equivalence and throughput",
     )
-    result.tables = [equivalence, throughput]
+    result.tables = [equivalence, throughput, stacking]
     result.notes = [
         "sharded reassembly is bitwise (h/m/b/updated, extras channels "
         "and per-core counters, lane order preserved) — shards are the "
@@ -182,6 +284,10 @@ def run(
         "and write trajectories into shared-memory buffers; no live "
         "models or per-sample arrays cross the process boundary by "
         "pickle (only the tiny per-core counter totals do)",
+        "a stack runs a chunk's cells of one recipe as one wide batch, "
+        "each cell's drive in its own columns and its last sample held "
+        "past its end; padding is the share of computed lane-rows that "
+        "are held samples, which no cell's output or counters see",
     ]
     result.data = {
         "equivalence": equivalence_rows,
@@ -192,5 +298,6 @@ def run(
         "equal_lanes": equal,
         "n_cores": n_cores,
         "samples": len(h),
+        "stacking": stacking_rows,
     }
     return result

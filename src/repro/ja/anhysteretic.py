@@ -326,3 +326,37 @@ def slice_anhysteretic(
             "not (shape)-compatible; use a scalar-shape curve or override "
             "slicing for the custom family"
         ) from exc
+
+
+def concat_anhysteretic(curves: "list[Anhysteretic]") -> Anhysteretic:
+    """The curves of consecutive lane ranges as one curve over all of
+    them: the inverse of :func:`slice_anhysteretic`.
+
+    Curves of one type and Brillouin ``j`` join: scalar-shape curves
+    when they share their shape (the first serves every lane, as it
+    served each range), array-shaped ones over their concatenated
+    shapes.  Each lane then evaluates bitwise as in its own curve.
+    Anything else raises :class:`~repro.errors.ParameterError`.
+    """
+    first = curves[0]
+    j = getattr(first, "j", None)
+    scalar = np.ndim(first.shape) == 0
+    for curve in curves:
+        if (
+            type(curve) is not type(first)
+            or getattr(curve, "j", None) != j
+            or (np.ndim(curve.shape) == 0) != scalar
+            or (scalar and curve.shape != first.shape)
+        ):
+            raise ParameterError(
+                f"cannot join a {type(curve).__name__}(shape="
+                f"{curve.shape!r}) to a {type(first).__name__}(shape="
+                f"{first.shape!r}): the curves differ in kind, j or "
+                "scalar shape"
+            )
+    if scalar:
+        return first
+    extra = {} if j is None else {"j": j}
+    return type(first)(
+        np.concatenate([np.asarray(curve.shape) for curve in curves]), **extra
+    )

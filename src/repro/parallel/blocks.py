@@ -14,11 +14,21 @@ deltas sum to the unchunked totals.  A row block pays the fused loop's
 per-sample overhead once for every lane of the shard, where a lane
 block paid it once per block.
 
+On this host the same resumption lets shards of one recipe and lane
+range — a grid chunk's cells, which differ only in their drives — run
+side by side as one **stack** (:func:`drain_stack`): one batch of all
+their lanes, one drive matrix with each member's samples in its own
+columns, row blocks cut at every member's end row.  Each member
+receives only its own lanes' blocks up to its end, so it is bitwise
+its shard run alone, and the fused loop's per-sample overhead is paid
+once per stack rather than once per member.
+
 Blocks travel differently per route — handed over in process, written
 into the pool's shared memory, or streamed over a :mod:`repro.dist`
 socket — but every route runs them through :func:`iter_shard_blocks`
-and lands them through :class:`ShardAssembly`, the one owner of the
-output layout and of the check that a block fits it.
+(or :func:`drain_stack`, whose stack of one is exactly that) and lands
+them through :class:`ShardAssembly`, the one owner of the output
+layout and of the check that a block fits it.
 :class:`BlockBudget` gives any consumer a hard ceiling on resident
 result-buffer bytes (with a high-water mark for the tests to pin).
 """
@@ -32,7 +42,8 @@ import numpy as np
 
 from repro.batch.sweep import BatchSweepResult, run_batch_series
 from repro.errors import ParameterError
-from repro.parallel.spec import ShardSpec
+from repro.models.registry import get_family
+from repro.parallel.spec import ShardSpec, concat_payloads
 
 
 @dataclass(frozen=True)
@@ -168,18 +179,109 @@ def drain_shard(spec: ShardSpec, write, blocks=None) -> dict[str, np.ndarray]:
     range, so the shard's are their sums; a key a block never
     registered (a family may register a counter lazily, mid-run) counts
     as zero there.  ``blocks`` defaults to running the shard in this
-    process (:func:`iter_shard_blocks`) — the local drain behind the
-    serial fallback, pool workers and the dispatcher's leftovers; the
-    dispatcher passes the blocks arriving off the wire instead.
+    process (:func:`iter_shard_blocks`) — the local drain behind every
+    stack of one (:func:`drain_stack`) and the dispatcher's leftovers;
+    the dispatcher passes the blocks arriving off the wire instead.
     """
     if blocks is None:
         blocks = iter_shard_blocks(spec)
     totals: dict[str, np.ndarray] = {}
     for block in blocks:
         write(block)
-        for key, value in block.counters.items():
-            totals[key] = totals[key] + value if key in totals else value
+        _add_counters(totals, block.counters)
     return totals
+
+
+def _add_counters(totals: dict, counters: dict) -> None:
+    for key, value in counters.items():
+        totals[key] = totals[key] + value if key in totals else value
+
+
+def drain_stack(specs: "list[ShardSpec]", writes) -> "list[dict]":
+    """Run a **stack** of shard specs as one wide batch, hand each
+    member its own row blocks (``writes[k]`` takes member ``k``'s), and
+    return each member's counters.
+
+    The members share a recipe, lane range, ``threads`` and
+    ``chunk_lanes`` (:func:`~repro.parallel.plan.plan_stacks`) and
+    differ in their drives.  Their payloads, joined lane by lane
+    (:func:`~repro.parallel.spec.concat_payloads`), build one batch of
+    ``K × width`` lanes, and one ``(rows, K × width)`` drive holds each
+    member's samples in its own columns, its last sample held past its
+    end.  The stack's row blocks are cut at every member's end row, and
+    by :func:`plan_row_blocks` over the stack's width, so each member
+    receives exactly its own lanes' blocks up to its end and sums only
+    their counter deltas: no member sees or counts a held sample.
+    Each member is then bitwise the shard run alone, by lane
+    independence and segment resumption alone, and the fused loop's
+    per-sample overhead is paid once per stack, not once per member.
+
+    A stack of one is exactly :func:`drain_shard`.  So is each member
+    of a stack whose payloads do not join, or whose run registers a
+    counter mid-run (a lazily registered key may hang on the other
+    members' lanes; the members are then run alone, rewriting their
+    blocks with the same values).
+    """
+    from repro.backend import thread_limit
+
+    batch = None if len(specs) == 1 else _stack_batch(specs)
+    if batch is None:
+        return [drain_shard(spec, write) for spec, write in zip(specs, writes)]
+    first = specs[0]
+    drives = [spec.build_samples() for spec in specs]
+    ends = [len(samples) for samples in drives]
+    drive = np.empty((max(ends), len(specs) * first.width))
+    columns = np.split(drive, len(specs), axis=1)
+    for column, samples, end in zip(columns, drives, ends):
+        column[:end] = samples if samples.ndim == 2 else samples[:, None]
+        column[end:] = column[end - 1]
+    planned = plan_row_blocks(drive.shape[1], len(drive), first.chunk_lanes)
+    lanes = [
+        slice(k * first.width, (k + 1) * first.width)
+        for k in range(len(specs))
+    ]
+    keys = set(batch.counter_totals())
+    totals: "list[dict]" = [{} for _ in specs]
+    r0 = 0
+    for r1 in sorted({stop for _, stop in planned}.union(ends)):
+        with thread_limit(first.threads):
+            part = run_batch_series(batch, drive[r0:r1], reset=(r0 == 0))
+        if not keys.issuperset(part.counters):
+            return [
+                drain_shard(spec, write) for spec, write in zip(specs, writes)
+            ]
+        for spec, write, own, end, counters in zip(
+            specs, writes, lanes, ends, totals
+        ):
+            if r0 >= end:
+                continue
+            block = RowBlock(
+                start=spec.start,
+                stop=spec.stop,
+                row_start=r0,
+                row_stop=r1,
+                m=part.m[:, own],
+                b=part.b[:, own],
+                updated=part.updated[:, own],
+                extras={key: v[:, own] for key, v in part.extras.items()},
+                counters={key: v[own] for key, v in part.counters.items()},
+            )
+            write(block)
+            _add_counters(counters, block.counters)
+        r0 = r1
+    return totals
+
+
+def _stack_batch(specs: "list[ShardSpec]"):
+    """The members' sub-ensembles side by side as one batch, built from
+    their joined payloads; ``None`` when the family has no
+    ``batch_from_payload`` hook or a payload value does not join."""
+    rebuild = get_family(specs[0].family).batch_from_payload
+    payloads = [spec.build_payload() for spec in specs]
+    if rebuild is None or None in payloads:
+        return None
+    joined = concat_payloads(payloads, [spec.width for spec in specs])
+    return None if joined is None else rebuild(joined)
 
 
 def _private(channel: str, shape, dtype) -> np.ndarray:
@@ -194,9 +296,10 @@ class ShardAssembly:
     dtype — and the one place that checks a block: its extras against
     the job's schema, its arrays and counters against the rows and
     lanes it claims.  Every route writes through it: the serial
-    fallback and the dispatcher's leftovers via :func:`drain_shard`, pool
-    workers over shared-memory views of the parent's buffers, and the
-    dispatcher with blocks off the wire.
+    fallback via :func:`drain_stack`, pool workers the same way over
+    shared-memory views of the parent's buffers, the dispatcher's
+    leftovers via :func:`drain_shard`, and the dispatcher with blocks
+    off the wire.
 
     Writes go by absolute row and lane range into disjoint slices —
     shards own disjoint columns, a shard's blocks disjoint rows — so

@@ -57,8 +57,8 @@ from repro.batch.sweep import BatchSweepResult
 from repro.errors import ParameterError
 from repro.models.protocol import is_batch_model
 from repro.models.registry import get_family
-from repro.parallel.blocks import ShardAssembly, drain_shard
-from repro.parallel.plan import plan_shards
+from repro.parallel.blocks import ShardAssembly, drain_stack
+from repro.parallel.plan import plan_shards, plan_stacks
 from repro.parallel.spec import DriveSpec, EnsembleSpec, ShardSpec
 
 #: Environment cap on the effective worker count (runner-safe CI knob).
@@ -100,14 +100,18 @@ def resolve_workers(n_workers: int | None = None) -> int:
 
 @dataclass(frozen=True, eq=False)
 class _CellJob:
-    """One sharded run, planned: full-width drive, shard specs, and the
-    extras schema its :class:`ShardAssembly` lays the buffers out by."""
+    """One sharded run, planned: full-width drive, shard specs, the
+    extras schema its :class:`ShardAssembly` lays the buffers out by,
+    and the recipe its lanes come from (the backend-pinned
+    :class:`EnsembleSpec`, or the live batch its payloads were cut
+    from), which decides what its shards may stack with."""
 
     family: str
     n_total: int
     h_full: np.ndarray
     specs: list[ShardSpec]
     extras_schema: "dict[str, np.dtype]"
+    recipe: object
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -176,13 +180,16 @@ def prepare_job(
     bounds = plan_shards(n_total, n_workers)
     specs = []
     for start, stop in bounds:
-        if h_full.ndim == 2:
-            # Pre-slice per-core drives (explicit or scenario-built):
-            # each worker receives only its own columns instead of K
-            # pickled copies — or K full-width rebuilds — of the whole
-            # matrix (ShardSpec treats explicit samples as shard-local).
-            # Shared 1-D scenario drives stay name-sized; rebuilding a
-            # vector worker-side is cheaper than shipping it.
+        if h_full.ndim == 2 and stop - start < n_total:
+            # Pre-slice a lane cut's per-core drives (explicit or
+            # scenario-built): each worker receives only its own columns
+            # instead of K pickled copies — or K full-width rebuilds —
+            # of the whole matrix (ShardSpec treats explicit samples as
+            # shard-local).  A whole-ensemble shard takes the drive as
+            # it came: a scenario's, 1-D or per-core, stays name-sized
+            # and is rebuilt where it runs, which costs less than
+            # shipping it (and a stack of whole cells would ship them
+            # all in one task).
             shard_drive = DriveSpec(samples=h_full[:, start:stop])
         else:
             shard_drive = drive
@@ -212,7 +219,9 @@ def prepare_job(
                     chunk_lanes=chunk_lanes,
                 )
             )
-    return _CellJob(family, n_total, h_full, specs, _extras_schema(source))
+    return _CellJob(
+        family, n_total, h_full, specs, _extras_schema(source), source
+    )
 
 
 def _resolve_drive(
@@ -250,14 +259,42 @@ def _resolve_drive(
     return drive, source
 
 
-def run_job_serial(job: _CellJob) -> BatchSweepResult:
-    """The n_workers=1 fallback: the same shard specs, run in this
-    process, every row block landing straight in one assembly."""
-    assembly = ShardAssembly(job)
-    for spec in job.specs:
-        counters = drain_shard(spec, assembly.write_block)
-        assembly.commit_shard(spec.start, spec.stop, counters)
-    return assembly.result()
+def _stack_key(job: _CellJob, spec: ShardSpec) -> tuple:
+    """What a shard may stack on: an equal recipe (an equal
+    :class:`EnsembleSpec`, or the very same live batch), lane range,
+    lane threads and ``chunk_lanes``."""
+    recipe = job.recipe if isinstance(job.recipe, EnsembleSpec) else id(
+        job.recipe
+    )
+    return (recipe, spec.start, spec.stop, spec.threads, spec.chunk_lanes)
+
+
+def chunk_stacks(jobs: "list[_CellJob]", width: int) -> list[list[tuple]]:
+    """A chunk's tasks on a pool ``width`` workers wide: its shards as
+    ``(job index, spec)`` members of the stacks
+    :func:`~repro.parallel.plan.plan_stacks` cuts."""
+    shards = [(j, spec) for j, job in enumerate(jobs) for spec in job.specs]
+    stacks = plan_stacks(
+        [_stack_key(jobs[j], spec) for j, spec in shards],
+        [len(jobs[j].h_full) for j, _ in shards],
+        width,
+    )
+    return [[shards[index] for index in stack] for stack in stacks]
+
+
+def run_jobs_serial(jobs: "list[_CellJob]") -> list[BatchSweepResult]:
+    """The one-worker route: the chunk's stacks, run in this process
+    (as :func:`chunk_stacks` cuts them for a pool one worker wide),
+    every row block landing straight in its job's assembly."""
+    assemblies = [ShardAssembly(job) for job in jobs]
+    for members in chunk_stacks(jobs, 1):
+        counters = drain_stack(
+            [spec for _, spec in members],
+            [assemblies[j].write_block for j, _ in members],
+        )
+        for (j, spec), totals in zip(members, counters):
+            assemblies[j].commit_shard(spec.start, spec.stop, totals)
+    return [assembly.result() for assembly in assemblies]
 
 
 @dataclass(frozen=True)
@@ -312,15 +349,18 @@ def _shared_assembly(job: _CellJob, owned: list):
     return assembly, _Segments(job.family, job.extras_schema, job.shape, names)
 
 
-def _worker(task: "tuple[ShardSpec, _Segments]"):
-    """Pool entry point: rebuild and run one shard, writing every row
-    block into the parent's shared buffers as soon as it exists (a
-    chunked worker never holds more than one block of result data);
-    returns the shard's counters."""
-    spec, segments = task
+def _worker(task: "tuple[list[ShardSpec], list[_Segments]]"):
+    """Pool entry point: rebuild and run one stack of shards
+    (:func:`~repro.parallel.blocks.drain_stack`), writing each member's
+    row blocks into its own job's shared buffers as soon as they exist
+    (a chunked worker never holds more than one stacked block of result
+    data); returns one counter dict per member."""
+    specs, segments = task
     handles: list = []
     try:
-        return drain_shard(spec, segments.attach(handles).write_block)
+        return drain_stack(
+            specs, [member.attach(handles).write_block for member in segments]
+        )
     finally:
         for shm in handles:
             shm.close()
@@ -328,18 +368,27 @@ def _worker(task: "tuple[ShardSpec, _Segments]"):
 
 class _Flight:
     """One chunk of jobs on a pool: its shared buffers, laid out, and
-    its shard tasks, queued the moment the chunk is launched."""
+    its stacks (:func:`chunk_stacks`), queued as one task each the
+    moment the chunk is launched."""
 
-    def __init__(self, pool, jobs: "list[_CellJob]") -> None:
+    def __init__(self, pool, jobs: "list[_CellJob]", width: int) -> None:
         self.owned: list = []
         self.assemblies = []
         try:
-            tasks = []
+            segments = []
             for job in jobs:
-                assembly, segments = _shared_assembly(job, self.owned)
-                self.assemblies.append((job, assembly))
-                tasks.extend((spec, segments) for spec in job.specs)
-            self.pending = pool.map_async(_worker, tasks)
+                assembly, laid_out = _shared_assembly(job, self.owned)
+                self.assemblies.append(assembly)
+                segments.append(laid_out)
+            self.stacks = chunk_stacks(jobs, width)
+            self.pending = pool.map_async(
+                _worker,
+                [
+                    ([spec for _, spec in members],
+                     [segments[j] for j, _ in members])
+                    for members in self.stacks
+                ],
+            )
         except BaseException:
             self.release()
             raise
@@ -349,15 +398,12 @@ class _Flight:
         buffers are released either way; a failed task raises here
         only once all of the chunk's tasks are done."""
         try:
-            counters = iter(self.pending.get())
-            for job, assembly in self.assemblies:
-                for spec in job.specs:
-                    assembly.commit_shard(
-                        spec.start, spec.stop, next(counters)
+            for members, counters in zip(self.stacks, self.pending.get()):
+                for (j, spec), totals in zip(members, counters):
+                    self.assemblies[j].commit_shard(
+                        spec.start, spec.stop, totals
                     )
-            return [
-                assembly.result(copy=True) for _, assembly in self.assemblies
-            ]
+            return [assembly.result(copy=True) for assembly in self.assemblies]
         finally:
             self.release()
 
@@ -375,9 +421,9 @@ class _Flight:
         self.owned.clear()
 
 
-def execute_jobs_pooled(pool, chunks) -> list[BatchSweepResult]:
-    """Run a stream of job chunks on one pool; one result per job, in
-    order.
+def execute_jobs_pooled(pool, chunks, width: int) -> list[BatchSweepResult]:
+    """Run a stream of job chunks on one pool ``width`` workers wide;
+    one result per job, in order.
 
     ``chunks`` is an iterable of job lists, which may prepare each chunk
     as it is drawn.  The single lay out → queue → commit → copy out →
@@ -385,7 +431,11 @@ def execute_jobs_pooled(pool, chunks) -> list[BatchSweepResult]:
     default pool (:func:`repro.parallel.pool.default_pool`), which
     streams every chunk of a grid call through here, and a caller's
     :class:`~repro.parallel.pool.WorkerPool`, one chunk per
-    :meth:`~repro.parallel.pool.WorkerPool.execute`.  Chunk i+1 is
+    :meth:`~repro.parallel.pool.WorkerPool.execute`.  Each task is one
+    stack of the chunk's shards (:func:`chunk_stacks`, cut for
+    ``width``), so a worker pays the fused loop's per-sample overhead
+    once per stack, not once per cell; every job keeps its own
+    assembly, segments and copy-out.  Chunk i+1 is
     drawn and its tasks queued before chunk i is collected, so the
     workers never wait at a chunk barrier while this process prepares
     and copies out; at most two chunks' buffers are resident.  Shared
@@ -397,7 +447,7 @@ def execute_jobs_pooled(pool, chunks) -> list[BatchSweepResult]:
     flights: deque = deque()
     try:
         for jobs in chunks:
-            flights.append(_Flight(pool, jobs))
+            flights.append(_Flight(pool, jobs, width))
             if len(flights) > 1:
                 results.extend(flights.popleft().land())
         while flights:
@@ -438,12 +488,15 @@ class Route:
         """The shards each of ``jobs`` jobs sent in one call is cut into.
 
         ``ceil(workers / jobs)``, on every transport: a call offers
-        the pool or fleet at least ``workers`` tasks, and whole jobs as
+        the pool or fleet at least ``workers`` shards, and whole jobs as
         soon as there are as many jobs as workers — per-sample overhead
         makes a lane cut cost more than it saves once every worker is
         busy.  A single run (``jobs=1``) is cut ``workers`` ways.  The
         count is clamped to each job's lanes when :func:`prepare_job`
-        cuts it.
+        cuts it.  A local pool then takes the shards as stacks
+        (:func:`chunk_stacks`), which keep the promise: never fewer
+        than ``min(workers, shards)`` tasks, and a lane-cut job's
+        shards, whose lane ranges differ, never stack.
         """
         return -(-self.workers // jobs)
 

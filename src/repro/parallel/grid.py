@@ -12,9 +12,13 @@ Each pool worker or fleet agent takes whole cells; a cell's lanes are
 cut only when a chunk has fewer cells than the pool or fleet has
 workers (:meth:`~repro.parallel.executor.Route.shards_per_job`),
 because the fused loop's per-sample overhead makes a lane cut cost
-more than it saves once every worker is busy.  Each cell's result is
-bitwise identical to running that cell alone through
-:func:`repro.batch.sweep.run_batch_series`.
+more than it saves once every worker is busy.  On this host the same
+overhead is paid once per **stack**, not once per cell: a chunk's
+cells of one recipe run as one wide batch, a few to a task
+(:func:`~repro.parallel.executor.chunk_stacks`,
+:func:`~repro.parallel.blocks.drain_stack`), each keeping its own
+output buffers.  Each cell's result is bitwise identical to running
+that cell alone through :func:`repro.batch.sweep.run_batch_series`.
 
 The grid has one body for every route.  It checks its route arguments
 (:func:`repro.parallel.executor.resolve_route`), plans and **dedupes**
@@ -56,7 +60,7 @@ from repro.parallel.executor import (
     execute_jobs_pooled,
     prepare_job,
     resolve_route,
-    run_job_serial,
+    run_jobs_serial,
 )
 from repro.parallel.pool import default_pool
 from repro.parallel.spec import DriveSpec, EnsembleSpec
@@ -183,6 +187,8 @@ def job_runner(route, **dispatcher_options):
     * a chunk whose jobs hold one shard in total, or a route one worker
       wide — this process, no pool at all (so a plan's single threaded
       shard never runs in a forked child), until a chunk needs a pool;
+      the chunk runs as the stacks a pool one worker wide would run
+      (:func:`~repro.parallel.executor.run_jobs_serial`);
     * ``route.pool`` — the caller's live pool, one ``execute`` per
       chunk, never closed here;
     * otherwise the process-wide default pool, leased at the width of
@@ -191,6 +197,10 @@ def job_runner(route, **dispatcher_options):
       :func:`~repro.parallel.pool.default_pool`), which streams that
       chunk and every later one through one
       :func:`~repro.parallel.executor.execute_jobs_pooled` call.
+
+    Every local transport runs a chunk's shards as stacks, one task
+    each (:func:`~repro.parallel.executor.chunk_stacks`); a fleet's
+    agents take one shard a message.
     """
     if route.hosts:
         # Lazy upward import: repro.dist sits above this package in the
@@ -211,13 +221,15 @@ def job_runner(route, **dispatcher_options):
         for jobs in chunks:
             width = min(route.workers, sum(len(job.specs) for job in jobs))
             if width <= 1:
-                results.extend(run_job_serial(job) for job in jobs)
+                results.extend(run_jobs_serial(jobs))
             elif route.pool is not None:
                 results.extend(route.pool.execute(jobs))
             else:
                 with default_pool(width, route.mp_context) as workers:
                     results.extend(
-                        execute_jobs_pooled(workers, chain([jobs], chunks))
+                        execute_jobs_pooled(
+                            workers, chain([jobs], chunks), width
+                        )
                     )
         return results
 
@@ -256,7 +268,12 @@ def run_scenario_grid(
     pool or fleet of width W, each cell of a chunk of c cells is cut
     into ``ceil(W / c)`` lane shards, at most its lanes: whole cells
     per worker once a chunk holds W cells, lane cuts only to fill the
-    pool or fleet.
+    pool or fleet.  On this host (``n_workers=1`` included) a chunk's
+    cells of one recipe then run as stacks of up to ``ceil(S / (W +
+    1))`` of its S shards, one wide batch per task, never fewer than
+    ``min(W, S)`` tasks a chunk, so the fused loop's per-sample
+    overhead is paid once per stack rather than once per cell; every
+    cell stays bitwise its run alone.
 
     Duplicate ``(family, scenario, h_max)`` combinations are collapsed
     before planning: each unique cell is computed once and every

@@ -55,7 +55,7 @@ from repro.models.registry import get_family, list_families
 from repro.parallel.executor import (
     execute_jobs_pooled,
     resolve_workers,
-    run_job_serial,
+    run_jobs_serial,
 )
 from repro.scenarios import list_scenarios
 
@@ -173,8 +173,8 @@ class WorkerPool:
         pool and return their assembled results, one per job."""
         with self._lock, self._lease() as workers:
             if workers is not None:
-                return execute_jobs_pooled(workers, [jobs])
-        return [run_job_serial(job) for job in jobs]
+                return execute_jobs_pooled(workers, [jobs], self.n_workers)
+        return run_jobs_serial(jobs)
 
     def close(self) -> None:
         """Tear the workers down.  Idempotent.

@@ -13,6 +13,7 @@ sub-ensembles and slice the identical sample columns.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -20,7 +21,10 @@ import numpy as np
 
 from repro.backend import resolve_backend
 from repro.batch.lanes import check_lane_range
+from repro.batch.params import BatchJAParameters
+from repro.core.slope import SlopeGuards, concat_guards
 from repro.errors import ParameterError, ScenarioError
+from repro.ja.anhysteretic import Anhysteretic, concat_anhysteretic
 from repro.models.registry import ModelFamily, get_family
 
 #: Whole recipe ensembles each process keeps for
@@ -63,10 +67,24 @@ class EnsembleSpec:
     backend: str | None = None
 
     def __post_init__(self) -> None:
-        if self.n_cores < 1:
-            raise ParameterError(
-                f"n_cores must be >= 1, got {self.n_cores}"
-            )
+        # Normalised to a Python int: a recipe is a cache and stack key,
+        # so 4, np.int64(4) and 4.0 must not name three recipes (4.0 and
+        # every other non-integer is refused here, before any worker).
+        for name, least in (("n_cores", 1), ("seed", 0)):
+            value = getattr(self, name)
+            try:
+                number = operator.index(value)
+            except TypeError:
+                number = None
+            if number is None or isinstance(value, (bool, np.bool_)):
+                raise ParameterError(
+                    f"{name} must be an integer, got {value!r}"
+                )
+            if number < least:
+                raise ParameterError(
+                    f"{name} must be >= {least}, got {number}"
+                )
+            object.__setattr__(self, name, number)
         get_family(self.family)  # fail fast on unknown families
         if self.backend is not None:
             resolve_backend(self.backend)  # fail fast on unknown backends
@@ -93,16 +111,26 @@ class EnsembleSpec:
         ``build_models()[start:stop]`` on every call.
         """
         stop = self.n_cores if stop is None else stop
+        payload = self.shard_payload(start, stop)
+        if payload is not None:
+            return get_family(self.family).batch_from_payload(payload)
+        batch = get_family(self.family).stack(self.build_models()[start:stop])
+        if hasattr(batch, "use_backend"):
+            batch.use_backend(resolve_backend(self.backend))
+        return batch
+
+    def shard_payload(self, start: int, stop: int) -> "dict | None":
+        """The ``shard_payload`` of lanes ``[start, stop)``, cut from the
+        recipe's whole ensemble in this process's recipe cache (see
+        :meth:`build_batch`); ``None`` for a family without a
+        ``batch_from_payload`` hook."""
         check_lane_range(start, stop, self.n_cores)
         family = get_family(self.family)
-        backend = resolve_backend(self.backend)
-        if family.batch_from_payload is not None:
-            whole = _recipe_batch(family, self.n_cores, self.seed, backend.name)
-            return family.batch_from_payload(whole.shard_payload(start, stop))
-        batch = family.stack(self.build_models()[start:stop])
-        if hasattr(batch, "use_backend"):
-            batch.use_backend(backend)
-        return batch
+        if family.batch_from_payload is None:
+            return None
+        backend = resolve_backend(self.backend).name
+        whole = _recipe_batch(family, self.n_cores, self.seed, backend)
+        return whole.shard_payload(start, stop)
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,10 +238,11 @@ class ShardSpec:
     environment.
 
     Explicit-sample drives carried by a ShardSpec are **shard-local**:
-    the executor pre-slices per-core matrices to this shard's columns
-    before dispatch, so workers never unpickle the full-width drive.
-    Shared (1-D) scenario drives stay name-sized and are rebuilt
-    worker-side.
+    the executor pre-slices a lane cut's per-core matrices to this
+    shard's columns before dispatch, so workers never unpickle the
+    full-width drive.  Scenario drives of a shard that spans the whole
+    ensemble, and shared (1-D) scenario drives, stay name-sized and are
+    rebuilt worker-side.
 
     ``threads`` is the lane-thread count this shard pins while it runs
     (see :mod:`repro.backend.threads`): the executing process wraps the
@@ -268,6 +297,14 @@ class ShardSpec:
     def width(self) -> int:
         return self.stop - self.start
 
+    def build_payload(self) -> "dict | None":
+        """This shard's construction payload: the one it carries, or the
+        one its recipe's cache cuts (``None``: the family has no
+        ``batch_from_payload`` hook)."""
+        if self.payload is not None:
+            return self.payload
+        return self.ensemble.shard_payload(self.start, self.stop)
+
     def build_batch(self):
         """Reconstruct this shard's sub-ensemble (freshly reset)."""
         if self.payload is not None:
@@ -293,3 +330,49 @@ class ShardSpec:
         return self.drive.shard_samples(
             self.n_cores_total, self.start, self.stop
         )
+
+
+#: Payload values that are one setting for every lane, not one per lane.
+_SETTINGS = (str, bool, int, float, np.generic, type(None))
+
+
+def concat_payloads(payloads: "list[dict]", widths: "list[int]"):
+    """One ``shard_payload`` for the lanes of ``payloads`` side by side
+    (``widths`` lanes each), or ``None`` when a value is of a kind this
+    does not know how to join.
+
+    The inverse of the engines' slicing, value by value and with array
+    operations only: lane arrays concatenate along their lane axis, the
+    stacked parameters, anhysteretic curves and guards through their
+    slicing twins' ``concat_*`` counterparts, and a scalar setting (the
+    backend name, a shared ``accept_equal``) passes through when every
+    payload holds the same one.  Because every lane evaluates
+    elementwise, the joined batch runs each lane bitwise as its own
+    payload's batch does.
+    """
+    first = payloads[0]
+    if any(payload.keys() != first.keys() for payload in payloads):
+        return None
+    joined = {}
+    for key, value in first.items():
+        values = [payload[key] for payload in payloads]
+        if any(type(other) is not type(value) for other in values):
+            return None
+        try:
+            if isinstance(value, np.ndarray) and value.ndim:
+                joined[key] = np.concatenate(values)
+            elif isinstance(value, BatchJAParameters):
+                joined[key] = BatchJAParameters.concatenate(values)
+            elif isinstance(value, SlopeGuards):
+                joined[key] = concat_guards(values, widths)
+            elif isinstance(value, Anhysteretic):
+                joined[key] = concat_anhysteretic(values)
+            elif isinstance(value, _SETTINGS) and all(
+                other == value for other in values
+            ):
+                joined[key] = value
+            else:
+                return None
+        except (ParameterError, ValueError):
+            return None
+    return joined

@@ -48,7 +48,7 @@ from repro.parallel import (
     run_scenario_grid,
     run_sharded,
 )
-from repro.parallel.executor import prepare_job, run_job_serial
+from repro.parallel.executor import prepare_job, run_jobs_serial
 from repro.scenarios import scenario_samples
 
 from test_parallel import assert_results_bitwise_equal
@@ -129,7 +129,9 @@ class TestLaneBlocks:
             plan_row_blocks(N_CORES, samples, chunk_lanes)
         )
         assert (len(blocks) > 1) == (chunk_lanes is not None)
-        assert_results_bitwise_equal(reference_result(), run_job_serial(job))
+        assert_results_bitwise_equal(
+            reference_result(), run_jobs_serial([job])[0]
+        )
 
     def test_budget_tracks_peak_and_rejects_oversize(self):
         budget = BlockBudget(100)

@@ -142,9 +142,88 @@ class TestSpecs:
         shared = DriveSpec(samples=np.array([0.0, 1.0, 2.0]))
         assert shared.shard_samples(N_CORES, 3, 5).ndim == 1
 
+    def test_per_core_scenario_ships_by_name_unless_lanes_are_cut(self):
+        """A whole-ensemble shard carries a per-core scenario drive by
+        name, rebuilt where it runs (a stack of whole cells would
+        otherwise pickle every member's matrix into one task); a lane
+        cut carries only its own columns.  Both rebuild the parent's
+        columns bit for bit."""
+        from repro.parallel.executor import prepare_job
+
+        drive = DriveSpec(
+            scenario="forc-family", h_max=10e3, driver_step=200.0
+        )
+        spec = EnsembleSpec("timeless", N_CORES)
+        whole = prepare_job(spec, drive, 1)
+        (shard,) = whole.specs
+        assert shard.drive is drive
+        assert np.array_equal(shard.build_samples(), whole.h_full)
+        cut = prepare_job(spec, drive, N_WORKERS)
+        for shard in cut.specs:
+            assert shard.drive.samples.shape[1] == shard.width
+            assert np.array_equal(
+                shard.build_samples(), cut.h_full[:, shard.start : shard.stop]
+            )
+
     def test_ensemble_spec_rejects_unknown_family(self):
         with pytest.raises(ParameterError):
             EnsembleSpec(family="no-such-family", n_cores=4)
+
+    #: (id, EnsembleSpec keywords, exact error): a recipe's lane count
+    #: and seed are whole numbers, n_cores >= 1 and seed >= 0, refused
+    #: here rather than by a raw builtin later, in a worker.
+    BAD_RECIPES = [
+        ("float-n_cores", dict(n_cores=2.5), "n_cores must be an integer, got 2.5"),
+        ("integral-float-n_cores", dict(n_cores=2.0),
+         "n_cores must be an integer, got 2.0"),
+        ("string-n_cores", dict(n_cores="4"),
+         "n_cores must be an integer, got '4'"),
+        ("bool-n_cores", dict(n_cores=True),
+         "n_cores must be an integer, got True"),
+        ("numpy-bool-n_cores", dict(n_cores=np.bool_(True)),
+         f"n_cores must be an integer, got {np.bool_(True)!r}"),
+        ("numpy-float-n_cores", dict(n_cores=np.float64(4.0)),
+         f"n_cores must be an integer, got {np.float64(4.0)!r}"),
+        ("zero-n_cores", dict(n_cores=0), "n_cores must be >= 1, got 0"),
+        ("negative-numpy-n_cores", dict(n_cores=np.int64(-3)),
+         "n_cores must be >= 1, got -3"),
+        ("float-seed", dict(seed=1.5), "seed must be an integer, got 1.5"),
+        ("none-seed", dict(seed=None), "seed must be an integer, got None"),
+        ("bool-seed", dict(seed=False), "seed must be an integer, got False"),
+        ("negative-seed", dict(seed=-1), "seed must be >= 0, got -1"),
+    ]
+
+    @pytest.mark.parametrize(
+        "keywords, message",
+        [row[1:] for row in BAD_RECIPES],
+        ids=[row[0] for row in BAD_RECIPES],
+    )
+    def test_ensemble_spec_rejects_non_integer_recipes(self, keywords, message):
+        with pytest.raises(ParameterError) as raised:
+            EnsembleSpec(**{"family": "timeless", "n_cores": 4, **keywords})
+        assert str(raised.value) == message
+
+    def test_grid_refuses_a_fractional_lane_count_before_any_work(self):
+        with pytest.raises(
+            ParameterError, match=r"^n_cores must be an integer, got 2\.5$"
+        ):
+            run_scenario_grid(
+                ["timeless"], ["major-loop"], [1e3], 2.5, driver_step=100.0,
+                n_workers=1,
+            )
+
+    def test_ensemble_spec_normalises_numpy_integers(self):
+        """A NumPy integer names the same recipe as a Python int: equal
+        and equally hashed specs, ``int`` fields, and one cache digest."""
+        from repro.service.digest import spec_digest
+
+        drive = DriveSpec(scenario="major-loop", h_max=1e3, driver_step=100.0)
+        plain = EnsembleSpec("timeless", 4, seed=3)
+        for n_cores, seed in [(np.int64(4), np.int32(3)), (np.uint8(4), 3)]:
+            spec = EnsembleSpec("timeless", n_cores, seed=seed)
+            assert type(spec.n_cores) is int and type(spec.seed) is int
+            assert spec == plain and hash(spec) == hash(plain)
+            assert spec_digest(spec, drive) == spec_digest(plain, drive)
 
     def test_ensemble_spec_slice_is_full_recipe_lane(self):
         """Workers must rebuild the full RNG stream and slice — lane 2

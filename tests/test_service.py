@@ -427,8 +427,8 @@ class TestHysteresisService:
                 entered.set()
                 return pending
 
-        def entering(pool, chunks):
-            return real_execute(Announcing(pool), chunks)
+        def entering(pool, chunks, width):
+            return real_execute(Announcing(pool), chunks, width)
 
         monkeypatch.setattr(pool_module, "execute_jobs_pooled", entering)
         before = segments()

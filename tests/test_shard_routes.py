@@ -84,7 +84,7 @@ from repro.parallel.executor import (
     execute_jobs_pooled,
     prepare_job,
     resolve_route,
-    run_job_serial,
+    run_jobs_serial,
 )
 from repro.parallel.pool import close_default_pool
 from repro.scenarios import Scenario, register_scenario, scenario_samples
@@ -341,7 +341,7 @@ class TestExtrasSchemaCheck:
 
     def test_serial_route_rejects_a_stale_schema(self):
         with pytest.raises(ParameterError, match="bogus.*stale"):
-            run_job_serial(stale_job())
+            run_jobs_serial([stale_job()])
 
     def test_pool_route_rejects_a_stale_schema(self, warm_pool):
         with pytest.raises(ParameterError, match="bogus.*stale"):
@@ -353,12 +353,12 @@ class TestExtrasSchemaCheck:
         before = segments()
         with multiprocessing.get_context("fork").Pool(2) as pool:
             with pytest.raises(ParameterError, match="bogus"):
-                execute_jobs_pooled(pool, [[stale_job()]])
+                execute_jobs_pooled(pool, [[stale_job()]], 2)
             assert segments() == before
             # The pool survives the failed job and serves the next one.
             batch, h = workload("timeless")
             job = prepare_job(batch, DriveSpec(samples=h), 2)
-            (result,) = execute_jobs_pooled(pool, [[job]])
+            (result,) = execute_jobs_pooled(pool, [[job]], 2)
         assert_results_bitwise_equal(run_batch_series(batch, h), result)
 
     def test_dispatched_route_fails_the_job_and_names_the_shard(self, fleet):
@@ -438,6 +438,10 @@ GRID_ROUTES = {
 }
 
 
+#: The grid routes that run on this host, and so run a chunk as stacks.
+LOCAL_GRID_ROUTES = ("serial", "fork-pool", "service")
+
+
 @pytest.mark.parametrize("chunk_lanes", [None, 2])
 @pytest.mark.parametrize("route", list(GRID_ROUTES))
 @pytest.mark.parametrize(
@@ -448,9 +452,32 @@ def test_grid_route_matches_single_process(
     chunk_cells, route, chunk_lanes, request, monkeypatch
 ):
     # A chunk per cell cuts every cell N_SHARDS ways; the default chunk
-    # holds all eight unique cells, which a pool or fleet runs whole.
+    # holds all eight unique cells, which a pool or fleet runs whole,
+    # and which this host's routes stack: each family's two cells,
+    # unequal in length, as one stack.
     monkeypatch.setattr(grid_module, "CHUNK_CELLS", chunk_cells)
+    stacks = []
+    real_stacks = executor.chunk_stacks
+
+    def recorded(jobs, width):
+        cut = real_stacks(jobs, width)
+        stacks.extend(
+            [(jobs[j].family, len(jobs[j].h_full)) for j, _ in members]
+            for members in cut
+        )
+        return cut
+
+    monkeypatch.setattr(executor, "chunk_stacks", recorded)
     cells = GRID_ROUTES[route](chunk_lanes, request)
+    if route not in LOCAL_GRID_ROUTES:
+        assert stacks == []  # a fleet's agents take shards, not stacks
+    elif chunk_cells == 1:
+        assert {len(members) for members in stacks} == {1}
+    else:
+        families = sorted(members[0][0] for members in stacks)
+        assert families == sorted(FAMILY_NAMES)
+        for (family, short), (same, long) in stacks:
+            assert family == same and short < long
     assert [cell.key for cell in cells] == [
         (name, GRID_SCENARIO, h_max)
         for name in FAMILY_NAMES
@@ -976,14 +1003,14 @@ def close_mid_stream(forks, monkeypatch):
     streaming = threading.Event()
     real_execute = grid_module.execute_jobs_pooled
 
-    def announcing(pool, chunks):
+    def announcing(pool, chunks, width):
         def drawn():
             for index, jobs in enumerate(chunks):
                 if index == 1:
                     streaming.set()  # chunk 0 is queued, chunk 1 drawn
                 yield jobs
 
-        return real_execute(pool, drawn())
+        return real_execute(pool, drawn(), width)
 
     monkeypatch.setattr(grid_module, "execute_jobs_pooled", announcing)
     outcome = {}
@@ -1065,9 +1092,9 @@ def test_default_pool_streams_two_chunks_at_most(forks, monkeypatch):
     events = []
 
     class Recorded(executor._Flight):
-        def __init__(self, pool, jobs):
+        def __init__(self, pool, jobs, width):
             events.append(("queue", len(jobs)))
-            super().__init__(pool, jobs)
+            super().__init__(pool, jobs, width)
 
         def land(self):
             events.append(("land", len(self.assemblies)))
@@ -1135,14 +1162,14 @@ streaming = threading.Event()
 real_execute = grid.execute_jobs_pooled
 
 
-def announcing(workers, chunks):
+def announcing(workers, chunks, width):
     def drawn():
         for index, jobs in enumerate(chunks):
             if index == 1:
                 streaming.set()  # chunk 0 is queued, chunk 1 drawn
             yield jobs
 
-    return real_execute(workers, drawn())
+    return real_execute(workers, drawn(), width)
 
 
 grid.execute_jobs_pooled = announcing
