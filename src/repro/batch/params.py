@@ -98,20 +98,19 @@ class BatchJAParameters:
             names=self.names[start:stop],
         )
 
-    @classmethod
-    def concatenate(
-        cls, parts: "Sequence[BatchJAParameters]"
-    ) -> "BatchJAParameters":
-        """The stacks of ``parts`` side by side, in order: the inverse of
-        :meth:`lane_slice`, one array concatenation per parameter."""
-        return cls(
-            m_sat=np.concatenate([part.m_sat for part in parts]),
-            a=np.concatenate([part.a for part in parts]),
-            k=np.concatenate([part.k for part in parts]),
-            c=np.concatenate([part.c for part in parts]),
-            alpha=np.concatenate([part.alpha for part in parts]),
-            a2=np.concatenate([part.a2 for part in parts]),
-            names=sum((part.names for part in parts), ()),
+    def tile(self, copies: int) -> "BatchJAParameters":
+        """``copies`` of this stack side by side, in lane order: the
+        lanes of a stack of equal shards
+        (:func:`repro.parallel.blocks.drain_stack`), one array repeat
+        per parameter."""
+        return BatchJAParameters(
+            m_sat=np.tile(self.m_sat, copies),
+            a=np.tile(self.a, copies),
+            k=np.tile(self.k, copies),
+            c=np.tile(self.c, copies),
+            alpha=np.tile(self.alpha, copies),
+            a2=np.tile(self.a2, copies),
+            names=self.names * copies,
         )
 
     def __len__(self) -> int:

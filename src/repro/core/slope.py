@@ -94,33 +94,22 @@ def slice_guards(guards: SlopeGuards, start: int, stop: int) -> SlopeGuards:
     )
 
 
-def concat_guards(
-    guards: Sequence[SlopeGuards], widths: Sequence[int]
-) -> SlopeGuards:
-    """The guard records of consecutive lane ranges, ``widths`` lanes
-    each, as one record over all of them: the inverse of
-    :func:`slice_guards`.
+def tile_guards(guards: SlopeGuards, copies: int) -> SlopeGuards:
+    """``copies`` of a guard record's lanes side by side, in lane order.
 
-    A flag every record holds as the same scalar stays that scalar;
-    otherwise each record's flag is broadcast over its own lanes and
-    the lanes concatenated.
+    Scalar flags apply to any ensemble width and pass through
+    unchanged; array flags repeat per copy.  Used to build a stack of
+    equal shards (:func:`repro.parallel.blocks.drain_stack`).
     """
 
-    def join(flags: "list[bool | np.ndarray]") -> "bool | np.ndarray":
-        if all(np.ndim(flag) == 0 for flag in flags) and len(
-            {bool(flag) for flag in flags}
-        ) == 1:
-            return flags[0]
-        return np.concatenate(
-            [
-                np.broadcast_to(np.asarray(flag, dtype=bool), (width,))
-                for flag, width in zip(flags, widths)
-            ]
-        )
+    def repeat(flag: "bool | np.ndarray") -> "bool | np.ndarray":
+        if np.ndim(flag) == 0:
+            return flag
+        return np.tile(np.asarray(flag), copies)
 
     return SlopeGuards(
-        clamp_negative=join([g.clamp_negative for g in guards]),
-        drop_opposing=join([g.drop_opposing for g in guards]),
+        clamp_negative=repeat(guards.clamp_negative),
+        drop_opposing=repeat(guards.drop_opposing),
     )
 
 

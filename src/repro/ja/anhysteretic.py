@@ -328,35 +328,26 @@ def slice_anhysteretic(
         ) from exc
 
 
-def concat_anhysteretic(curves: "list[Anhysteretic]") -> Anhysteretic:
-    """The curves of consecutive lane ranges as one curve over all of
-    them: the inverse of :func:`slice_anhysteretic`.
+def tile_anhysteretic(curve: Anhysteretic, copies: int) -> Anhysteretic:
+    """``copies`` of a batch-evaluated curve's lanes side by side, in
+    lane order: the curve of a stack of equal shards
+    (:func:`repro.parallel.blocks.drain_stack`).
 
-    Curves of one type and Brillouin ``j`` join: scalar-shape curves
-    when they share their shape (the first serves every lane, as it
-    served each range), array-shaped ones over their concatenated
-    shapes.  Each lane then evaluates bitwise as in its own curve.
-    Anything else raises :class:`~repro.errors.ParameterError`.
+    A scalar-shape curve serves any width and is returned as-is; an
+    array-shaped one is rebuilt over its repeated shapes, as
+    :func:`slice_anhysteretic` rebuilds it over a slice, so each lane
+    evaluates bitwise as in the curve it came from.
     """
-    first = curves[0]
-    j = getattr(first, "j", None)
-    scalar = np.ndim(first.shape) == 0
-    for curve in curves:
-        if (
-            type(curve) is not type(first)
-            or getattr(curve, "j", None) != j
-            or (np.ndim(curve.shape) == 0) != scalar
-            or (scalar and curve.shape != first.shape)
-        ):
-            raise ParameterError(
-                f"cannot join a {type(curve).__name__}(shape="
-                f"{curve.shape!r}) to a {type(first).__name__}(shape="
-                f"{first.shape!r}): the curves differ in kind, j or "
-                "scalar shape"
-            )
-    if scalar:
-        return first
-    extra = {} if j is None else {"j": j}
-    return type(first)(
-        np.concatenate([np.asarray(curve.shape) for curve in curves]), **extra
-    )
+    if np.ndim(curve.shape) == 0:
+        return curve
+    extra: dict[str, float] = {}
+    j = getattr(curve, "j", None)
+    if j is not None:
+        extra["j"] = j
+    try:
+        return type(curve)(np.tile(np.asarray(curve.shape), copies), **extra)
+    except TypeError as exc:
+        raise ParameterError(
+            f"cannot tile a {type(curve).__name__}: its constructor is "
+            "not (shape)-compatible"
+        ) from exc

@@ -63,7 +63,12 @@ class ModelFamily:
         Rebuilds the family's batch model from a picklable
         ``shard_payload`` dict (each engine's ``from_shard_payload``) —
         how pool workers reconstruct their sub-ensemble without
-        shipping live models.
+        shipping live models.  Payload arrays must be lane-major, one
+        entry per lane along axis 0: a stack of equal shards repeats
+        the payload side by side along that axis
+        (:func:`repro.parallel.spec.tile_payload`).  A payload holding
+        an array of another length, or one the hook refuses once
+        repeated, runs its shards one at a time.
     """
 
     name: str

@@ -17,8 +17,8 @@ block paid it once per block.
 On this host the same resumption lets shards of one recipe and lane
 range — a grid chunk's cells, which differ only in their drives — run
 side by side as one **stack** (:func:`drain_stack`): one batch of all
-their lanes, one drive matrix with each member's samples in its own
-columns, row blocks cut at every member's end row.  Each member
+their lanes, each row block's drive with each member's samples in its
+own columns, row blocks cut at every member's end row.  Each member
 receives only its own lanes' blocks up to its end, so it is bitwise
 its shard run alone, and the fused loop's per-sample overhead is paid
 once per stack rather than once per member.
@@ -43,7 +43,7 @@ import numpy as np
 from repro.batch.sweep import BatchSweepResult, run_batch_series
 from repro.errors import ParameterError
 from repro.models.registry import get_family
-from repro.parallel.spec import ShardSpec, concat_payloads
+from repro.parallel.spec import ShardSpec, tile_payload
 
 
 @dataclass(frozen=True)
@@ -203,13 +203,17 @@ def drain_stack(specs: "list[ShardSpec]", writes) -> "list[dict]":
     return each member's counters.
 
     The members share a recipe, lane range, ``threads`` and
-    ``chunk_lanes`` (:func:`~repro.parallel.plan.plan_stacks`) and
-    differ in their drives.  Their payloads, joined lane by lane
-    (:func:`~repro.parallel.spec.concat_payloads`), build one batch of
-    ``K × width`` lanes, and one ``(rows, K × width)`` drive holds each
+    ``chunk_lanes`` (:func:`~repro.parallel.plan.plan_stacks`), so one
+    payload, and differ in their drives.  That payload, repeated once
+    per member (:func:`~repro.parallel.spec.tile_payload`), builds one
+    batch of ``K × width`` lanes, and each row block's drive holds each
     member's samples in its own columns, its last sample held past its
-    end.  The stack's row blocks are cut at every member's end row, and
-    by :func:`plan_row_blocks` over the stack's width, so each member
+    end, cut from the members' samples as the block runs.  The stack's
+    row blocks are cut at every member's end row, and by
+    :func:`plan_row_blocks` over the stack's width at
+    ``min(chunk_lanes, width)`` lanes (``width`` when ``chunk_lanes``
+    is ``None``), so a stacked block never holds more lane-samples
+    than one member's block over the stack's rows.  Each member
     receives exactly its own lanes' blocks up to its end and sums only
     their counter deltas: no member sees or counts a held sample.
     Each member is then bitwise the shard run alone, by lane
@@ -217,7 +221,7 @@ def drain_stack(specs: "list[ShardSpec]", writes) -> "list[dict]":
     per-sample overhead is paid once per stack, not once per member.
 
     A stack of one is exactly :func:`drain_shard`.  So is each member
-    of a stack whose payloads do not join, or whose run registers a
+    of a stack whose payload does not tile, or whose run registers a
     counter mid-run (a lazily registered key may hang on the other
     members' lanes; the members are then run alone, rewriting their
     blocks with the same values).
@@ -228,24 +232,22 @@ def drain_stack(specs: "list[ShardSpec]", writes) -> "list[dict]":
     if batch is None:
         return [drain_shard(spec, write) for spec, write in zip(specs, writes)]
     first = specs[0]
+    width = first.width
     drives = [spec.build_samples() for spec in specs]
     ends = [len(samples) for samples in drives]
-    drive = np.empty((max(ends), len(specs) * first.width))
-    columns = np.split(drive, len(specs), axis=1)
-    for column, samples, end in zip(columns, drives, ends):
-        column[:end] = samples if samples.ndim == 2 else samples[:, None]
-        column[end:] = column[end - 1]
-    planned = plan_row_blocks(drive.shape[1], len(drive), first.chunk_lanes)
-    lanes = [
-        slice(k * first.width, (k + 1) * first.width)
-        for k in range(len(specs))
-    ]
+    bound = width if first.chunk_lanes is None else min(
+        first.chunk_lanes, width
+    )
+    planned = plan_row_blocks(len(specs) * width, max(ends), bound)
+    lanes = [slice(k * width, (k + 1) * width) for k in range(len(specs))]
     keys = set(batch.counter_totals())
     totals: "list[dict]" = [{} for _ in specs]
     r0 = 0
     for r1 in sorted({stop for _, stop in planned}.union(ends)):
         with thread_limit(first.threads):
-            part = run_batch_series(batch, drive[r0:r1], reset=(r0 == 0))
+            part = run_batch_series(
+                batch, _stack_rows(drives, lanes, r0, r1), reset=(r0 == 0)
+            )
         if not keys.issuperset(part.counters):
             return [
                 drain_shard(spec, write) for spec, write in zip(specs, writes)
@@ -253,35 +255,60 @@ def drain_stack(specs: "list[ShardSpec]", writes) -> "list[dict]":
         for spec, write, own, end, counters in zip(
             specs, writes, lanes, ends, totals
         ):
-            if r0 >= end:
-                continue
-            block = RowBlock(
-                start=spec.start,
-                stop=spec.stop,
-                row_start=r0,
-                row_stop=r1,
-                m=part.m[:, own],
-                b=part.b[:, own],
-                updated=part.updated[:, own],
-                extras={key: v[:, own] for key, v in part.extras.items()},
-                counters={key: v[own] for key, v in part.counters.items()},
-            )
-            write(block)
-            _add_counters(counters, block.counters)
+            if r0 < end:
+                block = _member_block(part, spec, own, r0, r1)
+                write(block)
+                _add_counters(counters, block.counters)
+        # Dropped before the next block runs, so two blocks' drives and
+        # results never live at once (the longest member is live in
+        # every block, so each block hands one out).
+        del part, block
         r0 = r1
     return totals
 
 
+def _stack_rows(drives, lanes, r0: int, r1: int) -> np.ndarray:
+    """Rows ``[r0, r1)`` of a stack's drive: each member's samples in
+    its own ``lanes``, its last sample held past its end."""
+    drive = np.empty((r1 - r0, lanes[-1].stop))
+    for own, samples in zip(lanes, drives):
+        live = samples[r0:r1]
+        drive[: len(live), own] = live if live.ndim == 2 else live[:, None]
+        drive[len(live) :, own] = samples[-1]
+    return drive
+
+
+def _member_block(part, spec: ShardSpec, own: slice, r0: int, r1: int):
+    """One member's :class:`RowBlock` of a stacked run's rows ``[r0,
+    r1)``: its lanes ``own`` of ``part``, as views."""
+    return RowBlock(
+        start=spec.start,
+        stop=spec.stop,
+        row_start=r0,
+        row_stop=r1,
+        m=part.m[:, own],
+        b=part.b[:, own],
+        updated=part.updated[:, own],
+        extras={key: v[:, own] for key, v in part.extras.items()},
+        counters={key: v[own] for key, v in part.counters.items()},
+    )
+
+
 def _stack_batch(specs: "list[ShardSpec]"):
-    """The members' sub-ensembles side by side as one batch, built from
-    their joined payloads; ``None`` when the family has no
-    ``batch_from_payload`` hook or a payload value does not join."""
-    rebuild = get_family(specs[0].family).batch_from_payload
-    payloads = [spec.build_payload() for spec in specs]
-    if rebuild is None or None in payloads:
+    """The members' sub-ensembles side by side as one batch: their one
+    payload, repeated once per member; ``None`` when the family has no
+    ``batch_from_payload`` hook, a payload value does not tile, or the
+    hook refuses the repeated payload."""
+    first = specs[0]
+    rebuild = get_family(first.family).batch_from_payload
+    payload = first.build_payload()
+    if rebuild is None or payload is None:
         return None
-    joined = concat_payloads(payloads, [spec.width for spec in specs])
-    return None if joined is None else rebuild(joined)
+    try:
+        tiled = tile_payload(payload, first.width, len(specs))
+        return None if tiled is None else rebuild(tiled)
+    except (ParameterError, ValueError):
+        return None
 
 
 def _private(channel: str, shape, dtype) -> np.ndarray:

@@ -151,6 +151,7 @@ def prepare_job(
     n_workers: int,
     threads: int = 1,
     chunk_lanes: int | None = None,
+    by_name: bool = False,
 ) -> _CellJob:
     """Plan one sharded run: full-width samples, shard specs, schema.
 
@@ -170,6 +171,12 @@ def prepare_job(
     process streams its shard in row blocks of at most ``chunk_lanes ×
     samples`` lane-samples (:mod:`repro.parallel.blocks`) instead of
     materialising the whole shard result at once.
+    A per-core drive travels as each shard's own columns, except that
+    ``by_name`` lets a shard spanning the whole ensemble name its
+    scenario drive, rebuilt where it runs: only for workers that know
+    every scenario this process registered
+    (:attr:`Route.names_drives`).  A shared 1-D scenario drive always
+    travels by name.
     """
     n_total = _ensemble_lanes(source)
     family = source.family
@@ -180,16 +187,14 @@ def prepare_job(
     bounds = plan_shards(n_total, n_workers)
     specs = []
     for start, stop in bounds:
-        if h_full.ndim == 2 and stop - start < n_total:
-            # Pre-slice a lane cut's per-core drives (explicit or
-            # scenario-built): each worker receives only its own columns
-            # instead of K pickled copies — or K full-width rebuilds —
-            # of the whole matrix (ShardSpec treats explicit samples as
-            # shard-local).  A whole-ensemble shard takes the drive as
-            # it came: a scenario's, 1-D or per-core, stays name-sized
-            # and is rebuilt where it runs, which costs less than
-            # shipping it (and a stack of whole cells would ship them
-            # all in one task).
+        if h_full.ndim == 2 and (stop - start < n_total or not by_name):
+            # Pre-slice per-core drives (explicit or scenario-built):
+            # each worker receives only its own columns instead of K
+            # pickled copies — or K full-width rebuilds — of the whole
+            # matrix (ShardSpec treats explicit samples as shard-local).
+            # A whole job ``by_name`` keeps its drive name-sized, so a
+            # stack of whole cells never ships their matrices in one
+            # task; shared 1-D scenario drives always stay name-sized.
             shard_drive = DriveSpec(samples=h_full[:, start:stop])
         else:
             shard_drive = drive
@@ -499,6 +504,16 @@ class Route:
         shards, whose lane ranges differ, never stack.
         """
         return -(-self.workers // jobs)
+
+    @property
+    def names_drives(self) -> bool:
+        """Whether a whole job's scenario drive may travel by name
+        (:func:`prepare_job`'s ``by_name``).  Its workers must then know
+        every scenario this process registered: this process does, and
+        so does the default pool, re-forked when the registry changes;
+        a caller's pool or a fleet's agents keep the registry they
+        started with, so they take a per-core drive's columns."""
+        return self.pool is None and not self.hosts
 
 
 def resolve_route(

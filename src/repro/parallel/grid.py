@@ -351,7 +351,10 @@ def run_scenario_grid(
                 chunk = todo[offset : offset + CHUNK_CELLS]
                 shards = route.shards_per_job(len(chunk))
                 yield [
-                    prepare_job(source, drive, shards, chunk_lanes=chunk_lanes)
+                    prepare_job(
+                        source, drive, shards, chunk_lanes=chunk_lanes,
+                        by_name=route.names_drives,
+                    )
                     for _, _, source, drive in chunk
                 ]
 

@@ -22,9 +22,9 @@ import numpy as np
 from repro.backend import resolve_backend
 from repro.batch.lanes import check_lane_range
 from repro.batch.params import BatchJAParameters
-from repro.core.slope import SlopeGuards, concat_guards
+from repro.core.slope import SlopeGuards, tile_guards
 from repro.errors import ParameterError, ScenarioError
-from repro.ja.anhysteretic import Anhysteretic, concat_anhysteretic
+from repro.ja.anhysteretic import Anhysteretic, tile_anhysteretic
 from repro.models.registry import ModelFamily, get_family
 
 #: Whole recipe ensembles each process keeps for
@@ -238,11 +238,13 @@ class ShardSpec:
     environment.
 
     Explicit-sample drives carried by a ShardSpec are **shard-local**:
-    the executor pre-slices a lane cut's per-core matrices to this
-    shard's columns before dispatch, so workers never unpickle the
-    full-width drive.  Scenario drives of a shard that spans the whole
-    ensemble, and shared (1-D) scenario drives, stay name-sized and are
-    rebuilt worker-side.
+    the executor pre-slices per-core matrices to this shard's columns
+    before dispatch, so workers never unpickle the full-width drive.
+    Shared (1-D) scenario drives stay name-sized and are rebuilt
+    worker-side, and so do per-core ones of a shard that spans the
+    whole ensemble on a route whose workers share this process's
+    scenario registry (see
+    :func:`repro.parallel.executor.prepare_job`).
 
     ``threads`` is the lane-thread count this shard pins while it runs
     (see :mod:`repro.backend.threads`): the executing process wraps the
@@ -336,43 +338,36 @@ class ShardSpec:
 _SETTINGS = (str, bool, int, float, np.generic, type(None))
 
 
-def concat_payloads(payloads: "list[dict]", widths: "list[int]"):
-    """One ``shard_payload`` for the lanes of ``payloads`` side by side
-    (``widths`` lanes each), or ``None`` when a value is of a kind this
-    does not know how to join.
+def tile_payload(payload: dict, width: int, copies: int) -> "dict | None":
+    """``copies`` of one ``width``-lane ``shard_payload`` side by side,
+    in lane order, as one payload — the lanes of a stack, whose members
+    share recipe and lane range and so one payload — or ``None`` when a
+    value is of a kind this does not know how to tile.
 
-    The inverse of the engines' slicing, value by value and with array
-    operations only: lane arrays concatenate along their lane axis, the
-    stacked parameters, anhysteretic curves and guards through their
-    slicing twins' ``concat_*`` counterparts, and a scalar setting (the
-    backend name, a shared ``accept_equal``) passes through when every
-    payload holds the same one.  Because every lane evaluates
-    elementwise, the joined batch runs each lane bitwise as its own
-    payload's batch does.
+    Array operations only: a lane array (``width`` long on axis 0, the
+    lane-major layout :attr:`ModelFamily.batch_from_payload` documents)
+    repeats along its lane axis, the stacked parameters, anhysteretic
+    curve and guards through their slicing twins' ``tile``
+    counterparts, and a scalar setting (the backend name, a shared
+    ``accept_equal``) passes through.  Any other array — a grid shared
+    by every lane, or a 0-d one — is not known to be per lane, so the
+    payload is left untiled.  Because every lane evaluates elementwise,
+    the tiled batch runs each copy bitwise as the payload's own batch.
     """
-    first = payloads[0]
-    if any(payload.keys() != first.keys() for payload in payloads):
-        return None
-    joined = {}
-    for key, value in first.items():
-        values = [payload[key] for payload in payloads]
-        if any(type(other) is not type(value) for other in values):
-            return None
-        try:
-            if isinstance(value, np.ndarray) and value.ndim:
-                joined[key] = np.concatenate(values)
-            elif isinstance(value, BatchJAParameters):
-                joined[key] = BatchJAParameters.concatenate(values)
-            elif isinstance(value, SlopeGuards):
-                joined[key] = concat_guards(values, widths)
-            elif isinstance(value, Anhysteretic):
-                joined[key] = concat_anhysteretic(values)
-            elif isinstance(value, _SETTINGS) and all(
-                other == value for other in values
-            ):
-                joined[key] = value
-            else:
+    tiled = {}
+    for key, value in payload.items():
+        if isinstance(value, np.ndarray):
+            if value.ndim == 0 or len(value) != width:
                 return None
-        except (ParameterError, ValueError):
+            tiled[key] = np.concatenate((value,) * copies)
+        elif isinstance(value, BatchJAParameters):
+            tiled[key] = value.tile(copies)
+        elif isinstance(value, SlopeGuards):
+            tiled[key] = tile_guards(value, copies)
+        elif isinstance(value, Anhysteretic):
+            tiled[key] = tile_anhysteretic(value, copies)
+        elif isinstance(value, _SETTINGS):
+            tiled[key] = value
+        else:
             return None
-    return joined
+    return tiled

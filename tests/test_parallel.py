@@ -142,23 +142,27 @@ class TestSpecs:
         shared = DriveSpec(samples=np.array([0.0, 1.0, 2.0]))
         assert shared.shard_samples(N_CORES, 3, 5).ndim == 1
 
-    def test_per_core_scenario_ships_by_name_unless_lanes_are_cut(self):
-        """A whole-ensemble shard carries a per-core scenario drive by
-        name, rebuilt where it runs (a stack of whole cells would
-        otherwise pickle every member's matrix into one task); a lane
-        cut carries only its own columns.  Both rebuild the parent's
-        columns bit for bit."""
+    @pytest.mark.parametrize("by_name", [False, True])
+    def test_per_core_scenario_ships_by_name_only_when_asked(self, by_name):
+        """A per-core scenario drive travels as each shard's columns;
+        ``by_name`` (for workers that know this process's scenarios)
+        lets a whole-ensemble shard name it instead, rebuilt where it
+        runs, while a lane cut still carries only its own columns.
+        Every shard rebuilds the parent's columns bit for bit."""
         from repro.parallel.executor import prepare_job
 
         drive = DriveSpec(
             scenario="forc-family", h_max=10e3, driver_step=200.0
         )
         spec = EnsembleSpec("timeless", N_CORES)
-        whole = prepare_job(spec, drive, 1)
+        whole = prepare_job(spec, drive, 1, by_name=by_name)
         (shard,) = whole.specs
-        assert shard.drive is drive
+        if by_name:
+            assert shard.drive is drive
+        else:
+            assert np.array_equal(shard.drive.samples, whole.h_full)
         assert np.array_equal(shard.build_samples(), whole.h_full)
-        cut = prepare_job(spec, drive, N_WORKERS)
+        cut = prepare_job(spec, drive, N_WORKERS, by_name=by_name)
         for shard in cut.specs:
             assert shard.drive.samples.shape[1] == shard.width
             assert np.array_equal(

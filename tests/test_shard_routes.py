@@ -497,6 +497,131 @@ def test_grid_route_matches_single_process(
         assert_results_bitwise_equal(reference, cell.result)
 
 
+# -- a per-core scenario registered after the workers started --------------
+
+
+def _late_walks(h_max, driver_step, n_cores):
+    """A ramp up, down and below zero, each core at its own amplitude."""
+    ramp = np.arange(0.0, h_max, driver_step)
+    walk = np.concatenate([ramp, ramp[::-1], -ramp])
+    return walk[:, None] * np.linspace(0.5, 1.0, n_cores)
+
+
+#: Registered by the test only once every pool and agent has started.
+LATE_PER_CORE = Scenario(
+    name="late-registered-per-core-walk",
+    description="per-core, registered after the workers started",
+    sample_builder=_late_walks,
+    per_core=True,
+)
+
+#: Three cells fill a pool or fleet of up to three workers: whole cells.
+LATE_H_MAX = [4e3, 6e3, 8e3]
+
+
+@pytest.fixture
+def agent_processes():
+    """Two ``python -m repro.dist.worker`` processes: unlike in-process
+    agents, they know only what the library registers."""
+    from test_dist_smoke import _spawn
+
+    agents = []
+    try:
+        for _ in range(2):
+            agents.append(_spawn())
+        yield [address for _, address in agents]
+    finally:
+        for proc, _ in agents:
+            proc.kill()
+            proc.wait(timeout=10)
+            proc.stdout.close()
+
+
+def late_grid(**route):
+    return run_scenario_grid(
+        ["timeless"], [LATE_PER_CORE.name], LATE_H_MAX, N_CORES,
+        driver_step=GRID_STEP, **route,
+    )
+
+
+# Each route starts its transport, then returns the grid call to make
+# once the scenario is registered.
+
+
+def late_serial(request):
+    return functools.partial(late_grid, n_workers=1)
+
+
+def late_default_pool(request):
+    lifecycle_grid()  # the default pool forks before the scenario exists
+    return functools.partial(late_grid, n_workers=2)
+
+
+def late_service(request):
+    service = request.getfixturevalue("grid_service")
+    service.cache.clear()
+    return functools.partial(late_grid, service=service)
+
+
+def late_fleet(request):
+    hosts = request.getfixturevalue("agent_processes")
+    return functools.partial(late_grid, hosts=hosts, n_workers=2)
+
+
+#: (id, route, how each whole cell's per-core drive travels).  Only
+#: this process and the default pool, which re-forks when the registry
+#: changes, may rebuild a drive by its name; a service's pool and a
+#: fleet's agents get every cell's columns.
+LATE_PER_CORE_ROUTES = [
+    ("serial-names-the-drive", late_serial, "name"),
+    ("default-pool-re-forks-and-names-the-drive", late_default_pool, "name"),
+    ("service-pool-gets-the-columns", late_service, "columns"),
+    ("fleet-agents-get-the-columns", late_fleet, "columns"),
+]
+
+
+@pytest.mark.parametrize(
+    "route, travels",
+    [row[1:] for row in LATE_PER_CORE_ROUTES],
+    ids=[row[0] for row in LATE_PER_CORE_ROUTES],
+)
+def test_late_per_core_scenario_runs_on_every_route(
+    route, travels, request, monkeypatch
+):
+    """A whole cell of a per-core scenario registered after the route's
+    workers started runs on every grid route, bit for bit: its drive
+    travels by name only where the workers know the scenario."""
+    call = route(request)
+    monkeypatch.setattr(
+        scenario_registry, "_SCENARIOS", dict(scenario_registry._SCENARIOS)
+    )
+    register_scenario(LATE_PER_CORE)
+    jobs = []
+    real_prepare = grid_module.prepare_job
+
+    def recorded(*args, **kwargs):
+        jobs.append(real_prepare(*args, **kwargs))
+        return jobs[-1]
+
+    monkeypatch.setattr(grid_module, "prepare_job", recorded)
+    cells = call()
+    assert [len(job.specs) for job in jobs] == [1] * len(LATE_H_MAX)
+    for job in jobs:
+        (spec,) = job.specs
+        if travels == "name":
+            assert spec.drive.scenario == LATE_PER_CORE.name
+        else:
+            assert np.array_equal(spec.drive.samples, job.h_full)
+    for cell in cells:
+        reference = run_batch_series(
+            EnsembleSpec("timeless", N_CORES).build_batch(),
+            _late_walks(cell.h_max, GRID_STEP, N_CORES),
+        )
+        assert_results_bitwise_equal(
+            dataclasses.replace(reference, family=cell.family), cell.result
+        )
+
+
 # -- every route-argument conflict, raised before any work -----------------
 
 #: Stand-ins the table swaps for the live pool and service.

@@ -4,19 +4,22 @@ The paper's timeless discretisation advances every core on its own
 field increments, so a cell's lanes can ride inside any wider ensemble
 without changing a bit.  A pool task, or the serial route, therefore
 runs the shards of one recipe and lane range in a chunk as one
-**stack** (:func:`repro.parallel.blocks.drain_stack`): their payloads
-joined lane by lane, their drives side by side, each member's last
-sample held past its end, row blocks cut at every member's end row.
+**stack** (:func:`repro.parallel.blocks.drain_stack`): their one
+payload repeated lane by lane, their drives side by side, each member's
+last sample held past its end, row blocks cut at every member's end
+row.
 Each member keeps its own assembly, and must come out exactly as its
 cell run alone.
 
 A table pins the pure stack plan (:func:`repro.parallel.plan.plan_stacks`
 through :func:`repro.parallel.executor.chunk_stacks`): what stacks with
 what, how many tasks a chunk offers, and the padding the rule admits.
-A table pins the payload join the stacked batch is built from, and its
-slicing twins' inverses.  The runner's own cases pin that a stack of
-one is exactly the unstacked drain, and that members whose payloads do
-not join, or whose run registers a counter mid-run, are run alone.  A
+A table pins the payload tiling the stacked batch is built from, and
+its slicing twins' repeats.  The runner's own cases pin that a stack of
+one is exactly the unstacked drain, that a stacked block holds no more
+lane-samples than one member's would, and that members whose payload
+does not tile, whose family refuses it tiled, or whose run registers a
+counter mid-run are run alone.  A
 hypothesis property then draws random stacks of every registered
 family plus the int32/bool family, on the serial route and the default
 pool, and checks every member against its cell alone: bitwise on exact
@@ -34,14 +37,13 @@ from hypothesis import given, settings, strategies as st
 from repro.backend import resolve_backend
 from repro.batch.params import BatchJAParameters
 from repro.batch.sweep import run_batch_series
-from repro.core.slope import SlopeGuards, concat_guards, slice_guards
+from repro.core.slope import SlopeGuards, tile_guards
 from repro.errors import ParameterError
 from repro.ja.anhysteretic import (
     BrillouinAnhysteretic,
     LangevinAnhysteretic,
     ModifiedLangevinAnhysteretic,
-    concat_anhysteretic,
-    slice_anhysteretic,
+    tile_anhysteretic,
 )
 from repro.models.registry import ModelFamily, get_family, list_families
 from repro.parallel import blocks
@@ -59,7 +61,7 @@ from repro.parallel.executor import (
 )
 from repro.parallel.plan import plan_stacks
 from repro.parallel.pool import default_pool
-from repro.parallel.spec import DriveSpec, EnsembleSpec, concat_payloads
+from repro.parallel.spec import DriveSpec, EnsembleSpec, tile_payload
 
 from test_models_protocol import LazyCounterBatch
 from test_parallel import (
@@ -288,120 +290,95 @@ def test_stack_plan_rejects_bad_arguments(keys, samples, width):
         plan_stacks(keys, samples, width)
 
 
-# -- joining payloads: the slicing twins' inverses --------------------------
+# -- tiling one payload: the slicing twins' repeats -------------------------
+
+#: How many copies of a payload the tiling tests lay side by side.
+COPIES = 3
 
 
-def test_joined_parameters_are_the_whole_stack():
-    params = get_family("timeless").make_batch(7, seed=2).params
-    cuts = [(0, 3), (3, 4), (4, 7)]
-    joined = BatchJAParameters.concatenate(
-        [params.lane_slice(a, b) for a, b in cuts]
-    )
-    for field in dataclasses.fields(BatchJAParameters):
-        left, right = getattr(joined, field.name), getattr(params, field.name)
-        if field.name == "names":
-            assert left == right
-        else:
-            assert np.array_equal(left, right, equal_nan=True), field.name
+def test_tiled_parameters_repeat_the_stack():
+    params = get_family("timeless").make_batch(4, seed=2).params
+    tiled = params.tile(COPIES)
+    assert tiled.names == params.names * COPIES
+    for k in range(COPIES):
+        copy = tiled.lane_slice(4 * k, 4 * (k + 1))
+        for field in dataclasses.fields(BatchJAParameters):
+            left, right = getattr(copy, field.name), getattr(params, field.name)
+            if field.name == "names":
+                assert left == right
+            else:
+                assert np.array_equal(left, right, equal_nan=True), field.name
 
 
 @pytest.mark.parametrize(
     "curve",
     [
-        ModifiedLangevinAnhysteretic(np.array([900.0, 1100.0, 1300.0, 1e3])),
-        BrillouinAnhysteretic(np.array([900.0, 1100.0, 1300.0, 1e3]), j=1.5),
+        ModifiedLangevinAnhysteretic(np.array([900.0, 1100.0, 1300.0])),
+        BrillouinAnhysteretic(np.array([900.0, 1100.0, 1300.0]), j=1.5),
         LangevinAnhysteretic(1e3),
     ],
     ids=["modified-langevin", "brillouin", "scalar-shape"],
 )
-def test_joined_curve_is_the_whole_curve(curve):
-    joined = concat_anhysteretic(
-        [slice_anhysteretic(curve, 0, 1), slice_anhysteretic(curve, 1, 4)]
+def test_tiled_curve_repeats_the_curve(curve):
+    tiled = tile_anhysteretic(curve, COPIES)
+    assert type(tiled) is type(curve)
+    assert getattr(tiled, "j", None) == getattr(curve, "j", None)
+    if np.ndim(curve.shape) == 0:
+        assert tiled is curve  # a scalar shape serves any width
+        return
+    x = np.linspace(-3e3, 3e3, 3)
+    assert np.array_equal(
+        tiled.value(np.tile(x, COPIES)), np.tile(curve.value(x), COPIES)
     )
-    assert type(joined) is type(curve)
-    assert np.array_equal(joined.shape, curve.shape)
-    assert getattr(joined, "j", None) == getattr(curve, "j", None)
-    x = np.linspace(-3e3, 3e3, 4)
-    assert np.array_equal(joined.value(x), curve.value(x))
 
 
-@pytest.mark.parametrize(
-    "curves",
-    [
-        [ModifiedLangevinAnhysteretic(1e3), LangevinAnhysteretic(1e3)],
-        [BrillouinAnhysteretic(1e3, j=0.5), BrillouinAnhysteretic(1e3, j=1.5)],
-        [LangevinAnhysteretic(1e3), LangevinAnhysteretic(2e3)],
-        [LangevinAnhysteretic(1e3), LangevinAnhysteretic(np.array([1e3]))],
-    ],
-    ids=["kinds", "brillouin-j", "scalar-shapes", "scalar-and-array"],
-)
-def test_curves_that_differ_do_not_join(curves):
-    with pytest.raises(ParameterError, match="cannot join"):
-        concat_anhysteretic(curves)
-
-
-def test_joined_guards_keep_each_ranges_flags():
+def test_tiled_guards_repeat_each_lanes_flags():
     mixed = SlopeGuards(
-        clamp_negative=np.array([True, False, True]), drop_opposing=True
+        clamp_negative=np.array([True, False]), drop_opposing=True
     )
-    joined = concat_guards(
-        [slice_guards(mixed, 0, 2), SlopeGuards.none(), SlopeGuards()],
-        [2, 1, 3],
-    )
-    assert np.array_equal(
-        joined.clamp_negative, [True, False, False, True, True, True]
-    )
-    assert np.array_equal(
-        joined.drop_opposing, [True, True, False, True, True, True]
-    )
-    shared = concat_guards([SlopeGuards(), SlopeGuards()], [2, 3])
-    assert shared.clamp_negative is True and shared.drop_opposing is True
+    tiled = tile_guards(mixed, COPIES)
+    assert np.array_equal(tiled.clamp_negative, [True, False] * COPIES)
+    assert tiled.drop_opposing is True
 
 
-#: (id, payloads, joined or None).  Lane arrays join along the lane
-#: axis; a setting passes when every payload holds the same one; any
-#: other value, or keys that differ, leaves the payloads unjoined.
-PAYLOAD_JOINS = [
-    ("lane-arrays", [{"w": np.ones((2, 3))}, {"w": np.zeros((1, 3))}],
-     {"w": np.array([[1.0] * 3, [1.0] * 3, [0.0] * 3])}),
-    ("shared-settings",
-     [{"backend": "numpy", "accept_equal": False, "limit": None}] * 2,
+#: (id, payload of 2 lanes, tiled 3 times or None).  Lane arrays repeat
+#: along the lane axis and settings pass through; an array that is not
+#: one entry per lane (a grid every lane shares, a 0-d value) or a
+#: value of a kind the tiling does not know leaves the payload untiled.
+PAYLOAD_TILES = [
+    ("lane-arrays", {"w": np.array([[1.0] * 3, [0.0] * 3])},
+     {"w": np.array([[1.0] * 3, [0.0] * 3] * COPIES)}),
+    ("settings", {"backend": "numpy", "accept_equal": False, "limit": None},
      {"backend": "numpy", "accept_equal": False, "limit": None}),
-    ("settings-that-differ",
-     [{"backend": "numpy"}, {"backend": "numba"}], None),
-    ("keys-that-differ", [{"w": np.ones(1)}, {"v": np.ones(1)}], None),
-    ("kinds-that-differ", [{"w": np.ones(1)}, {"w": 1.0}], None),
-    ("a-list", [{"w": [1.0]}, {"w": [2.0]}], None),
-    ("lane-arrays-of-other-widths",
-     [{"w": np.ones((1, 2))}, {"w": np.ones((1, 3))}], None),
-    ("curves-that-differ",
-     [{"curve": LangevinAnhysteretic(1e3)},
-      {"curve": LangevinAnhysteretic(2e3)}], None),
+    ("a-grid-every-lane-shares",
+     {"w": np.ones(2), "grid": np.linspace(0.0, 1.0, 5)}, None),
+    ("a-0-d-array", {"w": np.array(1.0)}, None),
+    ("a-list", {"w": [1.0, 2.0]}, None),
 ]
 
 
 @pytest.mark.parametrize(
-    "payloads, expected",
-    [row[1:] for row in PAYLOAD_JOINS],
-    ids=[row[0] for row in PAYLOAD_JOINS],
+    "payload, expected",
+    [row[1:] for row in PAYLOAD_TILES],
+    ids=[row[0] for row in PAYLOAD_TILES],
 )
-def test_payload_join(payloads, expected):
-    joined = concat_payloads(payloads, [1] * len(payloads))
+def test_payload_tile(payload, expected):
+    tiled = tile_payload(payload, 2, COPIES)
     if expected is None:
-        assert joined is None
+        assert tiled is None
         return
-    assert joined.keys() == expected.keys()
+    assert tiled.keys() == expected.keys()
     for key, value in expected.items():
-        assert type(joined[key]) is type(value), key
+        assert type(tiled[key]) is type(value), key
         if isinstance(value, np.ndarray):
-            assert np.array_equal(joined[key], value), key
+            assert np.array_equal(tiled[key], value), key
         else:
-            assert joined[key] == value, key
+            assert tiled[key] == value, key
 
 
 @pytest.mark.parametrize("name", FAMILY_NAMES)
 def test_every_family_builds_a_stacked_batch(name):
-    """Every registered family's payload joins: no family silently falls
+    """Every registered family's payload tiles: no family silently falls
     back to stacks of one."""
     jobs = [cell_job(name, 3, "major-loop", a) for a in AMPLITUDES]
     batch = blocks._stack_batch([job.specs[0] for job in jobs])
@@ -433,23 +410,37 @@ def test_stack_of_one_is_the_unstacked_drain(monkeypatch):
         assert np.array_equal(counters[key], expected[key])
 
 
-@pytest.mark.parametrize("chunk_lanes", [None, 5])
-def test_stack_cuts_rows_at_every_members_end(chunk_lanes):
+@pytest.mark.parametrize("chunk_lanes", [None, 2, 5])
+def test_stack_cuts_rows_at_every_members_end(chunk_lanes, monkeypatch):
     """Each member receives its own lanes' blocks, in row order, up to
     its own end and no further, cut at every member's end row and by
-    the row plan over the stack's width."""
+    the row plan over the stack's width at ``min(chunk_lanes, width)``
+    lanes: no stacked block's drive holds more lane-samples than that
+    many lanes over the stack's rows, so a stack never holds more than
+    one member's block would."""
     jobs = [
         cell_job("timeless", 4, scenario, 0.6, chunk_lanes=chunk_lanes)
         for scenario in ("major-loop", "harmonic", "forc-family")
     ]
     ends = [len(job.h_full) for job in jobs]
     assert len(set(ends)) == 3
+    drives = []
+    real_run = blocks.run_batch_series
+
+    def recorded(batch, drive, reset):
+        drives.append(drive.shape)
+        return real_run(batch, drive, reset=reset)
+
+    monkeypatch.setattr(blocks, "run_batch_series", recorded)
     received = [[] for _ in jobs]
     drain_stack(
         [job.specs[0] for job in jobs],
         [received[k].append for k in range(len(jobs))],
     )
-    cuts = {r1 for _, r1 in plan_row_blocks(12, max(ends), chunk_lanes)}
+    bound = 4 if chunk_lanes is None else min(chunk_lanes, 4)
+    cuts = {r1 for _, r1 in plan_row_blocks(12, max(ends), bound)}
+    assert len(drives) == len(cuts | set(ends))
+    assert all(rows * lanes <= bound * max(ends) for rows, lanes in drives)
     for k, end in enumerate(ends):
         rows = [(block.row_start, block.row_stop) for block in received[k]]
         assert rows[0][0] == 0 and rows[-1][1] == end
@@ -461,18 +452,50 @@ def test_stack_cuts_rows_at_every_members_end(chunk_lanes):
         )
 
 
-class UnjoinableBatch(DtypeExtrasShardedBatch):
-    """The int32/bool family with a payload value (a list) no join
-    knows."""
+class ListPayloadBatch(DtypeExtrasShardedBatch):
+    """The int32/bool family with a payload value (a list) the tiling
+    does not know."""
 
-    family = "unjoinable-stack-test"
+    family = "list-payload-stack-test"
 
-    def __init__(self, multipliers, note) -> None:
+    def __init__(self, multipliers, note=None) -> None:
         super().__init__(multipliers)
-        self.note = note
 
     def shard_payload(self, start, stop):
         return dict(super().shard_payload(start, stop), note=[start, stop])
+
+
+class SharedGridBatch(DtypeExtrasShardedBatch):
+    """The int32/bool family with a payload array every lane shares,
+    not one entry per lane (as the 1-D threshold grids a Preisach batch
+    accepts): repeating it per member would be wrong."""
+
+    family = "shared-grid-stack-test"
+
+    def __init__(self, multipliers, grid=None) -> None:
+        super().__init__(multipliers)
+
+    def shard_payload(self, start, stop):
+        return dict(
+            super().shard_payload(start, stop), grid=np.linspace(0, 1, 5)
+        )
+
+
+class WidthCheckedBatch(DtypeExtrasShardedBatch):
+    """The int32/bool family whose rebuild refuses a payload whose
+    lanes differ from the lane count it names: the tiled payload."""
+
+    family = "width-checked-stack-test"
+
+    def __init__(self, multipliers, lanes=None) -> None:
+        if lanes is not None and lanes != len(multipliers):
+            raise ParameterError(
+                f"{len(multipliers)} multipliers for {lanes} lanes"
+            )
+        super().__init__(multipliers)
+
+    def shard_payload(self, start, stop):
+        return dict(super().shard_payload(start, stop), lanes=stop - start)
 
 
 class LaneLazyBatch(LazyCounterBatch):
@@ -499,12 +522,16 @@ class LaneLazyBatch(LazyCounterBatch):
         return {"multipliers": np.arange(start, stop)}
 
 
-UNJOINABLE = dataclasses.replace(
-    DTYPE_FAMILY,
-    name=UnjoinableBatch.family,
-    stack=lambda models: UnjoinableBatch(list(models), None),
-    batch_from_payload=lambda payload: UnjoinableBatch(**payload),
-)
+def payload_variant(batch_class):
+    """The int32/bool family's record, rebuilt as ``batch_class``."""
+    return dataclasses.replace(
+        DTYPE_FAMILY,
+        name=batch_class.family,
+        stack=lambda models: batch_class(list(models)),
+        batch_from_payload=lambda payload: batch_class(**payload),
+    )
+
+
 LANE_LAZY = ModelFamily(
     name=LaneLazyBatch.family,
     description="counter registered by some lanes only",
@@ -513,14 +540,22 @@ LANE_LAZY = ModelFamily(
     batch_from_payload=lambda payload: LaneLazyBatch(**payload),
 )
 
+#: (id, family) whose stacks cannot hold their members.
+STACKLESS = [
+    ("a-list", payload_variant(ListPayloadBatch)),
+    ("a-shared-grid", payload_variant(SharedGridBatch)),
+    ("refused-once-tiled", payload_variant(WidthCheckedBatch)),
+    ("lane-lazy", LANE_LAZY),
+]
+
 
 @pytest.mark.parametrize(
-    "family", [UNJOINABLE, LANE_LAZY], ids=["unjoinable", "lane-lazy"]
+    "family", [row[1] for row in STACKLESS], ids=[row[0] for row in STACKLESS]
 )
 def test_members_run_alone_when_a_stack_cannot_hold_them(family):
-    """A payload the join does not know, or a counter registered
-    mid-run, runs each member alone: every member is still its cell
-    alone, counter keys included."""
+    """A payload the tiling does not know or a family refuses tiled, or
+    a counter registered mid-run, runs each member alone: every member
+    is still its cell alone, counter keys included."""
     with registered(family):
         spec = EnsembleSpec(family.name, 3)
         jobs = [
@@ -531,8 +566,8 @@ def test_members_run_alone_when_a_stack_cannot_hold_them(family):
         for job, result in zip(jobs, results):
             reference = run_batch_series(spec.build_batch(), job.h_full)
             assert_results_bitwise_equal(reference, result)
-        joined = blocks._stack_batch([job.specs[0] for job in jobs])
-    assert (joined is None) == (family is UNJOINABLE)
+        stacked = blocks._stack_batch([job.specs[0] for job in jobs])
+    assert (stacked is None) == (family is not LANE_LAZY)
     if family is LANE_LAZY:
         assert [sorted(r.counters) for r in results] == [
             ["prepared", "steps"], ["late", "prepared", "steps"],
