@@ -18,7 +18,14 @@ real campaigns have:
   ``run_scenario_grid(..., service=...)``: pass 1 computes every
   unique cell, pass 2 is served entirely from the cache.  The pass-2
   speedup is the headline number (``benchmarks/test_bench_service.py``
-  asserts >= 5x on benchmark hosts).
+  asserts >= 5x on benchmark hosts);
+* **misses side by side** — a batch of distinct 64-lane timeless
+  misses sent by one client thread, then by two (a service-mix
+  request's lanes and family): seconds per miss and the shards
+  each miss was cut into.  A lone miss spans the pool's width; two in
+  flight run whole, side by side, with no lock between them;
+* **the spill** — one of those entries written raw, as the cache
+  spills it, and compressed, as it once did: seconds and KiB.
 
 Correctness rides along: the warm-pool result must be bitwise equal to
 the cold-pool result on the exact backend (the digest/caching
@@ -29,20 +36,125 @@ hit).
 
 from __future__ import annotations
 
+import statistics
+import tempfile
+import threading
+from pathlib import Path
+
 import numpy as np
 
 from repro.backend import list_backends, resolve_backend
+from repro.experiments.parallel_ensemble import bitwise_equal_lanes
 from repro.experiments.registry import ExperimentResult, register
 from repro.experiments.runner import measure
 from repro.io.table import TextTable
-from repro.models.registry import list_families
+from repro.models.registry import get_family, list_families
 from repro.parallel import available_cpus, resolve_workers, run_sharded
 from repro.parallel.grid import run_scenario_grid
 from repro.parallel.pool import close_default_pool
 from repro.parallel.spec import DriveSpec, EnsembleSpec
+from repro.service.cache import save_result
 
 EXPERIMENT_ID = "EXP-B7"
 TITLE = "Warm-pool service: submission latency and cache throughput"
+
+#: Family and lanes of each request in the misses-side-by-side rows:
+#: those of a service-mix benchmark request.
+MISS_FAMILY = "timeless"
+MISS_LANES = 64
+#: Distinct requests per batch in those rows.
+MISS_BATCH = 8
+
+
+def _miss_rows(service, step, seed, repeats):
+    """A batch of distinct misses sent by one client thread, then two.
+
+    Each configuration runs one untimed batch (the workers build the
+    recipes), then ``repeats`` timed ones, each from an emptied cache.
+    Returns one row per configuration (median seconds per miss; median
+    shards per miss, as the pool received them), the lone batch's
+    results, and whether each miss two clients ran is bitwise the same
+    miss run alone."""
+    drive = DriveSpec(
+        scenario="major-loop",
+        h_max=float(get_family(MISS_FAMILY).h_scale),
+        driver_step=step,
+    )
+    specs = [
+        EnsembleSpec(MISS_FAMILY, MISS_LANES, seed=seed + k)
+        for k in range(MISS_BATCH)
+    ]
+    shards: list = []
+    execute = service.pool.execute
+
+    def counted(jobs):
+        shards.extend(len(job.specs) for job in jobs)
+        return execute(jobs)
+
+    def batch(clients):
+        service.cache.clear()
+        out = [None] * MISS_BATCH
+
+        def client(first):
+            for k in range(first, MISS_BATCH, clients):
+                out[k] = service.run(specs[k], drive)
+
+        threads = [
+            threading.Thread(target=client, args=(c,)) for c in range(clients)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        return out
+
+    rows, results = [], {}
+    service.pool.execute = counted
+    try:
+        for clients in (1, 2):
+            batch(clients)
+            shards.clear()
+            samples, results[clients] = measure(
+                lambda: batch(clients), repeats
+            )
+            rows.append({
+                "op": f"misses_{clients}_client{'s' * (clients > 1)}",
+                "n": MISS_BATCH,
+                "seconds": statistics.median(samples) / MISS_BATCH,
+                "shards": statistics.median(shards),
+            })
+    finally:
+        del service.pool.execute
+    same = all(
+        bitwise_equal_lanes(lone, beside) == MISS_LANES
+        for lone, beside in zip(results[1], results[2])
+    )
+    return rows, results[1][0], same
+
+
+def _spill_rows(entry, repeats):
+    """One cache entry spilled raw (the cache's own writer) and
+    compressed (the same members through ``np.savez_compressed``, as
+    the cache once wrote them): median seconds and KiB."""
+    rows = []
+    with tempfile.TemporaryDirectory() as spill:
+        raw, packed = Path(spill) / "raw.npz", Path(spill) / "packed.npz"
+        raw_s, _ = measure(lambda: save_result(raw, entry), repeats)
+        with np.load(raw) as npz:
+            members = {name: npz[name] for name in npz.files}
+        packed_s, _ = measure(
+            lambda: np.savez_compressed(packed, **members), repeats
+        )
+        for op, samples, path in (
+            ("spill_raw", raw_s, raw), ("spill_compressed", packed_s, packed)
+        ):
+            rows.append({
+                "op": op,
+                "n": MISS_LANES,
+                "seconds": statistics.median(samples),
+                "kib": path.stat().st_size / 1024,
+            })
+    return rows
 
 
 @register(EXPERIMENT_ID, TITLE)
@@ -133,6 +245,12 @@ def run(
         pass1_seconds, pass2_seconds = min(pass1_samples), min(pass2_samples)
         stats = service.cache.stats
 
+        # -- misses side by side, and the spill of one of them ---------
+        miss_rows, entry, misses_match = _miss_rows(
+            service, step, seed, repeats
+        )
+    spill_rows = _spill_rows(entry, repeats)
+
     exact = resolve_backend(None).exact
     warm_matches_cold = bool(
         np.array_equal(warm_result.m, cold_result.m)
@@ -152,6 +270,8 @@ def run(
         {"op": "cache_hit", "n": n_cores, "seconds": hit_seconds},
         {"op": "grid_pass1", "n": grid_cells, "seconds": pass1_seconds},
         {"op": "grid_pass2", "n": grid_cells, "seconds": pass2_seconds},
+        *miss_rows,
+        *spill_rows,
     ]
     table = TextTable(
         ["operation", "n", "seconds", "note"],
@@ -168,6 +288,15 @@ def run(
         "grid_pass1": "run_scenario_grid(service=...), cold cache",
         "grid_pass2": f"same grid again, all hits ({speedup:.1f}x)",
     }
+    for row in miss_rows:
+        notes_per_op[row["op"]] = (
+            f"per miss, {MISS_LANES} lanes, {row['shards']:g} shard(s) "
+            "per miss"
+        )
+    for row in spill_rows:
+        notes_per_op[row["op"]] = (
+            f"one {len(entry.h)} x {MISS_LANES} entry, {row['kib']:.0f} KiB"
+        )
     for row in rows:
         table.add_row(
             row["op"], row["n"], row["seconds"], notes_per_op[row["op"]]
@@ -190,6 +319,14 @@ def run(
         "cache keys cover (family, n_cores, seed, backend, drive) — "
         "never pool width or threads: PRs 3/6 pinned every execution "
         "shape to the same bits, so any plan serves any hit",
+        f"misses side by side: {MISS_BATCH} distinct {MISS_LANES}-lane "
+        f"{MISS_FAMILY} misses per batch, medians of the batches; every "
+        "miss two "
+        "clients computed whole is "
+        + ("bitwise equal" if misses_match else "NOT EQUAL")
+        + " to the same miss computed alone, cut over the pool",
+        "spill rows: medians; raw is the cache's own writer, compressed "
+        "the same members through np.savez_compressed",
     ]
     result.data = {
         "rows": rows,
@@ -209,6 +346,7 @@ def run(
         "grid_speedup": speedup,
         "warm_matches_cold": warm_matches_cold,
         "pass2_matches_pass1": bool(pass2_matches),
+        "misses_match": misses_match,
         "cache_stats": stats,
     }
     return result

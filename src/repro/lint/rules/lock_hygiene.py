@@ -14,11 +14,6 @@ serialised pool, PR 9's campaign state) turned into policy:
   (``Pool.map`` and friends, ``execute_jobs_pooled``) or a listener
   ``accept()`` under a held ``Lock``/``Condition`` turns one slow peer
   into a stalled process — every other thread piles up on the lock.
-  The one documented exception is
-  :meth:`repro.parallel.pool.WorkerPool.execute`, whose *purpose* is
-  serialising pool fan-outs behind a lock (a service's misses, sent
-  from its async front-end's threads, run one at a time); it is
-  allowlisted by qualified name below.
 
 Both halves act only on names the resolver can type
 (:mod:`repro.lint.resolve`): a ``wait()`` on an untyped object — a
@@ -34,10 +29,6 @@ import ast
 
 from repro.lint.base import Module, Rule, Violation, register_rule
 from repro.lint.resolve import ModuleResolver
-
-#: ``(module, Class.method)`` pairs allowed to block under their lock,
-#: each for a documented reason (see the module docstring).
-ALLOWLIST = frozenset({("repro.parallel.pool", "WorkerPool.execute")})
 
 #: Free functions whose call is a known blocking operation.
 BLOCKING_FUNCTIONS = frozenset(
@@ -90,9 +81,6 @@ class LockHygieneRule(Rule):
         resolver = ModuleResolver(module.tree)
         for class_name, fn in _walk_functions(module.tree):
             yield from self._check_wait_loops(module, fn, class_name, resolver)
-            qualified = f"{class_name}.{fn.name}" if class_name else fn.name
-            if (module.name, qualified) in ALLOWLIST:
-                continue
             yield from self._check_blocking_under_lock(
                 module, fn, class_name, resolver
             )

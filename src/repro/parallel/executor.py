@@ -21,8 +21,10 @@ Shared memory is only the pool's buffer — the layout, the schema check
 and the result belong to the assembly.  Only the per-core counters —
 tiny ``(width,)`` arrays whose key set a family may even grow mid-run —
 return through the worker result.  ``n_workers=1`` (or any call whose
-jobs hold one shard in total) runs the same shard specs in process,
-through the same assembly, with no processes and no shared memory.
+jobs hold one shard in total, when it brought no live pool) runs the
+same shard specs in process, through the same assembly, with no
+processes and no shared memory.  A live pool runs every job it is
+handed, a one-shard job on one of its workers.
 
 Which of those routes a call takes is decided in one place.
 :func:`resolve_route` checks the route arguments of every entry point
@@ -48,7 +50,7 @@ from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import partial
-from multiprocessing import resource_tracker, shared_memory
+from multiprocessing import get_context, resource_tracker, shared_memory
 
 import numpy as np
 
@@ -171,18 +173,23 @@ def prepare_job(
     process streams its shard in row blocks of at most ``chunk_lanes ×
     samples`` lane-samples (:mod:`repro.parallel.blocks`) instead of
     materialising the whole shard result at once.
-    A per-core drive travels as each shard's own columns, except that
-    ``by_name`` lets a shard spanning the whole ensemble name its
-    scenario drive, rebuilt where it runs: only for workers that know
-    every scenario this process registered
-    (:attr:`Route.names_drives`).  A shared 1-D scenario drive always
-    travels by name.
+    A scenario drive travels by name, rebuilt where it runs, only with
+    ``by_name``: for workers that know every scenario this process
+    registered (:attr:`Route.names_drives`).  Any other worker gets its
+    samples: a shared 1-D drive whole, a per-core drive as each shard's
+    own columns.  A per-core drive travels as columns also when a job
+    is lane-cut, ``by_name`` or not.
     """
     n_total = _ensemble_lanes(source)
     family = source.family
     if isinstance(source, EnsembleSpec) and source.backend is None:
         source = replace(source, backend=resolve_backend(None).name)
     h_full = drive.full_samples(n_total)
+    whole = (
+        drive
+        if by_name or drive.samples is not None
+        else DriveSpec(samples=h_full)
+    )
 
     bounds = plan_shards(n_total, n_workers)
     specs = []
@@ -194,10 +201,10 @@ def prepare_job(
             # matrix (ShardSpec treats explicit samples as shard-local).
             # A whole job ``by_name`` keeps its drive name-sized, so a
             # stack of whole cells never ships their matrices in one
-            # task; shared 1-D scenario drives always stay name-sized.
+            # task.
             shard_drive = DriveSpec(samples=h_full[:, start:stop])
         else:
-            shard_drive = drive
+            shard_drive = whole
         if is_batch_model(source):
             specs.append(
                 ShardSpec(
@@ -507,13 +514,19 @@ class Route:
 
     @property
     def names_drives(self) -> bool:
-        """Whether a whole job's scenario drive may travel by name
-        (:func:`prepare_job`'s ``by_name``).  Its workers must then know
-        every scenario this process registered: this process does, and
-        so does the default pool, re-forked when the registry changes;
-        a caller's pool or a fleet's agents keep the registry they
-        started with, so they take a per-core drive's columns."""
-        return self.pool is None and not self.hosts
+        """Whether a scenario drive may travel by name
+        (:func:`prepare_job`'s ``by_name``).  Its workers must then
+        share this process's scenario registry: this process does, and
+        so does the default pool under ``fork``, re-forked when the
+        registry changes.  A spawned or forkserver pool's workers start
+        from the library's registry alone, and a caller's or service's
+        pool or a fleet's agents keep the registry they started with,
+        so each of those takes a drive's samples."""
+        return (
+            self.pool is None
+            and not self.hosts
+            and get_context(self.mp_context).get_start_method() == "fork"
+        )
 
 
 def resolve_route(
@@ -669,20 +682,26 @@ def _price_run(source, drive):
 
 
 def run_single(
-    settle, source, drive, chunk_lanes=None, **dispatcher_options
+    settle, source, drive, chunk_lanes=None, in_flight=1,
+    **dispatcher_options,
 ) -> BatchSweepResult:
     """Run one drive on a route from :func:`resolve_route`: settle it,
     cut the job on the route's backend and run it on the route's
-    transport.  The one job is cut into ``route.shards_per_job(1)``
-    lane shards (the pool's or fleet's width), clamped to its lanes; a
-    job left with one shard runs in this process.
+    transport.  ``in_flight`` counts the runs on this route at once,
+    this one included (a service's misses in flight; 1 everywhere
+    else), and the job is cut into ``route.shards_per_job(in_flight)``
+    lane shards, the grid's placement rule applied to runs: the pool's
+    or fleet's width when alone, whole beside another run, clamped to
+    its lanes.  A job left with one shard runs on a live pool's worker,
+    or in this process when the route has none.  Its drive travels by
+    name only on :attr:`Route.names_drives` routes.
     ``dispatcher_options`` reach a ``hosts=`` route's
     :class:`~repro.dist.dispatch.Dispatcher`."""
     route = settle(partial(_price_run, source, drive))
     with backend_pinned(source, route.backend) as pinned:
         job = prepare_job(
-            pinned, drive, route.shards_per_job(1), route.threads,
-            chunk_lanes=chunk_lanes,
+            pinned, drive, route.shards_per_job(in_flight), route.threads,
+            chunk_lanes=chunk_lanes, by_name=route.names_drives,
         )
     # The runner sits beside the grid's chunk loop, and the grid
     # imports this module.

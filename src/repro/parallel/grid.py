@@ -184,13 +184,18 @@ def job_runner(route, **dispatcher_options):
       exit, one ``run_jobs`` per chunk.  With no live host it drains
       every shard locally, logging that it degrades to the local
       executor;
+    * ``route.pool`` — the caller's (or a service's) live pool, one
+      ``execute`` per chunk, whatever the chunk's shard count, never
+      closed here; a pool one worker wide runs the chunk in the calling
+      thread.  A one-shard job runs on a worker too, so a service's
+      misses in flight side by side compute in its workers, not in the
+      threads that sent them;
     * a chunk whose jobs hold one shard in total, or a route one worker
-      wide — this process, no pool at all (so a plan's single threaded
-      shard never runs in a forked child), until a chunk needs a pool;
-      the chunk runs as the stacks a pool one worker wide would run
+      wide, with no live pool — this process, no pool at all (so a
+      plan's single threaded shard never runs in a forked child), until
+      a chunk needs a pool; the chunk runs as the stacks a pool one
+      worker wide would run
       (:func:`~repro.parallel.executor.run_jobs_serial`);
-    * ``route.pool`` — the caller's live pool, one ``execute`` per
-      chunk, never closed here;
     * otherwise the process-wide default pool, leased at the width of
       the first chunk that needs a pool (``route.workers``, at most
       that chunk's shards; forked, reused or re-forked by
@@ -220,10 +225,10 @@ def job_runner(route, **dispatcher_options):
         results = []
         for jobs in chunks:
             width = min(route.workers, sum(len(job.specs) for job in jobs))
-            if width <= 1:
-                results.extend(run_jobs_serial(jobs))
-            elif route.pool is not None:
+            if route.pool is not None:
                 results.extend(route.pool.execute(jobs))
+            elif width <= 1:
+                results.extend(run_jobs_serial(jobs))
             else:
                 with default_pool(width, route.mp_context) as workers:
                     results.extend(
@@ -282,7 +287,8 @@ def run_scenario_grid(
     A grid takes no execution plan: it runs on its route's default
     width (``n_workers``, a service's pool, or one shard per host), and
     a grid whose cells hold one shard in total (one cell of one lane)
-    runs in this process.  Without ``service`` or ``hosts`` the grid
+    runs in this process, unless it runs through a service, whose pool
+    runs every job it is handed.  Without ``service`` or ``hosts`` the grid
     runs on the process-wide default pool, which outlives the call
     (:func:`~repro.parallel.pool.default_pool`): its workers keep the
     recipes they built, and the chunks stream through it.

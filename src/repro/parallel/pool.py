@@ -22,9 +22,9 @@ Every other local call that needs more than one shard (one without
   at most its shards), and reused by every later call that asks the
   same width and start method;
 * re-forked when the width, the start method or a registry changed
-  since the fork: workers resolve families, 1-D scenario drives and
-  backends by name, and a name registered after the fork is unknown to
-  them;
+  since the fork: workers resolve families, backends and (under
+  ``fork``) scenario drives by name, and a name registered after the
+  fork is unknown to them;
 * forgotten, neither used nor closed, in a forked child (its workers
   are the parent's);
 * closed at interpreter exit (:func:`close_default_pool`, which tests
@@ -32,11 +32,11 @@ Every other local call that needs more than one shard (one without
 
 No close or re-fork terminates a pool under a call in flight on it:
 :meth:`WorkerPool.close` waits for every call to land and release its
-shared memory first.  :meth:`WorkerPool.execute` also serialises the
-calls it runs behind a lock: a service's async front-end dispatches
-its misses from several threads, and they run one at a time, with
-parallelism from the shards inside each.  Streamed calls on the
-default pool are not serialised: each is a ``map_async`` of its own.
+shared memory first.  Calls share a pool side by side, with no
+call-wide lock: each lays out its own shared segments and queues its
+own stacks (``multiprocessing.Pool`` accepts tasks from several
+threads), so a service's misses, dispatched from its async front-end's
+threads, run at once, as do streamed calls on the default pool.
 """
 
 from __future__ import annotations
@@ -118,6 +118,13 @@ class WorkerPool:
     Every registered fused JIT kernel is compiled in the parent before
     the fork (:func:`prewarm_fused_kernels`); with only the numpy
     backend registered there is nothing to compile.
+
+    The pool never re-forks, so its workers know the registries they
+    started with.  Families still resolve by name there; a scenario
+    drive reaches them as samples
+    (:attr:`~repro.parallel.executor.Route.names_drives`).  Several
+    threads may :meth:`execute` at once: each call runs its own jobs
+    side by side with the others on the same workers.
     """
 
     def __init__(
@@ -136,7 +143,6 @@ class WorkerPool:
             if self.n_workers > 1
             else None
         )
-        self._lock = threading.Lock()
         # Guards _closed and _calls: close() waits on it until no call
         # holds a lease.
         self._leases = threading.Condition()
@@ -170,8 +176,10 @@ class WorkerPool:
 
     def execute(self, jobs: list) -> list:
         """Run prepared jobs (see ``repro.parallel.executor``) on this
-        pool and return their assembled results, one per job."""
-        with self._lock, self._lease() as workers:
+        pool and return their assembled results, one per job.  Calls
+        from several threads run side by side, each on its own shared
+        segments; a width-1 pool runs them in the calling thread."""
+        with self._lease() as workers:
             if workers is not None:
                 return execute_jobs_pooled(workers, [jobs], self.n_workers)
         return run_jobs_serial(jobs)

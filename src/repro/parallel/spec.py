@@ -240,10 +240,9 @@ class ShardSpec:
     Explicit-sample drives carried by a ShardSpec are **shard-local**:
     the executor pre-slices per-core matrices to this shard's columns
     before dispatch, so workers never unpickle the full-width drive.
-    Shared (1-D) scenario drives stay name-sized and are rebuilt
-    worker-side, and so do per-core ones of a shard that spans the
-    whole ensemble on a route whose workers share this process's
-    scenario registry (see
+    A scenario drive stays name-sized and is rebuilt worker-side only
+    on a route whose workers share this process's scenario registry,
+    a per-core one only for a shard that spans the whole ensemble (see
     :func:`repro.parallel.executor.prepare_job`).
 
     ``threads`` is the lane-thread count this shard pins while it runs

@@ -19,15 +19,19 @@ Synchronous callers use :meth:`run` (same cache, same pool, no event
 loop needed), and :func:`repro.parallel.grid.run_scenario_grid` accepts
 the whole service via ``service=`` for cache-aware batch campaigns.
 
-Every request runs on the pool's full width: the service takes no
-execution plan (only :func:`~repro.parallel.executor.run_sharded`
-does).  Its warm pool is the input to the executor's route resolver
+The service takes no execution plan (only
+:func:`~repro.parallel.executor.run_sharded` does).  Its warm pool is
+the input to the executor's route resolver
 (:func:`~repro.parallel.executor.resolve_route`), consulted once per
-service; each miss is one run cut into that many lane shards (at most
-its lanes), and a grid routed through the service runs whole cells
-(:func:`~repro.parallel.grid.run_scenario_grid`).  The backend is the request's own and part of
-its cache key, so numpy's bitwise tier and numba's rtol tier never
-cross-serve.
+service, and misses are placed by the grid's rule
+(:meth:`~repro.parallel.executor.Route.shards_per_job`) applied to
+requests: a miss is cut ``shards_per_job(misses in flight)`` ways, so
+a lone miss spans the pool's width (at most its lanes) and misses in
+flight side by side run whole, each on its own worker, with no lock
+between them.  A grid routed through the service runs whole cells
+(:func:`~repro.parallel.grid.run_scenario_grid`).  The backend is the
+request's own and part of its cache key, so numpy's bitwise tier and
+numba's rtol tier never cross-serve.
 """
 
 from __future__ import annotations
@@ -68,10 +72,10 @@ class HysteresisService:
         convention: ``results/cache/``).  ``None`` keeps the cache
         purely in-memory.
     dispatch_threads:
-        Size of the thread pool the async front-end dispatches on.
-        Dispatch threads block on the worker pool's internal lock, so
-        this bounds *queued* requests, not parallel compute — the
-        parallelism lives in the shards.
+        Size of the thread pool the async front-end dispatches on.  It
+        bounds the misses that run side by side: each dispatch thread
+        runs its miss on the worker pool at once, whole while another
+        miss computes, cut over the pool's width when alone.
     """
 
     def __init__(
@@ -110,7 +114,8 @@ class HysteresisService:
     def run(self, spec: EnsembleSpec, drive: DriveSpec) -> BatchSweepResult:
         """One request, synchronously: cache hit or warm-pool compute.
 
-        A miss runs on the pool's full width, on the request's backend.
+        A miss runs on the request's backend, on the pool's full width
+        when alone and whole beside the other misses in flight.
         The returned result is the frozen cache entry — arrays
         read-only, shared by every requester of this digest.
         """
@@ -126,7 +131,8 @@ class HysteresisService:
 
         The digest is computed eagerly (spec errors surface at the call
         site, not inside the future); the cache lookup and any compute
-        run on a dispatch thread, a miss on the pool's full width.
+        run on a dispatch thread, a miss side by side with the others
+        in flight.
         Identical in-flight submissions coalesce onto one computation.
         Call it from a running event loop; synchronous callers use
         :meth:`run`.
@@ -205,26 +211,31 @@ class HysteresisService:
         ``source`` is what the executor runs (an
         :class:`~repro.parallel.spec.EnsembleSpec` or an already-built
         batch, the grid's pre-built route), on the service's one route
-        from :func:`~repro.parallel.executor.resolve_route`.
+        from :func:`~repro.parallel.executor.resolve_route`.  A miss is
+        cut by the misses in flight when it takes ownership, itself
+        included; a coalesced waiter computes nothing, so it counts for
+        nothing.
         """
         hit = self.cache.get(digest)
         if hit is not None:
             return hit
         with self._inflight_lock:
             fut = self._inflight.get(digest)
-            if fut is None:
+            owner = fut is None
+            if owner:
                 fut = concurrent.futures.Future()
                 self._inflight[digest] = fut
-                owner = True
-            else:
-                owner = False
         if not owner:
             # Another thread is already computing this digest: wait for
             # its frozen cache entry rather than duplicating the work.
             return fut.result()
         try:
+            # The misses in flight, this one included: each owns one
+            # entry, and a coalesced waiter owns none.
+            in_flight = len(self._inflight)
             result = self.cache.put(
-                digest, run_single(self._settle, source, drive)
+                digest,
+                run_single(self._settle, source, drive, in_flight=in_flight),
             )
             fut.set_result(result)
             return result
@@ -239,9 +250,10 @@ class HysteresisService:
 
     def close(self) -> None:
         """Shut the dispatch threads and worker pool down.  Idempotent;
-        the cache (and any disk spill) stays readable afterwards.  A
-        request already running on the pool (a synchronous :meth:`run`
-        on another thread) lands before the workers are terminated."""
+        the cache (and any disk spill) stays readable afterwards.  Every
+        request already running on the pool (synchronous :meth:`run`
+        calls on other threads, side by side) lands before the workers
+        are terminated."""
         if self._closed:
             return
         self._closed = True

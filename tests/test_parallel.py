@@ -795,10 +795,10 @@ class TestExecutionPlanPlumbing:
         real_prepare = executor.prepare_job
 
         def spying_prepare(source, drive, n_workers, threads=1,
-                           chunk_lanes=None):
+                           chunk_lanes=None, by_name=False):
             seen.append((n_workers, threads))
             return real_prepare(source, drive, n_workers, threads,
-                                chunk_lanes=chunk_lanes)
+                                chunk_lanes=chunk_lanes, by_name=by_name)
 
         monkeypatch.setattr(executor, "prepare_job", spying_prepare)
         family = get_family("timeless")

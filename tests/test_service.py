@@ -256,7 +256,7 @@ class TestResultCache:
             handle.write(b"PK\x03\x04")
             raise OSError("disk full mid-write")
 
-        monkeypatch.setattr(cache_module.np, "savez_compressed", torn_write)
+        monkeypatch.setattr(cache_module.np, "savez", torn_write)
         with pytest.raises(OSError, match="disk full mid-write"):
             ResultCache(spill_dir=tmp_path).put(key, result)
         monkeypatch.undo()
@@ -457,6 +457,37 @@ class TestHysteresisService:
         )
         assert_bitwise(reference, outcome["result"])
 
+    @pytest.mark.parametrize("family_name", FAMILY_NAMES)
+    def test_compressed_spill_of_an_older_service_still_serves(
+        self, family_name, tmp_path
+    ):
+        """The spill is written raw now; a directory an older service
+        spilled compressed keeps serving, its disk hits bitwise."""
+        import zipfile
+
+        spec, drive = small_workload(family_name, n_cores=3)
+        with HysteresisService(1, cache_dir=tmp_path) as first:
+            computed = first.run(spec, drive)
+        (path,) = tmp_path.glob("*.npz")
+
+        def compression():
+            with zipfile.ZipFile(path) as archive:
+                return {member.compress_type for member in archive.infolist()}
+
+        assert compression() == {zipfile.ZIP_STORED}
+        with np.load(path) as npz:
+            members = {name: npz[name] for name in npz.files}
+        np.savez_compressed(path, **members)  # the older service's writer
+        assert compression() == {zipfile.ZIP_DEFLATED}
+        with HysteresisService(1, cache_dir=tmp_path) as second:
+            served = second.run(spec, drive)
+            assert second.cache.stats["disk_hits"] == 1
+        assert_bitwise(computed, served)
+        reference = run_batch_series(
+            spec.build_batch(), drive.full_samples(spec.n_cores)
+        )
+        assert_bitwise(reference, served)
+
     def test_closed_service_rejects_requests(self):
         spec, drive = small_workload("timeless")
         service = HysteresisService(1)
@@ -569,10 +600,16 @@ class TestServiceExperimentSmoke:
         ops = {row["op"] for row in data["rows"]}
         assert ops == {
             "cold_submit", "warm_submit", "cache_miss", "cache_hit",
-            "grid_pass1", "grid_pass2",
+            "grid_pass1", "grid_pass2", "misses_1_client",
+            "misses_2_clients", "spill_raw", "spill_compressed",
         }
         for row in data["rows"]:
             assert row["seconds"] > 0.0, row
+        rows = {row["op"]: row for row in data["rows"]}
+        lone_cut = min(data["workers"], 64)
+        assert rows["misses_1_client"]["shards"] == lone_cut
+        assert rows["spill_raw"]["kib"] > rows["spill_compressed"]["kib"]
+        assert data["misses_match"]
         assert "warm-pool service" in result.render()
 
 

@@ -497,7 +497,7 @@ def test_grid_route_matches_single_process(
         assert_results_bitwise_equal(reference, cell.result)
 
 
-# -- a per-core scenario registered after the workers started --------------
+# -- scenarios registered after the workers started ------------------------
 
 
 def _late_walks(h_max, driver_step, n_cores):
@@ -507,7 +507,13 @@ def _late_walks(h_max, driver_step, n_cores):
     return walk[:, None] * np.linspace(0.5, 1.0, n_cores)
 
 
-#: Registered by the test only once every pool and agent has started.
+#: Registered by the test only once every pool and agent has started:
+#: one walk every core shares (a 1-D drive), and one per core.
+LATE_SHARED = Scenario(
+    name="late-registered-shared-walk",
+    description="shared, registered after the workers started",
+    waypoint_builder=lambda h: [0.0, h, -0.5 * h],
+)
 LATE_PER_CORE = Scenario(
     name="late-registered-per-core-walk",
     description="per-core, registered after the workers started",
@@ -537,15 +543,20 @@ def agent_processes():
             proc.stdout.close()
 
 
-def late_grid(**route):
-    return run_scenario_grid(
-        ["timeless"], [LATE_PER_CORE.name], LATE_H_MAX, N_CORES,
+def late_grid(scenario, **route):
+    cells = run_scenario_grid(
+        ["timeless"], [scenario], LATE_H_MAX, N_CORES,
         driver_step=GRID_STEP, **route,
     )
+    return [(cell.h_max, cell.result) for cell in cells]
 
 
-# Each route starts its transport, then returns the grid call to make
-# once the scenario is registered.
+def late_drive(scenario, h_max):
+    return DriveSpec(scenario=scenario, h_max=h_max, driver_step=GRID_STEP)
+
+
+# Each route starts its transport, then returns the call to make once
+# the scenario is registered: scenario name -> [(h_max, result)].
 
 
 def late_serial(request):
@@ -557,7 +568,42 @@ def late_default_pool(request):
     return functools.partial(late_grid, n_workers=2)
 
 
-def late_service(request):
+def late_spawned_pool(request):
+    request.addfinalizer(close_default_pool)
+    return functools.partial(late_grid, n_workers=2, mp_context="spawn")
+
+
+def late_caller_pool(request):
+    pool = request.getfixturevalue("warm_pool")
+
+    def call(scenario):
+        return [
+            (h_max, run_sharded(
+                EnsembleSpec("timeless", N_CORES), scenario=scenario,
+                h_max=h_max, driver_step=GRID_STEP, pool=pool,
+            ))
+            for h_max in LATE_H_MAX
+        ]
+
+    return call
+
+
+def late_service_runs(request):
+    service = request.getfixturevalue("grid_service")
+    service.cache.clear()
+
+    def call(scenario):
+        return [
+            (h_max, service.run(
+                EnsembleSpec("timeless", N_CORES), late_drive(scenario, h_max)
+            ))
+            for h_max in LATE_H_MAX
+        ]
+
+    return call
+
+
+def late_service_grid(request):
     service = request.getfixturevalue("grid_service")
     service.cache.clear()
     return functools.partial(late_grid, service=service)
@@ -568,58 +614,74 @@ def late_fleet(request):
     return functools.partial(late_grid, hosts=hosts, n_workers=2)
 
 
-#: (id, route, how each whole cell's per-core drive travels).  Only
-#: this process and the default pool, which re-forks when the registry
-#: changes, may rebuild a drive by its name; a service's pool and a
-#: fleet's agents get every cell's columns.
-LATE_PER_CORE_ROUTES = [
-    ("serial-names-the-drive", late_serial, "name"),
-    ("default-pool-re-forks-and-names-the-drive", late_default_pool, "name"),
-    ("service-pool-gets-the-columns", late_service, "columns"),
-    ("fleet-agents-get-the-columns", late_fleet, "columns"),
+#: (id, route, scenario, how its drive travels).  Only this process and
+#: the default fork pool, which re-forks when the registry changes,
+#: share this process's scenarios, so only they get a drive by name (a
+#: per-core one of a whole cell); a spawned pool, a caller's or a
+#: service's pool and a fleet's agents get its samples, a shared drive
+#: whole and a per-core one as each shard's columns.  Single runs on a
+#: pool are lane-cut, grid cells whole.
+LATE_ROUTES = [
+    (f"{route_id}-{kind}", route, scenario, travels)
+    for kind, scenario in (("shared", LATE_SHARED), ("per-core", LATE_PER_CORE))
+    for route_id, route, travels in (
+        ("serial-names-the-drive", late_serial, "name"),
+        ("default-pool-re-forks-and-names-the-drive", late_default_pool,
+         "name"),
+        ("spawned-pool-gets-the-samples", late_spawned_pool, "samples"),
+        ("caller-pool-gets-the-samples", late_caller_pool, "samples"),
+        ("service-miss-gets-the-samples", late_service_runs, "samples"),
+        ("service-grid-gets-the-samples", late_service_grid, "samples"),
+        ("fleet-agents-get-the-samples", late_fleet, "samples"),
+    )
 ]
 
 
 @pytest.mark.parametrize(
-    "route, travels",
-    [row[1:] for row in LATE_PER_CORE_ROUTES],
-    ids=[row[0] for row in LATE_PER_CORE_ROUTES],
+    "route, scenario, travels",
+    [row[1:] for row in LATE_ROUTES],
+    ids=[row[0] for row in LATE_ROUTES],
 )
-def test_late_per_core_scenario_runs_on_every_route(
-    route, travels, request, monkeypatch
+def test_late_scenario_runs_on_every_route(
+    route, scenario, travels, request, monkeypatch
 ):
-    """A whole cell of a per-core scenario registered after the route's
-    workers started runs on every grid route, bit for bit: its drive
-    travels by name only where the workers know the scenario."""
+    """A scenario registered after the route's workers started, shared
+    or per-core, runs on every route, bit for bit: its drive travels by
+    name only where the workers share this process's scenarios."""
     call = route(request)
     monkeypatch.setattr(
         scenario_registry, "_SCENARIOS", dict(scenario_registry._SCENARIOS)
     )
-    register_scenario(LATE_PER_CORE)
+    register_scenario(scenario)
     jobs = []
-    real_prepare = grid_module.prepare_job
+    real_prepare = executor.prepare_job
 
     def recorded(*args, **kwargs):
         jobs.append(real_prepare(*args, **kwargs))
         return jobs[-1]
 
     monkeypatch.setattr(grid_module, "prepare_job", recorded)
-    cells = call()
-    assert [len(job.specs) for job in jobs] == [1] * len(LATE_H_MAX)
+    monkeypatch.setattr(executor, "prepare_job", recorded)
+    results = call(scenario.name)
+    assert len(jobs) == len(LATE_H_MAX)
     for job in jobs:
-        (spec,) = job.specs
-        if travels == "name":
-            assert spec.drive.scenario == LATE_PER_CORE.name
-        else:
-            assert np.array_equal(spec.drive.samples, job.h_full)
-    for cell in cells:
+        for spec in job.specs:
+            if travels == "name":
+                assert spec.drive.scenario == scenario.name
+            else:
+                own = (
+                    job.h_full if job.h_full.ndim == 1
+                    else job.h_full[:, spec.start : spec.stop]
+                )
+                assert spec.drive.scenario is None
+                assert np.array_equal(spec.drive.samples, own)
+    assert [h_max for h_max, _ in results] == LATE_H_MAX
+    for h_max, result in results:
         reference = run_batch_series(
             EnsembleSpec("timeless", N_CORES).build_batch(),
-            _late_walks(cell.h_max, GRID_STEP, N_CORES),
+            scenario_samples(scenario.name, h_max, GRID_STEP, n_cores=N_CORES),
         )
-        assert_results_bitwise_equal(
-            dataclasses.replace(reference, family=cell.family), cell.result
-        )
+        assert_results_bitwise_equal(reference, result)
 
 
 # -- every route-argument conflict, raised before any work -----------------
