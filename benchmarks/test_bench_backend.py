@@ -130,3 +130,5 @@ def test_backend_experiment(benchmark, persist):
     print(result.render())
     assert result.data["equal_lanes"] == result.data["n_cores"]
     assert result.data["fused_speedup"] >= 1.5
+    # The kernel-layer rows are bitwise; their timings carry no bar.
+    assert all(row["bitwise"] for row in result.data["kernel_rows"])

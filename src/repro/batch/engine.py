@@ -492,167 +492,167 @@ class BatchTimelessModel:
         """The backend-namespace fused loop (bitwise on ``xp = numpy``).
 
         Performs exactly the per-lane IEEE operations of the per-sample
-        ``step`` path, but with the per-sample Python dispatch stripped
-        out: no ``StepInputs``/``StepOutputs`` records, no per-sample
-        ``asarray`` conversions or property probes, temporaries reused
-        through ufunc ``out=``, the slope evaluation skipped outright
-        on samples where no lane's discretiser fired, and counters
-        accumulated once at the end.  Every shortcut preserves the
-        elementwise operation sequence, which is why the fused result
-        stays bitwise identical to per-sample stepping on the exact
-        backend (associativity is never reordered; only
-        ``x * y``/``y * x`` commutations — IEEE-exact — are shared).
+        ``step`` path, in the same order, with the per-sample Python
+        dispatch stripped out.  One row (driver sample) refreshes
+        ``m_an``/``m_rev`` straight into its output rows, makes the
+        discretiser decision straight into ``updated[i]``, and only
+        when some lane fired evaluates the guarded slope and merges it
+        into the fired lanes.  Every temporary lives in a buffer
+        allocated once per series; guard and counter masks are kept
+        per row and counted once at the end, and ``m_sat`` scaling and
+        ``B`` are formed over the whole matrix after the loop.
+
+        The shortcuts are exact for every float, NaN and signed zeros
+        included: ``|dh| >= dhmax`` is ``|dh| > nextafter(dhmax, -inf)``;
+        guard 2 never fires behind guard 1 (``dh*dmdh*dh`` is then
+        ``>= 0`` or NaN); a row where every lane fired needs no masked
+        merge; the pole select runs only when a denominator is exactly
+        zero; and the clamp count ``clamp_hit & (raw != 0)`` is
+        ``~(raw >= 0)``.  Associativity is never reordered; only
+        ``x * y``/``y * x`` commutations are shared.
         """
         xp = self.backend.xp
         params = self.params
         curve = self.anhysteretic
-        # Precomputed per-lane constants.  The grouping matches the
-        # per-sample expressions exactly: ``alpha * m_sat * x`` is
-        # left-associative, so hoisting ``alpha * m_sat`` is bit-neutral.
+        # Per-lane constants.  ``alpha * m_sat * x`` is left-associative,
+        # so hoisting ``alpha * m_sat`` is bit-neutral.
         am = params.alpha * params.m_sat
         one_c = 1.0 + params.c
         c = params.c
         k = params.k
-        m_sat = params.m_sat
-        dhmax = self.dhmax
-        accept_equal = self.accept_equal
-        clamp_negative = self.guards.clamp_negative
-        drop_opposing = self.guards.drop_opposing
-        scalar_accept = np.ndim(accept_equal) == 0
-        scalar_clamp = np.ndim(clamp_negative) == 0
-        scalar_drop = np.ndim(drop_opposing) == 0
-        # The paper's modified Langevin is cheap enough to inline
-        # (saving two Python calls per sample); other curves evaluate
-        # through their own (backend-threaded) array branches.
+        threshold = xp.where(
+            self.accept_equal, xp.nextafter(self.dhmax, -math.inf), self.dhmax
+        )
+        clamp = self.guards.clamp_negative
+        drop = self.guards.drop_opposing
+        clamp_all = bool(np.all(clamp))
+        clamp_some = not clamp_all and bool(np.any(clamp))
+        guard2 = not clamp_all and bool(np.any(drop))
+        drop_some = guard2 and not bool(np.all(drop))
+        # The paper's modified Langevin is cheap enough to inline; other
+        # curves evaluate through their own array branches.
         inline_atan = type(curve) is ModifiedLangevinAnhysteretic
         shape = curve.shape
 
         state = self.state
-        h_acc = state.h_accepted
-        m_irr = state.m_irr
-        m_tot = state.m_total
-        delta_st = state.delta
-
         n = self.n_cores
         n_samples = len(h_arr)
-        shared = h_arr.ndim == 1
+        h_acc = state.h_accepted.copy()
+        m_irr = state.m_irr.copy()
+        delta_st = state.delta.copy()
+        m_tot = state.m_total
         m_out = xp.empty((n_samples, n))
         b_out = xp.empty((n_samples, n))
         man_out = xp.empty((n_samples, n))
-        updated = xp.zeros((n_samples, n), dtype=bool)
-        clamped_n = xp.zeros(n, dtype=np.int64)
-        dropped_n = xp.zeros(n, dtype=np.int64)
-        t0 = xp.empty(n)
-        t1 = xp.empty(n)
-        magnitude = xp.empty(n)
-        m_an = m_rev = None
+        updated = xp.empty((n_samples, n), dtype=bool)
+        # Per-row guard masks, read only on fired lanes after the loop.
+        guard1 = clamp_all or clamp_some
+        nonneg_rows = xp.zeros((n_samples, n), dtype=bool) if guard1 else None
+        dropped_rows = xp.zeros((n_samples, n), dtype=bool) if guard2 else None
+        m_rev, dh, magnitude, delta, delta_m, raw, t0, t1 = xp.empty((8, n))
+        hit = xp.empty(n, dtype=bool)
 
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             for i in range(n_samples):
                 h = h_arr[i]
+                m_an = man_out[i]
+                accepted = updated[i]
                 # core: algebraic refresh at the new field
                 xp.multiply(am, m_tot, out=t0)
                 xp.add(h, t0, out=t0)  # h_eff
                 if inline_atan:
                     xp.divide(t0, shape, out=t0)
-                    m_an = xp.arctan(t0)
+                    xp.arctan(t0, out=m_an)
                     xp.multiply(TWO_OVER_PI, m_an, out=m_an)
                 else:
-                    m_an = xp.asarray(curve.value(t0.copy()), dtype=float)
-                m_rev = c * m_an
+                    m_an[...] = curve.value(t0)
+                xp.multiply(c, m_an, out=m_rev)
                 xp.divide(m_rev, one_c, out=m_rev)
                 # monitorH: the discretiser decision
-                dh = h - h_acc
+                xp.subtract(h, h_acc, out=dh)
                 xp.abs(dh, out=magnitude)
-                if scalar_accept:
-                    accepted = (
-                        magnitude >= dhmax if accept_equal else magnitude > dhmax
-                    )
-                else:
-                    accepted = xp.where(
-                        accept_equal, magnitude >= dhmax, magnitude > dhmax
-                    )
-                if accepted.any():
-                    # Integral: guarded Forward Euler on the fired lanes.
-                    # (Lanes with dh == 0 can never fire — dhmax > 0 —
-                    # so the scalar path's dh == 0 short-circuit needs
-                    # no masking here.)
-                    delta = xp.where(dh > 0.0, 1.0, -1.0)
+                xp.greater(magnitude, threshold, out=accepted)
+                fired = xp.count_nonzero(accepted)
+                if fired:
+                    # Integral: guarded Forward Euler on the fired lanes,
+                    # where |dh| > dhmax > 0, so sign(dh) is +-1 there.
+                    xp.copysign(1.0, dh, out=delta)
                     xp.add(m_rev, m_irr, out=t1)
-                    delta_m = m_an - t1
+                    xp.subtract(m_an, t1, out=delta_m)
                     xp.multiply(delta, k, out=t1)
                     xp.multiply(am, delta_m, out=t0)
                     xp.subtract(t1, t0, out=t1)
                     xp.multiply(one_c, t1, out=t1)  # denominator
-                    singular = t1 == 0.0
-                    if singular.any():
-                        regular = delta_m / xp.where(singular, 1.0, t1)
+                    xp.divide(delta_m, t1, out=raw)
+                    if xp.count_nonzero(t1) != n:
                         at_pole = xp.where(
                             delta_m > 0.0,
                             math.inf,
                             xp.where(delta_m < 0.0, -math.inf, 0.0),
                         )
-                        raw = xp.where(singular, at_pole, regular)
+                        xp.copyto(raw, at_pole, where=t1 == 0.0)
+                    if nonneg_rows is not None:
+                        # Guard 1, the published `if (dmdh1 > 0.0)`:
+                        # NaN and zero clamp too.
+                        xp.greater_equal(raw, 0.0, out=nonneg_rows[i])
+                        xp.greater(raw, 0.0, out=hit)
+                        xp.logical_not(hit, out=hit)
+                        if clamp_some:
+                            xp.logical_and(hit, clamp, out=hit)
+                        xp.putmask(raw, hit, 0.0)
+                    xp.multiply(dh, raw, out=t0)  # dm
+                    if guard2:
+                        # Guard 2: drop increments opposing the field.
+                        dropped = dropped_rows[i]
+                        xp.multiply(t0, dh, out=t1)
+                        xp.less(t1, 0.0, out=dropped)
+                        if drop_some:
+                            xp.logical_and(dropped, drop, out=dropped)
+                        xp.putmask(t0, dropped, 0.0)
+                    if fired == n:
+                        xp.add(m_irr, t0, out=m_irr)
+                        xp.copyto(h_acc, h)
+                        delta_st, delta = delta, delta_st
                     else:
-                        raw = xp.divide(delta_m, t1)
-                    if scalar_clamp:
-                        if clamp_negative:
-                            clamp_hit = ~(raw > 0.0)
-                            dmdh = xp.where(clamp_hit, 0.0, raw)
-                            clamped = clamp_hit & (raw != 0.0)
-                        else:
-                            dmdh = raw
-                            clamped = None
-                    else:
-                        clamp_hit = clamp_negative & ~(raw > 0.0)
-                        dmdh = xp.where(clamp_hit, 0.0, raw)
-                        clamped = clamp_hit & (raw != 0.0)
-                    dm = dh * dmdh
-                    xp.multiply(dm, dh, out=t0)
-                    if scalar_drop:
-                        if drop_opposing:
-                            dropped = t0 < 0.0
-                            dm = xp.where(dropped, 0.0, dm)
-                        else:
-                            dropped = None
-                    else:
-                        dropped = drop_opposing & (t0 < 0.0)
-                        dm = xp.where(dropped, 0.0, dm)
-                    m_irr = xp.where(accepted, m_irr + dm, m_irr)
-                    h_acc = xp.where(accepted, h, h_acc)
-                    delta_st = xp.where(accepted, delta, delta_st)
-                    if clamped is not None:
-                        clamped_n += accepted & clamped
-                    if dropped is not None:
-                        dropped_n += accepted & dropped
-                    updated[i] = accepted
-                m_tot = m_rev + m_irr
-                man_out[i] = m_an
-                row = m_out[i]
-                xp.multiply(m_tot, m_sat, out=row)  # == m_sat * m_tot
-                b_row = b_out[i]
-                xp.add(h, row, out=b_row)
-                xp.multiply(MU0, b_row, out=b_row)  # B = mu0*(h + m_sat*m)
+                        xp.add(m_irr, t0, out=t0)
+                        xp.putmask(m_irr, accepted, t0)
+                        xp.putmask(h_acc, accepted, h)
+                        xp.putmask(delta_st, accepted, delta)
+                m_tot = m_out[i]
+                xp.add(m_rev, m_irr, out=m_tot)
 
         euler = updated.sum(axis=0, dtype=np.int64)
-        last = h_arr[-1]
-        state.h_applied = (
-            np.full(n, float(last)) if shared else xp.asarray(last, dtype=float).copy()
+        counters = self.counters
+        if nonneg_rows is not None:
+            # clamped == fired & ~(raw >= 0), on guarded lanes
+            xp.greater(updated, nonneg_rows, out=nonneg_rows)
+            if clamp_some:
+                xp.logical_and(nonneg_rows, clamp, out=nonneg_rows)
+            counters.clamped_slopes += nonneg_rows.sum(axis=0, dtype=np.int64)
+        if dropped_rows is not None:
+            xp.logical_and(dropped_rows, updated, out=dropped_rows)
+            counters.dropped_increments += dropped_rows.sum(
+                axis=0, dtype=np.int64
+            )
+        state.h_applied = np.array(
+            np.broadcast_to(h_arr[-1], (n,)), dtype=float
         )
         state.h_accepted = h_acc
         state.m_irr = m_irr
-        state.m_an = m_an.copy()
+        state.m_an = man_out[-1].copy()
         state.m_rev = m_rev.copy()
-        state.m_total = m_tot
-        state.delta = delta_st
+        state.m_total = m_tot.copy()
+        state.delta = delta_st.copy()
         state.updates += euler
-        counters = self.counters
         counters.field_events += n_samples
         counters.observations += n_samples
         counters.euler_steps += euler
         counters.acceptances += euler
-        counters.clamped_slopes += clamped_n
-        counters.dropped_increments += dropped_n
+        # m = m_sat * m_total and B = mu0*(h + m), one pass each
+        with np.errstate(invalid="ignore", over="ignore"):
+            xp.multiply(m_out, params.m_sat, out=m_out)
+            xp.add(h_arr[:, None] if h_arr.ndim == 1 else h_arr, m_out, out=b_out)
+            xp.multiply(MU0, b_out, out=b_out)
         return m_out, b_out, updated, {"m_an": man_out}
 
     def apply_field_series(self, h_values: np.ndarray) -> np.ndarray:

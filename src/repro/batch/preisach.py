@@ -352,8 +352,17 @@ class BatchPreisachModel:
     ) -> "tuple[np.ndarray, np.ndarray, np.ndarray, dict[str, np.ndarray]]":
         """The backend-namespace fused loop: the per-sample switching
         and reduction operations with the per-sample Python dispatch
-        (property probes, cache bookkeeping, per-step ``np.full``)
-        hoisted out of the loop."""
+        hoisted out of the loop.
+
+        Each direction makes one masked write from a precomputed
+        ``where(valid, +-1.0, 0.0)`` tensor — the per-sample path's two
+        writes, ``+-1`` on valid relays and ``0`` on invalid ones,
+        merged — under a ``(cores, n_alpha, 1)`` or ``(cores, 1,
+        n_beta)`` mask.  The relay sum reduces into its output row
+        through a product buffer allocated once, and is reused on rows
+        where no lane moved (the relays did not change); ``m_sat``
+        scaling and ``B`` are formed over the whole matrix after the
+        loop."""
         xp = self.backend.xp
         if not np.isfinite(h_arr).all():
             raise ParameterError(f"h must be finite, got {h_arr!r}")
@@ -363,45 +372,55 @@ class BatchPreisachModel:
 
         weights = self.weights
         state = self._state
-        valid = self._valid
-        invalid = ~valid
+        up_value = xp.where(self._valid, 1.0, 0.0)
+        down_value = xp.where(self._valid, -1.0, 0.0)
         alpha3 = self.alpha_thresholds[:, :, None]
         beta3 = self.beta_thresholds[:, None, :]
-        m_sat = self.m_sat
+        h4 = h2d[:, :, None, None]
         h_cur = self._h
         m_norm = self.m_normalised
 
         m_out = xp.empty((n_samples, n))
         b_out = xp.empty((n_samples, n))
         updated_out = xp.empty((n_samples, n), dtype=bool)
-        switches = xp.zeros(n, dtype=np.int64)
+        product = xp.empty_like(weights)
+        rising, falling = xp.empty((2, n), dtype=bool)
+        rising3 = rising[:, None, None]
+        falling3 = falling[:, None, None]
+        up = xp.empty(alpha3.shape, dtype=bool)
+        down = xp.empty(beta3.shape, dtype=bool)
 
         for i in range(n_samples):
             h = h2d[i]
-            h3 = h[:, None, None]
-            rising = h > h_cur
-            if rising.any():
-                up = rising[:, None, None] & (alpha3 <= h3)
-                np.copyto(state, 1.0, where=up & valid)
-                np.copyto(state, 0.0, where=up & invalid)
-            falling = h < h_cur
-            if falling.any():
-                down = falling[:, None, None] & (beta3 >= h3)
-                np.copyto(state, -1.0, where=down & valid)
-                np.copyto(state, 0.0, where=down & invalid)
+            m_row = m_out[i]
+            xp.greater(h, h_cur, out=rising)
+            moved = xp.count_nonzero(rising)
+            if moved:
+                xp.less_equal(alpha3, h4[i], out=up)
+                xp.logical_and(up, rising3, out=up)
+                xp.copyto(state, up_value, where=up)
+            xp.less(h, h_cur, out=falling)
+            if xp.count_nonzero(falling):
+                moved = True
+                xp.greater_equal(beta3, h4[i], out=down)
+                xp.logical_and(down, falling3, out=down)
+                xp.copyto(state, down_value, where=down)
+            if moved:
+                xp.multiply(weights, state, out=product)
+                xp.add.reduce(product, axis=(1, 2), out=m_row)  # xp.sum
+            else:
+                xp.copyto(m_row, m_norm)
+            xp.not_equal(m_row, m_norm, out=updated_out[i])
+            m_norm = m_row
             h_cur = h
-            m_before = m_norm
-            m_norm = xp.sum(weights * state, axis=(1, 2))
-            updated = m_norm != m_before
-            switches += updated
-            updated_out[i] = updated
-            m_phys = m_norm * m_sat
-            m_out[i] = m_phys
-            b_out[i] = MU0 * (h + m_phys)
 
         self._h = h_cur.copy()
-        self._m_cache = m_norm
-        self._switch_events += switches
+        self._m_cache = m_norm.copy()
+        self._switch_events += updated_out.sum(axis=0, dtype=np.int64)
+        # m = m_norm * m_sat and B = mu0*(h + m), one pass each
+        xp.multiply(m_out, self.m_sat, out=m_out)
+        xp.add(h2d, m_out, out=b_out)
+        xp.multiply(MU0, b_out, out=b_out)
         return m_out, b_out, updated_out, {}
 
     def apply_field(self, h_new) -> np.ndarray:

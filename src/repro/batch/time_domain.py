@@ -17,6 +17,7 @@ branches' IEEE operations (the PR 1 parity rule, asserted by
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -31,11 +32,12 @@ from repro.batch.lanes import (
     trace_series,
 )
 from repro.batch.params import BatchJAParameters, stack_parameters
-from repro.constants import DEFAULT_DHMAX, MU0
+from repro.constants import DEFAULT_DHMAX, MU0, TWO_OVER_PI
 from repro.core.slope import SlopeGuards, slice_guards, stack_guards
 from repro.errors import ParameterError
 from repro.ja.anhysteretic import (
     Anhysteretic,
+    ModifiedLangevinAnhysteretic,
     make_anhysteretic,
     slice_anhysteretic,
 )
@@ -307,8 +309,21 @@ class BatchTimeDomainModel:
         self, h_arr: np.ndarray
     ) -> "tuple[np.ndarray, np.ndarray, np.ndarray, dict[str, np.ndarray]]":
         """The backend-namespace fused loop: per-sample :meth:`step`
-        operations with the per-step Python dispatch (property probes,
-        ``np.full`` broadcasts, per-call ``errstate``) hoisted out."""
+        operations, in the same order, with the per-step Python
+        dispatch hoisted out.
+
+        The equation layer's arithmetic is inlined: ``alpha*m_sat``,
+        ``1+c``, ``c/(1+c)`` and ``-k`` are formed once per series, the
+        modified Langevin's ``h_eff/shape`` is shared by its value and
+        derivative (the per-sample path computes it twice, to the same
+        bits), and ``delta*k`` is selected as ``k``/``-k`` directly.
+        Every temporary lives in a buffer allocated once per series,
+        the new ``m`` is written straight into its output row, the
+        negative-slope masks are counted once at the end, and ``m_sat``
+        scaling and ``B`` are formed over the whole matrix after the
+        loop.  The pole select runs only when a denominator is exactly
+        zero, and a row where every lane moved needs no masked merge.
+        """
         xp = self.backend.xp
         n = self.n_cores
         n_samples = len(h_arr)
@@ -316,54 +331,117 @@ class BatchTimeDomainModel:
 
         params = self.params
         curve = self.anhysteretic
+        am = params.alpha * params.m_sat
+        one_c = 1.0 + params.c
+        rev_coeff = params.c / one_c
+        k = params.k
+        neg_k = -k
         clamp = np.asarray(self.guards.clamp_negative)
+        clamp_all = bool(clamp.all())
+        clamp_any = bool(clamp.any())
         limit = self.divergence_limit
-        m_sat = params.m_sat
+        inline_atan = type(curve) is ModifiedLangevinAnhysteretic
+        shape = curve.shape
         h_cur = self._h
         m = self._m
-        diverged = self.diverged
+        live = ~self.diverged
 
         m_out = xp.empty((n_samples, n))
         b_out = xp.empty((n_samples, n))
-        updated_out = xp.zeros((n_samples, n), dtype=bool)
-        steps = xp.zeros(n, dtype=np.int64)
-        negatives = xp.zeros(n, dtype=np.int64)
+        updated_out = xp.empty((n_samples, n), dtype=bool)
+        # Per-row negative-slope masks, read only on active lanes.
+        negative_rows = xp.zeros((n_samples, n), dtype=bool)
+        dh, dk, x, m_an, delta_m, slope, t0 = xp.empty((7, n))
+        flag, finite = xp.empty((2, n), dtype=bool)
 
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
             for i in range(n_samples):
                 h = h2d[i]
-                dh = h - h_cur
-                active = (dh != 0.0) & ~diverged
-                if active.any():
-                    delta = xp.where(dh >= 0.0, 1.0, -1.0)
-                    h_eff = effective_field(params, h_cur, m)
-                    m_an = curve.value(h_eff)
-                    slope = irreversible_slope(params, m_an, m, delta, xp=xp)
-                    negative = slope < 0.0
-                    slope = xp.where(negative & clamp, 0.0, slope)
-                    slope = slope + anhysteretic_slope_term(
-                        params, curve, h_eff
-                    )
-                    m_new = m + slope * dh
-                    m = xp.where(active, m_new, m)
-                    steps += active
-                    negatives += active & negative
-                    runaway = ~xp.isfinite(m) | (xp.abs(m) > limit)
-                    diverged = diverged | (active & runaway)
-                    updated_out[i] = active
+                active = updated_out[i]
+                m_row = m_out[i]
+                xp.subtract(h, h_cur, out=dh)
+                xp.not_equal(dh, 0.0, out=active)
+                xp.logical_and(active, live, out=active)
+                moved = xp.count_nonzero(active)
+                if moved:
+                    # delta * k with delta = +1 where dh >= 0, else -1
+                    # (NaN steps are active and fall, as per sample).
+                    xp.greater_equal(dh, 0.0, out=flag)
+                    xp.copyto(dk, neg_k)
+                    xp.putmask(dk, flag, k)
+                    xp.multiply(am, m, out=t0)
+                    xp.add(h_cur, t0, out=t0)  # h_eff
+                    if inline_atan:
+                        xp.divide(t0, shape, out=x)
+                        xp.arctan(x, out=m_an)
+                        xp.multiply(TWO_OVER_PI, m_an, out=m_an)
+                    else:
+                        m_an[...] = curve.value(t0)
+                        x[...] = curve.derivative(t0)
+                    # irreversible slope, Eq. 1
+                    xp.subtract(m_an, m, out=delta_m)
+                    xp.multiply(am, delta_m, out=slope)
+                    xp.subtract(dk, slope, out=slope)
+                    xp.multiply(one_c, slope, out=dk)  # denominator
+                    xp.divide(delta_m, dk, out=slope)
+                    if xp.count_nonzero(dk) != n:
+                        at_pole = xp.where(
+                            delta_m > 0.0,
+                            math.inf,
+                            xp.where(delta_m < 0.0, -math.inf, 0.0),
+                        )
+                        xp.copyto(slope, at_pole, where=dk == 0.0)
+                    negative = negative_rows[i]
+                    xp.less(slope, 0.0, out=negative)
+                    if clamp_all:
+                        xp.putmask(slope, negative, 0.0)
+                    elif clamp_any:
+                        xp.logical_and(negative, clamp, out=flag)
+                        xp.putmask(slope, flag, 0.0)
+                    # + (c/(1+c)) * dman/dHe
+                    if inline_atan:
+                        xp.multiply(x, x, out=t0)
+                        xp.add(1.0, t0, out=t0)
+                        xp.divide(TWO_OVER_PI, t0, out=t0)
+                        xp.divide(t0, shape, out=t0)
+                        xp.multiply(rev_coeff, t0, out=t0)
+                    else:
+                        xp.multiply(rev_coeff, x, out=t0)
+                    xp.add(slope, t0, out=slope)
+                    xp.multiply(slope, dh, out=slope)
+                    if moved == n:
+                        xp.add(m, slope, out=m_row)
+                    else:
+                        xp.add(m, slope, out=slope)
+                        xp.copyto(m_row, m)
+                        xp.putmask(m_row, active, slope)
+                    # Freeze the lanes that ran away: ~isfinite | > limit.
+                    xp.isfinite(m_row, out=finite)
+                    xp.abs(m_row, out=t0)
+                    xp.greater(t0, limit, out=flag)
+                    xp.less_equal(finite, flag, out=flag)  # ~finite | flag
+                    xp.logical_and(flag, active, out=flag)
+                    xp.logical_xor(live, flag, out=live)  # active => live
+                else:
+                    xp.copyto(m_row, m)
+                m = m_row
                 h_cur = h
-                row = m_out[i]
-                xp.multiply(m, m_sat, out=row)
-                b_row = b_out[i]
-                xp.add(h, row, out=b_row)  # B = mu0*(h + m_sat*m)
-                xp.multiply(MU0, b_row, out=b_row)
 
+        xp.logical_and(negative_rows, updated_out, out=negative_rows)
+        steps = updated_out.sum(axis=0, dtype=np.int64)
         self._h = h_cur.copy()
-        self._m = m
-        self.diverged = diverged
+        self._m = m.copy()
+        self.diverged = ~live
         self.steps += steps
         self.slope_evaluations += steps
-        self.negative_slope_evaluations += negatives
+        self.negative_slope_evaluations += negative_rows.sum(
+            axis=0, dtype=np.int64
+        )
+        # m = m_sat * m and B = mu0*(h + m), one pass each
+        with np.errstate(invalid="ignore", over="ignore"):
+            xp.multiply(m_out, params.m_sat, out=m_out)
+            xp.add(h2d, m_out, out=b_out)
+            xp.multiply(MU0, b_out, out=b_out)
         return m_out, b_out, updated_out, {}
 
     def apply_field(self, h_new) -> np.ndarray:

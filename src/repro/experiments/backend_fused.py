@@ -14,13 +14,20 @@ The scaling story of the backend layer, measured on the timeless family
    backend's ``rtol`` tier instead (the JIT's libm kernels differ from
    NumPy's by 1 ulp; discretiser decisions still match exactly).
 
+A second table records the kernel layer itself, per family and width:
+the NumPy fused loop's microseconds per row (one driver sample across
+every lane; the median of repeated runs) at a service-mix width and a
+stacked-campaign width, each checked bitwise against the per-sample run.
+It carries no timing bar.
+
 ``benchmarks/test_bench_backend.py`` asserts the headline (fused >= 2x
-over per-sample at N = 256) and regenerates this table into
+over per-sample at N = 256) and regenerates both tables into
 ``results/EXP-B4.txt``.
 """
 
 from __future__ import annotations
 
+import statistics
 import time
 
 import numpy as np
@@ -29,6 +36,7 @@ from repro.backend import BACKEND_ENV, list_backends, resolve_backend
 from repro.batch.engine import BatchTimelessModel
 from repro.batch.sweep import run_batch_series
 from repro.experiments.registry import ExperimentResult, register
+from repro.experiments.runner import measure
 from repro.io.table import TextTable
 from repro.models.registry import get_family
 from repro.scenarios import scenario_samples
@@ -56,6 +64,52 @@ def bitwise_equal_lanes(reference, candidate) -> int:
         axis=0,
     )
     return int(np.sum(equal & np.all(candidate.updated == reference.updated, axis=0)))
+
+
+#: (family, lanes) rows of the kernel-layer table: a service-mix width
+#: and a stacked-campaign width (Preisach lanes each carry a relay grid).
+KERNEL_ROWS = (
+    ("timeless", 64),
+    ("timeless", 1536),
+    ("time-domain", 64),
+    ("time-domain", 1536),
+    ("preisach", 8),
+    ("preisach", 96),
+)
+
+
+def kernel_rows(repeats: int = 5, seed: int = 0) -> list[dict]:
+    """Time each family's NumPy fused loop per row over a major loop
+    and check it bitwise against the per-sample run."""
+    rows = []
+    for name, lanes in KERNEL_ROWS:
+        family = get_family(name)
+        h = scenario_samples("major-loop", family.h_scale, family.h_scale / 50.0)
+        batch = family.make_batch(lanes, seed, backend="numpy")
+        twin = type(batch).from_shard_payload(batch.shard_payload(0, lanes))
+        reference = run_batch_series(twin, h, fused=False)
+        seconds, fused = measure(lambda: run_batch_series(batch, h), repeats)
+        bitwise = (
+            bitwise_equal_lanes(reference, fused) == lanes
+            and all(
+                np.array_equal(fused.extras[key], reference.extras[key])
+                for key in reference.extras
+            )
+            and all(
+                np.array_equal(fused.counters[key], reference.counters[key])
+                for key in reference.counters
+            )
+        )
+        rows.append(
+            {
+                "family": name,
+                "lanes": lanes,
+                "rows": len(h),
+                "us_per_row": statistics.median(seconds) / len(h) * 1e6,
+                "bitwise": bitwise,
+            }
+        )
+    return rows
 
 
 def max_relative_deviation(reference, candidate) -> float:
@@ -146,12 +200,26 @@ def run(
             row["equivalence"],
         )
 
+    kernel = kernel_rows(seed=seed)
+    kernel_table = TextTable(
+        ["family", "lanes", "rows", "fused us / row", "vs per-sample"],
+        title="kernel layer: NumPy fused loop per row (major loop, median of 5)",
+    )
+    for row in kernel:
+        kernel_table.add_row(
+            row["family"],
+            row["lanes"],
+            row["rows"],
+            f"{row['us_per_row']:.1f}",
+            "bitwise" if row["bitwise"] else "DIFFERS",
+        )
+
     registered = ", ".join(b.name for b in list_backends())
     result = ExperimentResult(
         experiment_id="EXP-B4",
         title="Array backends: fused sweep vs per-sample dispatch",
     )
-    result.tables = [table]
+    result.tables = [table, kernel_table]
     result.notes = [
         f"registered backends: {registered}; default for this run: "
         f"{resolve_backend(None).name} (selectable per call or via "
@@ -171,5 +239,6 @@ def run(
         "fused_speedup": fused_speedup,
         "equal_lanes": equal_lanes,
         "backends": [b.name for b in list_backends()],
+        "kernel_rows": kernel,
     }
     return result

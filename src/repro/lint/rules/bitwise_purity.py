@@ -32,6 +32,10 @@ PARITY_MODULES = frozenset(
         "repro.ja.equations",
         "repro.ja.anhysteretic",
         "repro.batch.engine",
+        "repro.batch.time_domain",
+        "repro.batch.preisach",
+        "repro.baselines.time_domain",
+        "repro.preisach.model",
         "repro.backend.numpy_backend",
         "repro.backend.numba_backend",
     }

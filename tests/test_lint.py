@@ -114,6 +114,31 @@ def test_l002_reports_both_transcendental_and_sum():
     assert "sum()" in messages
 
 
+@pytest.mark.parametrize(
+    "module",
+    [
+        "repro.batch.engine",
+        "repro.batch.time_domain",
+        "repro.batch.preisach",
+        "repro.baselines.time_domain",
+        "repro.preisach.model",
+    ],
+)
+def test_l002_and_l009_patrol_both_sides_of_every_fused_pin(tmp_path, module):
+    """Each fused loop and the per-sample path it is pinned to are
+    kernel-parity modules: a libm call or a clock read in any of them
+    is flagged."""
+    path = tmp_path.joinpath(*module.split(".")).with_suffix(".py")
+    path.parent.mkdir(parents=True)
+    path.write_text(
+        "import math\nimport time\n\n\n"
+        "def step(x):\n"
+        "    return math.atan(x) + time.time()\n"
+    )
+    _, hit = rules_hit([tmp_path], select=["L002", "L009"])
+    assert hit == {"L002", "L009"}
+
+
 def test_l003_reports_nested_body_with_block_and_lambda():
     violations = rules_hit([FIXTURES / "l003_bad"], select=["L003"])[0]
     messages = "\n".join(v.message for v in violations)
