@@ -505,8 +505,8 @@ class BatchTimelessModel:
         The shortcuts are exact for every float, NaN and signed zeros
         included: ``|dh| >= dhmax`` is ``|dh| > nextafter(dhmax, -inf)``;
         guard 2 never fires behind guard 1 (``dh*dmdh*dh`` is then
-        ``>= 0`` or NaN); a row where every lane fired needs no masked
-        merge; the pole select runs only when a denominator is exactly
+        ``>= 0`` or NaN), so it is skipped when every lane clamps; a row
+        where every lane fired needs no masked merge; the pole select runs only when a denominator is exactly
         zero; and the clamp count ``clamp_hit & (raw != 0)`` is
         ``~(raw >= 0)``.  Associativity is never reordered; only
         ``x * y``/``y * x`` commutations are shared.
@@ -525,8 +525,9 @@ class BatchTimelessModel:
         )
         clamp = self.guards.clamp_negative
         drop = self.guards.drop_opposing
+        guard1 = bool(np.any(clamp))
         clamp_all = bool(np.all(clamp))
-        clamp_some = not clamp_all and bool(np.any(clamp))
+        clamp_some = guard1 and not clamp_all
         guard2 = not clamp_all and bool(np.any(drop))
         drop_some = guard2 and not bool(np.all(drop))
         # The paper's modified Langevin is cheap enough to inline; other
@@ -546,7 +547,6 @@ class BatchTimelessModel:
         man_out = xp.empty((n_samples, n))
         updated = xp.empty((n_samples, n), dtype=bool)
         # Per-row guard masks, read only on fired lanes after the loop.
-        guard1 = clamp_all or clamp_some
         nonneg_rows = xp.zeros((n_samples, n), dtype=bool) if guard1 else None
         dropped_rows = xp.zeros((n_samples, n), dtype=bool) if guard2 else None
         m_rev, dh, magnitude, delta, delta_m, raw, t0, t1 = xp.empty((8, n))
@@ -612,7 +612,7 @@ class BatchTimelessModel:
                     if fired == n:
                         xp.add(m_irr, t0, out=m_irr)
                         xp.copyto(h_acc, h)
-                        delta_st, delta = delta, delta_st
+                        delta_st, delta = delta, delta_st  # swap buffers
                     else:
                         xp.add(m_irr, t0, out=t0)
                         xp.putmask(m_irr, accepted, t0)

@@ -394,18 +394,18 @@ class BatchPreisachModel:
             h = h2d[i]
             m_row = m_out[i]
             xp.greater(h, h_cur, out=rising)
-            moved = xp.count_nonzero(rising)
-            if moved:
+            xp.less(h, h_cur, out=falling)
+            rises = xp.count_nonzero(rising)
+            falls = xp.count_nonzero(falling)
+            if rises:
                 xp.less_equal(alpha3, h4[i], out=up)
                 xp.logical_and(up, rising3, out=up)
                 xp.copyto(state, up_value, where=up)
-            xp.less(h, h_cur, out=falling)
-            if xp.count_nonzero(falling):
-                moved = True
+            if falls:
                 xp.greater_equal(beta3, h4[i], out=down)
                 xp.logical_and(down, falling3, out=down)
                 xp.copyto(state, down_value, where=down)
-            if moved:
+            if rises or falls:
                 xp.multiply(weights, state, out=product)
                 xp.add.reduce(product, axis=(1, 2), out=m_row)  # xp.sum
             else:

@@ -286,8 +286,8 @@ def within_a_cell(batch):
 MIXED_GUARDS = [PAPER, NO_GUARDS, CLAMP_ONLY, DROP_ONLY]
 CLAMPED_MIXED_DROP = [PAPER, CLAMP_ONLY, PAPER, CLAMP_ONLY]
 
-#: (id, family, build, drive).  Timeless dhmax is 25-100 A/m per lane in
-#: the registry recipe and 40 A/m elsewhere unless a row says otherwise.
+#: (id, family, build, drive).  The registry's timeless recipe draws
+#: dhmax from 25-100 A/m per lane, so a 150 A/m step fires every lane.
 FUSED_ROWS = [
     ("timeless-registry-some-lanes-fire", "timeless",
      registry("timeless"), loop(8e3, 40.0)),
