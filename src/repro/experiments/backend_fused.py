@@ -77,8 +77,11 @@ KERNEL_ROWS = (
     ("preisach", 96),
 )
 
+#: Timed runs per kernel-layer row; the row reports their median.
+KERNEL_REPEATS = 5
 
-def kernel_rows(repeats: int = 5, seed: int = 0) -> list[dict]:
+
+def kernel_rows(seed: int = 0) -> list[dict]:
     """Time each family's NumPy fused loop per row over a major loop
     and check it bitwise against the per-sample run."""
     rows = []
@@ -88,7 +91,9 @@ def kernel_rows(repeats: int = 5, seed: int = 0) -> list[dict]:
         batch = family.make_batch(lanes, seed, backend="numpy")
         twin = type(batch).from_shard_payload(batch.shard_payload(0, lanes))
         reference = run_batch_series(twin, h, fused=False)
-        seconds, fused = measure(lambda: run_batch_series(batch, h), repeats)
+        seconds, fused = measure(
+            lambda: run_batch_series(batch, h), KERNEL_REPEATS
+        )
         bitwise = (
             bitwise_equal_lanes(reference, fused) == lanes
             and all(
@@ -203,7 +208,10 @@ def run(
     kernel = kernel_rows(seed=seed)
     kernel_table = TextTable(
         ["family", "lanes", "rows", "fused us / row", "vs per-sample"],
-        title="kernel layer: NumPy fused loop per row (major loop, median of 5)",
+        title=(
+            "kernel layer: NumPy fused loop per row "
+            f"(major loop, median of {KERNEL_REPEATS})"
+        ),
     )
     for row in kernel:
         kernel_table.add_row(
