@@ -11,7 +11,7 @@ model does.
 Each lane is **bitwise identical** to a scalar sample-driven run over
 the same samples: both per-sample paths call the same ufunc-safe
 equation layer (:mod:`repro.ja.equations`), whose scalar branches
-reproduce the array branches' IEEE operations (the PR 1 parity rule,
+reproduce the array branches' IEEE operations (the parity rule,
 asserted by ``tests/test_batch_time_domain.py``), and the fused loop
 inlines that layer's arithmetic in the same order
 (``tests/test_fused_loops.py``).
