@@ -130,6 +130,36 @@ class BatchCounters:
         )
 
 
+# -- one fused row of the JA equations (timeless and time-domain loops) ---
+
+
+def modified_langevin_row(xp, h_eff, shape, x, out) -> None:
+    """The paper's modified Langevin over one row, in the equation
+    layer's IEEE order: ``x = h_eff / shape``, ``out = (2/pi)*atan(x)``.
+    ``x`` may be ``h_eff`` itself; the time-domain loop keeps it for the
+    derivative."""
+    xp.divide(h_eff, shape, out=x)
+    xp.arctan(x, out=out)
+    xp.multiply(TWO_OVER_PI, out, out=out)
+
+
+def irreversible_slope_row(xp, delta_m, dk, am, one_c, out) -> None:
+    """Eq. 1's raw irreversible slope over one row, in the equation
+    layer's IEEE order: ``out = delta_m / ((1+c)*(dk - am*delta_m))``
+    with ``dk = delta*k`` (overwritten by the denominator) and ``am =
+    alpha*m_sat``.
+
+    No pole select: validated parameters have ``k`` finite and ``> 0``
+    and ``0 <= c < 1``, so a zero denominator is ``+0.0`` with
+    ``am*delta_m == delta*k``, i.e. ``delta_m`` finite and nonzero, and
+    ``delta_m / +0.0`` is already the select's ``sign(delta_m)*inf``.
+    """
+    xp.multiply(am, delta_m, out=out)
+    xp.subtract(dk, out, out=dk)
+    xp.multiply(one_c, dk, out=dk)
+    xp.divide(delta_m, dk, out=out)
+
+
 class BatchTimelessModel:
     """N timeless JA cores advanced in lockstep per driver sample.
 
@@ -506,8 +536,9 @@ class BatchTimelessModel:
         included: ``|dh| >= dhmax`` is ``|dh| > nextafter(dhmax, -inf)``;
         guard 2 never fires behind guard 1 (``dh*dmdh*dh`` is then
         ``>= 0`` or NaN), so it is skipped when every lane clamps; a row
-        where every lane fired needs no masked merge; the pole select runs only when a denominator is exactly
-        zero; and the clamp count ``clamp_hit & (raw != 0)`` is
+        where every lane fired needs no masked merge; a zero slope
+        denominator needs no pole select (:func:`irreversible_slope_row`);
+        and the clamp count ``clamp_hit & (raw != 0)`` is
         ``~(raw >= 0)``.  Associativity is never reordered; only
         ``x * y``/``y * x`` commutations are shared.
         """
@@ -561,9 +592,7 @@ class BatchTimelessModel:
                 xp.multiply(am, m_tot, out=t0)
                 xp.add(h, t0, out=t0)  # h_eff
                 if inline_atan:
-                    xp.divide(t0, shape, out=t0)
-                    xp.arctan(t0, out=m_an)
-                    xp.multiply(TWO_OVER_PI, m_an, out=m_an)
+                    modified_langevin_row(xp, t0, shape, t0, m_an)
                 else:
                     m_an[...] = curve.value(t0)
                 xp.multiply(c, m_an, out=m_rev)
@@ -580,17 +609,7 @@ class BatchTimelessModel:
                     xp.add(m_rev, m_irr, out=t1)
                     xp.subtract(m_an, t1, out=delta_m)
                     xp.multiply(delta, k, out=t1)
-                    xp.multiply(am, delta_m, out=t0)
-                    xp.subtract(t1, t0, out=t1)
-                    xp.multiply(one_c, t1, out=t1)  # denominator
-                    xp.divide(delta_m, t1, out=raw)
-                    if xp.count_nonzero(t1) != n:
-                        at_pole = xp.where(
-                            delta_m > 0.0,
-                            math.inf,
-                            xp.where(delta_m < 0.0, -math.inf, 0.0),
-                        )
-                        xp.copyto(raw, at_pole, where=t1 == 0.0)
+                    irreversible_slope_row(xp, delta_m, t1, am, one_c, raw)
                     if nonneg_rows is not None:
                         # Guard 1, the published `if (dmdh1 > 0.0)`:
                         # NaN and zero clamp too.

@@ -359,10 +359,8 @@ class BatchPreisachModel:
         writes, ``+-1`` on valid relays and ``0`` on invalid ones,
         merged — under a ``(cores, n_alpha, 1)`` or ``(cores, 1,
         n_beta)`` mask.  The relay sum reduces into its output row
-        through a product buffer allocated once, and is reused on rows
-        where no lane moved (the relays did not change); ``m_sat``
-        scaling and ``B`` are formed over the whole matrix after the
-        loop."""
+        through a product buffer allocated once; ``m_sat`` scaling and
+        ``B`` are formed over the whole matrix after the loop."""
         xp = self.backend.xp
         if not np.isfinite(h_arr).all():
             raise ParameterError(f"h must be finite, got {h_arr!r}")
@@ -395,21 +393,16 @@ class BatchPreisachModel:
             m_row = m_out[i]
             xp.greater(h, h_cur, out=rising)
             xp.less(h, h_cur, out=falling)
-            rises = xp.count_nonzero(rising)
-            falls = xp.count_nonzero(falling)
-            if rises:
+            if xp.count_nonzero(rising):
                 xp.less_equal(alpha3, h4[i], out=up)
                 xp.logical_and(up, rising3, out=up)
                 xp.copyto(state, up_value, where=up)
-            if falls:
+            if xp.count_nonzero(falling):
                 xp.greater_equal(beta3, h4[i], out=down)
                 xp.logical_and(down, falling3, out=down)
                 xp.copyto(state, down_value, where=down)
-            if rises or falls:
-                xp.multiply(weights, state, out=product)
-                xp.add.reduce(product, axis=(1, 2), out=m_row)  # xp.sum
-            else:
-                xp.copyto(m_row, m_norm)
+            xp.multiply(weights, state, out=product)
+            xp.add.reduce(product, axis=(1, 2), out=m_row)  # xp.sum
             xp.not_equal(m_row, m_norm, out=updated_out[i])
             m_norm = m_row
             h_cur = h

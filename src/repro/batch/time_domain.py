@@ -19,13 +19,13 @@ inlines that layer's arithmetic in the same order
 
 from __future__ import annotations
 
-import math
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from repro.backend import ArrayBackend, as_backend
 from repro.baselines.time_domain import DIVERGENCE_LIMIT
+from repro.batch.engine import irreversible_slope_row, modified_langevin_row
 from repro.batch.lanes import (
     as_lane_matrix,
     broadcast_lane,
@@ -323,8 +323,10 @@ class BatchTimeDomainModel:
         the new ``m`` is written straight into its output row, the
         negative-slope masks are counted once at the end, and ``m_sat``
         scaling and ``B`` are formed over the whole matrix after the
-        loop.  The pole select runs only when a denominator is exactly
-        zero, and a row where every lane moved needs no masked merge.
+        loop.  The modified Langevin and Eq. 1 run through the timeless
+        loop's row helpers (:func:`modified_langevin_row`,
+        :func:`irreversible_slope_row`, which needs no pole select), and
+        a row where every lane moved needs no masked merge.
         """
         xp = self.backend.xp
         n = self.n_cores
@@ -374,25 +376,12 @@ class BatchTimeDomainModel:
                     xp.multiply(am, m, out=t0)
                     xp.add(h_cur, t0, out=t0)  # h_eff
                     if inline_atan:
-                        xp.divide(t0, shape, out=x)
-                        xp.arctan(x, out=m_an)
-                        xp.multiply(TWO_OVER_PI, m_an, out=m_an)
+                        modified_langevin_row(xp, t0, shape, x, m_an)
                     else:
                         m_an[...] = curve.value(t0)
                         x[...] = curve.derivative(t0)
-                    # irreversible slope, Eq. 1
                     xp.subtract(m_an, m, out=delta_m)
-                    xp.multiply(am, delta_m, out=slope)
-                    xp.subtract(dk, slope, out=slope)
-                    xp.multiply(one_c, slope, out=dk)  # denominator
-                    xp.divide(delta_m, dk, out=slope)
-                    if xp.count_nonzero(dk) != n:
-                        at_pole = xp.where(
-                            delta_m > 0.0,
-                            math.inf,
-                            xp.where(delta_m < 0.0, -math.inf, 0.0),
-                        )
-                        xp.copyto(slope, at_pole, where=dk == 0.0)
+                    irreversible_slope_row(xp, delta_m, dk, am, one_c, slope)
                     negative = negative_rows[i]
                     xp.less(slope, 0.0, out=negative)
                     if clamp_all:

@@ -5,10 +5,10 @@ advances the paper's guarded Forward-Euler recurrence one NumPy row (one
 driver sample, every lane) at a time.  The NumPy loops take exact
 shortcuts the per-sample ``step`` paths do not: one comparison for both
 discretiser variants, guard 2 skipped behind an all-lanes guard 1,
-unmasked merges on rows where every lane fired, the pole select only
-on an exactly-zero denominator, a shared ``h_eff/shape``, the relay sum
-reused on rows where no lane moved, and counters, ``m_sat`` scaling and
-``B`` formed after the loop.
+unmasked merges on rows where every lane fired, a plain division where
+the per-sample path selects the slope's pole values, a shared
+``h_eff/shape``, and counters, ``m_sat`` scaling and ``B`` formed after
+the loop.
 
 One table, in ``BAD_PEERS``' idiom (``tests/test_dist.py``), maps a
 (family, how the batch is built, drive) row to two pins, every batch
