@@ -409,12 +409,18 @@ class BatchTimelessModel:
     @property
     def m(self) -> np.ndarray:
         """Total magnetisation per core [A/m]."""
-        return self.state.m_total * self.params.m_sat
+        # The fused loop's error state, here and in step(): IEEE
+        # results, no warnings, on either path.
+        with np.errstate(invalid="ignore", over="ignore"):
+            return self.state.m_total * self.params.m_sat
 
     @property
     def b(self) -> np.ndarray:
         """Flux density per core ``B = mu0 * (H + Msat*m)`` [T]."""
-        return flux_density(self.params, self.state.h_applied, self.state.m_total)
+        with np.errstate(invalid="ignore", over="ignore"):
+            return flux_density(
+                self.params, self.state.h_applied, self.state.m_total
+            )
 
     # -- stepping ---------------------------------------------------------
 
@@ -461,21 +467,22 @@ class BatchTimelessModel:
                 f"h_new must be a scalar or a length-{n} array, got {h.shape}"
             )
         state = self.state
-        out = step_kernel(
-            StepInputs(
-                h_new=h,
-                h_accepted=state.h_accepted,
-                m_irr=state.m_irr,
-                m_total=state.m_total,
-                delta=state.delta,
-            ),
-            self.params,
-            self.anhysteretic,
-            self.dhmax,
-            guards=self.guards,
-            accept_equal=self.accept_equal,
-            xp=self.backend.xp,
-        )
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            out = step_kernel(
+                StepInputs(
+                    h_new=h,
+                    h_accepted=state.h_accepted,
+                    m_irr=state.m_irr,
+                    m_total=state.m_total,
+                    delta=state.delta,
+                ),
+                self.params,
+                self.anhysteretic,
+                self.dhmax,
+                guards=self.guards,
+                accept_equal=self.accept_equal,
+                xp=self.backend.xp,
+            )
         state.h_applied = h
         state.m_an = np.asarray(out.m_an, dtype=float)
         state.m_rev = np.asarray(out.m_rev, dtype=float)

@@ -207,11 +207,15 @@ class BatchTimeDomainModel:
 
     @property
     def m(self) -> np.ndarray:
-        return self._m * self.params.m_sat
+        # The fused loop's error state, here and in step(): IEEE
+        # results, no warnings, on either path.
+        with np.errstate(invalid="ignore", over="ignore"):
+            return self._m * self.params.m_sat
 
     @property
     def b(self) -> np.ndarray:
-        return flux_density(self.params, self._h, self._m)
+        with np.errstate(invalid="ignore", over="ignore"):
+            return flux_density(self.params, self._h, self._m)
 
     # -- stepping ---------------------------------------------------------
 
@@ -245,30 +249,30 @@ class BatchTimeDomainModel:
             raise ParameterError(
                 f"h_new must be a scalar or a length-{n} array, got {h.shape}"
             )
-        dh = h - self._h
-        active = (dh != 0.0) & ~self.diverged
-        if active.any():
-            params = self.params
-            delta = np.where(dh >= 0.0, 1.0, -1.0)
-            h_eff = effective_field(params, self._h, self._m)
-            m_an = self.anhysteretic.value(h_eff)
-            slope = irreversible_slope(params, m_an, self._m, delta)
-            negative = slope < 0.0
-            clamp = np.asarray(self.guards.clamp_negative)
-            slope = np.where(negative & clamp, 0.0, slope)
-            slope = slope + anhysteretic_slope_term(
-                params, self.anhysteretic, h_eff
-            )
-            m_new = self._m + slope * dh
-            self._m = np.where(active, m_new, self._m)
-            self.steps += active
-            self.slope_evaluations += active
-            self.negative_slope_evaluations += active & negative
-            with np.errstate(invalid="ignore"):
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            dh = h - self._h
+            active = (dh != 0.0) & ~self.diverged
+            if active.any():
+                params = self.params
+                delta = np.where(dh >= 0.0, 1.0, -1.0)
+                h_eff = effective_field(params, self._h, self._m)
+                m_an = self.anhysteretic.value(h_eff)
+                slope = irreversible_slope(params, m_an, self._m, delta)
+                negative = slope < 0.0
+                clamp = np.asarray(self.guards.clamp_negative)
+                slope = np.where(negative & clamp, 0.0, slope)
+                slope = slope + anhysteretic_slope_term(
+                    params, self.anhysteretic, h_eff
+                )
+                m_new = self._m + slope * dh
+                self._m = np.where(active, m_new, self._m)
+                self.steps += active
+                self.slope_evaluations += active
+                self.negative_slope_evaluations += active & negative
                 runaway = ~np.isfinite(self._m) | (
                     np.abs(self._m) > self.divergence_limit
                 )
-            self.diverged |= active & runaway
+                self.diverged |= active & runaway
         self._h = h
         return active
 

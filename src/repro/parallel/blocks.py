@@ -397,9 +397,8 @@ class ShardAssembly:
     def commit_shard(self, start: int, stop: int, counters) -> None:
         self._counters[(start, stop)] = counters
 
-    def result(self, copy: bool = False) -> BatchSweepResult:
-        """The assembled run; ``copy`` detaches it from buffers that do
-        not outlive this call (the pool's shared memory)."""
+    def result(self) -> BatchSweepResult:
+        """The assembled run, over this assembly's own buffers."""
         ordered = []
         for spec in self.job.specs:
             if (spec.start, spec.stop) not in self._counters:
@@ -408,13 +407,12 @@ class ShardAssembly:
                     "the assembled result would be incomplete"
                 )
             ordered.append(self._counters[(spec.start, spec.stop)])
-        take = np.array if copy else np.asarray
         return BatchSweepResult(
             h=self.job.h_full,
-            m=take(self.m),
-            b=take(self.b),
-            updated=take(self.updated),
-            extras={key: take(values) for key, values in self.extras.items()},
+            m=self.m,
+            b=self.b,
+            updated=self.updated,
+            extras=dict(self.extras),
             counters=merge_shard_counters(
                 ordered, [spec.width for spec in self.job.specs]
             ),

@@ -15,11 +15,15 @@ per-core counters.
 Workers never receive live models (see :mod:`repro.parallel.spec`) and
 never pickle trajectories back.  Every route lands its row blocks in
 one :class:`~repro.parallel.blocks.ShardAssembly`; for the pool, the
-parent lays that assembly's buffers out in shared memory and each
-worker writes its column range through views of the same segments.
-Shared memory is only the pool's buffer — the layout, the schema check
-and the result belong to the assembly.  Only the per-core counters —
-tiny ``(width,)`` arrays whose key set a family may even grow mid-run —
+parent lays that assembly's buffers out in shared-memory segments lent
+by the pool's :class:`SegmentArena`, each worker writes its column
+range through views of the same segments (kept mapped across its
+tasks), and the result is handed out on loan over them: the segments
+go back to the arena, for the pool's next call, once the last array
+over them is dropped, and the result is copied out instead when the
+segment directory runs short.  The layout, the schema check and the
+result belong to the assembly.  Only the per-core counters — tiny
+``(width,)`` arrays whose key set a family may even grow mid-run —
 return through the worker result.  ``n_workers=1`` (or any call whose
 jobs hold one shard in total, when it brought no live pool) runs the
 same shard specs in process, through the same assembly, with no
@@ -45,18 +49,23 @@ set it to stay within their core allowance).
 
 from __future__ import annotations
 
+import bisect
+import errno
+import mmap
 import os
+import threading
+import weakref
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import partial
-from multiprocessing import get_context, resource_tracker, shared_memory
+from multiprocessing import get_context, shared_memory
 
 import numpy as np
 
 from repro.backend import resolve_backend
 from repro.batch.sweep import BatchSweepResult
-from repro.errors import ParameterError
+from repro.errors import ParameterError, ReproError
 from repro.models.protocol import is_batch_model
 from repro.models.registry import get_family
 from repro.parallel.blocks import ShardAssembly, drain_stack
@@ -309,6 +318,220 @@ def run_jobs_serial(jobs: "list[_CellJob]") -> list[BatchSweepResult]:
     return [assembly.result() for assembly in assemblies]
 
 
+#: Where POSIX shared-memory segments live on Linux: the directory whose
+#: free space decides whether a pooled result stays on loan.
+SHM_DIR = "/dev/shm"
+
+#: What a segment's page allocation fails with when the directory (or
+#: the memory behind it) is full.
+_NO_ROOM = (errno.ENOSPC, errno.ENOMEM)
+
+
+def _allocated(size: int):
+    """A new segment of ``size`` bytes with its pages allocated now, so
+    a full directory fails here, in the parent, and never as a SIGBUS
+    in a worker writing into it.  The mapping outlives the descriptor
+    (``SharedMemory`` keeps it open on POSIX, as ``_fd``), which is
+    closed at once: a pool with many results on loan holds no
+    descriptor for them."""
+    shm = shared_memory.SharedMemory(create=True, size=size)
+    try:
+        os.posix_fallocate(shm._fd, 0, size)
+    except BaseException:
+        _free(shm)
+        raise
+    os.close(shm._fd)
+    shm._fd = -1
+    return shm
+
+
+def _free(shm) -> None:
+    shm.close()
+    shm.unlink()
+
+
+def _size(shm) -> int:
+    return shm.size
+
+
+class SegmentArena:
+    """One pool's shared-memory segments, each in flight, on loan or idle.
+
+    A pooled call lays a chunk's output buffers out in segments from
+    its pool's arena (:meth:`lend`: the best-fitting idle segment, else
+    a new one) and hands each result out over the very segments its
+    workers wrote.  Every buffer is built on its segment's per-loan
+    root array, and the segment comes back (:meth:`give_back`) exactly
+    once: when the last array, view or buffer export over that root is
+    gone, or when a flight that hands nothing out over it recalls it
+    (:meth:`recall`).  A returned segment waits idle for the next call
+    while the idle bytes stay within the most bytes the pool ever had
+    in flight or on loan at once; past that it is unlinked.
+    :meth:`close` unlinks every name, idle or on loan; a loan stays
+    readable through this process's own mapping, freed with the last
+    of its arrays.
+
+    A return may run on any thread, the garbage collector's included,
+    even inside this arena's own critical section, so it never blocks
+    on the lock: it queues the segment, and whoever holds the lock
+    files the queue.  Only the process that made the arena returns
+    segments to it or unlinks its names; a forked child's inherited
+    loans are its parent's.
+    """
+
+    def __init__(self) -> None:
+        self._owner = os.getpid()
+        self._lock = threading.Lock()
+        self._idle: list = []  # by size, smallest first
+        self._busy: dict = {}  # name -> segment, in flight or on loan
+        self._returned: deque = deque()
+        self._idle_bytes = 0
+        self._busy_bytes = 0
+        self._peak = 0
+        self._closed = False
+
+    def lend(self, nbytes: int):
+        """``(name, root, loan)`` for one buffer of ``nbytes``: a
+        segment's name, a ``uint8`` root array over all of it (arrays
+        built on it keep it alive) and ``loan``, the finalizer that
+        returns the segment once the root is gone.  A full segment
+        directory raises :class:`~repro.errors.ReproError` naming the
+        bytes asked for, once the idle segments were freed to make
+        room."""
+        size = -(-max(nbytes, 1) // mmap.PAGESIZE) * mmap.PAGESIZE
+        with self._lock:
+            self._file_returns()
+            if self._closed:
+                raise ParameterError(
+                    "this pool's shared memory is closed; construct a new "
+                    "pool"
+                )
+            best = bisect.bisect_left(self._idle, size, key=_size)
+            if best < len(self._idle):
+                shm = self._idle.pop(best)
+                self._idle_bytes -= shm.size
+            else:
+                shm = self._create(size)
+            self._busy[shm.name] = shm
+            self._busy_bytes += shm.size
+            self._peak = max(self._peak, self._busy_bytes)
+        root = np.ndarray((shm.size,), np.uint8, buffer=shm.buf)
+        loan = weakref.finalize(root, self.give_back, shm)
+        loan.atexit = False
+        return shm.name, root, loan
+
+    def _create(self, size: int):
+        """A new segment, the idle ones freed first if it has no room."""
+        for last in (False, True):
+            try:
+                return _allocated(size)
+            except OSError as exc:
+                if exc.errno not in _NO_ROOM:
+                    raise
+                if last:
+                    raise ReproError(
+                        f"{SHM_DIR} has no room for a {size}-byte "
+                        f"shared-memory segment (this pool holds "
+                        f"{self._busy_bytes} bytes in flight or on loan); "
+                        "free space there or drop held pooled results"
+                    ) from exc
+                self._free_idle()
+
+    def give_back(self, shm) -> None:
+        """Return ``shm`` from a loan: filed now if the lock is free,
+        else by the lock's holder."""
+        if os.getpid() != self._owner:
+            return
+        self._returned.append(shm)
+        if self._lock.acquire(blocking=False):
+            try:
+                self._file_returns()
+            finally:
+                self._lock.release()
+
+    def recall(self, loan) -> None:
+        """Return a loan's segment now, detaching its finalizer, so it
+        comes back exactly once."""
+        info = loan.detach()
+        if info is not None:
+            self.give_back(*info[2])
+
+    def has_room(self, nbytes: int) -> bool:
+        """Whether the segment directory, idle segments counted, still
+        holds ``nbytes`` more."""
+        try:
+            stat = os.statvfs(SHM_DIR)
+        except OSError:
+            return False
+        return stat.f_bavail * stat.f_frsize + self._idle_bytes >= nbytes
+
+    def close(self) -> None:
+        """Unlink every name, idle or on loan, and unmap the idle
+        segments.  Idempotent; a no-op in a forked child."""
+        if os.getpid() != self._owner:
+            return
+        with self._lock:
+            self._file_returns()
+            if self._closed:
+                return
+            self._closed = True
+            self._free_idle()
+            for shm in self._busy.values():
+                shm.unlink()
+
+    def _file_returns(self) -> None:
+        """Under the lock: each queued return goes idle, or is freed."""
+        while self._returned:
+            shm = self._returned.popleft()
+            del self._busy[shm.name]
+            self._busy_bytes -= shm.size
+            if self._closed:
+                shm.close()  # its name went at close()
+            elif self._idle_bytes + shm.size > self._peak:
+                _free(shm)
+            else:
+                bisect.insort(self._idle, shm, key=_size)
+                self._idle_bytes += shm.size
+
+    def _free_idle(self) -> None:
+        for shm in self._idle:
+            _free(shm)
+        self._idle.clear()
+        self._idle_bytes = 0
+
+
+#: A pool worker's mappings of the parent's segments, by name, each
+#: with its inode: kept across tasks until the parent unlinks the name.
+_ATTACHED: dict = {}
+
+
+def _attached(name: str) -> mmap.mmap:
+    """Worker side: a mapping of the parent's segment ``name``, made at
+    first use.  No descriptor is kept, and the resource tracker never
+    hears of it: the parent owns (creates, unlinks and tracks) every
+    segment."""
+    if name not in _ATTACHED:
+        fd = os.open(os.path.join(SHM_DIR, name), os.O_RDWR)
+        try:
+            _ATTACHED[name] = (mmap.mmap(fd, 0), os.fstat(fd).st_ino)
+        finally:
+            os.close(fd)
+    return _ATTACHED[name][0]
+
+
+def _drop_unlinked() -> None:
+    """Worker side, before each task: unmap every segment whose name the
+    parent has unlinked since (gone, or now another segment's)."""
+    for name, (mapping, inode) in list(_ATTACHED.items()):
+        try:
+            linked = os.stat(os.path.join(SHM_DIR, name)).st_ino == inode
+        except FileNotFoundError:
+            linked = False
+        if not linked:
+            del _ATTACHED[name]
+            mapping.close()
+
+
 @dataclass(frozen=True)
 class _Segments:
     """One job's shared output buffers, described picklably: what a
@@ -319,45 +542,29 @@ class _Segments:
     shape: tuple[int, int]
     names: "dict[str, str]"  # assembly channel -> shared-memory name
 
-    def attach(self, handles: list) -> ShardAssembly:
-        """Worker side: an assembly over views of the parent's segments.
-
-        Attaches skip resource-tracker registration.  The parent owns
-        (creates, unlinks, and tracks) every segment; an attach that
-        registers it again confuses the tracker into "leaked
-        shared_memory" warnings or spurious unlinks at shutdown
-        (CPython gh-82300 — Python 3.13 grew ``track=False`` for
-        exactly this).  Workers are single-threaded, so temporarily
-        silencing the register hook is safe on 3.11/3.12 too.
-        """
+    def attach(self) -> ShardAssembly:
+        """Worker side: an assembly over views of the parent's segments."""
 
         def view(channel, shape, dtype):
-            original = resource_tracker.register
-            resource_tracker.register = lambda *args, **kwargs: None
-            try:
-                shm = shared_memory.SharedMemory(name=self.names[channel])
-            finally:
-                resource_tracker.register = original
-            handles.append(shm)
-            return np.ndarray(shape, dtype=dtype, buffer=shm.buf)
+            mapping = _attached(self.names[channel])
+            return np.ndarray(shape, dtype=dtype, buffer=mapping)
 
         return ShardAssembly(self, view)
 
 
-def _shared_assembly(job: _CellJob, owned: list):
-    """Parent side: an assembly whose buffers live in shared memory this
-    process creates (``owned`` collects the handles to release), plus
-    the :class:`_Segments` its pool tasks carry."""
+def _shared_assembly(job: _CellJob, arena: SegmentArena, loans: list):
+    """Parent side: an assembly whose buffers are segments lent by
+    ``arena`` (``loans`` collects each one's loan), plus the
+    :class:`_Segments` its pool tasks carry."""
     names: dict[str, str] = {}
 
-    def create(channel, shape, dtype):
+    def lend(channel, shape, dtype):
         nbytes = int(np.prod(shape)) * np.dtype(dtype).itemsize
-        shm = shared_memory.SharedMemory(create=True, size=max(nbytes, 1))
-        owned.append(shm)
-        names[channel] = shm.name
-        return np.ndarray(shape, dtype=dtype, buffer=shm.buf)
+        names[channel], root, loan = arena.lend(nbytes)
+        loans.append(loan)
+        return np.ndarray(shape, dtype=dtype, buffer=root)
 
-    assembly = ShardAssembly(job, create)
+    assembly = ShardAssembly(job, lend)
     return assembly, _Segments(job.family, job.extras_schema, job.shape, names)
 
 
@@ -366,30 +573,41 @@ def _worker(task: "tuple[list[ShardSpec], list[_Segments]]"):
     (:func:`~repro.parallel.blocks.drain_stack`), writing each member's
     row blocks into its own job's shared buffers as soon as they exist
     (a chunked worker never holds more than one stacked block of result
-    data); returns one counter dict per member."""
+    data); returns one counter dict per member.  First it unmaps the
+    segments the parent has unlinked since its last task."""
     specs, segments = task
-    handles: list = []
-    try:
-        return drain_stack(
-            specs, [member.attach(handles).write_block for member in segments]
-        )
-    finally:
-        for shm in handles:
-            shm.close()
+    _drop_unlinked()
+    return drain_stack(
+        specs, [member.attach().write_block for member in segments]
+    )
+
+
+def _copied(result: BatchSweepResult) -> BatchSweepResult:
+    """``result`` with every trajectory channel in private memory."""
+    return replace(
+        result,
+        m=np.array(result.m),
+        b=np.array(result.b),
+        updated=np.array(result.updated),
+        extras={key: np.array(value) for key, value in result.extras.items()},
+    )
 
 
 class _Flight:
-    """One chunk of jobs on a pool: its shared buffers, laid out, and
-    its stacks (:func:`chunk_stacks`), queued as one task each the
-    moment the chunk is launched."""
+    """One chunk of jobs on a pool: its buffers, lent by the pool's
+    arena and laid out, and its stacks (:func:`chunk_stacks`), queued
+    as one task each the moment the chunk is launched."""
 
-    def __init__(self, pool, jobs: "list[_CellJob]", width: int) -> None:
-        self.owned: list = []
+    def __init__(
+        self, pool, jobs: "list[_CellJob]", width: int, arena: SegmentArena
+    ) -> None:
+        self.arena = arena
+        self.loans: list = []
         self.assemblies = []
         try:
             segments = []
             for job in jobs:
-                assembly, laid_out = _shared_assembly(job, self.owned)
+                assembly, laid_out = _shared_assembly(job, arena, self.loans)
                 self.assemblies.append(assembly)
                 segments.append(laid_out)
             self.stacks = chunk_stacks(jobs, width)
@@ -406,18 +624,35 @@ class _Flight:
             raise
 
     def land(self) -> list[BatchSweepResult]:
-        """Wait for every task, then commit and copy out per job.  The
-        buffers are released either way; a failed task raises here
-        only once all of the chunk's tasks are done."""
+        """Wait for every task, then commit and hand out each job's
+        result: on loan, over the segments its workers wrote, while the
+        segment directory keeps room for two more chunks like this one;
+        else copied out, its segments returned at once.  A failed task
+        raises here only once all of the chunk's tasks are done, its
+        segments returned."""
         try:
             for members, counters in zip(self.stacks, self.pending.get()):
                 for (j, spec), totals in zip(members, counters):
                     self.assemblies[j].commit_shard(
                         spec.start, spec.stop, totals
                     )
-            return [assembly.result(copy=True) for assembly in self.assemblies]
-        finally:
-            self.release()
+            results = [assembly.result() for assembly in self.assemblies]
+        except BaseException:
+            self.abandon()
+            raise
+        nbytes = sum(
+            channel.nbytes
+            for result in results
+            for channel in (
+                result.m, result.b, result.updated, *result.extras.values()
+            )
+        )
+        if self.arena.has_room(2 * nbytes):
+            self.loans.clear()  # each segment is its result's now
+            return results
+        results = [_copied(result) for result in results]
+        self.release()
+        return results
 
     def abandon(self) -> None:
         """Let the tasks finish (no worker is left writing), then release."""
@@ -427,39 +662,43 @@ class _Flight:
             self.release()
 
     def release(self) -> None:
-        for shm in self.owned:
-            shm.close()
-            shm.unlink()
-        self.owned.clear()
+        """Return every segment the chunk still holds to the arena."""
+        for loan in self.loans:
+            self.arena.recall(loan)
+        self.loans.clear()
 
 
-def execute_jobs_pooled(pool, chunks, width: int) -> list[BatchSweepResult]:
-    """Run a stream of job chunks on one pool ``width`` workers wide;
-    one result per job, in order.
+def execute_jobs_pooled(
+    pool, chunks, width: int, arena: SegmentArena
+) -> list[BatchSweepResult]:
+    """Run a stream of job chunks on one pool ``width`` workers wide,
+    its output buffers lent by the pool's ``arena``; one result per
+    job, in order.
 
     ``chunks`` is an iterable of job lists, which may prepare each chunk
-    as it is drawn.  The single lay out → queue → commit → copy out →
-    release sequence behind every pooled transport: the process-wide
-    default pool (:func:`repro.parallel.pool.default_pool`), which
-    streams every chunk of a grid call through here, and a caller's
+    as it is drawn.  The single lay out → queue → commit → hand out
+    sequence behind every pooled transport: the process-wide default
+    pool (:func:`repro.parallel.pool.default_pool`), which streams every
+    chunk of a grid call through here, and a caller's
     :class:`~repro.parallel.pool.WorkerPool`, one chunk per
     :meth:`~repro.parallel.pool.WorkerPool.execute`.  Each task is one
     stack of the chunk's shards (:func:`chunk_stacks`, cut for
     ``width``), so a worker pays the fused loop's per-sample overhead
     once per stack, not once per cell; every job keeps its own
-    assembly, segments and copy-out.  Chunk i+1 is
-    drawn and its tasks queued before chunk i is collected, so the
-    workers never wait at a chunk barrier while this process prepares
-    and copies out; at most two chunks' buffers are resident.  Shared
-    memory is always released, success or not: on a failure, a chunk
-    still in flight is waited for, so the pool serves the next call
-    with no task of this one left queued.
+    assembly and segments, and its result stays on loan over them
+    until it is dropped (copied out instead when the segment directory
+    runs short).  Chunk i+1 is drawn and its tasks queued before chunk
+    i is collected, so the workers never wait at a chunk barrier while
+    this process prepares; at most two chunks are in flight.  A
+    segment no result holds always goes back to the arena, success or
+    not: on a failure, a chunk still in flight is waited for, so the
+    pool serves the next call with no task of this one left queued.
     """
     results: list = []
     flights: deque = deque()
     try:
         for jobs in chunks:
-            flights.append(_Flight(pool, jobs, width))
+            flights.append(_Flight(pool, jobs, width, arena))
             if len(flights) > 1:
                 results.extend(flights.popleft().land())
         while flights:

@@ -230,10 +230,12 @@ def job_runner(route, **dispatcher_options):
             elif width <= 1:
                 results.extend(run_jobs_serial(jobs))
             else:
-                with default_pool(width, route.mp_context) as workers:
+                with default_pool(width, route.mp_context) as (
+                    workers, arena
+                ):
                     results.extend(
                         execute_jobs_pooled(
-                            workers, chain([jobs], chunks), width
+                            workers, chain([jobs], chunks), width, arena
                         )
                     )
         return results

@@ -30,13 +30,21 @@ Every other local call that needs more than one shard (one without
 * closed at interpreter exit (:func:`close_default_pool`, which tests
   and benches call to start from no pool).
 
+Each pool keeps the shared segments its calls laid out in one
+:class:`~repro.parallel.executor.SegmentArena`: a call's results stay
+on loan over the segments its workers wrote until they are dropped,
+and the next call reuses the segments (and the pages its workers
+already mapped) instead of creating and unlinking them per chunk.
+
 No close or re-fork terminates a pool under a call in flight on it:
-:meth:`WorkerPool.close` waits for every call to land and release its
-shared memory first.  Calls share a pool side by side, with no
-call-wide lock: each lays out its own shared segments and queues its
-own stacks (``multiprocessing.Pool`` accepts tasks from several
-threads), so a service's misses, dispatched from its async front-end's
-threads, run at once, as do streamed calls on the default pool.
+:meth:`WorkerPool.close` waits for every call to land first, then
+unlinks every segment name its arena holds, idle or on loan (a loaned
+result stays readable through this process's mapping, freed with its
+last array).  Calls share a pool side by side, with no call-wide lock:
+each lays out its own shared segments and queues its own stacks
+(``multiprocessing.Pool`` accepts tasks from several threads), so a
+service's misses, dispatched from its async front-end's threads, run at
+once, as do streamed calls on the default pool.
 """
 
 from __future__ import annotations
@@ -45,6 +53,7 @@ import atexit
 import logging
 import os
 import threading
+import weakref
 from contextlib import ExitStack, contextmanager
 from multiprocessing import get_context
 
@@ -53,6 +62,7 @@ from repro.batch.sweep import run_batch_series
 from repro.errors import ParameterError
 from repro.models.registry import get_family, list_families
 from repro.parallel.executor import (
+    SegmentArena,
     execute_jobs_pooled,
     resolve_workers,
     run_jobs_serial,
@@ -148,6 +158,9 @@ class WorkerPool:
         self._leases = threading.Condition()
         self._calls = 0
         self._closed = False
+        self.arena = SegmentArena()
+        # A pool still open at exit leaves no segment name behind.
+        weakref.finalize(self, self.arena.close)
 
     @property
     def closed(self) -> bool:
@@ -159,8 +172,10 @@ class WorkerPool:
 
     @contextmanager
     def _lease(self):
-        """The live ``multiprocessing`` pool (``None`` at width 1) for
-        one call; :meth:`close` waits until every lease has ended."""
+        """``(workers, arena)`` for one call: the live
+        ``multiprocessing`` pool (``None`` at width 1) and the arena its
+        shared segments come from; :meth:`close` waits until every lease
+        has ended."""
         with self._leases:
             if self._closed:
                 raise ParameterError(
@@ -168,7 +183,7 @@ class WorkerPool:
                 )
             self._calls += 1
         try:
-            yield self._pool
+            yield self._pool, self.arena
         finally:
             with self._leases:
                 self._calls -= 1
@@ -176,20 +191,26 @@ class WorkerPool:
 
     def execute(self, jobs: list) -> list:
         """Run prepared jobs (see ``repro.parallel.executor``) on this
-        pool and return their assembled results, one per job.  Calls
-        from several threads run side by side, each on its own shared
-        segments; a width-1 pool runs them in the calling thread."""
-        with self._lease() as workers:
+        pool and return their assembled results, one per job, on loan
+        over this pool's shared segments.  Calls from several threads
+        run side by side, each on its own segments; a width-1 pool runs
+        them in the calling thread."""
+        with self._lease() as (workers, arena):
             if workers is not None:
-                return execute_jobs_pooled(workers, [jobs], self.n_workers)
+                return execute_jobs_pooled(
+                    workers, [jobs], self.n_workers, arena
+                )
         return run_jobs_serial(jobs)
 
     def close(self) -> None:
-        """Tear the workers down.  Idempotent.
+        """Tear the workers down and unlink every shared segment name of
+        this pool, idle or on loan.  Idempotent.
 
         Waits for every call in flight to land first: its tasks would
         never return from terminated workers, and its shared memory
-        would never be released."""
+        would never be released.  A result still on loan stays
+        readable: this process's mapping of its segments goes with the
+        last of its arrays."""
         with self._leases:
             if self._closed:
                 return
@@ -197,9 +218,12 @@ class WorkerPool:
             while self._calls:
                 self._leases.wait()
             pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.terminate()
-            pool.join()
+        try:
+            self.arena.close()
+        finally:
+            if pool is not None:
+                pool.terminate()
+                pool.join()
 
     def __enter__(self) -> "WorkerPool":
         return self
@@ -257,7 +281,7 @@ def _refork_reason(shape: tuple, records: tuple) -> "str | None":
 @contextmanager
 def default_pool(width: int, mp_context: "str | None" = None):
     """Lease the process-wide pool ``width`` workers wide: yields its
-    live ``multiprocessing`` pool for one call.
+    live ``multiprocessing`` pool and its segment arena for one call.
 
     Forks it at first need and re-forks it when the width, the start
     method or a registry changed since its fork, waiting for the calls
@@ -281,13 +305,14 @@ def default_pool(width: int, mp_context: "str | None" = None):
                     _default.n_workers,
                     reason,
                 )
-            workers = stack.enter_context(_default._lease())
-        yield workers
+            lease = stack.enter_context(_default._lease())
+        yield lease
 
 
 def close_default_pool() -> None:
-    """Close the process-wide pool once the calls in flight on it land;
-    the next call that needs one forks afresh.  Runs at exit."""
+    """Close the process-wide pool once the calls in flight on it land,
+    unlinking every segment name it holds; the next call that needs one
+    forks afresh.  Runs at exit."""
     global _default
     with _default_lock:
         pool, _default = _default, None

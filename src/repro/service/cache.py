@@ -48,10 +48,12 @@ _COUNTER_PREFIX = "counter__"
 def _frozen(result: BatchSweepResult) -> BatchSweepResult:
     """A read-only view of one result, safe to hand to many clients.
 
-    All columns except ``h`` are freshly allocated by the run's
-    :class:`~repro.parallel.blocks.ShardAssembly` (its own buffers, or
-    a copy out of the pool's shared memory), so freezing them in place
-    is safe; ``h`` may alias the caller's own sample array, so it is
+    All columns except ``h`` belong to the run's
+    :class:`~repro.parallel.blocks.ShardAssembly` alone (its own
+    buffers, or the pool's shared segments, on loan until the last
+    array over them is dropped), so freezing them in place is safe, and
+    an entry holds its segments while it is cached or held by a
+    client; ``h`` may alias the caller's own sample array, so it is
     copied before freezing rather than mutating the caller's flags.
     """
 

@@ -18,7 +18,8 @@ declines):
 
 * the fused run is bitwise the ``fused=False`` run: ``m``, ``b``,
   ``updated``, extras, counters and the post-run snapshot, compared as
-  raw bytes (so signed zeros and NaN payloads count);
+  raw bytes (so signed zeros and NaN payloads count), with neither run
+  raising a ``RuntimeWarning``;
 * the same drive cut into two ``reset=False`` calls is bitwise one
   call, at three cut points.
 
@@ -28,13 +29,15 @@ staircase reaches), so no run resets it.
 
 The rows hit every branch the loops take: ``|dh|`` exactly ``dhmax`` on
 ``accept_equal`` and strict lanes, held samples and a signed-zero drive,
-NaN and infinite samples, rows where every lane fires and rows where
-only some do, all-clamp, mixed and no guards, the Langevin and
-Brillouin curves, an exactly-zero slope denominator, a time-domain lane
+NaN and infinite samples (repeated infinities too), rows where every
+lane fires and rows where only some do, all-clamp, mixed and no guards,
+the Langevin and Brillouin curves, an exactly-zero slope denominator, a time-domain lane
 that diverges mid-series, Preisach samples exactly on the switching
 thresholds, Preisach lanes rising while others fall from a restored
 relay state, per-core 2-D drives and one-lane batches.
 """
+
+import warnings
 
 import numpy as np
 import pytest
@@ -213,6 +216,16 @@ def with_non_finite(h_max, step):
     return lambda batch: samples
 
 
+def repeated_infinities(h_max, step):
+    """``[0, inf, inf, -inf, -inf, 5]`` ahead of a loop: every
+    difference of two equal infinities is NaN."""
+    head = np.array([0.0, np.inf, np.inf, -np.inf, -np.inf, 5.0])
+    samples = np.concatenate(
+        [head, waypoint_samples([0.0, h_max, -h_max], step)]
+    )
+    return lambda batch: samples
+
+
 def per_core(h_max, step, hold_every=3, non_finite=False):
     """One waveform per lane, each scaled differently, with lane ``j``
     held on every ``hold_every``-th row from row ``j``: rows where only
@@ -308,6 +321,8 @@ FUSED_ROWS = [
      timeless(dhmax=[40.0, 60.0, 90.0, 130.0]), with_non_finite(6e3, 75.0)),
     ("timeless-nan-and-inf-samples-no-guards", "timeless",
      timeless(dhmax=40.0, guards=NO_GUARDS), with_non_finite(6e3, 75.0)),
+    ("timeless-repeated-infinities", "timeless",
+     timeless(dhmax=40.0, guards=MIXED_GUARDS), repeated_infinities(6e3, 75.0)),
     ("timeless-no-guards", "timeless",
      timeless(dhmax=40.0, guards=NO_GUARDS), loop(8e3, 60.0)),
     ("timeless-guard-2-only", "timeless",
@@ -351,6 +366,8 @@ FUSED_ROWS = [
      time_domain(guards=MIXED_GUARDS), with_non_finite(6e3, 75.0)),
     ("time-domain-nan-and-inf-samples-infinite-limit", "time-domain",
      time_domain(divergence_limit=np.inf), with_non_finite(6e3, 75.0)),
+    ("time-domain-repeated-infinities", "time-domain",
+     time_domain(guards=MIXED_GUARDS), repeated_infinities(6e3, 75.0)),
     ("time-domain-lanes-diverge-mid-series", "time-domain",
      time_domain(divergence_limit=[1e6, 0.3, 0.6, 0.9]), loop(8e3, 100.0)),
     ("time-domain-langevin-curve", "time-domain",
@@ -434,7 +451,10 @@ def test_fused_run_is_the_per_sample_run(family, build, drive):
     assert fused_batch.family == family
     assert fused_batch.backend.name == "numpy"
     h = drive(fused_batch)
-    with np.errstate(all="ignore"):  # the NaN rows warn per sample
+    with warnings.catch_warnings():
+        # Both paths run under one error state: a NaN or infinite
+        # sample warns on neither.
+        warnings.simplefilter("error", RuntimeWarning)
         fused = run_batch_series(fused_batch, h, reset=False, fused=True)
         loop = run_batch_series(loop_batch, h, reset=False, fused=False)
     assert_same_bits(run_record(fused), run_record(loop), "run")

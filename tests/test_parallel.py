@@ -76,6 +76,12 @@ def assert_results_bitwise_equal(reference, other) -> None:
         assert reference.counters[key].dtype == other.counters[key].dtype, key
 
 
+def arena_names(arena) -> set:
+    """The shared-memory names a pool's segment arena holds: idle, in
+    flight or on loan."""
+    return {shm.name for shm in arena._idle} | set(arena._busy)
+
+
 class TestPlanShards:
     @pytest.mark.parametrize(
         "n_cores,n_workers",

@@ -427,8 +427,8 @@ class TestHysteresisService:
                 entered.set()
                 return pending
 
-        def entering(pool, chunks, width):
-            return real_execute(Announcing(pool), chunks, width)
+        def entering(pool, chunks, width, arena):
+            return real_execute(Announcing(pool), chunks, width, arena)
 
         monkeypatch.setattr(pool_module, "execute_jobs_pooled", entering)
         before = segments()

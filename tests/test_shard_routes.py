@@ -95,6 +95,7 @@ from repro.service import HysteresisService, ResultCache, WorkerPool
 from test_dist import _finishes_within
 from test_parallel import (
     DTYPE_FAMILY,
+    arena_names,
     assert_results_bitwise_equal,
     registered,
     timeless_variant,
@@ -351,14 +352,20 @@ class TestExtrasSchemaCheck:
         if not os.path.isdir(SHM_DIR):
             pytest.skip(f"no {SHM_DIR} to list segments in")
         before = segments()
-        with multiprocessing.get_context("fork").Pool(2) as pool:
-            with pytest.raises(ParameterError, match="bogus"):
-                execute_jobs_pooled(pool, [[stale_job()]], 2)
-            assert segments() == before
-            # The pool survives the failed job and serves the next one.
-            batch, h = workload("timeless")
-            job = prepare_job(batch, DriveSpec(samples=h), 2)
-            (result,) = execute_jobs_pooled(pool, [[job]], 2)
+        arena = executor.SegmentArena()
+        try:
+            with multiprocessing.get_context("fork").Pool(2) as pool:
+                with pytest.raises(ParameterError, match="bogus"):
+                    execute_jobs_pooled(pool, [[stale_job()]], 2, arena)
+                assert segments() - before == arena_names(arena)
+                assert not arena._busy
+                # The pool survives the failed job and serves the next one.
+                batch, h = workload("timeless")
+                job = prepare_job(batch, DriveSpec(samples=h), 2)
+                (result,) = execute_jobs_pooled(pool, [[job]], 2, arena)
+        finally:
+            arena.close()
+        assert segments() == before
         assert_results_bitwise_equal(run_batch_series(batch, h), result)
 
     def test_dispatched_route_fails_the_job_and_names_the_shard(self, fleet):
@@ -1190,14 +1197,14 @@ def close_mid_stream(forks, monkeypatch):
     streaming = threading.Event()
     real_execute = grid_module.execute_jobs_pooled
 
-    def announcing(pool, chunks, width):
+    def announcing(pool, chunks, width, arena):
         def drawn():
             for index, jobs in enumerate(chunks):
                 if index == 1:
                     streaming.set()  # chunk 0 is queued, chunk 1 drawn
                 yield jobs
 
-        return real_execute(pool, drawn(), width)
+        return real_execute(pool, drawn(), width, arena)
 
     monkeypatch.setattr(grid_module, "execute_jobs_pooled", announcing)
     outcome = {}
@@ -1279,9 +1286,9 @@ def test_default_pool_streams_two_chunks_at_most(forks, monkeypatch):
     events = []
 
     class Recorded(executor._Flight):
-        def __init__(self, pool, jobs, width):
+        def __init__(self, pool, jobs, width, arena):
             events.append(("queue", len(jobs)))
-            super().__init__(pool, jobs, width)
+            super().__init__(pool, jobs, width, arena)
 
         def land(self):
             events.append(("land", len(self.assemblies)))
@@ -1324,8 +1331,9 @@ LIFECYCLE = [
 )
 def test_default_pool_lifecycle(call, outcome, forks, monkeypatch):
     """Each lifecycle event of the default pool has one exact outcome,
-    within a bounded wall time, leaves no shared-memory segment, and
-    leaves a pool (or none) that serves the next call."""
+    within a bounded wall time, leaves no shared-memory segment but the
+    live pool's own, none once it closes, and leaves a pool (or none)
+    that serves the next call."""
     if not os.path.isdir(SHM_DIR):
         pytest.skip(f"no {SHM_DIR} to list segments in")
     before = segments()
@@ -1336,8 +1344,13 @@ def test_default_pool_lifecycle(call, outcome, forks, monkeypatch):
         assert re.search(pattern, str(got["error"])), got["error"]
     else:
         assert got.get("value") == outcome, got
-    assert segments() == before
+    live = pool_module._default
+    assert segments() - before == (
+        set() if live is None else arena_names(live.arena)
+    )
     assert "error" not in _finishes_within(30.0, lifecycle_grid)
+    close_default_pool()
+    assert segments() == before
 
 
 EXIT_MID_STREAM = """
@@ -1349,14 +1362,14 @@ streaming = threading.Event()
 real_execute = grid.execute_jobs_pooled
 
 
-def announcing(workers, chunks, width):
+def announcing(workers, chunks, width, arena):
     def drawn():
         for index, jobs in enumerate(chunks):
             if index == 1:
                 streaming.set()  # chunk 0 is queued, chunk 1 drawn
             yield jobs
 
-    return real_execute(workers, drawn(), width)
+    return real_execute(workers, drawn(), width, arena)
 
 
 grid.execute_jobs_pooled = announcing

@@ -606,11 +606,11 @@ def test_every_member_is_its_cell_alone(
     if route == "serial":
         results = drain_as_one_stack(jobs)
     else:
-        with default_pool(2, "fork") as workers:
+        with default_pool(2, "fork") as (workers, arena):
             results = (
                 run_jobs_serial(jobs)  # a worker cap of one forks no pool
                 if workers is None
-                else execute_jobs_pooled(workers, [jobs], 2)
+                else execute_jobs_pooled(workers, [jobs], 2, arena)
             )
     for job, result in zip(jobs, results):
         assert_member_equal(alone(job), result)
