@@ -326,6 +326,19 @@ SHM_DIR = "/dev/shm"
 #: the memory behind it) is full.
 _NO_ROOM = (errno.ENOSPC, errno.ENOMEM)
 
+#: Replaced just before and just after every fork of this process (a
+#: plain store, so concurrent forks lose none): a loan lent under
+#: another generation may be held by a child too.
+_generation = object()
+
+
+def _new_generation() -> None:
+    global _generation
+    _generation = object()
+
+
+os.register_at_fork(before=_new_generation, after_in_parent=_new_generation)
+
 
 def _allocated(size: int):
     """A new segment of ``size`` bytes with its pages allocated now, so
@@ -334,6 +347,12 @@ def _allocated(size: int):
     (``SharedMemory`` keeps it open on POSIX, as ``_fd``), which is
     closed at once: a pool with many results on loan holds no
     descriptor for them."""
+    if not hasattr(os, "posix_fallocate") or not os.path.isdir(SHM_DIR):
+        raise ReproError(
+            "the pooled route needs Linux: shared-memory segments in "
+            f"{SHM_DIR} with pages allocated by os.posix_fallocate; run "
+            "with n_workers=1 (in process) or on a fleet (hosts=) here"
+        )
     shm = shared_memory.SharedMemory(create=True, size=size)
     try:
         os.posix_fallocate(shm._fd, 0, size)
@@ -345,8 +364,14 @@ def _allocated(size: int):
     return shm
 
 
-def _free(shm) -> None:
+def _free(shm, empty: bool = True) -> None:
+    """Unmap and unlink ``shm``.  ``empty`` first truncates it, which
+    gives its pages back at once, even while pool workers still map it
+    (they touch only the segments their task names); a segment a forked
+    child may still read is unlinked as it is."""
     shm.close()
+    if empty:
+        os.truncate(os.path.join(SHM_DIR, shm.name), 0)
     shm.unlink()
 
 
@@ -360,16 +385,22 @@ class SegmentArena:
     A pooled call lays a chunk's output buffers out in segments from
     its pool's arena (:meth:`lend`: the best-fitting idle segment, else
     a new one) and hands each result out over the very segments its
-    workers wrote.  Every buffer is built on its segment's per-loan
-    root array, and the segment comes back (:meth:`give_back`) exactly
-    once: when the last array, view or buffer export over that root is
-    gone, or when a flight that hands nothing out over it recalls it
-    (:meth:`recall`).  A returned segment waits idle for the next call
-    while the idle bytes stay within the most bytes the pool ever had
-    in flight or on loan at once; past that it is unlinked.
-    :meth:`close` unlinks every name, idle or on loan; a loan stays
-    readable through this process's own mapping, freed with the last
-    of its arrays.
+    workers wrote, while :meth:`may_lend` holds.  Every buffer is built
+    on its segment's per-loan root array, and the segment comes back
+    (:meth:`give_back`) exactly once: when the last array, view or
+    buffer export over that root is gone, or when a flight that hands
+    nothing out over it recalls it (:meth:`recall`).  A returned
+    segment waits idle for the next call while the idle bytes stay
+    within the most bytes the pool ever had in flight or on loan at
+    once; past that it is emptied and unlinked.  :meth:`close` unlinks
+    every name, idle or on loan; a loan stays readable through this
+    process's own mapping, freed with the last of its arrays.
+
+    A child forked while a segment is lent shares that segment's pages
+    (a loan is a ``MAP_SHARED`` mapping, not a copy-on-write one), so
+    such a segment, once back, is unlinked as it is, never reused or
+    emptied under the child.  Pool workers drop what they inherit at
+    start-up (:func:`unmap_inherited`).
 
     A return may run on any thread, the garbage collector's included,
     even inside this arena's own critical section, so it never blocks
@@ -389,6 +420,7 @@ class SegmentArena:
         self._busy_bytes = 0
         self._peak = 0
         self._closed = False
+        _ARENAS.add(self)
 
     def lend(self, nbytes: int):
         """``(name, root, loan)`` for one buffer of ``nbytes``: a
@@ -416,12 +448,13 @@ class SegmentArena:
             self._busy_bytes += shm.size
             self._peak = max(self._peak, self._busy_bytes)
         root = np.ndarray((shm.size,), np.uint8, buffer=shm.buf)
-        loan = weakref.finalize(root, self.give_back, shm)
+        loan = weakref.finalize(root, self.give_back, shm, _generation)
         loan.atexit = False
         return shm.name, root, loan
 
     def _create(self, size: int):
-        """A new segment, the idle ones freed first if it has no room."""
+        """A new segment, the idle ones freed first if it has no room
+        (emptied, so their pages come back at once)."""
         for last in (False, True):
             try:
                 return _allocated(size)
@@ -437,12 +470,12 @@ class SegmentArena:
                     ) from exc
                 self._free_idle()
 
-    def give_back(self, shm) -> None:
-        """Return ``shm`` from a loan: filed now if the lock is free,
-        else by the lock's holder."""
+    def give_back(self, shm, generation) -> None:
+        """Return ``shm`` from a loan lent under fork ``generation``:
+        filed now if the lock is free, else by the lock's holder."""
         if os.getpid() != self._owner:
             return
-        self._returned.append(shm)
+        self._returned.append((shm, generation is not _generation))
         if self._lock.acquire(blocking=False):
             try:
                 self._file_returns()
@@ -456,17 +489,21 @@ class SegmentArena:
         if info is not None:
             self.give_back(*info[2])
 
-    def has_room(self, nbytes: int) -> bool:
-        """Whether the segment directory, idle segments counted, still
-        holds ``nbytes`` more."""
+    def may_lend(self) -> bool:
+        """Whether a result may stay on loan: while at least half of the
+        segment directory (``f_blocks``) is free or idle, idle segments
+        being emptied at once when a layout needs their room.  So loans
+        never take the room of a later layout of up to half the
+        directory, whatever the callers hold."""
         try:
             stat = os.statvfs(SHM_DIR)
         except OSError:
             return False
-        return stat.f_bavail * stat.f_frsize + self._idle_bytes >= nbytes
+        room = stat.f_bavail * stat.f_frsize + self._idle_bytes
+        return 2 * room >= stat.f_blocks * stat.f_frsize
 
     def close(self) -> None:
-        """Unlink every name, idle or on loan, and unmap the idle
+        """Unlink every name, idle or on loan, and free the idle
         segments.  Idempotent; a no-op in a forked child."""
         if os.getpid() != self._owner:
             return
@@ -482,13 +519,13 @@ class SegmentArena:
     def _file_returns(self) -> None:
         """Under the lock: each queued return goes idle, or is freed."""
         while self._returned:
-            shm = self._returned.popleft()
+            shm, forked = self._returned.popleft()
             del self._busy[shm.name]
             self._busy_bytes -= shm.size
             if self._closed:
                 shm.close()  # its name went at close()
-            elif self._idle_bytes + shm.size > self._peak:
-                _free(shm)
+            elif forked or self._idle_bytes + shm.size > self._peak:
+                _free(shm, empty=not forked)
             else:
                 bisect.insort(self._idle, shm, key=_size)
                 self._idle_bytes += shm.size
@@ -498,6 +535,41 @@ class SegmentArena:
             _free(shm)
         self._idle.clear()
         self._idle_bytes = 0
+
+
+#: Every live arena of this process: what a forked pool worker unmaps.
+_ARENAS: "weakref.WeakSet[SegmentArena]" = weakref.WeakSet()
+
+#: ``mmap(2)``'s flag to replace whatever is mapped at an address (Linux).
+_MAP_FIXED = 0x10
+
+
+def unmap_inherited() -> None:
+    """Pool worker start-up: swap this process's inherited mapping of
+    every arena segment for inaccessible reserved memory over the same
+    range.  Kept, such a mapping would hold the segment's pages until
+    the worker exits, whatever its arena frees.  Pool workers never read
+    a result, and reach a segment only by its name (:func:`_attached`);
+    a spawned worker inherits nothing.  A mapping that cannot be
+    swapped is kept."""
+    arenas = list(_ARENAS)
+    if not arenas:
+        return
+    import ctypes  # only pool workers that inherited segments need it
+
+    libc = ctypes.CDLL(None, use_errno=True)
+    libc.mmap.restype = ctypes.c_void_p
+    libc.mmap.argtypes = (
+        ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int, ctypes.c_int,
+        ctypes.c_int, ctypes.c_long,
+    )
+    flags = mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS | _MAP_FIXED
+    for arena in arenas:
+        for shm in (*arena._idle, *arena._busy.values()):
+            mapping = shm._mmap
+            if mapping is not None:
+                address = ctypes.addressof(ctypes.c_char.from_buffer(mapping))
+                libc.mmap(address, len(mapping), 0, flags, -1, 0)
 
 
 #: A pool worker's mappings of the parent's segments, by name, each
@@ -626,10 +698,9 @@ class _Flight:
     def land(self) -> list[BatchSweepResult]:
         """Wait for every task, then commit and hand out each job's
         result: on loan, over the segments its workers wrote, while the
-        segment directory keeps room for two more chunks like this one;
-        else copied out, its segments returned at once.  A failed task
-        raises here only once all of the chunk's tasks are done, its
-        segments returned."""
+        arena may lend (:meth:`SegmentArena.may_lend`); else copied out,
+        its segments returned at once.  A failed task raises here only
+        once all of the chunk's tasks are done, its segments returned."""
         try:
             for members, counters in zip(self.stacks, self.pending.get()):
                 for (j, spec), totals in zip(members, counters):
@@ -640,14 +711,7 @@ class _Flight:
         except BaseException:
             self.abandon()
             raise
-        nbytes = sum(
-            channel.nbytes
-            for result in results
-            for channel in (
-                result.m, result.b, result.updated, *result.extras.values()
-            )
-        )
-        if self.arena.has_room(2 * nbytes):
+        if self.arena.may_lend():
             self.loans.clear()  # each segment is its result's now
             return results
         results = [_copied(result) for result in results]

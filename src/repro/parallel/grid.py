@@ -322,7 +322,11 @@ def run_scenario_grid(
     set.
 
     Returns one :class:`GridCell` per combination, in
-    ``families × scenarios × h_max_values`` order.
+    ``families × scenarios × h_max_values`` order.  A result a local
+    pool computed is on loan over that pool's shared segments until it
+    is dropped (:meth:`~repro.parallel.pool.WorkerPool.execute`): a
+    child forked while it is held shares its pages rather than copying
+    them.
     """
     backend_name = resolve_backend(backend).name
     route = resolve_route(

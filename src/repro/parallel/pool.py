@@ -34,7 +34,10 @@ Each pool keeps the shared segments its calls laid out in one
 :class:`~repro.parallel.executor.SegmentArena`: a call's results stay
 on loan over the segments its workers wrote until they are dropped,
 and the next call reuses the segments (and the pages its workers
-already mapped) instead of creating and unlinking them per chunk.
+already mapped) instead of creating and unlinking them per chunk.  A
+pool's workers drop, at start-up, every segment they inherited from
+this process (:func:`~repro.parallel.executor.unmap_inherited`), so
+no pool keeps another's pages allocated.
 
 No close or re-fork terminates a pool under a call in flight on it:
 :meth:`WorkerPool.close` waits for every call to land first, then
@@ -66,6 +69,7 @@ from repro.parallel.executor import (
     execute_jobs_pooled,
     resolve_workers,
     run_jobs_serial,
+    unmap_inherited,
 )
 from repro.scenarios import list_scenarios
 
@@ -147,9 +151,12 @@ class WorkerPool:
         self._ctx = get_context(mp_context)
         self.warmed = prewarm_fused_kernels()
         # Warm-up above MUST precede the fork below: Pool() is where
-        # the children snapshot the parent's (warmed) JIT caches.
+        # the children snapshot the parent's (warmed) JIT caches.  Each
+        # worker then drops the shared segments it inherited.
         self._pool = (
-            self._ctx.Pool(processes=self.n_workers)
+            self._ctx.Pool(
+                processes=self.n_workers, initializer=unmap_inherited
+            )
             if self.n_workers > 1
             else None
         )
@@ -194,7 +201,12 @@ class WorkerPool:
         pool and return their assembled results, one per job, on loan
         over this pool's shared segments.  Calls from several threads
         run side by side, each on its own segments; a width-1 pool runs
-        them in the calling thread."""
+        them in the calling thread.
+
+        A loaned result is a shared mapping, not a copy: a child this
+        process forks while holding it shares its pages, so a write on
+        either side shows on the other.  The child may keep reading it
+        after the parent drops it; the segment is then never reused."""
         with self._lease() as (workers, arena):
             if workers is not None:
                 return execute_jobs_pooled(

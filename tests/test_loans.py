@@ -19,11 +19,16 @@ returns each segment once, and the next call reuses them; closing the
 pool with a result on loan unlinks every name while the result still
 reads, and dropping it later warns nothing; a forked child that drops an
 inherited result, then closes the arena as its exit would, leaves its
-parent's arena and names alone; workers unmap a segment the arena
-unlinked at their next task; a full segment directory is a clean
-:class:`~repro.errors.ReproError` before any task is queued; a short one
-copies results out; a service's concurrent misses and a cache eviction
-return their segments.
+parent's arena and names alone; a forked child still reads an inherited
+result bit for bit after the parent dropped it and ran more calls; a
+pool forked later maps none of this pool's segments; workers unmap a
+segment the arena unlinked at their next task; a full segment directory
+is a clean :class:`~repro.errors.ReproError` before any task is queued,
+and so is a host without ``posix_fallocate``; a short one copies
+results out; in a small directory, held loans leave room for a call
+over twice the size of the ones before it, and a call that needs the
+idle segments' room gets it at once, though workers still map them; a
+service's concurrent misses and a cache eviction return their segments.
 """
 
 import asyncio
@@ -31,11 +36,13 @@ import collections
 import dataclasses
 import errno
 import gc
+import mmap
 import multiprocessing
 import multiprocessing.pool
 import os
 import re
 import sys
+import time
 import types
 import warnings
 
@@ -53,7 +60,7 @@ from repro.parallel.spec import DriveSpec, EnsembleSpec
 from repro.service import HysteresisService
 
 from test_dist import _finishes_within
-from test_parallel import arena_names, assert_results_bitwise_equal
+from test_parallel import arena_names, assert_results_bitwise_equal, segments
 
 if "fork" not in multiprocessing.get_all_start_methods():
     pytest.skip(
@@ -61,34 +68,29 @@ if "fork" not in multiprocessing.get_all_start_methods():
         allow_module_level=True,
     )
 
-#: Where POSIX shared-memory segments appear on Linux.
-SHM_DIR = "/dev/shm"
 WIDTH = 2
 LANES = 4
 STEP = 400.0
 WAIT_S = 60.0
 
 
-def segments() -> set:
-    return {n for n in os.listdir(SHM_DIR) if n.startswith("psm_")}
-
-
-def cell(h_max, lanes=LANES, shards=1):
-    spec = EnsembleSpec("timeless", lanes, backend="numpy")
+def cell(h_max, lanes=LANES, shards=1, seed=0):
+    spec = EnsembleSpec("timeless", lanes, seed, backend="numpy")
     drive = DriveSpec(scenario="major-loop", h_max=h_max, driver_step=STEP)
     return spec, drive, prepare_job(spec, drive, shards)
 
 
-def jobs(*amplitudes, lanes=LANES):
-    """Whole timeless cells, one per amplitude, as prepared jobs."""
-    return [cell(h_max, lanes)[2] for h_max in amplitudes]
+def jobs(*amplitudes, lanes=LANES, seed=0, shards=1):
+    """Timeless cells, one per amplitude, as prepared jobs (whole, by
+    default)."""
+    return [cell(h_max, lanes, shards, seed)[2] for h_max in amplitudes]
 
 
-def check(results, *amplitudes, lanes=LANES) -> None:
+def check(results, *amplitudes, lanes=LANES, seed=0) -> None:
     """Each result is bitwise its cell's single-process run."""
     assert len(results) == len(amplitudes)
     for result, h_max in zip(results, amplitudes):
-        spec, drive, _ = cell(h_max, lanes)
+        spec, drive, _ = cell(h_max, lanes, seed=seed)
         reference = run_batch_series(
             spec.build_batch(), drive.full_samples(lanes)
         )
@@ -135,17 +137,72 @@ class CallersPool:
 ROUTES = {"default-pool": DefaultPool, "worker-pool": CallersPool}
 
 
-def worker_pids(route) -> list:
-    return [process.pid for process in route.pool._pool._pool]
+def worker_pids(pool: WorkerPool) -> list:
+    return [process.pid for process in pool._pool._pool]
+
+
+def mappings(pid, names) -> list:
+    """``pid``'s mappings of the segments ``names``."""
+    with open(f"/proc/{pid}/maps") as maps:
+        return [line for line in maps if any(name in line for name in names)]
 
 
 def unlinked_mappings(pid, names) -> list:
     """``pid``'s mappings of the segments ``names`` once unlinked."""
-    with open(f"/proc/{pid}/maps") as maps:
-        return [
-            line for line in maps
-            if "(deleted)" in line and any(name in line for name in names)
+    return [line for line in mappings(pid, names) if "(deleted)" in line]
+
+
+def chunk_bytes(prepared) -> int:
+    """What a chunk's segments take: each channel's bytes, page-rounded."""
+    total = 0
+    for job in prepared:
+        samples, lanes = job.shape
+        itemsizes = [8, 8, 1] + [
+            np.dtype(dtype).itemsize for dtype in job.extras_schema.values()
         ]
+        total += sum(
+            -(-samples * lanes * size // mmap.PAGESIZE) * mmap.PAGESIZE
+            for size in itemsizes
+        )
+    return total
+
+
+class SmallDirectory:
+    """A segment directory of ``size`` bytes, patched into ``os``: it
+    holds what the real one gained since, pages of unlinked segments
+    that some process still maps included, and allocating past its room
+    fails with ``ENOSPC``."""
+
+    def __init__(self, patch, size: int) -> None:
+        self.size = size
+        self.statvfs, self.fallocate = os.statvfs, os.posix_fallocate
+        self.base = self.used()
+        patch.setattr(os, "statvfs", self.stat)
+        patch.setattr(os, "posix_fallocate", self.allocate)
+
+    def used(self) -> int:
+        stat = self.statvfs(executor.SHM_DIR)
+        return (stat.f_blocks - stat.f_bfree) * stat.f_frsize
+
+    def room(self) -> int:
+        return self.size - (self.used() - self.base)
+
+    def stat(self, path):
+        return types.SimpleNamespace(
+            f_blocks=self.size // mmap.PAGESIZE,
+            f_bavail=max(self.room(), 0) // mmap.PAGESIZE,
+            f_frsize=mmap.PAGESIZE,
+        )
+
+    def allocate(self, fd, offset, length) -> None:
+        if length > self.room():
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        self.fallocate(fd, offset, length)
+
+
+def on_loan(results) -> int:
+    """How many of ``results`` are views of shared segments."""
+    return sum(result.m.base is not None for result in results)
 
 
 # -- the events -------------------------------------------------------------
@@ -197,9 +254,9 @@ def worker_failure_returns_each_segment_once(route, monkeypatch):
         taken.append(name)
         return name, root, loan
 
-    def giving_back(shm):
+    def giving_back(shm, generation):
         returned.append(shm.name)
-        give_back(shm)
+        give_back(shm, generation)
 
     monkeypatch.setattr(arena, "lend", lending)
     monkeypatch.setattr(arena, "give_back", giving_back)
@@ -238,6 +295,44 @@ def _drop_inherited(box, arena) -> None:
     arena.close()
 
 
+def _read_inherited(box, go) -> None:
+    """In a forked child: once the parent has dropped its results and
+    run two more calls, check the inherited ones bit for bit."""
+    assert go.wait(WAIT_S)
+    check(box, 6e3, 8e3)
+
+
+def forked_child_reads_what_the_parent_dropped(route, monkeypatch):
+    box = route.run(jobs(6e3, 8e3))
+    go = multiprocessing.get_context("fork").Event()
+    child = multiprocessing.get_context("fork").Process(
+        target=_read_inherited, args=(box, go)
+    )
+    child.start()
+    box.clear()  # the parent's only reference: its loans come back
+    gc.collect()
+    for seed in (1, 2):  # same shapes, other bits: a reused segment shows
+        check(route.run(jobs(6e3, 8e3, seed=seed)), 6e3, 8e3, seed=seed)
+    go.set()
+    child.join(WAIT_S)
+    return child.exitcode
+
+
+def later_pool_maps_none_of_them(route, monkeypatch):
+    held = route.run(jobs(6e3, 8e3))
+    route.run(jobs(4e3, 5e3))  # dropped: idle beside the loans
+    names = arena_names(route.pool.arena)
+    with WorkerPool(WIDTH, mp_context="fork") as later:
+        check(later.execute(jobs(4e3)), 4e3)
+        for _ in range(100):  # until both workers have started up
+            kept = [pid for pid in worker_pids(later) if mappings(pid, names)]
+            if not kept:
+                break
+            time.sleep(0.05)
+    check(held, 6e3, 8e3)
+    return bool(names), kept
+
+
 def forked_child_leaves_the_parents_arena(route, monkeypatch):
     route.run(jobs(4e3, 5e3))  # dropped: small segments go idle
     # Bigger cells, held: a return of theirs would take the idle bytes
@@ -265,7 +360,8 @@ def workers_unmap_what_the_arena_unlinked(route, monkeypatch):
     for _ in range(10):  # until every worker has run a task since
         check(route.run(jobs(4e3, 5e3)), 4e3, 5e3)
         if not any(
-            unlinked_mappings(pid, unlinked) for pid in worker_pids(route)
+            unlinked_mappings(pid, unlinked)
+            for pid in worker_pids(route.pool)
         ):
             return bool(unlinked), True
     return bool(unlinked), False
@@ -298,11 +394,53 @@ def full_directory_is_a_clean_error(route, monkeypatch):
     return outcome
 
 
+def no_linux_is_a_clean_error(route, monkeypatch):
+    before = segments()
+    with monkeypatch.context() as patch:
+        patch.delattr(os, "posix_fallocate")
+        with pytest.raises(ReproError) as raised:
+            route.run(jobs(6e3, 8e3))
+    outcome = ("needs Linux" in str(raised.value), segments() - before)
+    check(route.run(jobs(6e3, 8e3)), 6e3, 8e3)
+    return outcome
+
+
+def small_directory_keeps_room_for_a_larger_call(route, monkeypatch):
+    small, large = dict(lanes=4 * LANES), dict(lanes=16 * LANES)
+    need = chunk_bytes(jobs(6e3, 8e3, **small))
+    larger = chunk_bytes(jobs(6e3, 8e3, **large))
+    assert larger > 3 * need  # past the room the held loans would leave
+    with monkeypatch.context() as patch:
+        SmallDirectory(patch, 2 * (larger + need))
+        held = [route.run(jobs(6e3, 8e3, **small)) for _ in range(8)]
+        check(route.run(jobs(6e3, 8e3, **large)), 6e3, 8e3, **large)
+    for results in held:
+        check(results, 6e3, 8e3, **small)
+    loaned = sum(on_loan(results) for results in held)
+    return 0 < loaned < 2 * len(held)
+
+
+def idle_room_comes_back_at_once(route, monkeypatch):
+    first, second = dict(lanes=16 * LANES), dict(lanes=32 * LANES)
+    with monkeypatch.context() as patch:
+        SmallDirectory(
+            patch,
+            chunk_bytes(jobs(6e3, 8e3, **first))
+            + chunk_bytes(jobs(8e3, **second)) // 2,
+        )
+        route.run(jobs(6e3, 8e3, **first))  # dropped: idle, mapped by workers
+        # One job cut in two, so the default pool runs it too.
+        check(route.run(jobs(8e3, shards=WIDTH, **second)), 8e3, **second)
+    return True
+
+
 def short_directory_copies_out(route, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(
             os, "statvfs",
-            lambda path: types.SimpleNamespace(f_bavail=1, f_frsize=4096),
+            lambda path: types.SimpleNamespace(
+                f_blocks=1 << 20, f_bavail=1, f_frsize=4096
+            ),
         )
         results = route.run(jobs(6e3, 8e3))
     check(results, 6e3, 8e3)
@@ -359,12 +497,22 @@ LOANS = [
      close_with_a_result_on_loan, (set(), [], [])),
     ("forked-child-leaves-the-parents-arena",
      forked_child_leaves_the_parents_arena, (0, True)),
+    ("forked-child-reads-an-inherited-result-the-parent-dropped",
+     forked_child_reads_what_the_parent_dropped, 0),
+    ("a-later-pool-maps-none-of-this-pools-segments",
+     later_pool_maps_none_of_them, (True, [])),
     ("workers-unmap-what-the-arena-unlinked",
      workers_unmap_what_the_arena_unlinked, (True, True)),
     ("full-directory-is-a-clean-error-before-any-task",
      full_directory_is_a_clean_error, (True, [], set())),
+    ("no-posix-fallocate-is-a-clean-error-naming-linux",
+     no_linux_is_a_clean_error, (True, set())),
     ("short-directory-copies-results-out",
      short_directory_copies_out, (True, 0)),
+    ("small-directory-keeps-room-for-a-call-over-twice-the-last",
+     small_directory_keeps_room_for_a_larger_call, True),
+    ("idle-room-comes-back-at-once-though-workers-mapped-it",
+     idle_room_comes_back_at_once, True),
 ]
 
 
@@ -372,8 +520,8 @@ LOANS = [
 def fresh(monkeypatch):
     """No default pool and no worker cap before a row; after it, no
     default pool and no segment name the row's pools made."""
-    if not os.path.isdir(SHM_DIR):
-        pytest.skip(f"no {SHM_DIR} to list segments in")
+    if not os.path.isdir(executor.SHM_DIR):
+        pytest.skip(f"no {executor.SHM_DIR} to list segments in")
     close_default_pool()
     monkeypatch.delenv(executor.MAX_WORKERS_ENV, raising=False)
     before = segments()

@@ -13,6 +13,7 @@ change.
 import contextlib
 import dataclasses
 import multiprocessing
+import os
 import pickle
 import sys
 import threading
@@ -41,6 +42,7 @@ from repro.parallel import (
     run_scenario_grid,
     run_sharded,
 )
+from repro.parallel.executor import SHM_DIR
 from repro.scenarios import scenario_samples
 from repro.sched import Calibration, ExecutionPlan, Probe
 
@@ -74,6 +76,11 @@ def assert_results_bitwise_equal(reference, other) -> None:
             reference.counters[key], other.counters[key]
         ), key
         assert reference.counters[key].dtype == other.counters[key].dtype, key
+
+
+def segments() -> set:
+    """Every POSIX shared-memory name in the segment directory."""
+    return {n for n in os.listdir(SHM_DIR) if n.startswith("psm_")}
 
 
 def arena_names(arena) -> set:

@@ -26,7 +26,7 @@ from repro.batch.sweep import run_batch_series
 from repro.errors import ParameterError
 from repro.experiments import run_experiment
 from repro.models.registry import get_family, list_families
-from repro.parallel.executor import run_sharded
+from repro.parallel.executor import SHM_DIR, run_sharded
 from repro.parallel.grid import run_scenario_grid
 from repro.parallel.spec import DriveSpec, EnsembleSpec
 from repro.service import (
@@ -39,11 +39,9 @@ from repro.service import (
     spec_digest,
 )
 
+from test_parallel import segments
+
 FAMILY_NAMES = tuple(family.name for family in list_families())
-
-#: Where POSIX shared-memory segments appear on Linux.
-SHM_DIR = "/dev/shm"
-
 
 def small_workload(family_name: str, n_cores: int = 4, seed: int = 7):
     """One registry spec plus a resolved scenario drive for it."""
@@ -403,9 +401,6 @@ class TestHysteresisService:
         pool map lets that run land: it returns its bitwise result and
         releases every shared-memory segment."""
         import repro.parallel.pool as pool_module
-
-        def segments():
-            return {n for n in os.listdir(SHM_DIR) if n.startswith("psm_")}
 
         if not os.path.isdir(SHM_DIR):
             pytest.skip(f"no {SHM_DIR} to list segments in")

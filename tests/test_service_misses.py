@@ -35,6 +35,7 @@ from repro.batch.sweep import run_batch_series
 from repro.errors import ParameterError
 from repro.models.registry import get_family
 from repro.parallel import pool as pool_module
+from repro.parallel.executor import SHM_DIR
 from repro.parallel.spec import DriveSpec, EnsembleSpec
 from repro.service import HysteresisService
 
@@ -43,11 +44,10 @@ from test_parallel import (
     arena_names,
     assert_results_bitwise_equal,
     registered,
+    segments,
     timeless_variant,
 )
 
-#: Where POSIX shared-memory segments appear on Linux.
-SHM_DIR = "/dev/shm"
 
 #: How long any request of a row may wait for the others.
 WAIT_S = 30.0
@@ -89,10 +89,6 @@ def reference(key):
             spec.build_batch(), drive.full_samples(LANES)
         )
     return _REFERENCES[key]
-
-
-def segments():
-    return {n for n in os.listdir(SHM_DIR) if n.startswith("psm_")}
 
 
 def in_flight(service) -> int:

@@ -81,6 +81,7 @@ from repro.parallel.blocks import (
 from repro.parallel import executor
 from repro.parallel import pool as pool_module
 from repro.parallel.executor import (
+    SHM_DIR,
     execute_jobs_pooled,
     prepare_job,
     resolve_route,
@@ -98,6 +99,7 @@ from test_parallel import (
     arena_names,
     assert_results_bitwise_equal,
     registered,
+    segments,
     timeless_variant,
 )
 
@@ -115,14 +117,6 @@ N_SHARDS = 3
 
 #: The discard port: refused at once, so no host is reachable.
 UNREACHABLE = "127.0.0.1:9"
-
-#: Where POSIX shared-memory segments appear on Linux.
-SHM_DIR = "/dev/shm"
-
-
-def segments():
-    return {n for n in os.listdir(SHM_DIR) if n.startswith("psm_")}
-
 
 FAMILY_NAMES = [family.name for family in list_families()] + [
     DTYPE_FAMILY.name
