@@ -409,7 +409,9 @@ def small_directory_keeps_room_for_a_larger_call(route, monkeypatch):
     small, large = dict(lanes=4 * LANES), dict(lanes=16 * LANES)
     need = chunk_bytes(jobs(6e3, 8e3, **small))
     larger = chunk_bytes(jobs(6e3, 8e3, **large))
-    assert larger > 3 * need  # past the room the held loans would leave
+    # Larger than the under three small calls' room that loans kept
+    # while twice the landing chunk fits would leave.
+    assert larger > 3 * need
     with monkeypatch.context() as patch:
         SmallDirectory(patch, 2 * (larger + need))
         held = [route.run(jobs(6e3, 8e3, **small)) for _ in range(8)]
