@@ -8,8 +8,6 @@ bitwise-identical trajectories (asserted via the EXP-B1 experiment
 below and, exhaustively, by ``tests/test_batch_equivalence.py``).
 """
 
-import time
-
 import numpy as np
 
 from repro.batch import BatchTimelessModel, run_batch_series
@@ -19,7 +17,7 @@ from repro.experiments.batch_ensemble import (
     make_waveforms,
     run_scalar_ensemble,
 )
-from repro.experiments.runner import results_header
+from repro.experiments.runner import measure, results_header
 
 N_CORES = 256
 #: Coarser driver than the experiment default keeps the scalar
@@ -63,9 +61,9 @@ def test_batch_speedup_over_scalar_loop(benchmark, results_dir):
     result = benchmark.pedantic(batch_run, rounds=3, iterations=1)
     batch_seconds = benchmark.stats.stats.min
 
-    start = time.perf_counter()
-    m_scalar, b_scalar = run_scalar_ensemble(params, dhmax, accept_equal, h)
-    scalar_seconds = time.perf_counter() - start
+    (scalar_seconds,), (m_scalar, b_scalar) = measure(
+        lambda: run_scalar_ensemble(params, dhmax, accept_equal, h), 1
+    )
 
     speedup = scalar_seconds / batch_seconds
     throughput = N_CORES * h.shape[0] / batch_seconds

@@ -15,8 +15,6 @@ Also regenerates EXP-B5 end to end into ``results/EXP-B5.txt`` with
 the backend and worker count stamped in the header.
 """
 
-import time
-
 import numpy as np
 import pytest
 
@@ -27,7 +25,7 @@ from repro.experiments import run_experiment
 from repro.experiments.backend_fused import max_relative_deviation
 from repro.experiments.batch_families import make_preisach_ensemble
 from repro.experiments.parallel_ensemble import bitwise_equal_lanes
-from repro.experiments.runner import results_header
+from repro.experiments.runner import measure, results_header
 from repro.parallel import available_cpus, resolve_workers, run_sharded
 from repro.scenarios import scenario_samples
 
@@ -67,9 +65,8 @@ def test_fused_sharded_speedup(benchmark, results_dir, bench_json):
     )
     sharded_seconds = benchmark.stats.stats.min
 
-    start = time.perf_counter()
-    single = run_batch_series(batch, h)  # the fused path, by default
-    single_seconds = time.perf_counter() - start
+    # The fused path, by default.
+    (single_seconds,), single = measure(lambda: run_batch_series(batch, h), 1)
 
     speedup = single_seconds / sharded_seconds
     throughput = N_CORES * len(h) / sharded_seconds
@@ -120,15 +117,15 @@ def test_numba_crossover_one_process_vs_pool(results_dir):
     workers = resolve_workers(None)
 
     numba_batch, h = _workload(backend="numba")
-    run_batch_series(numba_batch, h)  # JIT warm-up outside the timing
-    start = time.perf_counter()
-    jit_single = run_batch_series(numba_batch, h)
-    jit_seconds = time.perf_counter() - start
+    # One JIT warm-up run outside the timing.
+    (jit_seconds,), jit_single = measure(
+        lambda: run_batch_series(numba_batch, h), 1, warmup=1
+    )
 
     numpy_batch, _ = _workload(backend="numpy")
-    start = time.perf_counter()
-    pool_sharded = run_sharded(numpy_batch, h, n_workers=workers)
-    pool_seconds = time.perf_counter() - start
+    (pool_seconds,), pool_sharded = measure(
+        lambda: run_sharded(numpy_batch, h, n_workers=workers), 1
+    )
 
     reference = run_batch_series(numpy_batch, h)
     deviation = max_relative_deviation(reference, jit_single)

@@ -13,8 +13,6 @@ equivalence at an uneven split, and every stacked cell's equality with
 its run alone.
 """
 
-import time
-
 import numpy as np
 import pytest
 
@@ -23,7 +21,7 @@ from repro.batch.sweep import run_batch_series
 from repro.experiments import run_experiment
 from repro.experiments.batch_families import make_preisach_ensemble
 from repro.experiments.parallel_ensemble import bitwise_equal_lanes
-from repro.experiments.runner import results_header
+from repro.experiments.runner import measure, results_header
 from repro.parallel import available_cpus, resolve_workers, run_sharded
 from repro.scenarios import scenario_samples
 
@@ -56,9 +54,7 @@ def test_sharded_speedup_over_single_process(benchmark, results_dir, bench_json)
     )
     sharded_seconds = benchmark.stats.stats.min
 
-    start = time.perf_counter()
-    single = run_batch_series(batch, h)
-    single_seconds = time.perf_counter() - start
+    (single_seconds,), single = measure(lambda: run_batch_series(batch, h), 1)
 
     speedup = single_seconds / sharded_seconds
     throughput = N_CORES * len(h) / sharded_seconds

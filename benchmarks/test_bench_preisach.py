@@ -13,7 +13,6 @@ identification) in a fresh interpreter.
 import os
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +25,7 @@ from repro.experiments.batch_families import (
     make_preisach_ensemble,
     run_scalar_ensemble,
 )
-from repro.experiments.runner import results_header
+from repro.experiments.runner import measure, results_header
 
 N_CORES = 64
 N_CELLS = 24
@@ -74,9 +73,9 @@ def test_batch_preisach_speedup_over_scalar_loop(benchmark, results_dir):
     result = benchmark.pedantic(batch_run, rounds=3, iterations=1)
     batch_seconds = benchmark.stats.stats.min
 
-    start = time.perf_counter()
-    m_scalar, b_scalar = run_scalar_ensemble(models, h)
-    scalar_seconds = time.perf_counter() - start
+    (scalar_seconds,), (m_scalar, b_scalar) = measure(
+        lambda: run_scalar_ensemble(models, h), 1
+    )
 
     speedup = scalar_seconds / batch_seconds
     throughput = N_CORES * len(h) / batch_seconds

@@ -2,8 +2,9 @@
 """Hysteresis-as-a-service: warm pool, content-addressed cache, async.
 
 Walks the service layer top-down: start one `HysteresisService` (the
-worker pool forks once, with fused JIT kernels pre-warmed in the
-parent so forked children inherit them compiled), submit requests
+worker pool forks once, whatever the interpreter's default start
+method, with fused JIT kernels pre-warmed in the parent so the forked
+children inherit them compiled), submit requests
 synchronously and asynchronously, watch identical requests coalesce
 into one computation, stream a scenario grid as its cells land, and
 re-run the whole grid to see the content-addressed cache serve pass 2
@@ -43,8 +44,7 @@ def main() -> None:
     # to disk (results/cache/) so the NEXT process starts warm too.
     with HysteresisService() as service:
         print(
-            f"service up: {service.pool.n_workers} worker(s), "
-            f"start method {service.pool.start_method}, "
+            f"service up: {service.pool.n_workers} worker(s), forked, "
             f"warmed kernels: {list(service.pool.warmed) or 'none (numpy only)'}"
         )
 

@@ -28,7 +28,6 @@ over per-sample at N = 256) and regenerates both tables into
 from __future__ import annotations
 
 import statistics
-import time
 
 import numpy as np
 
@@ -133,11 +132,12 @@ def run(
     h = scenario_samples("minor-loop-ladder", h_max, driver_step)
     core_steps = n_cores * len(h)
 
-    start = time.perf_counter()
-    reference = run_batch_series(
-        make_timeless_batch(n_cores, seed), h, fused=False
+    (per_sample_seconds,), reference = measure(
+        lambda: run_batch_series(
+            make_timeless_batch(n_cores, seed), h, fused=False
+        ),
+        1,
     )
-    per_sample_seconds = time.perf_counter() - start
 
     rows = [
         {
@@ -152,11 +152,11 @@ def run(
     equal_lanes = -1
     for backend in list_backends():
         batch = make_timeless_batch(n_cores, seed, backend=backend.name)
-        if not backend.exact:
-            run_batch_series(batch, h)  # JIT warm-up outside the timing
-        start = time.perf_counter()
-        fused = run_batch_series(batch, h)
-        seconds = time.perf_counter() - start
+        # JIT backends: one warm-up run outside the timing.
+        (seconds,), fused = measure(
+            lambda: run_batch_series(batch, h), 1,
+            warmup=0 if backend.exact else 1,
+        )
         speedup = per_sample_seconds / max(seconds, 1e-12)
         if backend.exact:
             lanes = bitwise_equal_lanes(reference, fused)

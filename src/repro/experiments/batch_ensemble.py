@@ -18,8 +18,6 @@ major loops).
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from repro.analysis.stability import audit_trajectory_batch
@@ -28,6 +26,7 @@ from repro.constants import DEFAULT_DHMAX, FIG1_H_MAX
 from repro.core.model import TimelessJAModel
 from repro.core.sweep import waypoint_samples
 from repro.experiments.registry import ExperimentResult, register
+from repro.experiments.runner import measure
 from repro.io.table import TextTable
 from repro.ja.parameters import PAPER_PARAMETERS, JAParameters
 from repro.waveforms.sweeps import major_loop_waypoints
@@ -119,14 +118,12 @@ def run(
 
     # -- batch engine --------------------------------------------------------
     batch = BatchTimelessModel(params, dhmax=dhmax, accept_equal=accept_equal)
-    start = time.perf_counter()
-    result = run_batch_series(batch, h)
-    batch_seconds = time.perf_counter() - start
+    (batch_seconds,), result = measure(lambda: run_batch_series(batch, h), 1)
 
     # -- the scalar loop it replaces -----------------------------------------
-    start = time.perf_counter()
-    m_scalar, b_scalar = run_scalar_ensemble(params, dhmax, accept_equal, h)
-    scalar_seconds = time.perf_counter() - start
+    (scalar_seconds,), (m_scalar, b_scalar) = measure(
+        lambda: run_scalar_ensemble(params, dhmax, accept_equal, h), 1
+    )
 
     equal_lanes = int(
         np.sum(

@@ -20,8 +20,6 @@ accounting is exercised too.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from repro.baselines.time_domain import TimeDomainJAModel
@@ -30,6 +28,7 @@ from repro.batch.sweep import run_batch_series
 from repro.batch.time_domain import BatchTimeDomainModel
 from repro.core.slope import SlopeGuards
 from repro.experiments.registry import ExperimentResult, register
+from repro.experiments.runner import measure
 from repro.io.table import TextTable
 from repro.ja.parameters import PAPER_PARAMETERS
 from repro.models.registry import perturbed_parameters
@@ -104,13 +103,10 @@ def run_scalar_ensemble(models, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _family_row(label, batch, scalars, h):
     """Time batch vs scalar over ``h``; count bitwise-equal lanes."""
-    start = time.perf_counter()
-    result = run_batch_series(batch, h)
-    batch_seconds = time.perf_counter() - start
-
-    start = time.perf_counter()
-    m_scalar, b_scalar = run_scalar_ensemble(scalars, h)
-    scalar_seconds = time.perf_counter() - start
+    (batch_seconds,), result = measure(lambda: run_batch_series(batch, h), 1)
+    (scalar_seconds,), (m_scalar, b_scalar) = measure(
+        lambda: run_scalar_ensemble(scalars, h), 1
+    )
 
     equal_lanes = int(
         np.sum(

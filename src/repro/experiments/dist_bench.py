@@ -33,7 +33,6 @@ numerics change.
 from __future__ import annotations
 
 import statistics
-import time
 
 import numpy as np
 
@@ -116,13 +115,15 @@ def run(
         }
 
         # -- connect: open the fleet (handshake + ping), then close ----
-        connect_samples, connect_live = [], True
-        for _ in range(max(1, repeats)):
-            start = time.perf_counter()
+        live = []
+
+        def connect():
             with Dispatcher(hosts) as dispatcher:
-                connect_live &= dispatcher.n_live == n_agents
-            connect_samples.append(time.perf_counter() - start)
+                live.append(dispatcher.n_live == n_agents)
+
+        connect_samples, _ = measure(connect, repeats)
         connect_seconds = statistics.median(connect_samples)
+        connect_live = all(live)
 
         # -- dispatched, unchunked -------------------------------------
         dispatched_samples, dispatched = measure(

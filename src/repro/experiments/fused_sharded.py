@@ -32,9 +32,6 @@ the backend and worker count stamped in the header.
 
 from __future__ import annotations
 
-import multiprocessing
-import time
-
 from repro.backend import list_backends
 from repro.batch.sweep import run_batch_series
 from repro.experiments.backend_fused import (
@@ -42,6 +39,7 @@ from repro.experiments.backend_fused import (
     max_relative_deviation,
 )
 from repro.experiments.registry import ExperimentResult, register
+from repro.experiments.runner import measure
 from repro.io.table import TextTable
 from repro.models.registry import list_families
 from repro.parallel import available_cpus, resolve_workers, run_sharded
@@ -90,9 +88,9 @@ def run(
         # outside the timing: the first preisach make_batch pays the
         # (cached) Everett identification.
         reference_batch = family.make_batch(n_cores, seed, backend="numpy")
-        start = time.perf_counter()
-        reference = run_batch_series(reference_batch, h)
-        base_seconds = time.perf_counter() - start
+        (base_seconds,), reference = measure(
+            lambda: run_batch_series(reference_batch, h), 1
+        )
 
         timings: dict[tuple[str, str], float] = {}
         ordered = sorted(backends, key=lambda b: b.name != "numpy")
@@ -103,11 +101,11 @@ def run(
                 batch = family.make_batch(
                     n_cores, seed, backend=backend.name
                 )
-                if not backend.exact:
-                    run_batch_series(batch, h)  # JIT warm-up, untimed
-                start = time.perf_counter()
-                single = run_batch_series(batch, h)
-                single_seconds = time.perf_counter() - start
+                # JIT backends: one untimed warm-up run first.
+                (single_seconds,), single = measure(
+                    lambda: run_batch_series(batch, h), 1,
+                    warmup=0 if backend.exact else 1,
+                )
             timings[(backend.name, "single")] = single_seconds
 
             sharded_batch = family.make_batch(
@@ -116,9 +114,9 @@ def run(
             # Every sharded row is cold: the default pool forks (and
             # its workers start) inside the timing.
             close_default_pool()
-            start = time.perf_counter()
-            sharded = run_sharded(sharded_batch, h, n_workers=workers)
-            sharded_seconds = time.perf_counter() - start
+            (sharded_seconds,), sharded = measure(
+                lambda: run_sharded(sharded_batch, h, n_workers=workers), 1
+            )
             timings[(backend.name, "sharded")] = sharded_seconds
 
             for mode, result, seconds in (
@@ -202,11 +200,10 @@ def run(
         "lane shard through the fused step_series path of the row's "
         "backend (shard payloads pin the parent's backend); each row "
         "forks a fresh default pool inside its timing",
-        f"multiprocessing start method: {multiprocessing.get_start_method()} "
-        "— under fork, workers inherit the parent's warmed JIT kernels; "
-        "under spawn, sharded JIT rows include per-worker nopython "
-        "compile time (the drivers compile once per process, on purpose: "
-        "no on-disk numba cache)",
+        "every pool forks, whatever the interpreter's default start "
+        "method, so its workers inherit the parent's warmed JIT kernels "
+        "(the drivers compile once per process, on purpose: no on-disk "
+        "numba cache)",
     ]
     if crossover:
         for name, data in crossover.items():
@@ -231,6 +228,5 @@ def run(
         "backends": [b.name for b in backends],
         "fused_families": {b.name: list(b.fused_families) for b in backends},
         "crossover": crossover,
-        "start_method": multiprocessing.get_start_method(),
     }
     return result

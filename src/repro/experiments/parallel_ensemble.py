@@ -30,14 +30,13 @@ Three tables:
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from repro.batch.preisach import BatchPreisachModel
 from repro.batch.sweep import BatchSweepResult, run_batch_series
 from repro.experiments.batch_families import make_preisach_ensemble
 from repro.experiments.registry import ExperimentResult, register
+from repro.experiments.runner import measure
 from repro.io.table import TextTable
 from repro.models.registry import list_families
 from repro.parallel import available_cpus, resolve_workers, run_sharded
@@ -113,16 +112,6 @@ def _equivalence_rows(h_max_step: float = 40.0) -> list[dict]:
     return rows
 
 
-def _median_seconds(fn, repeats: int) -> "tuple[float, object]":
-    """The median wall time of ``repeats`` calls, and the last result."""
-    times = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        out = fn()
-        times.append(time.perf_counter() - start)
-    return float(np.median(times)), out
-
-
 def _stacking_rows(repeats: int = STACK_REPEATS) -> list[dict]:
     rows = []
     for family, lanes in STACK_LANES.items():
@@ -134,12 +123,14 @@ def _stacking_rows(repeats: int = STACK_REPEATS) -> list[dict]:
         ]
         jobs = [prepare_job(spec, drive, 1) for drive in drives]
         run_jobs_serial(jobs[:1])  # the recipe's one build, untimed
-        alone_s, alone = _median_seconds(
+        alone_samples, alone = measure(
             lambda: [run_jobs_serial([job])[0] for job in jobs], repeats
         )
-        stacked_s, stacked = _median_seconds(
+        stacked_samples, stacked = measure(
             lambda: run_jobs_serial(jobs), repeats
         )
+        alone_s = float(np.median(alone_samples))
+        stacked_s = float(np.median(stacked_samples))
         stacks = chunk_stacks(jobs, 1)
         computed = sum(
             len(members) * max(len(jobs[j].h_full) for j, _ in members)
@@ -197,16 +188,14 @@ def run(
     batch = BatchPreisachModel.from_scalar_models(models)
     h = scenario_samples("minor-loop-ladder", h_max, driver_step)
 
-    start = time.perf_counter()
-    single = run_batch_series(batch, h)
-    single_seconds = time.perf_counter() - start
+    (single_seconds,), single = measure(lambda: run_batch_series(batch, h), 1)
 
     # Cold, as a one-off run pays: the default pool forks inside the
     # timing, whatever width the equivalence rows left it at.
     close_default_pool()
-    start = time.perf_counter()
-    sharded = run_sharded(batch, h, n_workers=workers)
-    sharded_seconds = time.perf_counter() - start
+    (sharded_seconds,), sharded = measure(
+        lambda: run_sharded(batch, h, n_workers=workers), 1
+    )
 
     speedup = single_seconds / max(sharded_seconds, 1e-12)
     equal = bitwise_equal_lanes(single, sharded)

@@ -8,12 +8,11 @@ this module provides them plus a one-shot comparison table.
 
 from __future__ import annotations
 
-import time
-
 from repro.constants import DEFAULT_DHMAX, FIG1_H_MAX
 from repro.core.model import TimelessJAModel
 from repro.core.sweep import run_sweep, waypoint_samples
 from repro.experiments.registry import ExperimentResult, register
+from repro.experiments.runner import measure
 from repro.hdl.systemc import run_systemc_sweep
 from repro.hdl.vhdlams import (
     IntegJAArchitecture,
@@ -139,9 +138,7 @@ def run(dhmax: float = DEFAULT_DHMAX, h_max: float = FIG1_H_MAX) -> ExperimentRe
     data: dict[str, object] = {}
     baseline_time: float | None = None
     for name, fn, kwargs in workloads:
-        start = time.perf_counter()
-        counters = fn(**kwargs)
-        elapsed = time.perf_counter() - start
+        (elapsed,), counters = measure(lambda: fn(**kwargs), 1)
         if baseline_time is None:
             baseline_time = elapsed
         summary = ", ".join(f"{k}={v}" for k, v in counters.items())

@@ -5,11 +5,13 @@ must never hit again:
 
 * **Caller-owned pools are never closed by executors** (PR 7): a
   :class:`~repro.parallel.pool.WorkerPool` outlives campaigns by
-  design — ``run_sharded(..., pool=...)`` borrowing it must not call
-  ``close``/``terminate``/``join`` on it (nor enter it as a context
-  manager, whose ``__exit__`` closes).  Detected as those calls on a
-  function *parameter* named ``pool`` — a pool the function created
-  locally is its own to close.
+  design — its owner (a service, or the process-wide default pool)
+  closes it, and a function handed a pool, as
+  :func:`~repro.parallel.executor.execute_jobs_pooled` is, must not
+  call ``close``/``terminate``/``join`` on it (nor enter it as a
+  context manager, whose ``__exit__`` closes).  Detected as those
+  calls on a function *parameter* named ``pool`` — a pool the
+  function created locally is its own to close.
 * **Worker-side ``SharedMemory`` attaches silence the resource
   tracker** (PR 3, CPython gh-82300): attaching by name re-registers
   the segment and the tracker then logs spurious leaks or unlinks it

@@ -32,12 +32,12 @@ handed, a one-shard job on one of its workers.
 
 Which of those routes a call takes is decided in one place.
 :func:`resolve_route` checks the route arguments of every entry point
-(``plan``, ``n_workers``, ``mp_context``, ``pool``, ``hosts``, a
-service's pool) and returns the :class:`Route`: the transport, the
-pool width, the lane threads and the backend.  Only
-:func:`run_sharded` takes a ``plan``, and it runs on this host; a
-fleet is reached through :func:`repro.dist.dispatch.run_distributed`
-or ``run_scenario_grid(hosts=...)``.  How many shards each job is cut
+(``plan``, ``n_workers``, ``hosts``, a service's pool) and returns the
+:class:`Route`: the transport, the pool width, the lane threads and
+the backend.  Only :func:`run_sharded` takes a ``plan``, and it runs
+on this host; a fleet is reached through
+:func:`repro.dist.dispatch.run_distributed` or
+``run_scenario_grid(hosts=...)``.  How many shards each job is cut
 into is the route's one placement rule (:meth:`Route.shards_per_job`),
 and :func:`repro.parallel.grid.job_runner` opens the transport and
 runs the prepared jobs on it.
@@ -59,7 +59,7 @@ from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import partial
-from multiprocessing import get_context, shared_memory
+from multiprocessing import shared_memory
 
 import numpy as np
 
@@ -322,6 +322,15 @@ def run_jobs_serial(jobs: "list[_CellJob]") -> list[BatchSweepResult]:
 #: free space decides whether a pooled result stays on loan.
 SHM_DIR = "/dev/shm"
 
+#: What the pooled route raises where it cannot run, before it forks a
+#: worker or lays a segment out.
+NEEDS_LINUX = (
+    "the pooled route needs Linux: workers forked with the 'fork' start "
+    f"method and shared-memory segments in {SHM_DIR} with pages allocated "
+    "by os.posix_fallocate; run with n_workers=1 (in process) or on a "
+    "fleet (hosts=) here"
+)
+
 #: What a segment's page allocation fails with when the directory (or
 #: the memory behind it) is full.
 _NO_ROOM = (errno.ENOSPC, errno.ENOMEM)
@@ -348,11 +357,7 @@ def _allocated(size: int):
     closed at once: a pool with many results on loan holds no
     descriptor for them."""
     if not hasattr(os, "posix_fallocate") or not os.path.isdir(SHM_DIR):
-        raise ReproError(
-            "the pooled route needs Linux: shared-memory segments in "
-            f"{SHM_DIR} with pages allocated by os.posix_fallocate; run "
-            "with n_workers=1 (in process) or on a fleet (hosts=) here"
-        )
+        raise ReproError(NEEDS_LINUX)
     shm = shared_memory.SharedMemory(create=True, size=size)
     try:
         os.posix_fallocate(shm._fd, 0, size)
@@ -549,9 +554,8 @@ def unmap_inherited() -> None:
     every arena segment for inaccessible reserved memory over the same
     range.  Kept, such a mapping would hold the segment's pages until
     the worker exits, whatever its arena frees.  Pool workers never read
-    a result, and reach a segment only by its name (:func:`_attached`);
-    a spawned worker inherits nothing.  A mapping that cannot be
-    swapped is kept."""
+    a result, and reach a segment only by its name (:func:`_attached`).
+    A mapping that cannot be swapped is kept."""
     arenas = list(_ARENAS)
     if not arenas:
         return
@@ -743,7 +747,7 @@ def execute_jobs_pooled(
     as it is drawn.  The single lay out → queue → commit → hand out
     sequence behind every pooled transport: the process-wide default
     pool (:func:`repro.parallel.pool.default_pool`), which streams every
-    chunk of a grid call through here, and a caller's
+    chunk of a grid call through here, and a service's
     :class:`~repro.parallel.pool.WorkerPool`, one chunk per
     :meth:`~repro.parallel.pool.WorkerPool.execute`.  Each task is one
     stack of the chunk's shards (:func:`chunk_stacks`, cut for
@@ -786,8 +790,8 @@ class Route:
     ``threads`` is the lane-thread count each shard pins, and
     ``backend`` the backend every source is pinned to (``None``: each
     keeps its own).  The transport is the ``hosts`` fleet when set,
-    else the caller's live ``pool``, else the process-wide default pool
-    of ``mp_context`` (:func:`repro.parallel.pool.default_pool`).
+    else a service's live ``pool``, else the process-wide default pool
+    (:func:`repro.parallel.pool.default_pool`).
     :func:`resolve_route` builds routes and
     :func:`repro.parallel.grid.job_runner` runs them.
     """
@@ -797,7 +801,6 @@ class Route:
     backend: "str | None" = None
     pool: object = None
     hosts: "tuple[str, ...]" = ()
-    mp_context: "str | None" = None
 
     def shards_per_job(self, jobs: int) -> int:
         """The shards each of ``jobs`` jobs sent in one call is cut into.
@@ -820,23 +823,17 @@ class Route:
         """Whether a scenario drive may travel by name
         (:func:`prepare_job`'s ``by_name``).  Its workers must then
         share this process's scenario registry: this process does, and
-        so does the default pool under ``fork``, re-forked when the
-        registry changes.  A spawned or forkserver pool's workers start
-        from the library's registry alone, and a caller's or service's
-        pool or a fleet's agents keep the registry they started with,
-        so each of those takes a drive's samples."""
-        return (
-            self.pool is None
-            and not self.hosts
-            and get_context(self.mp_context).get_start_method() == "fork"
-        )
+        so does the default pool, forked from it and re-forked when the
+        registry changes.  A service's pool and a fleet's agents keep
+        the registry they started with, so each takes a drive's
+        samples."""
+        return self.pool is None and not self.hosts
 
 
 def resolve_route(
     plan=None,
     *,
     n_workers: "int | None" = None,
-    mp_context: "str | None" = None,
     pool=None,
     hosts=None,
 ):
@@ -846,27 +843,28 @@ def resolve_route(
     :func:`~repro.parallel.grid.run_scenario_grid`,
     :func:`~repro.dist.dispatch.run_distributed` and
     :class:`~repro.service.api.HysteresisService` decide how their jobs
-    run.  ``pool`` is a live :class:`~repro.parallel.pool.WorkerPool`
-    (the caller's, or a service's).  Every conflict between these
-    arguments, a ``plan`` that is neither ``"auto"`` nor an
-    :class:`~repro.sched.planner.ExecutionPlan`, and a ``hosts=`` that
-    is a bare string, an empty list or names an agent twice raise
+    run.  ``pool`` is a service's live
+    :class:`~repro.parallel.pool.WorkerPool`, which the grid's
+    ``service=`` and the service's own misses run on.  Every conflict
+    between these arguments, a ``plan`` that is neither ``"auto"`` nor
+    an :class:`~repro.sched.planner.ExecutionPlan`, and a ``hosts=``
+    that is a bare string, an empty list or names an agent twice raise
     :class:`~repro.errors.ParameterError` here, before the caller reads
     a cache, builds an ensemble, forks a pool or connects.
 
     Only :func:`run_sharded` passes a ``plan``, and it runs on this
-    host: it never passes ``hosts=``, and never a live pool with a
-    plan, since the pool owns the pool width.  Only the grid and
-    :func:`~repro.dist.dispatch.run_distributed` pass ``hosts=``, and
-    ``n_workers`` then names the fleet's width (default: one per host;
-    below one raises here).  Returns ``settle(price) -> Route``.  Under
-    ``plan="auto"``, ``settle`` takes its plan from ``price()``, once
-    the caller knows the drive; every other route is decided here, and
-    ``price`` is never called.  The pool width is the live pool's, else
-    it passes through :func:`resolve_workers`; no lane count reaches
-    the route, so the width is never clamped to one (a job is, when it
-    is cut: :meth:`Route.shards_per_job`).  A plan's lane threads are
-    clamped so ``workers x threads <= available_cpus()``.
+    host, on the default pool: it passes neither ``hosts=`` nor a live
+    pool.  Only the grid and :func:`~repro.dist.dispatch.run_distributed`
+    pass ``hosts=``, and ``n_workers`` then names the fleet's width
+    (default: one per host; below one raises here).  Returns
+    ``settle(price) -> Route``.  Under ``plan="auto"``, ``settle``
+    takes its plan from ``price()``, once the caller knows the drive;
+    every other route is decided here, and ``price`` is never called.
+    The pool width is the live pool's, else it passes through
+    :func:`resolve_workers`; no lane count reaches the route, so the
+    width is never clamped to one (a job is, when it is cut:
+    :meth:`Route.shards_per_job`).  A plan's lane threads are clamped
+    so ``workers x threads <= available_cpus()``.
     """
     auto = isinstance(plan, str) and plan == "auto"
     explicit = None if plan is None or auto else plan
@@ -899,20 +897,15 @@ def resolve_route(
             )
         if n_workers is not None and n_workers < 1:
             raise ParameterError(f"n_workers must be >= 1, got {n_workers}")
-    if hosts is not None and (pool is not None or mp_context is not None):
+    if hosts is not None and pool is not None:
         raise ParameterError(
-            "hosts= dispatches over repro.dist sockets; a local pool "
-            "(pool=, service= or mp_context=) cannot run remote shards"
+            "hosts= dispatches over repro.dist sockets; a service's local "
+            "pool (service=) cannot run remote shards"
         )
-    if pool is not None and (n_workers is not None or plan is not None):
+    if pool is not None and n_workers is not None:
         raise ParameterError(
-            "pass either a live pool (pool= / service=) or n_workers= / "
-            "plan=, not both: a live pool owns the pool width"
-        )
-    if pool is not None and mp_context is not None:
-        raise ParameterError(
-            "mp_context applies to the default pool; a live pool (pool= / "
-            "service=) already carries its start method"
+            "pass either a service (service=) or n_workers=, not both: "
+            "its live pool owns the pool width"
         )
     if plan is not None and n_workers is not None:
         raise ParameterError(
@@ -940,7 +933,6 @@ def resolve_route(
             ).name,
             pool=pool,
             hosts=hosts or (),
-            mp_context=mp_context,
         )
 
     if auto:
@@ -1022,14 +1014,14 @@ def run_sharded(
     h_max: float | None = None,
     driver_step: float | None = None,
     n_workers: int | None = None,
-    mp_context: str | None = None,
     plan=None,
-    pool=None,
     chunk_lanes: int | None = None,
 ) -> BatchSweepResult:
     """Run one ensemble drive sharded over a process pool.
 
-    Every route it takes runs on this host;
+    Every route it takes runs on this host, in process or on the
+    process-wide default pool (:func:`~repro.parallel.pool.default_pool`,
+    forked, which every call that names no other transport shares);
     :func:`repro.dist.dispatch.run_distributed` sends one drive to a
     fleet of worker agents.
 
@@ -1051,12 +1043,8 @@ def run_sharded(
         by the ``REPRO_PARALLEL_MAX_WORKERS`` environment variable.
         ``1`` selects the serial in-process fallback.  The lanes are
         cut into ``min(n_workers, lanes)`` near-equal shards
-        (:func:`~repro.parallel.plan.plan_shards`).
-    mp_context:
-        ``multiprocessing`` start method (``"fork"``, ``"spawn"``, ...)
-        of the default pool; default: the platform default.  A call
-        that asks another start method or width than the live default
-        pool's re-forks it.
+        (:func:`~repro.parallel.plan.plan_shards`).  A call that asks
+        another width than the live default pool's re-forks it.
     plan:
         ``None`` (default) keeps the explicit knobs exactly as
         documented above.  ``"auto"`` plans this run from the host's
@@ -1066,20 +1054,12 @@ def run_sharded(
         :class:`~repro.sched.planner.ExecutionPlan` applies that plan
         verbatim; either runs on the default pool.  A plan owns the
         backend / pool-width / lane-thread axes — it is mutually
-        exclusive with ``n_workers`` and ``pool`` — and is always
-        clamped to this host: the pool width passes through
-        :func:`resolve_workers` (environment cap included) and
-        ``threads_per_worker`` is reduced so ``workers × threads``
-        never exceeds the CPU affinity.  A plan always runs on this
-        host.  This is the only entry point that takes a plan.
-    pool:
-        A live :class:`~repro.parallel.pool.WorkerPool` to run the
-        shards on instead of the process-wide default pool, which every
-        call without ``pool=`` shares
-        (:func:`~repro.parallel.pool.default_pool`).  The live pool owns
-        the pool width, so it is mutually exclusive with ``n_workers``,
-        ``plan`` and ``mp_context``.  The pool is never closed here: it
-        outlives this call by design.
+        exclusive with ``n_workers`` — and is always clamped to this
+        host: the pool width passes through :func:`resolve_workers`
+        (environment cap included) and ``threads_per_worker`` is reduced
+        so ``workers × threads`` never exceeds the CPU affinity.  A
+        plan always runs on this host.  This is the only entry point
+        that takes a plan.
     chunk_lanes:
         Bounded-memory mode: every shard streams its result in
         contiguous row blocks — sample ranges across all of the
@@ -1094,9 +1074,7 @@ def run_sharded(
     Returns the same :class:`~repro.batch.sweep.BatchSweepResult` the
     single-process executor produces — bitwise, lane order preserved.
     """
-    settle = resolve_route(
-        plan, n_workers=n_workers, mp_context=mp_context, pool=pool
-    )
+    settle = resolve_route(plan, n_workers=n_workers)
     drive, source = _resolve_drive(
         source, h_samples, scenario, h_max, driver_step
     )

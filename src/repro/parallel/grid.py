@@ -34,8 +34,9 @@ result object (the collapse is logged).
 
 :func:`job_runner` is the one place a route's transport is opened: this
 process, the process-wide default pool
-(:func:`repro.parallel.pool.default_pool`, which lives until exit and
-serves every call that names no other transport), a caller's warm
+(:func:`repro.parallel.pool.default_pool`, forked whatever the
+interpreter's default start method, which lives until exit and serves
+every call that names no other transport), a service's warm
 :class:`~repro.parallel.pool.WorkerPool`, or a
 :class:`~repro.dist.dispatch.Dispatcher` over worker agents.
 :func:`~repro.parallel.executor.run_sharded`, the service and
@@ -184,12 +185,12 @@ def job_runner(route, **dispatcher_options):
       exit, one ``run_jobs`` per chunk.  With no live host it drains
       every shard locally, logging that it degrades to the local
       executor;
-    * ``route.pool`` — the caller's (or a service's) live pool, one
-      ``execute`` per chunk, whatever the chunk's shard count, never
-      closed here; a pool one worker wide runs the chunk in the calling
-      thread.  A one-shard job runs on a worker too, so a service's
-      misses in flight side by side compute in its workers, not in the
-      threads that sent them;
+    * ``route.pool`` — a service's live pool, one ``execute`` per
+      chunk, whatever the chunk's shard count, never closed here; a
+      pool one worker wide runs the chunk in the calling thread.  A
+      one-shard job runs on a worker too, so a service's misses in
+      flight side by side compute in its workers, not in the threads
+      that sent them;
     * a chunk whose jobs hold one shard in total, or a route one worker
       wide, with no live pool — this process, no pool at all (so a
       plan's single threaded shard never runs in a forked child), until
@@ -230,9 +231,7 @@ def job_runner(route, **dispatcher_options):
             elif width <= 1:
                 results.extend(run_jobs_serial(jobs))
             else:
-                with default_pool(width, route.mp_context) as (
-                    workers, arena
-                ):
+                with default_pool(width) as (workers, arena):
                     results.extend(
                         execute_jobs_pooled(
                             workers, chain([jobs], chunks), width, arena
@@ -253,7 +252,6 @@ def run_scenario_grid(
     driver_step: float | None = None,
     backend: str | None = None,
     n_workers: int | None = None,
-    mp_context: str | None = None,
     service=None,
     chunk_lanes: int | None = None,
     hosts=None,
@@ -302,10 +300,10 @@ def run_scenario_grid(
     looked up in its content-addressed cache first, **only the misses**
     are computed, on the service's persistent pool at its full width,
     and fresh results are cached for the next campaign.  The service
-    owns the pool, so ``n_workers`` / ``mp_context`` / ``hosts`` are
-    mutually exclusive with it.  The backend is part of every cache key
-    (numpy's bitwise tier and numba's rtol tier never cross-serve), and
-    every cell already carries the grid's ``backend``.
+    owns the pool, so ``n_workers`` / ``hosts`` are mutually exclusive
+    with it.  The backend is part of every cache key (numpy's bitwise
+    tier and numba's rtol tier never cross-serve), and every cell
+    already carries the grid's ``backend``.
 
     ``chunk_lanes`` streams every cell's shards in row blocks of at
     most ``chunk_lanes × samples`` lane-samples
@@ -331,7 +329,6 @@ def run_scenario_grid(
     backend_name = resolve_backend(backend).name
     route = resolve_route(
         n_workers=n_workers,
-        mp_context=mp_context,
         pool=None if service is None else service.pool,
         hosts=hosts,
     )()

@@ -1,30 +1,34 @@
-"""Live worker pools: a caller's :class:`WorkerPool`, and the default one.
+"""Live worker pools: the default one, and a service's.
 
 A :class:`WorkerPool` is a ``multiprocessing`` pool that outlives the
 calls it serves, so they stop re-paying the fork (the calibration's
 measured ``pool_base``), cold recipe caches, the workers' Preisach
 identification and, on the numba backend, every worker's JIT
-compilation of the fused kernels:
+compilation of the fused kernels.  Two owners hold one: the
+process-wide default pool below, and each
+:class:`~repro.service.api.HysteresisService`.
 
-* a caller creates one and hands it to successive calls via their
-  ``pool=`` argument (no call ever closes a caller-owned pool); a
-  :class:`~repro.service.api.HysteresisService` owns one the same way;
-* before forking, :func:`prewarm_fused_kernels` runs every compiled
-  fused driver once **in the parent** — under the default ``fork``
-  start method children inherit the parent's warmed JIT caches (the
-  EXP-B5 fork-inheritance observation), so no worker ever compiles.
+Every pool wider than one forks, whatever the interpreter's default
+start method (:func:`fork_context`): before forking,
+:func:`prewarm_fused_kernels` runs every compiled fused driver once
+**in the parent**, so the children inherit the parent's warmed JIT
+caches (the EXP-B5 fork-inheritance observation) and no worker ever
+compiles; the workers know every family, scenario and backend this
+process registered before the fork.  Where ``fork`` is missing, a pool
+wider than one raises the pooled route's
+:class:`~repro.errors.ReproError` before it forks; a width-1 pool keeps
+no processes and runs anywhere.
 
-Every other local call that needs more than one shard (one without
-``pool=``, ``service=`` or ``hosts=``) runs on one process-wide
+Every local call that needs more than one shard and names no other
+transport (no ``service=`` or ``hosts=``) runs on one process-wide
 :class:`WorkerPool`, leased through :func:`default_pool`:
 
 * forked at first need, as wide as that call asks (its route's width,
   at most its shards), and reused by every later call that asks the
-  same width and start method;
-* re-forked when the width, the start method or a registry changed
-  since the fork: workers resolve families, backends and (under
-  ``fork``) scenario drives by name, and a name registered after the
-  fork is unknown to them;
+  same width;
+* re-forked when the width or a registry changed since the fork:
+  workers resolve families, backends and scenario drives by name, and
+  a name registered after the fork is unknown to them;
 * forgotten, neither used nor closed, in a forked child (its workers
   are the parent's);
 * closed at interpreter exit (:func:`close_default_pool`, which tests
@@ -60,11 +64,12 @@ import weakref
 from contextlib import ExitStack, contextmanager
 from multiprocessing import get_context
 
-from repro.backend import get_backend, list_backends
+from repro.backend import list_backends
 from repro.batch.sweep import run_batch_series
-from repro.errors import ParameterError
+from repro.errors import ParameterError, ReproError
 from repro.models.registry import get_family, list_families
 from repro.parallel.executor import (
+    NEEDS_LINUX,
     SegmentArena,
     execute_jobs_pooled,
     resolve_workers,
@@ -76,40 +81,43 @@ from repro.scenarios import list_scenarios
 _log = logging.getLogger(__name__)
 
 
-def prewarm_fused_kernels(
-    backends=None,
-    lanes: int = 2,
-    samples: int = 8,
-) -> tuple:
+def prewarm_fused_kernels() -> tuple:
     """Run every compiled fused driver once, in this process.
 
     Walks the registered JIT backends (the exact numpy backend has
     nothing to compile) and, for each family the backend registers a
-    fused driver for, drives a tiny ensemble through the real
-    ``run_batch_series`` path — compiling the kernel variants into this
-    process's JIT cache.  Returns the warmed ``(family, backend)``
-    pairs.  Call *before* forking workers: under ``fork`` the children
-    inherit the warmed caches for free.
+    fused driver for, drives a two-lane ensemble over eight samples
+    through the real ``run_batch_series`` path — compiling the kernel
+    variants into this process's JIT cache.  Returns the warmed
+    ``(family, backend)`` pairs.  Call *before* forking workers: the
+    children inherit the warmed caches for free.
     """
     # Lazy import: repro.sched sits above this package in the layer
     # stack, and only the probe drive is borrowed from it.
     from repro.sched.calibration import probe_drive
 
-    records = (
-        [get_backend(name) for name in backends]
-        if backends is not None
-        else list_backends()
-    )
     warmed = []
-    for backend in records:
+    for backend in list_backends():
         if backend.exact:
             continue
         for family_name in backend.fused_families:
             family = get_family(family_name)
-            batch = family.make_batch(lanes, seed=0, backend=backend.name)
-            run_batch_series(batch, probe_drive(family.h_scale, samples))
+            batch = family.make_batch(2, seed=0, backend=backend.name)
+            run_batch_series(batch, probe_drive(family.h_scale, 8))
             warmed.append((family_name, backend.name))
     return tuple(warmed)
+
+
+def fork_context():
+    """The ``multiprocessing`` context every pool wider than one forks
+    through: ``fork``, whatever the interpreter's default start method,
+    so its workers inherit this process's warmed JIT caches and
+    registries.  Where ``fork`` is missing, the pooled route's
+    :class:`~repro.errors.ReproError`, before anything forks."""
+    try:
+        return get_context("fork")
+    except ValueError:
+        raise ReproError(NEEDS_LINUX) from None
 
 
 class WorkerPool:
@@ -121,43 +129,33 @@ class WorkerPool:
         Pool width; defaults to the available CPUs and is clamped by
         ``REPRO_PARALLEL_MAX_WORKERS`` exactly like every other route.
         Width 1 keeps no processes at all — jobs run through the serial
-        in-process fallback, so a ``WorkerPool`` is safe to construct
-        on any host.
-    mp_context:
-        ``multiprocessing`` start method.  The default (``fork`` on
-        Linux) is what makes pre-warmed JIT kernels heritable; under
-        ``spawn`` workers start cold and the warm-up only helps the
-        parent's own serial runs.
+        in-process fallback, so a width-1 ``WorkerPool`` is safe to
+        construct on any host.  A wider one forks
+        (:func:`fork_context`), and raises the pooled route's
+        :class:`~repro.errors.ReproError` where ``fork`` is missing.
 
     Every registered fused JIT kernel is compiled in the parent before
     the fork (:func:`prewarm_fused_kernels`); with only the numpy
     backend registered there is nothing to compile.
 
-    The pool never re-forks, so its workers know the registries they
-    started with.  Families still resolve by name there; a scenario
-    drive reaches them as samples
+    A service's pool never re-forks, so its workers know the registries
+    they started with.  Families still resolve by name there; a
+    scenario drive reaches them as samples
     (:attr:`~repro.parallel.executor.Route.names_drives`).  Several
     threads may :meth:`execute` at once: each call runs its own jobs
     side by side with the others on the same workers.
     """
 
-    def __init__(
-        self,
-        n_workers: "int | None" = None,
-        *,
-        mp_context: "str | None" = None,
-    ) -> None:
+    def __init__(self, n_workers: "int | None" = None) -> None:
         self.n_workers = resolve_workers(n_workers)
-        self._ctx = get_context(mp_context)
+        context = fork_context() if self.n_workers > 1 else None
         self.warmed = prewarm_fused_kernels()
         # Warm-up above MUST precede the fork below: Pool() is where
         # the children snapshot the parent's (warmed) JIT caches.  Each
         # worker then drops the shared segments it inherited.
         self._pool = (
-            self._ctx.Pool(
-                processes=self.n_workers, initializer=unmap_inherited
-            )
-            if self.n_workers > 1
+            context.Pool(processes=self.n_workers, initializer=unmap_inherited)
+            if context is not None
             else None
         )
         # Guards _closed and _calls: close() waits on it until no call
@@ -172,10 +170,6 @@ class WorkerPool:
     @property
     def closed(self) -> bool:
         return self._closed
-
-    @property
-    def start_method(self) -> str:
-        return self._ctx.get_start_method()
 
     @contextmanager
     def _lease(self):
@@ -256,8 +250,8 @@ class WorkerPool:
 # -- the process-wide default pool -----------------------------------------
 
 _default: "WorkerPool | None" = None
-#: ``(width, start method)`` and the registry records it was forked with.
-_default_shape: tuple = ()
+#: The width and the registry records it was forked with.
+_default_width = 0
 _default_records: tuple = ()
 _default_lock = threading.Lock()
 #: Pools a forked child inherited: held, so never closed (or reaped).
@@ -270,19 +264,12 @@ def _registered() -> tuple:
     return (*list_families(), *list_scenarios(), *list_backends())
 
 
-def _refork_reason(shape: tuple, records: tuple) -> "str | None":
-    """Why the default pool cannot serve ``shape`` (``None``: it can)."""
+def _refork_reason(width: int, records: tuple) -> "str | None":
+    """Why the default pool cannot serve ``width`` (``None``: it can)."""
     if _default is None:
         return "first need"
-    changes = [
-        f"{what} {then} -> {now}"
-        for what, then, now in zip(
-            ("width", "start method"), _default_shape, shape
-        )
-        if then != now
-    ]
-    if changes:
-        return ", ".join(changes)
+    if width != _default_width:
+        return f"width {_default_width} -> {width}"
     if len(records) != len(_default_records) or any(
         now is not then for now, then in zip(records, _default_records)
     ):
@@ -291,27 +278,25 @@ def _refork_reason(shape: tuple, records: tuple) -> "str | None":
 
 
 @contextmanager
-def default_pool(width: int, mp_context: "str | None" = None):
+def default_pool(width: int):
     """Lease the process-wide pool ``width`` workers wide: yields its
     live ``multiprocessing`` pool and its segment arena for one call.
 
-    Forks it at first need and re-forks it when the width, the start
-    method or a registry changed since its fork, waiting for the calls
-    in flight on the old one to land.  The lease is taken under the
-    module lock, so no re-fork closes a pool between its lookup and
-    the call it serves."""
-    global _default, _default_shape, _default_records
-    shape = (width, get_context(mp_context).get_start_method())
+    Forks it at first need and re-forks it when the width or a registry
+    changed since its fork, waiting for the calls in flight on the old
+    one to land.  The lease is taken under the module lock, so no
+    re-fork closes a pool between its lookup and the call it serves."""
+    global _default, _default_width, _default_records
     with ExitStack() as stack:
         with _default_lock:
             records = _registered()
-            reason = _refork_reason(shape, records)
+            reason = _refork_reason(width, records)
             if reason is not None:
                 stale, _default = _default, None
                 if stale is not None:
                     stale.close()
-                _default = WorkerPool(width, mp_context=mp_context)
-                _default_shape, _default_records = shape, records
+                _default = WorkerPool(width)
+                _default_width, _default_records = width, records
                 _log.info(
                     "forked the default pool: %d workers (%s)",
                     _default.n_workers,

@@ -28,19 +28,19 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import platform
 import socket
 import tempfile
 import time
 from dataclasses import asdict, dataclass
-from multiprocessing import get_context
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.errors import ParameterError
+from repro.errors import ParameterError, ReproError
 
 #: Bump when the JSON layout changes incompatibly; load() rejects files
 #: written by a different schema.
@@ -234,10 +234,19 @@ def _time_run(batch, h: np.ndarray, repeats: int) -> float:
     return float(best)
 
 
-def _pool_overhead(mp_context: "str | None" = None) -> dict:
-    """Measured pool spin-up: fork/spawn + one trivial map + teardown,
-    split into a base and a per-worker component from two pool widths."""
-    ctx = get_context(mp_context)
+def _pool_overhead() -> dict:
+    """Measured pool spin-up: fork + one trivial map + teardown, split
+    into a base and a per-worker component from two pool widths.  It
+    forks as every pool of the executor does
+    (:func:`repro.parallel.pool.fork_context`); where ``fork`` is
+    missing, the pooled route cannot run, and its spin-up is priced
+    infinite, so no plan picks it."""
+    from repro.parallel.pool import fork_context
+
+    try:
+        ctx = fork_context()
+    except ReproError:
+        return {"base_seconds": math.inf, "per_worker_seconds": math.inf}
 
     def spin(workers: int) -> float:
         start = time.perf_counter()
@@ -249,11 +258,7 @@ def _pool_overhead(mp_context: "str | None" = None) -> dict:
     t2 = spin(2)
     per_worker = max(t2 - t1, 0.0)
     base = max(t1 - per_worker, 0.0)
-    return {
-        "base_seconds": base,
-        "per_worker_seconds": per_worker,
-        "start_method": ctx.get_start_method(),
-    }
+    return {"base_seconds": base, "per_worker_seconds": per_worker}
 
 
 def _thread_ladder(backend_name: str, cpus: int) -> "tuple[int, ...]":
@@ -276,7 +281,6 @@ def run_calibration(
     samples: Iterable[int] = (64, 256),
     repeats: int = 2,
     seed: int = 0,
-    mp_context: "str | None" = None,
 ) -> Calibration:
     """Run the micro-calibration and return the (unsaved) result.
 
@@ -344,7 +348,7 @@ def run_calibration(
     return Calibration(
         host=host,
         probes=tuple(probes),
-        pool=_pool_overhead(mp_context),
+        pool=_pool_overhead(),
         created=time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     )
 

@@ -2,10 +2,11 @@
 
 :class:`HysteresisService` ties the three service pieces together:
 
-* a persistent :class:`~repro.parallel.pool.WorkerPool` — forked once
-  (fused JIT kernels pre-warmed in the parent so ``fork`` children
-  inherit them compiled), reused by every request, so successive
-  campaigns stop re-paying the calibration's measured ``pool_base``;
+* a persistent :class:`~repro.parallel.pool.WorkerPool` of its own —
+  forked once, whatever the interpreter's default start method (fused
+  JIT kernels pre-warmed in the parent so the children inherit them
+  compiled), reused by every request, so successive campaigns stop
+  re-paying the calibration's measured ``pool_base``;
 * a content-addressed :class:`~repro.service.cache.ResultCache` —
   requests are keyed by :func:`~repro.service.digest.spec_digest`
   (ensemble recipe + drive + backend; never pool width or threads), so
@@ -61,10 +62,11 @@ class HysteresisService:
 
     Parameters
     ----------
-    n_workers / mp_context:
-        Forwarded to :class:`~repro.parallel.pool.WorkerPool`; the pool
-        is created (its JIT kernels always pre-warmed) at construction,
-        so the first request already runs warm.
+    n_workers:
+        The width of the service's :class:`~repro.parallel.pool.WorkerPool`;
+        the pool is forked (its JIT kernels always pre-warmed) at
+        construction, once every other argument is checked, so the
+        first request already runs warm.
     cache_entries:
         In-memory LRU capacity of the result cache.
     cache_dir:
@@ -82,7 +84,6 @@ class HysteresisService:
         self,
         n_workers: "int | None" = None,
         *,
-        mp_context: "str | None" = None,
         cache_entries: int = 128,
         cache_dir: "Path | str | None" = None,
         dispatch_threads: int = 2,
@@ -91,11 +92,12 @@ class HysteresisService:
             raise ParameterError(
                 f"dispatch_threads must be >= 1, got {dispatch_threads}"
             )
-        self.pool = WorkerPool(n_workers, mp_context=mp_context)
+        # The cache checks its arguments before the pool forks.
+        self.cache = ResultCache(cache_entries, spill_dir=cache_dir)
+        self.pool = WorkerPool(n_workers)
         # Every miss routes alike: the pool owns the width, and a route
         # knows nothing of a request's lanes.
         self._settle = resolve_route(pool=self.pool)
-        self.cache = ResultCache(cache_entries, spill_dir=cache_dir)
         self._dispatch = concurrent.futures.ThreadPoolExecutor(
             max_workers=dispatch_threads, thread_name_prefix="hysteresis"
         )

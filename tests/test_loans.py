@@ -109,7 +109,7 @@ class DefaultPool:
     """The process-wide default pool, reached as a grid reaches it."""
 
     def run(self, prepared):
-        route = resolve_route(n_workers=WIDTH, mp_context="fork")()
+        route = resolve_route(n_workers=WIDTH)()
         with job_runner(route) as run:
             return run([prepared])
 
@@ -125,7 +125,7 @@ class CallersPool:
     """A caller's :class:`WorkerPool`, one ``execute`` per call."""
 
     def __init__(self) -> None:
-        self.pool = WorkerPool(WIDTH, mp_context="fork")
+        self.pool = WorkerPool(WIDTH)
 
     def run(self, prepared):
         return self.pool.execute(prepared)
@@ -322,7 +322,7 @@ def later_pool_maps_none_of_them(route, monkeypatch):
     held = route.run(jobs(6e3, 8e3))
     route.run(jobs(4e3, 5e3))  # dropped: idle beside the loans
     names = arena_names(route.pool.arena)
-    with WorkerPool(WIDTH, mp_context="fork") as later:
+    with WorkerPool(WIDTH) as later:
         check(later.execute(jobs(4e3)), 4e3)
         for _ in range(100):  # until both workers have started up
             kept = [pid for pid in worker_pids(later) if mappings(pid, names)]

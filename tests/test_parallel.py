@@ -464,14 +464,12 @@ class TestRecipeCache:
 
         with registered(timeless_variant(counted, "counted-pooled")):
             first = run_scenario_grid(
-                ["counted-pooled"], **self.GRID, n_workers=2,
-                mp_context="fork",
+                ["counted-pooled"], **self.GRID, n_workers=2
             )
             built = builds.value
             assert 1 <= built <= 2
             cells = run_scenario_grid(
-                ["counted-pooled"], **self.GRID, n_workers=2,
-                mp_context="fork",
+                ["counted-pooled"], **self.GRID, n_workers=2
             )
             assert builds.value == built
             batch = stacked(EnsembleSpec("counted-pooled", 4), 0, 4)
@@ -744,11 +742,7 @@ def write_synthetic_calibration(path) -> None:
     Calibration(
         host={"hostname": "synthetic"},
         probes=probes,
-        pool={
-            "base_seconds": 10.0,
-            "per_worker_seconds": 1.0,
-            "start_method": "fork",
-        },
+        pool={"base_seconds": 10.0, "per_worker_seconds": 1.0},
         created="2026-08-08T00:00:00",
     ).save(path)
 
@@ -1105,6 +1099,7 @@ class TestShardedExtrasDtypes:
         if "fork" not in multiprocessing.get_all_start_methods():
             pytest.skip("needs the fork start method (registry is inherited)")
         from repro.dist import WorkerAgent, run_distributed
+        from repro.parallel.executor import prepare_job
         from repro.service import WorkerPool
 
         batch = dtype_extras_family.make_batch(N_CORES)
@@ -1115,15 +1110,13 @@ class TestShardedExtrasDtypes:
         )
         assert_results_bitwise_equal(
             reference,
-            run_sharded(
-                batch, h, n_workers=N_WORKERS, mp_context="fork",
-                chunk_lanes=2,
-            ),
+            run_sharded(batch, h, n_workers=N_WORKERS, chunk_lanes=2),
         )
-        with WorkerPool(2, mp_context="fork") as pool:
-            assert_results_bitwise_equal(
-                reference, run_sharded(batch, h, pool=pool, chunk_lanes=2)
+        with WorkerPool(2) as pool:
+            job = prepare_job(
+                batch, DriveSpec(samples=h), pool.n_workers, chunk_lanes=2
             )
+            assert_results_bitwise_equal(reference, pool.execute([job])[0])
         with WorkerAgent() as agent:
             assert_results_bitwise_equal(
                 reference,

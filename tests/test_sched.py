@@ -90,7 +90,6 @@ def synthetic_calibration(
         pool={
             "base_seconds": pool_base,
             "per_worker_seconds": pool_per_worker,
-            "start_method": "fork",
         },
         created="2026-08-08T00:00:00",
     )

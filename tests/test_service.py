@@ -26,7 +26,7 @@ from repro.batch.sweep import run_batch_series
 from repro.errors import ParameterError
 from repro.experiments import run_experiment
 from repro.models.registry import get_family, list_families
-from repro.parallel.executor import SHM_DIR, run_sharded
+from repro.parallel.executor import SHM_DIR, prepare_job
 from repro.parallel.grid import run_scenario_grid
 from repro.parallel.spec import DriveSpec, EnsembleSpec
 from repro.service import (
@@ -73,19 +73,19 @@ def assert_bitwise(reference, other):
     assert reference.family == other.family
 
 
+def pool_run(pool, spec, drive):
+    """One request as a service runs it on its pool: one job, cut over
+    the pool's width."""
+    return pool.execute([prepare_job(spec, drive, pool.n_workers)])[0]
+
+
 class TestWorkerPool:
     def test_width_one_serial_fallback(self):
         with WorkerPool(1) as pool:
             assert pool.n_workers == 1
             assert not pool.closed
             spec, drive = small_workload("timeless")
-            result = run_sharded(
-                spec,
-                scenario=drive.scenario,
-                h_max=drive.h_max,
-                driver_step=drive.driver_step,
-                pool=pool,
-            )
+            result = pool_run(pool, spec, drive)
         reference = run_batch_series(
             spec.build_batch(), drive.full_samples(spec.n_cores)
         )
@@ -149,20 +149,8 @@ class TestWorkerPool:
     def test_pool_outlives_many_calls(self):
         spec, drive = small_workload("preisach", n_cores=3)
         with WorkerPool(1) as pool:
-            first = run_sharded(
-                spec,
-                scenario=drive.scenario,
-                h_max=drive.h_max,
-                driver_step=drive.driver_step,
-                pool=pool,
-            )
-            second = run_sharded(
-                spec,
-                scenario=drive.scenario,
-                h_max=drive.h_max,
-                driver_step=drive.driver_step,
-                pool=pool,
-            )
+            first = pool_run(pool, spec, drive)
+            second = pool_run(pool, spec, drive)
         assert_bitwise(first, second)
 
     def test_closed_pool_rejects_execution(self):
@@ -281,6 +269,31 @@ class TestHysteresisService:
             spec.build_batch(), drive.full_samples(spec.n_cores)
         )
         assert_bitwise(reference, served)
+
+    @pytest.mark.parametrize(
+        "arguments, match",
+        [
+            (dict(cache_entries=0), "max_entries"),
+            (dict(dispatch_threads=0), "dispatch_threads"),
+        ],
+        ids=["cache_entries", "dispatch_threads"],
+    )
+    def test_bad_argument_raises_before_the_pool_forks(
+        self, arguments, match, monkeypatch
+    ):
+        """Every constructor argument is checked before the service's
+        two-wide pool forks: a bad one forks nothing."""
+        import multiprocessing.context
+
+        forked = []
+        monkeypatch.setattr(
+            multiprocessing.context.BaseContext, "Pool",
+            lambda *args, **kwargs: forked.append(args),
+        )
+        monkeypatch.delenv("REPRO_PARALLEL_MAX_WORKERS", raising=False)
+        with pytest.raises(ParameterError, match=match):
+            HysteresisService(2, **arguments)
+        assert forked == []
 
     def test_submit_requires_running_loop(self):
         spec, drive = small_workload("timeless")

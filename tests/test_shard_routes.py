@@ -32,7 +32,10 @@ the process-wide default pool's lifecycle: when it forks, is reused and
 re-forks, that a forked child leaves it alone, and that closing it, a
 worker-side error or several threads at once under a streamed grid
 each have one exact outcome; a subprocess pins a clean exit with a
-grid still streaming through it.
+grid still streaming through it.  Subprocesses under the
+``forkserver`` and ``spawn`` default start methods pin that every pool
+still forks, and a table pins each route's outcome on a host without
+``fork``.
 
 The routes are case functions crossed with the families, in the
 cross-strategy idiom of probdiffeq's solver tests: a new route or a new
@@ -58,7 +61,7 @@ import pytest
 
 from repro.batch.sweep import run_batch_series
 from repro.dist import Dispatcher, WorkerAgent, run_distributed
-from repro.errors import DistError, ParameterError
+from repro.errors import DistError, ParameterError, ReproError
 from repro.models.registry import (
     get_family,
     list_families,
@@ -90,7 +93,7 @@ from repro.parallel.executor import (
 from repro.parallel.pool import close_default_pool
 from repro.scenarios import Scenario, register_scenario, scenario_samples
 from repro.scenarios import registry as scenario_registry
-from repro.sched import ExecutionPlan, calibration, planner
+from repro.sched import CostModel, ExecutionPlan, calibration, planner
 from repro.service import HysteresisService, ResultCache, WorkerPool
 
 from test_dist import _finishes_within
@@ -135,7 +138,7 @@ def dtype_family():
 
 @pytest.fixture(scope="module")
 def warm_pool(dtype_family):
-    with WorkerPool(N_SHARDS, mp_context="fork") as pool:
+    with WorkerPool(N_SHARDS) as pool:
         yield pool
 
 
@@ -163,15 +166,16 @@ def route_serial(batch, h, chunk_lanes, request):
 
 
 def route_fork_pool(batch, h, chunk_lanes, request):
-    return run_sharded(
-        batch, h, n_workers=N_SHARDS, mp_context="fork",
-        chunk_lanes=chunk_lanes,
-    )
+    return run_sharded(batch, h, n_workers=N_SHARDS, chunk_lanes=chunk_lanes)
 
 
 def route_warm_pool(batch, h, chunk_lanes, request):
+    """The call a service makes on its pool: one lane-cut job."""
     pool = request.getfixturevalue("warm_pool")
-    return run_sharded(batch, h, pool=pool, chunk_lanes=chunk_lanes)
+    job = prepare_job(
+        batch, DriveSpec(samples=h), pool.n_workers, chunk_lanes=chunk_lanes
+    )
+    return pool.execute([job])[0]
 
 
 def route_dispatched(batch, h, chunk_lanes, request):
@@ -390,7 +394,7 @@ def grid(chunk_lanes, **route):
 
 @pytest.fixture(scope="module")
 def grid_service(dtype_family):
-    with HysteresisService(N_SHARDS, mp_context="fork") as svc:
+    with HysteresisService(N_SHARDS) as svc:
         yield svc
 
 
@@ -399,7 +403,7 @@ def grid_serial(chunk_lanes, request):
 
 
 def grid_fork_pool(chunk_lanes, request):
-    return grid(chunk_lanes, n_workers=N_SHARDS, mp_context="fork")
+    return grid(chunk_lanes, n_workers=N_SHARDS)
 
 
 def grid_service_cold_then_cached(chunk_lanes, request):
@@ -569,26 +573,6 @@ def late_default_pool(request):
     return functools.partial(late_grid, n_workers=2)
 
 
-def late_spawned_pool(request):
-    request.addfinalizer(close_default_pool)
-    return functools.partial(late_grid, n_workers=2, mp_context="spawn")
-
-
-def late_caller_pool(request):
-    pool = request.getfixturevalue("warm_pool")
-
-    def call(scenario):
-        return [
-            (h_max, run_sharded(
-                EnsembleSpec("timeless", N_CORES), scenario=scenario,
-                h_max=h_max, driver_step=GRID_STEP, pool=pool,
-            ))
-            for h_max in LATE_H_MAX
-        ]
-
-    return call
-
-
 def late_service_runs(request):
     service = request.getfixturevalue("grid_service")
     service.cache.clear()
@@ -618,10 +602,10 @@ def late_fleet(request):
 #: (id, route, scenario, how its drive travels).  Only this process and
 #: the default fork pool, which re-forks when the registry changes,
 #: share this process's scenarios, so only they get a drive by name (a
-#: per-core one of a whole cell); a spawned pool, a caller's or a
-#: service's pool and a fleet's agents get its samples, a shared drive
-#: whole and a per-core one as each shard's columns.  Single runs on a
-#: pool are lane-cut, grid cells whole.
+#: per-core one of a whole cell); a service's pool, which never
+#: re-forks, and a fleet's agents get its samples, a shared drive whole
+#: and a per-core one as each shard's columns.  Single runs on a pool
+#: are lane-cut, grid cells whole.
 LATE_ROUTES = [
     (f"{route_id}-{kind}", route, scenario, travels)
     for kind, scenario in (("shared", LATE_SHARED), ("per-core", LATE_PER_CORE))
@@ -629,8 +613,6 @@ LATE_ROUTES = [
         ("serial-names-the-drive", late_serial, "name"),
         ("default-pool-re-forks-and-names-the-drive", late_default_pool,
          "name"),
-        ("spawned-pool-gets-the-samples", late_spawned_pool, "samples"),
-        ("caller-pool-gets-the-samples", late_caller_pool, "samples"),
         ("service-miss-gets-the-samples", late_service_runs, "samples"),
         ("service-grid-gets-the-samples", late_service_grid, "samples"),
         ("fleet-agents-get-the-samples", late_fleet, "samples"),
@@ -687,8 +669,8 @@ def test_late_scenario_runs_on_every_route(
 
 # -- every route-argument conflict, raised before any work -----------------
 
-#: Stand-ins the table swaps for the live pool and service.
-POOL, SERVICE = "<live WorkerPool>", "<live HysteresisService>"
+#: The stand-in the table swaps for the live service.
+SERVICE = "<live HysteresisService>"
 
 PLAN = ExecutionPlan(backend="numpy", n_workers=2)
 FLEET = [UNREACHABLE]
@@ -763,21 +745,13 @@ CONFLICTS = [
     ("run_sharded", dict(plan=PLAN, n_workers=2), "plan"),
     ("run_sharded", dict(plan="auto", n_workers=2), "plan"),
     ("run_sharded", dict(plan=ExecutionPlan(backend="no-such")), "backend"),
-    ("run_sharded", dict(pool=POOL, n_workers=2), "pool width"),
-    ("run_sharded", dict(pool=POOL, plan=PLAN), "pool width"),
-    ("run_sharded", dict(pool=POOL, plan="auto"), "pool width"),
-    ("run_sharded", dict(pool=POOL, mp_context="fork"), "start method"),
     ("run_scenario_grid", dict(hosts=[]), "at least one"),
     ("run_scenario_grid", dict(hosts=REPEATED), REPEATED_HOST),
     ("run_scenario_grid", dict(hosts=UNREACHABLE), BARE_HOST),
     ("run_scenario_grid", dict(hosts=UNREACHABLE.encode()), BARE_BYTES_HOST),
-    ("run_scenario_grid", dict(hosts=FLEET, mp_context="fork"),
-     "remote shards"),
     ("run_scenario_grid", dict(hosts=FLEET, service=SERVICE),
      "remote shards"),
     ("run_scenario_grid", dict(service=SERVICE, n_workers=2), "pool width"),
-    ("run_scenario_grid", dict(service=SERVICE, mp_context="fork"),
-     "start method"),
     ("run_scenario_grid", dict(scenarios=[]), EMPTY_AXIS),
     ("run_scenario_grid", dict(h_max_values=[]), EMPTY_AXIS),
     ("run_distributed", dict(hosts=[]), "at least one"),
@@ -817,7 +791,7 @@ def conflict_id(entry, route) -> str:
             return f"{key}=bare-bytes"
         if isinstance(value, ExecutionPlan):
             return f"plan={value.backend}"
-        if value in (POOL, SERVICE) or value == FLEET:
+        if value in (SERVICE, FLEET):
             return key
         if isinstance(value, list):
             return f"{key}=repeated" if value else f"{key}=[]"
@@ -837,9 +811,8 @@ def test_route_conflict_raises_before_any_work(
     entry, route, match, nothing_runs
 ):
     with HysteresisService(1) as service:
-        live = {POOL: service.pool, SERVICE: service}
         route = {
-            key: live[value] if value in (POOL, SERVICE) else value
+            key: service if value == SERVICE else value
             for key, value in route.items()
         }
         call = ENTRY_POINTS[entry]
@@ -904,8 +877,6 @@ ROUTE_SHAPES = [
     ("hosts-n_workers", dict(hosts=HOSTS, n_workers=5), "1",
      (5, 1, None, tuple(HOSTS))),
     ("plan-capped", dict(plan=PLAN), "1", (1, 1, "numpy", ())),
-    ("plan-mp_context", dict(plan=PLAN, mp_context="spawn"), None,
-     (2, 1, "numpy", ())),
     ("plan-threads-clamped",
      dict(plan=ExecutionPlan(backend="numpy", threads_per_worker=64)),
      None, (1, 8, "numpy", ())),
@@ -935,7 +906,6 @@ def test_route_shape(route, cap, expected, eight_cpus, monkeypatch):
         chosen.workers, chosen.threads, chosen.backend, chosen.hosts
     ) == expected
     assert chosen.pool is route.get("pool")
-    assert chosen.mp_context == route.get("mp_context")
 
 
 def test_auto_route_is_priced_when_settled(eight_cpus):
@@ -1399,3 +1369,141 @@ def test_process_exits_with_the_default_pool_alive():
     assert "ResourceWarning" not in done.stderr, done.stderr
     assert "leaked" not in done.stderr, done.stderr
     assert segments() == before
+
+
+# -- every pool forks, whatever the interpreter's default -----------------
+
+#: A script whose start method is another than ``fork`` (``forkserver``
+#: is Python 3.14's Linux default), with a family registered at run time
+#: inside its main guard, so only a forked worker can know it.
+FORKS_WHATEVER_THE_DEFAULT = """
+import dataclasses
+import multiprocessing
+import sys
+
+from repro.models.registry import get_family, register_family
+from repro.parallel import DriveSpec, EnsembleSpec, run_sharded
+from repro.scenarios import scenario_samples
+from repro.service import HysteresisService
+
+if __name__ == "__main__":
+    from test_parallel import assert_results_bitwise_equal
+
+    multiprocessing.set_start_method(sys.argv[1], force=True)
+    register_family(
+        dataclasses.replace(get_family("timeless"), name="late-family")
+    )
+    spec = EnsembleSpec("late-family", 8)
+    h = scenario_samples("major-loop", 8e3, 400.0)
+    alone = run_sharded(spec, h, n_workers=1)
+    assert_results_bitwise_equal(alone, run_sharded(spec, h, n_workers=2))
+    with HysteresisService(2) as service:
+        assert service.pool.n_workers == 2
+        assert_results_bitwise_equal(
+            alone, service.run(spec, DriveSpec(samples=h))
+        )
+"""
+
+
+@pytest.mark.parametrize("start_method", ["forkserver", "spawn"])
+def test_every_pool_forks_whatever_the_default(start_method, tmp_path):
+    """Under another default start method, the default pool and a
+    service's pool still fork: a family registered at run time runs
+    on both, bitwise its in-process run, counters included."""
+    if start_method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"no {start_method} start method here")
+    script = tmp_path / "late_family.py"
+    script.write_text(FORKS_WHATEVER_THE_DEFAULT)
+    src = Path(executor.__file__).resolve().parents[2]
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(tests)]))
+    env.pop(executor.MAX_WORKERS_ENV, None)
+    done = subprocess.run(
+        [sys.executable, str(script), start_method],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+
+
+# -- where fork is missing --------------------------------------------------
+
+
+def width_one_pool():
+    with WorkerPool(1) as pool:
+        job = prepare_job(EnsembleSpec("timeless", 4), DRIVE, pool.n_workers)
+        return pool.execute([job])[0]
+
+
+def width_one_service():
+    with HysteresisService(1) as service:
+        return call_service_run(service)
+
+
+def fleet_agents():
+    with WorkerAgent() as agent:
+        return call_run_distributed(hosts=[agent.address])
+
+
+def calibration_prices_pools_out():
+    """The calibration, and the plan the cheapest candidate of it
+    makes for a wide run."""
+    priced = calibration.run_calibration(
+        families=["timeless"], backends=["numpy"], lanes=(4, 16),
+        samples=(32,), repeats=1,
+    )
+    (cheapest, *_) = planner.enumerate_candidates(
+        CostModel.from_calibration(priced), "timeless", 512, 1000
+    )
+    return priced.pool, cheapest.n_workers
+
+
+#: (id, call, outcome) on a host without ``fork`` (Windows): the serial
+#: routes, fleet agents and the calibration run (``"bitwise"``: the
+#: call's one result is its run alone); every pool wider than one raises
+#: the pooled route's ``ReproError``.
+NO_FORK = [
+    ("width-one-pool-runs", width_one_pool, "bitwise"),
+    ("width-one-service-runs", width_one_service, "bitwise"),
+    ("serial-route-runs", lambda: call_run_sharded(n_workers=1), "bitwise"),
+    ("serial-grid-runs", lambda: call_grid(n_workers=1), "bitwise"),
+    ("fleet-agents-run", fleet_agents, "bitwise"),
+    ("calibration-prices-pools-out", calibration_prices_pools_out,
+     ({"base_seconds": float("inf"), "per_worker_seconds": float("inf")},
+      1)),
+    ("wider-pool-raises", lambda: WorkerPool(2), ReproError),
+    ("wider-service-raises", lambda: HysteresisService(2), ReproError),
+    ("default-pool-raises", lambda: call_run_sharded(n_workers=2),
+     ReproError),
+    ("grid-on-the-default-pool-raises", lambda: call_grid(n_workers=2),
+     ReproError),
+]
+
+
+@pytest.mark.parametrize(
+    "call, outcome",
+    [row[1:] for row in NO_FORK],
+    ids=[row[0] for row in NO_FORK],
+)
+def test_without_fork(call, outcome, forks, monkeypatch):
+    """Where ``fork`` is missing, each call has one exact outcome and
+    nothing forks: a pool wider than one raises ``ReproError`` naming
+    the Linux requirement, never ``get_context``'s ``ValueError``."""
+    real_context = pool_module.get_context
+
+    def no_fork(method=None):
+        if method == "fork":
+            raise ValueError("cannot find context for 'fork'")
+        return real_context(method)
+
+    monkeypatch.setattr(pool_module, "get_context", no_fork)
+    if outcome is ReproError:
+        with pytest.raises(ReproError, match="needs Linux"):
+            call()
+    elif outcome == "bitwise":
+        reference = run_batch_series(
+            EnsembleSpec("timeless", 4).build_batch(), DRIVE.full_samples(4)
+        )
+        assert_results_bitwise_equal(reference, first_result(call()))
+    else:
+        assert call() == outcome
+    assert forks == []

@@ -606,7 +606,7 @@ def test_every_member_is_its_cell_alone(
     if route == "serial":
         results = drain_as_one_stack(jobs)
     else:
-        with default_pool(2, "fork") as (workers, arena):
+        with default_pool(2) as (workers, arena):
             results = (
                 run_jobs_serial(jobs)  # a worker cap of one forks no pool
                 if workers is None
