@@ -66,7 +66,12 @@ from repro.dist.protocol import (
     send_message,
 )
 from repro.errors import DistError, DistTimeoutError, ParameterError
-from repro.parallel.blocks import BlockBudget, ShardAssembly, drain_shard
+from repro.parallel.blocks import (
+    BlockBudget,
+    ShardAssembly,
+    drain_shard,
+    drain_stack,
+)
 from repro.parallel.executor import _resolve_drive, resolve_route, run_single
 from repro.parallel.spec import ShardSpec
 
@@ -369,7 +374,7 @@ class Dispatcher:
         send_message(conn, (MSG_RUN, wire.label, wire.spec))
         blocks = self._receive(conn, wire, limit)
         land = partial(self._land, wire)
-        self._commit(wire, drain_shard(wire.spec, land, blocks))
+        self._commit(wire, drain_shard(land, blocks))
 
     @staticmethod
     def _receive(conn, wire: _WireJob, limit: "float | None"):
@@ -448,8 +453,10 @@ class Dispatcher:
         wire.assembly.commit_shard(wire.spec.start, wire.spec.stop, counters)
 
     def _run_local(self, wire: _WireJob) -> None:
-        """Local drain: same block generator, same assembly, no socket."""
-        self._commit(wire, drain_shard(wire.spec, partial(self._land, wire)))
+        """Local drain: the agents' stack of one, same assembly, no
+        socket."""
+        (counters,) = drain_stack([wire.spec], [partial(self._land, wire)])
+        self._commit(wire, counters)
 
 
 def run_distributed(

@@ -5,9 +5,9 @@ blocks out.
 accepts dispatcher connections (one at a time — a dispatcher holds one
 connection per agent for a whole campaign), rebuilds each received
 :class:`~repro.parallel.spec.ShardSpec` into its sub-ensemble
-worker-side (never a shipped live model), executes it through the same
-:func:`repro.parallel.blocks.iter_shard_blocks` generator the local
-executor uses, and streams every row block back, in row order, as
+worker-side (never a shipped live model), runs it as a stack of one
+through the same :func:`repro.parallel.blocks.drain_stack` loop every
+local route uses, and streams every row block back, in row order, as
 soon as it exists — a chunked shard never materialises its full result
 on either side of the socket.
 
@@ -43,7 +43,7 @@ from repro.dist.protocol import (
     recv_message,
     send_message,
 )
-from repro.parallel.blocks import iter_shard_blocks
+from repro.parallel.blocks import drain_stack
 
 _log = logging.getLogger(__name__)
 
@@ -211,10 +211,14 @@ class WorkerAgent:
         requeues from its side.
         """
         n_blocks = 0
+
+        def send(block) -> None:
+            nonlocal n_blocks
+            send_message(conn, (MSG_BLOCK, label, block))
+            n_blocks += 1
+
         try:
-            for block in iter_shard_blocks(spec):
-                send_message(conn, (MSG_BLOCK, label, block))
-                n_blocks += 1
+            drain_stack([spec], [send])
             send_message(conn, (MSG_DONE, label, n_blocks))
         except (EOFError, OSError):
             raise

@@ -393,11 +393,3 @@ class _Builder:
 def build_cfg(fn) -> CFG:
     """The CFG of one ``ast.FunctionDef``/``AsyncFunctionDef``."""
     return CFG(fn)
-
-
-def function_cfgs(tree: ast.AST):
-    """Yield ``(function_node, CFG)`` for every function in a module
-    tree (nested functions included — each gets its own graph)."""
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node, CFG(node)

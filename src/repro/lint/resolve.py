@@ -235,9 +235,3 @@ class ModuleResolver:
         ):
             return self._attrs.get(class_name, {}).get(expr.attr)
         return None
-
-    def class_attr_types(self, class_name: str) -> "dict[str, str]":
-        return dict(self._attrs.get(class_name, {}))
-
-    def function_locals(self, fn: ast.AST) -> "dict[str, str]":
-        return dict(self._locals.get(id(fn), {}))

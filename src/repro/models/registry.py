@@ -17,7 +17,7 @@ call :func:`register_family` with their own record.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Sequence
 
@@ -61,9 +61,12 @@ class ModelFamily:
         lazily registered counters need no registry entry.
     batch_from_payload:
         Rebuilds the family's batch model from a picklable
-        ``shard_payload`` dict (each engine's ``from_shard_payload``) —
-        how pool workers reconstruct their sub-ensemble without
-        shipping live models.  Payload arrays must be lane-major, one
+        ``shard_payload`` dict (each engine's ``from_shard_payload``);
+        required, and keyword-only.  Every shard's sub-ensemble is
+        built through it
+        (:meth:`~repro.parallel.spec.ShardSpec.build_batch`), a
+        recipe's from the payload its whole ensemble cuts, so no route
+        ships a live model.  Payload arrays must be lane-major, one
         entry per lane along axis 0: a stack of equal shards repeats
         the payload side by side along that axis
         (:func:`repro.parallel.spec.tile_payload`).  A payload holding
@@ -78,7 +81,7 @@ class ModelFamily:
     h_scale: float = 10e3
     extras_channels: "tuple[str | tuple[str, str], ...]" = ()
     counter_channels: tuple[str, ...] = ()
-    batch_from_payload: Callable[[dict], object] | None = None
+    batch_from_payload: Callable[[dict], object] = field(kw_only=True)
 
     def extras_schema(self) -> "dict[str, np.dtype]":
         """The extras channels as ``{name: dtype}`` — bare names resolve

@@ -24,7 +24,6 @@ relay tensors, long scenario campaigns, grid sweeps
 from repro.parallel.blocks import (
     BlockBudget,
     RowBlock,
-    iter_shard_blocks,
     plan_lane_blocks,
     plan_row_blocks,
 )
@@ -47,7 +46,6 @@ __all__ = [
     "RowBlock",
     "ShardSpec",
     "available_cpus",
-    "iter_shard_blocks",
     "plan_lane_blocks",
     "plan_row_blocks",
     "plan_shards",

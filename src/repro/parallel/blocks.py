@@ -25,10 +25,11 @@ once per stack rather than once per member.
 
 Blocks travel differently per route — handed over in process, written
 into the pool's shared memory, or streamed over a :mod:`repro.dist`
-socket — but every route runs them through :func:`iter_shard_blocks`
-(or :func:`drain_stack`, whose stack of one is exactly that) and lands
-them through :class:`ShardAssembly`, the one owner of the output
-layout and of the check that a block fits it.
+socket — but every route runs them through :func:`drain_stack` (a
+fleet agent and the dispatcher's local drain as a stack of one) and
+lands them through :class:`ShardAssembly`, the one owner of the output
+layout and of the check that a block fits it; the dispatcher lands
+the blocks off the wire through :func:`drain_shard`.
 :class:`BlockBudget` gives any consumer a hard ceiling on resident
 result-buffer bytes (with a high-water mark for the tests to pin).
 """
@@ -137,54 +138,17 @@ def plan_row_blocks(
     return [(j * samples // k, (j + 1) * samples // k) for j in range(k)]
 
 
-def iter_shard_blocks(spec: ShardSpec):
-    """Yield a shard's result as :class:`RowBlock`\\ s in row order.
-
-    The shard's sub-ensemble and its shard-local samples are built
-    **once**.  Each block drives every lane of the shard over its rows
-    of :func:`plan_row_blocks` — the first from a reset, each later one
-    from the state the previous block left — so at no point does a
-    result buffer larger than ``spec.chunk_lanes × samples``
-    lane-samples exist in this process (one row at the least).  An
-    unchunked shard is one block: exactly the one-shot run.  Each
-    block's run pins ``thread_limit(spec.threads)`` for exactly its own
-    duration — the limit never spans a ``yield``, so consumer code
-    between blocks runs under ambient threading.
-    """
-    from repro.backend import thread_limit
-
-    samples = spec.build_samples()
-    batch = spec.build_batch()
-    for r0, r1 in plan_row_blocks(spec.width, len(samples), spec.chunk_lanes):
-        with thread_limit(spec.threads):
-            part = run_batch_series(batch, samples[r0:r1], reset=(r0 == 0))
-        yield RowBlock(
-            start=spec.start,
-            stop=spec.stop,
-            row_start=r0,
-            row_stop=r1,
-            m=part.m,
-            b=part.b,
-            updated=part.updated,
-            extras=part.extras,
-            counters=part.counters,
-        )
-
-
-def drain_shard(spec: ShardSpec, write, blocks=None) -> dict[str, np.ndarray]:
-    """Hand one shard's row blocks to ``write`` as they arrive, and
-    return the shard's counters for :meth:`ShardAssembly.commit_shard`.
+def drain_shard(write, blocks) -> dict[str, np.ndarray]:
+    """Hand each of one shard's row ``blocks`` to ``write`` as it
+    arrives, and return the shard's counters for
+    :meth:`ShardAssembly.commit_shard` — the dispatcher's loop for the
+    blocks arriving off the wire.
 
     Each block's counters are per-lane deltas over the shard's one lane
     range, so the shard's are their sums; a key a block never
     registered (a family may register a counter lazily, mid-run) counts
-    as zero there.  ``blocks`` defaults to running the shard in this
-    process (:func:`iter_shard_blocks`) — the local drain behind every
-    stack of one (:func:`drain_stack`) and the dispatcher's leftovers;
-    the dispatcher passes the blocks arriving off the wire instead.
+    as zero there.
     """
-    if blocks is None:
-        blocks = iter_shard_blocks(spec)
     totals: dict[str, np.ndarray] = {}
     for block in blocks:
         write(block)
@@ -200,7 +164,10 @@ def _add_counters(totals: dict, counters: dict) -> None:
 def drain_stack(specs: "list[ShardSpec]", writes) -> "list[dict]":
     """Run a **stack** of shard specs as one wide batch, hand each
     member its own row blocks (``writes[k]`` takes member ``k``'s), and
-    return each member's counters.
+    return each member's counters.  The one loop that runs a shard's
+    row blocks, on every route: the serial route and pool workers run a
+    chunk's stacks through it, fleet agents and the dispatcher's local
+    drain a stack of one.
 
     The members share a recipe, lane range, ``threads`` and
     ``chunk_lanes`` (:func:`~repro.parallel.plan.plan_stacks`), so one
@@ -220,18 +187,28 @@ def drain_stack(specs: "list[ShardSpec]", writes) -> "list[dict]":
     independence and segment resumption alone, and the fused loop's
     per-sample overhead is paid once per stack, not once per member.
 
-    A stack of one is exactly :func:`drain_shard`.  So is each member
-    of a stack whose payload does not tile, or whose run registers a
+    A stack of one runs its own sub-ensemble (``spec.build_batch()``)
+    over its own samples, block ``[r0, r1)`` of
+    :func:`plan_row_blocks` driven by ``samples[r0:r1]``: no result
+    buffer larger than ``chunk_lanes × samples`` lane-samples exists
+    (one row at the least), and an unchunked shard is one block,
+    exactly the one-shot run.  Each block's run pins
+    ``thread_limit(threads)`` for exactly its own duration, so every
+    ``write`` runs under ambient threading.
+
+    A stack whose payload does not tile, or whose run registers a
     counter mid-run (a lazily registered key may hang on the other
-    members' lanes; the members are then run alone, rewriting their
-    blocks with the same values).
+    members' lanes), runs each member as a stack of one instead,
+    rewriting its blocks with the same values.  A stack of one has no
+    other members, so it never checks.
     """
     from repro.backend import thread_limit
 
-    batch = None if len(specs) == 1 else _stack_batch(specs)
-    if batch is None:
-        return [drain_shard(spec, write) for spec, write in zip(specs, writes)]
     first = specs[0]
+    alone = len(specs) == 1
+    batch = first.build_batch() if alone else _stack_batch(specs)
+    if batch is None:
+        return [drain_stack([s], [w])[0] for s, w in zip(specs, writes)]
     width = first.width
     drives = [spec.build_samples() for spec in specs]
     ends = [len(samples) for samples in drives]
@@ -244,14 +221,13 @@ def drain_stack(specs: "list[ShardSpec]", writes) -> "list[dict]":
     totals: "list[dict]" = [{} for _ in specs]
     r0 = 0
     for r1 in sorted({stop for _, stop in planned}.union(ends)):
+        rows = (
+            drives[0][r0:r1] if alone else _stack_rows(drives, lanes, r0, r1)
+        )
         with thread_limit(first.threads):
-            part = run_batch_series(
-                batch, _stack_rows(drives, lanes, r0, r1), reset=(r0 == 0)
-            )
-        if not keys.issuperset(part.counters):
-            return [
-                drain_shard(spec, write) for spec, write in zip(specs, writes)
-            ]
+            part = run_batch_series(batch, rows, reset=(r0 == 0))
+        if not (alone or keys.issuperset(part.counters)):
+            return [drain_stack([s], [w])[0] for s, w in zip(specs, writes)]
         for spec, write, own, end, counters in zip(
             specs, writes, lanes, ends, totals
         ):
@@ -262,7 +238,7 @@ def drain_stack(specs: "list[ShardSpec]", writes) -> "list[dict]":
         # Dropped before the next block runs, so two blocks' drives and
         # results never live at once (the longest member is live in
         # every block, so each block hands one out).
-        del part, block
+        del rows, part, block
         r0 = r1
     return totals
 
@@ -296,14 +272,12 @@ def _member_block(part, spec: ShardSpec, own: slice, r0: int, r1: int):
 
 def _stack_batch(specs: "list[ShardSpec]"):
     """The members' sub-ensembles side by side as one batch: their one
-    payload, repeated once per member; ``None`` when the family has no
-    ``batch_from_payload`` hook, a payload value does not tile, or the
-    hook refuses the repeated payload."""
+    payload, repeated once per member; ``None`` when a payload value
+    does not tile, or the family's ``batch_from_payload`` refuses the
+    repeated payload."""
     first = specs[0]
     rebuild = get_family(first.family).batch_from_payload
     payload = first.build_payload()
-    if rebuild is None or payload is None:
-        return None
     try:
         tiled = tile_payload(payload, first.width, len(specs))
         return None if tiled is None else rebuild(tiled)
@@ -322,11 +296,11 @@ class ShardAssembly:
     ``b`` float64, ``updated`` bool, each extras channel at its schema
     dtype — and the one place that checks a block: its extras against
     the job's schema, its arrays and counters against the rows and
-    lanes it claims.  Every route writes through it: the serial
-    fallback via :func:`drain_stack`, pool workers the same way over
-    shared-memory views of the parent's buffers, the dispatcher's
-    leftovers via :func:`drain_shard`, and the dispatcher with blocks
-    off the wire.
+    lanes it claims.  Every route writes through it: the serial route
+    and the dispatcher's leftovers via :func:`drain_stack`, pool
+    workers the same way over shared-memory views of the parent's
+    buffers, and the dispatcher with blocks off the wire via
+    :func:`drain_shard`.
 
     Writes go by absolute row and lane range into disjoint slices —
     shards own disjoint columns, a shard's blocks disjoint rows — so

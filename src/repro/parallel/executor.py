@@ -174,7 +174,7 @@ def prepare_job(
 
     ``threads`` is stamped into every :class:`ShardSpec` so whichever
     process runs a shard pins that lane-thread count for its duration
-    (see :func:`repro.parallel.blocks.iter_shard_blocks`); callers
+    (see :func:`repro.parallel.blocks.drain_stack`); callers
     enforce the oversubscription rule before it gets here
     (:func:`resolve_route` clamps plans to ``workers x threads <=
     available_cpus()``).

@@ -147,25 +147,27 @@ class WorkerPool:
     """
 
     def __init__(self, n_workers: "int | None" = None) -> None:
+        # Guards _closed and _calls: close() waits on it until no call
+        # holds a lease.  Set before anything below can raise, so a
+        # pool whose constructor raised closes (from __del__) with
+        # nothing to tear down.
+        self._leases = threading.Condition()
+        self._calls = 0
+        self._closed = False
+        self._pool = None
+        self.arena = SegmentArena()
+        # A pool still open at exit leaves no segment name behind.
+        weakref.finalize(self, self.arena.close)
         self.n_workers = resolve_workers(n_workers)
         context = fork_context() if self.n_workers > 1 else None
         self.warmed = prewarm_fused_kernels()
         # Warm-up above MUST precede the fork below: Pool() is where
         # the children snapshot the parent's (warmed) JIT caches.  Each
         # worker then drops the shared segments it inherited.
-        self._pool = (
-            context.Pool(processes=self.n_workers, initializer=unmap_inherited)
-            if context is not None
-            else None
-        )
-        # Guards _closed and _calls: close() waits on it until no call
-        # holds a lease.
-        self._leases = threading.Condition()
-        self._calls = 0
-        self._closed = False
-        self.arena = SegmentArena()
-        # A pool still open at exit leaves no segment name behind.
-        weakref.finalize(self, self.arena.close)
+        if context is not None:
+            self._pool = context.Pool(
+                processes=self.n_workers, initializer=unmap_inherited
+            )
 
     @property
     def closed(self) -> bool:

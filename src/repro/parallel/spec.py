@@ -95,39 +95,29 @@ class EnsembleSpec:
     def build_batch(self, start: int = 0, stop: int | None = None):
         """Lanes ``[start, stop)`` of the recipe's ensemble, freshly
         reset, on the recipe's backend (``None``: the environment
-        default).
+        default): the family's ``batch_from_payload`` over the lanes'
+        :meth:`shard_payload`, the route a live batch's shards already
+        take.
 
-        A family with a ``batch_from_payload`` hook builds the whole
-        ensemble once per process and rebuilds the requested lanes from
-        its ``shard_payload`` — the route a live batch's shards already
-        take — so a worker serving many shards of one recipe pays
-        ``make_models`` once.  The last :data:`_RECIPE_CACHE_SIZE`
-        recipes are kept, keyed by the family *record* (a family
-        registered again under the same name never gets the old
-        record's build), ``n_cores``, ``seed`` and the *resolved*
-        backend name (a ``backend=None`` spec follows a changed
-        ``REPRO_BACKEND``).  The cache changes which process builds,
-        never what is built.  Other families stack
-        ``build_models()[start:stop]`` on every call.
+        The whole ensemble is built once per process, so a worker
+        serving many shards of one recipe pays ``make_models`` once.
+        The last :data:`_RECIPE_CACHE_SIZE` recipes are kept, keyed by
+        the family *record* (a family registered again under the same
+        name never gets the old record's build), ``n_cores``, ``seed``
+        and the *resolved* backend name (a ``backend=None`` spec
+        follows a changed ``REPRO_BACKEND``).  The cache changes which
+        process builds, never what is built.
         """
         stop = self.n_cores if stop is None else stop
         payload = self.shard_payload(start, stop)
-        if payload is not None:
-            return get_family(self.family).batch_from_payload(payload)
-        batch = get_family(self.family).stack(self.build_models()[start:stop])
-        if hasattr(batch, "use_backend"):
-            batch.use_backend(resolve_backend(self.backend))
-        return batch
+        return get_family(self.family).batch_from_payload(payload)
 
-    def shard_payload(self, start: int, stop: int) -> "dict | None":
+    def shard_payload(self, start: int, stop: int) -> dict:
         """The ``shard_payload`` of lanes ``[start, stop)``, cut from the
         recipe's whole ensemble in this process's recipe cache (see
-        :meth:`build_batch`); ``None`` for a family without a
-        ``batch_from_payload`` hook."""
+        :meth:`build_batch`)."""
         check_lane_range(start, stop, self.n_cores)
         family = get_family(self.family)
-        if family.batch_from_payload is None:
-            return None
         backend = resolve_backend(self.backend).name
         whole = _recipe_batch(family, self.n_cores, self.seed, backend)
         return whole.shard_payload(start, stop)
@@ -218,17 +208,18 @@ class DriveSpec:
 class ShardSpec:
     """One worker's task: rebuild lanes ``[start, stop)`` and drive them.
 
-    The sub-ensemble comes from exactly one of two routes:
+    The sub-ensemble is always rebuilt through the family registry's
+    ``batch_from_payload`` hook (:meth:`build_batch`), from a payload
+    that comes from exactly one of two places:
 
     ``payload``
         A pre-sliced engine construction dict (the engines'
-        ``shard_payload``), rebuilt through the family registry's
-        ``batch_from_payload`` hook — the cheap route when the parent
-        already holds a live batch.
+        ``shard_payload``) — the cheap route when the parent already
+        holds a live batch.
     ``ensemble``
-        A registry :class:`EnsembleSpec`; the worker rebuilds its range
-        from the full recipe, which each process builds once
-        (:meth:`EnsembleSpec.build_batch`) — the route when only the
+        A registry :class:`EnsembleSpec`; the worker cuts its range's
+        payload from the full recipe, which each process builds once
+        (:meth:`EnsembleSpec.shard_payload`) — the route when only the
         recipe exists.
 
     Either route carries the parent's array-backend name — inside the
@@ -246,21 +237,22 @@ class ShardSpec:
     :func:`repro.parallel.executor.prepare_job`).
 
     ``threads`` is the lane-thread count this shard pins while it runs
-    (see :mod:`repro.backend.threads`): the executing process wraps the
-    run in ``thread_limit(threads)``, so the thread choice travels with
-    the task instead of leaking ambient state across the fork.  The
-    planner only emits ``threads > 1`` on single-shard serial plans;
-    pooled shards always carry 1.
+    (see :mod:`repro.backend.threads`): the executing process wraps
+    each row block's run in ``thread_limit(threads)``
+    (:func:`repro.parallel.blocks.drain_stack`), so the thread choice
+    travels with the task instead of leaking ambient state across the
+    fork.  The planner only emits ``threads > 1`` on single-shard
+    serial plans; pooled shards always carry 1.
 
     ``chunk_lanes`` selects bounded-memory execution: the executing
     process streams the shard's result as contiguous row blocks —
     sample ranges across all ``width`` lanes — of at most
     ``chunk_lanes × samples`` lane-samples, one row at the least
-    (:mod:`repro.parallel.blocks`), instead of materialising the whole
-    ``(samples, width)`` buffer at once.  ``None`` (default) keeps the
-    one-shot path.  Chunking travels with the spec — like ``threads``
-    — so local pools and remote :mod:`repro.dist` workers honour the
-    same bound.
+    (:func:`repro.parallel.blocks.drain_stack`), instead of
+    materialising the whole ``(samples, width)`` buffer at once.
+    ``None`` (default) is one block, the one-shot run.  Chunking
+    travels with the spec — like ``threads`` — so local pools and
+    remote :mod:`repro.dist` workers honour the same bound.
 
     ShardSpecs compare by identity (``eq=False``): payloads hold
     ndarrays and engine configuration objects, for which a generated
@@ -298,25 +290,19 @@ class ShardSpec:
     def width(self) -> int:
         return self.stop - self.start
 
-    def build_payload(self) -> "dict | None":
+    def build_payload(self) -> dict:
         """This shard's construction payload: the one it carries, or the
-        one its recipe's cache cuts (``None``: the family has no
-        ``batch_from_payload`` hook)."""
+        one its recipe's cache cuts."""
         if self.payload is not None:
             return self.payload
         return self.ensemble.shard_payload(self.start, self.stop)
 
     def build_batch(self):
-        """Reconstruct this shard's sub-ensemble (freshly reset)."""
-        if self.payload is not None:
-            rebuild = get_family(self.family).batch_from_payload
-            if rebuild is None:
-                raise ParameterError(
-                    f"family {self.family!r} registers no batch_from_payload "
-                    "hook; use the EnsembleSpec route"
-                )
-            return rebuild(self.payload)
-        return self.ensemble.build_batch(self.start, self.stop)
+        """Reconstruct this shard's sub-ensemble (freshly reset): the
+        family's ``batch_from_payload`` over :meth:`build_payload`."""
+        return get_family(self.family).batch_from_payload(
+            self.build_payload()
+        )
 
     def build_samples(self) -> np.ndarray:
         if self.drive.samples is not None:

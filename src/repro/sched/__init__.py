@@ -14,7 +14,8 @@ Three layers, each usable alone:
     Candidate enumeration and selection: :func:`plan_for` returns the
     cheapest executable :class:`ExecutionPlan`, which
     ``run_sharded(..., plan="auto")`` consumes — the one entry point
-    that takes a plan, priced cold on a one-shot pool of its own.
+    that takes a plan.  A plan runs on the process-wide default pool,
+    but is priced cold, as if that pool had to fork.
 
 Plans choose *where and how wide* a run executes, never *what* it
 computes: the bitwise pins of the numpy paths and the rtol tier of the

@@ -146,8 +146,8 @@ class CostModel:
         """Predicted seconds for a pooled sharded run: pool spin-up plus
         the widest shard's compute (the makespan; shards run threads=1
         inside pool workers — the planner never composes both axes).
-        The spin-up is always paid: a planned run forks a one-shot pool
-        of its own."""
+        The spin-up is always paid: a planned run is priced cold, as if
+        the process-wide default pool it runs on had to fork."""
         from repro.parallel.plan import plan_shards
 
         fit = self.fit_for(family, backend, threads=1)

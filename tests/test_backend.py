@@ -217,6 +217,7 @@ def test_family_extras_schema_resolves_dtypes():
         make_models=lambda n, seed: [],
         stack=lambda models: None,
         extras_channels=("plain", ("event_count", "<i4"), ("armed", "|b1")),
+        batch_from_payload=lambda payload: None,
     )
     schema = family.extras_schema()
     assert schema == {

@@ -32,6 +32,7 @@ from repro.dist.protocol import (
     MSG_DONE,
     MSG_ECHO,
     MSG_PONG,
+    MSG_RUN,
     connect,
     format_address,
     parse_address,
@@ -42,12 +43,12 @@ from repro.errors import DistError, DistTimeoutError, ParameterError
 from repro.parallel import (
     BlockBudget,
     EnsembleSpec,
-    iter_shard_blocks,
     plan_lane_blocks,
     plan_row_blocks,
     run_scenario_grid,
     run_sharded,
 )
+from repro.parallel.blocks import drain_stack
 from repro.parallel.executor import prepare_job, run_jobs_serial
 from repro.scenarios import scenario_samples
 
@@ -57,6 +58,24 @@ from test_parallel import assert_results_bitwise_equal
 N_CORES = 7
 H_MAX = 1000.0
 STEP = 120.0
+
+
+def shard_blocks(spec) -> list:
+    """A shard's row blocks, in row order, as an agent streams them:
+    the shard run as a stack of one."""
+    blocks = []
+    drain_stack([spec], [blocks.append])
+    return blocks
+
+
+def block_bytes(block) -> tuple:
+    """A block's lanes, rows and every array's dtype, shape and bytes."""
+    arrays = [("m", block.m), ("b", block.b), ("updated", block.updated)]
+    arrays += [("extras." + k, v) for k, v in sorted(block.extras.items())]
+    arrays += [("counters." + k, v) for k, v in sorted(block.counters.items())]
+    return (block.start, block.stop, block.row_start, block.row_stop) + tuple(
+        (name, str(a.dtype), a.shape, a.tobytes()) for name, a in arrays
+    )
 
 
 def reference_result(n_cores=N_CORES, seed=0):
@@ -122,7 +141,7 @@ class TestLaneBlocks:
             chunk_lanes=chunk_lanes,
         )
         (spec,) = job.specs
-        blocks = list(iter_shard_blocks(spec))
+        blocks = shard_blocks(spec)
         samples = len(job.h_full)
         assert {(b.start, b.stop) for b in blocks} == {(0, N_CORES)}
         assert [(b.row_start, b.row_stop) for b in blocks] == (
@@ -132,6 +151,36 @@ class TestLaneBlocks:
         assert_results_bitwise_equal(
             reference_result(), run_jobs_serial([job])[0]
         )
+
+    def test_agent_streams_its_stack_of_one(self):
+        """An in-process agent streams a chunked shard exactly as the
+        shard's stack of one drains it: the same blocks, in row order,
+        each with the same lanes, rows and bytes in every channel and
+        counter, then a ``done`` that counts them."""
+        job = prepare_job(
+            EnsembleSpec(family="timeless", n_cores=N_CORES),
+            _drive(),
+            1,
+            chunk_lanes=2,
+        )
+        (spec,) = job.specs
+        expected = shard_blocks(spec)
+        assert len(expected) > 1
+        streamed = []
+        with WorkerAgent() as agent:
+            conn = connect(parse_address(agent.address), DEFAULT_AUTHKEY, 5.0)
+            try:
+                send_message(conn, (MSG_RUN, "one", spec))
+                message = recv_message(conn, 30.0)
+                while message[0] == MSG_BLOCK:
+                    streamed.append(message[2])
+                    message = recv_message(conn, 30.0)
+            finally:
+                conn.close()
+        assert message == (MSG_DONE, "one", len(expected))
+        assert [block_bytes(block) for block in streamed] == [
+            block_bytes(block) for block in expected
+        ]
 
     def test_budget_tracks_peak_and_rejects_oversize(self):
         budget = BlockBudget(100)
@@ -458,7 +507,7 @@ class _StreamAgent(_BadAgent):
         raise NotImplementedError
 
     def _run(self, conn, label, spec) -> None:
-        blocks = self.rewrite(spec, list(iter_shard_blocks(spec)))
+        blocks = self.rewrite(spec, shard_blocks(spec))
         self.met.set()
         for block in blocks:
             send_message(conn, (MSG_BLOCK, label, block))
@@ -621,7 +670,7 @@ class _ForeignLabelBlockAgent(_BadAgent):
 
     def _run(self, conn, label, spec) -> None:
         self.met.set()
-        for block in iter_shard_blocks(spec):
+        for block in shard_blocks(spec):
             send_message(conn, (MSG_BLOCK, FOREIGN_LABEL, block))
         send_message(conn, (MSG_DONE, label, 1))
 
@@ -632,7 +681,7 @@ class _ForeignLabelDoneAgent(_BadAgent):
 
     def _run(self, conn, label, spec) -> None:
         self.met.set()
-        for block in iter_shard_blocks(spec):
+        for block in shard_blocks(spec):
             send_message(conn, (MSG_BLOCK, label, block))
         send_message(conn, (MSG_DONE, FOREIGN_LABEL, 1))
 
@@ -672,7 +721,7 @@ class _StallingAgent(_BadAgent):
     """Streams its first block, then goes silent until it is stopped."""
 
     def _run(self, conn, label, spec) -> None:
-        block = next(iter_shard_blocks(spec))
+        block = shard_blocks(spec)[0]
         self.met.set()
         send_message(conn, (MSG_BLOCK, label, block))
         self._closed.wait(30.0)
@@ -682,7 +731,7 @@ class _HangUpAgent(_BadAgent):
     """Streams every block, then hangs up instead of sending ``done``."""
 
     def _run(self, conn, label, spec) -> None:
-        for block in iter_shard_blocks(spec):
+        for block in shard_blocks(spec):
             send_message(conn, (MSG_BLOCK, label, block))
         self.met.set()
         conn.close()

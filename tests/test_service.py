@@ -16,6 +16,8 @@ serial executor).  Timing claims live in
 """
 
 import asyncio
+import gc
+import logging
 import os
 import threading
 
@@ -23,10 +25,11 @@ import numpy as np
 import pytest
 
 from repro.batch.sweep import run_batch_series
-from repro.errors import ParameterError
+from repro.errors import ParameterError, ReproError
 from repro.experiments import run_experiment
 from repro.models.registry import get_family, list_families
-from repro.parallel.executor import SHM_DIR, prepare_job
+from repro.parallel import pool as pool_module
+from repro.parallel.executor import MAX_WORKERS_ENV, SHM_DIR, prepare_job
 from repro.parallel.grid import run_scenario_grid
 from repro.parallel.spec import DriveSpec, EnsembleSpec
 from repro.service import (
@@ -92,8 +95,6 @@ class TestWorkerPool:
         assert_bitwise(reference, result)
 
     def test_reaped_pool_logs_the_close_failure(self, caplog):
-        import logging
-
         pool = WorkerPool(1)
 
         def exploding_close():
@@ -103,6 +104,36 @@ class TestWorkerPool:
         with caplog.at_level(logging.DEBUG, logger="repro.parallel.pool"):
             pool.__del__()  # must not raise through the finaliser
         assert "close exploded" in caplog.text
+
+    @pytest.mark.parametrize("fault", ["bad-width", "no-fork"])
+    def test_pool_whose_constructor_raised_logs_nothing(
+        self, fault, caplog, monkeypatch
+    ):
+        """A pool whose constructor raised (a bad width, or a wider pool
+        where ``fork`` is missing) is reaped without a trace: its
+        ``close()`` finds nothing to tear down, so ``__del__`` logs no
+        close failure, the trace kept for a live pool's."""
+        width, raised, match = 0, ParameterError, "n_workers"
+        if fault == "no-fork":
+            real_context = pool_module.get_context
+
+            def no_fork(method=None):
+                if method == "fork":
+                    raise ValueError("cannot find context for 'fork'")
+                return real_context(method)
+
+            monkeypatch.setattr(pool_module, "get_context", no_fork)
+            monkeypatch.setenv(MAX_WORKERS_ENV, "2")
+            width, raised, match = 2, ReproError, "needs Linux"
+
+        def construct():
+            with pytest.raises(raised, match=match):
+                WorkerPool(width)
+
+        with caplog.at_level(logging.DEBUG, logger="repro.parallel.pool"):
+            construct()
+            gc.collect()
+        assert "close failed" not in caplog.text
 
     def test_prewarm_is_noop_without_jit_backends(self):
         from repro.backend import list_backends

@@ -254,7 +254,7 @@ def test_segmented_run_matches_whole_run(name, scenario, amplitude, segments):
             )
 
     assembly = ShardAssembly(job)
-    counters = drain_shard(spec, assembly.write_block, blocks())
+    counters = drain_shard(assembly.write_block, blocks())
     assembly.commit_shard(0, N_CORES, counters)
     assert_results_bitwise_equal(reference, assembly.result())
 

@@ -16,10 +16,12 @@ through :func:`repro.parallel.executor.chunk_stacks`): what stacks with
 what, how many tasks a chunk offers, and the padding the rule admits.
 A table pins the payload tiling the stacked batch is built from, and
 its slicing twins' repeats.  The runner's own cases pin that a stack of
-one is exactly the unstacked drain, that a stacked block holds no more
-lane-samples than one member's would, and that members whose payload
-does not tile, whose family refuses it tiled, or whose run registers a
-counter mid-run are run alone.  A
+one is bitwise its whole run, cut as :func:`plan_row_blocks` cuts it
+and fed its own samples' rows (a counter registered mid-run included),
+that a stacked block holds no more lane-samples than one member's
+would, and that members whose payload does not tile, whose family
+refuses it tiled, or whose run registers a counter mid-run are run
+alone.  A
 hypothesis property then draws random stacks of every registered
 family plus the int32/bool family, on the serial route and the default
 pool, and checks every member against its cell alone: bitwise on exact
@@ -49,7 +51,6 @@ from repro.models.registry import ModelFamily, get_family, list_families
 from repro.parallel import blocks
 from repro.parallel.blocks import (
     ShardAssembly,
-    drain_shard,
     drain_stack,
     plan_row_blocks,
 )
@@ -388,26 +389,72 @@ def test_every_family_builds_a_stacked_batch(name):
 # -- the stacked runner ---------------------------------------------------
 
 
-def test_stack_of_one_is_the_unstacked_drain(monkeypatch):
-    """A stack of one builds no stacked batch, pads no drive and cuts
-    no extra row: its blocks are :func:`drain_shard`'s."""
+#: The width of the stack-of-one cases, and the ``chunk_lanes`` they
+#: run at: unchunked, one lane, one lane short of the width, the width.
+ALONE_WIDTH = 5
+ALONE_CHUNKS = [None, 1, ALONE_WIDTH - 1, ALONE_WIDTH]
+
+
+def alone_job(drive: str, chunk_lanes):
+    """A whole timeless cell over a shared drive, or over a per-core
+    one whose lanes each see the drive at their own scale."""
+    h = get_family("timeless").h_scale * 0.6 * np.sin(
+        np.linspace(0.0, 6.0 * np.pi, 97)
+    )
+    if drive == "per-core":
+        h = np.outer(h, np.linspace(0.5, 1.0, ALONE_WIDTH))
+    spec = EnsembleSpec("timeless", ALONE_WIDTH)
+    return prepare_job(
+        spec, DriveSpec(samples=h), 1, chunk_lanes=chunk_lanes
+    )
+
+
+@pytest.mark.parametrize("chunk_lanes", ALONE_CHUNKS)
+@pytest.mark.parametrize("drive", ["shared", "per-core"])
+def test_stack_of_one_is_its_whole_run(drive, chunk_lanes, monkeypatch):
+    """A stack of one builds its own batch, never a stacked one, cuts
+    exactly :func:`plan_row_blocks` over its width, and drives each
+    block ``[r0, r1)`` with its own ``samples[r0:r1]``, never a padded
+    ``(rows, width)`` copy: every block, bitwise, is those rows of its
+    whole run, and its counters are the whole run's."""
 
     def no_stack(specs):
         raise AssertionError("a stack of one built a stacked batch")
 
+    fed = []
+    real_run = blocks.run_batch_series
+
+    def recorded(batch, rows, reset):
+        fed.append(rows)
+        return real_run(batch, rows, reset=reset)
+
     monkeypatch.setattr(blocks, "_stack_batch", no_stack)
-    job = cell_job("timeless", 5, "minor-loop-ladder", 0.6, chunk_lanes=2)
-    (spec,) = job.specs
-    rows = []
-    (counters,) = drain_stack(
-        [spec], [lambda block: rows.append((block.row_start, block.row_stop))]
-    )
-    assert rows == plan_row_blocks(5, len(job.h_full), 2)
-    assembly = ShardAssembly(job)
-    expected = drain_shard(spec, assembly.write_block)
-    assert sorted(counters) == sorted(expected)
-    for key in expected:
-        assert np.array_equal(counters[key], expected[key])
+    monkeypatch.setattr(blocks, "run_batch_series", recorded)
+    (spec,) = alone_job(drive, chunk_lanes).specs
+    samples = spec.build_samples()
+    whole = real_run(spec.build_batch(), samples)
+    received = []
+    (counters,) = drain_stack([spec], [received.append])
+    rows = [(block.row_start, block.row_stop) for block in received]
+    assert rows == plan_row_blocks(ALONE_WIDTH, len(samples), chunk_lanes)
+    for (r0, r1), drive_rows in zip(rows, fed, strict=True):
+        assert drive_rows.shape == samples[r0:r1].shape
+        assert np.shares_memory(drive_rows, samples)
+        assert np.array_equal(drive_rows, samples[r0:r1])
+    for block in received:
+        cut = slice(block.row_start, block.row_stop)
+        assert (block.start, block.stop) == (0, ALONE_WIDTH)
+        channels = [(whole.m, block.m), (whole.b, block.b)]
+        channels += [(whole.updated, block.updated)]
+        channels += [(whole.extras[k], v) for k, v in block.extras.items()]
+        assert sorted(block.extras) == sorted(whole.extras)
+        for full, part in channels:
+            assert part.dtype == full.dtype
+            assert part.tobytes() == full[cut].tobytes()
+    assert sorted(counters) == sorted(whole.counters)
+    for key, values in whole.counters.items():
+        assert counters[key].dtype == values.dtype, key
+        assert np.array_equal(counters[key], values), key
 
 
 @pytest.mark.parametrize("chunk_lanes", [None, 2, 5])
@@ -573,6 +620,22 @@ def test_members_run_alone_when_a_stack_cannot_hold_them(family):
             ["prepared", "steps"], ["late", "prepared", "steps"],
             ["prepared", "steps"],
         ]
+
+
+def test_lane_lazy_stack_of_one_counts_as_its_whole_run():
+    """A stack of one whose run registers a counter mid-run (here in its
+    second block) runs on: it has no other member to run alone, so it
+    never checks for a late key, and reports the late counter exactly
+    as its whole run does."""
+    with registered(LANE_LAZY):
+        spec = EnsembleSpec(LANE_LAZY.name, 3)
+        h = np.array([0.0, 1.0, 1.0, 2.0, 2.0, 1.0])
+        job = prepare_job(spec, DriveSpec(samples=h), 1, chunk_lanes=1)
+        assert plan_row_blocks(3, len(h), 1) == [(0, 2), (2, 4), (4, 6)]
+        (result,) = drain_as_one_stack([job])
+        reference = run_batch_series(spec.build_batch(), h)
+    assert "late" in reference.counters
+    assert_results_bitwise_equal(reference, result)
 
 
 # -- every member is its cell alone ----------------------------------------
